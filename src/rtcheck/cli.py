@@ -73,19 +73,13 @@ def _cmd_amplitude(args) -> int:
     for term in expr.terms:
         seeds = {in_labels[i]: ks[i] for i in range(n)}
         env = fock.resolve_momenta(term, expr.word, seeds)
-        coeff = fock.evaluate_coefficient(expr, term, env, dm)
-        if n == 0:
-            value = complex(coeff)
-            pairing = []
-        else:
-            p_sub = [env[l] for l in out_labels]
-            eps, xi = fock.physical_components(ks, p_sub)
-            idx = tuple(reversed(eps)) + tuple(xi)
-            value = complex(coeff[idx])
-            pairing = [
-                {"out": expr.word[a_pos].label, "in": expr.word[c_pos].label, "sign": rel}
-                for a_pos, c_pos, rel in term.pairing
-            ]
+        eps, xi = fock.physical_components(ks, [env[l] for l in out_labels])
+        idx = tuple(reversed(eps)) + tuple(xi)
+        value = complex(fock.evaluate_coefficient(expr, term, env, dm, at=idx)[()])
+        pairing = [
+            {"out": expr.word[a_pos].label, "in": expr.word[c_pos].label, "sign": rel}
+            for a_pos, c_pos, rel in term.pairing
+        ]
         terms_out.append(
             {
                 "pairing": pairing,

@@ -16,6 +16,15 @@ and creators ("pairing"), decorated with a lazy tensor network
 momenta.  Coefficients are only evaluated after a substitution consistent
 with the pairing.
 
+A network is contracted by a plan: pairwise ``np.einsum`` steps whose order
+comes from numpy's greedy path search (the opt_einsum strategy).  A plan
+depends only on the network's topology (the compacted leg lists, the word
+positions and the leg dimension 2N), so it is compiled once per topology
+and cached; n = 4 has 24 topologies, n = 6 has 720.  A caller that reads
+one component of the coefficient passes ``at=`` with one index per word
+position: every leaf tensor is then sliced on its external legs before
+contracting, and the (2N)^(2n) tensor is never built.
+
 Delta normalization is the bare delta internally; the physical-model
 comparison layer multiplies by 2*pi per contraction through the explicit
 ``two_pi_power`` field.
@@ -23,6 +32,8 @@ comparison layer multiplies by 2*pi per contraction through the explicit
 
 from __future__ import annotations
 
+import functools
+import string
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -226,43 +237,94 @@ def _eval_atom(atom: tuple, env: dict[str, float], model: DoubledModel):
     raise ValueError(f"unknown atom kind {atom[0]!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(
+    inputs: tuple[tuple[int, ...], ...], output: tuple[int, ...], dim: int, sliced: bool
+) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """Pairwise contraction steps for one network topology.
+
+    ``inputs`` are the compacted leg lists of the atoms and ``output`` the
+    compacted legs of the word positions in word order.  With ``sliced`` the
+    external legs are fixed by the caller and the plan contracts the rest to
+    a scalar.  Each step is (positions, subscripts): pop the operands at the
+    positions (descending) and append ``np.einsum(subscripts, *popped)``;
+    the last step leaves the result, with its legs in ``output`` order.
+    The order is numpy's greedy path search, run once on placeholders.
+    """
+    if sliced:
+        inputs = tuple(tuple(l for l in legs if l not in output) for legs in inputs)
+        output = ()
+    interleaved = []
+    for legs in inputs:
+        interleaved += [np.empty((dim,) * len(legs)), list(legs)]
+    path = np.einsum_path(*interleaved, list(output), optimize="greedy")[0][1:]
+    live = list(inputs)
+    steps = []
+    for step, positions in enumerate(path):
+        positions = tuple(sorted(positions, reverse=True))
+        taken = [live.pop(p) for p in positions]
+        if step == len(path) - 1:
+            result = output
+        else:
+            needed = set(output).union(*live)
+            result = tuple(dict.fromkeys(l for legs in taken for l in legs if l in needed))
+        live.append(result)
+        subscripts = ",".join(map(_letters, taken)) + "->" + _letters(result)
+        steps.append((positions, subscripts))
+    return tuple(steps)
+
+
+def _letters(legs: tuple[int, ...]) -> str:
+    # compacted leg ids stay below 52 (at most 42 legs at MAX_PARTICLES)
+    return "".join(string.ascii_letters[l] for l in legs)
+
+
+def _contract_network(
+    net: tuple, env: dict[str, float], model: DoubledModel, n_ext: int,
+    at: Optional[tuple[int, ...]],
+) -> np.ndarray:
+    tensors, inputs = [], []
+    seen: dict[int, int] = {}  # leg id -> compacted id
+    for atom in net:
+        tensor, legs = _eval_atom(atom, env, model)
+        if at is not None:
+            tensor = tensor[tuple(at[l] if l < n_ext else slice(None) for l in legs)]
+        tensors.append(tensor)
+        inputs.append(tuple(seen.setdefault(l, len(seen)) for l in legs))
+    # positions never touched by any atom keep an implicit identity;
+    # that cannot happen for vacuum-surviving terms of balanced words
+    output = tuple(seen.get(l, -1) for l in range(n_ext))
+    if -1 in output:
+        raise ValueError("network does not cover all word positions")
+    for positions, subscripts in _plan(tuple(inputs), output, model.doubled_dim, at is not None):
+        tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
+    return tensors[0]
+
+
 def evaluate_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel,
+    model: DoubledModel, at: Optional[tuple[int, ...]] = None,
 ) -> np.ndarray:
     """Evaluate a term's coefficient tensor at a momentum assignment.
 
     The result has one axis of size 2N per word position, in word order.
-    The caller is responsible for supplying an assignment consistent with
-    the term's pairing.
+    With ``at`` (one component index per word position) only that entry is
+    contracted and the result is a 0-d array.  The caller is responsible
+    for supplying an assignment consistent with the term's pairing.
     """
     d = model.doubled_dim
-    externals = list(range(len(expr.word)))
-    total = np.zeros((d,) * len(externals) if externals else (), dtype=complex)
+    n_ext = len(expr.word)
+    if at is not None and len(at) != n_ext:
+        raise ValueError(f"need one component index per word position ({n_ext})")
+    total = np.zeros(() if at is not None else (d,) * n_ext, dtype=complex)
     for net in term.networks:
-        if not net:
-            contrib = np.array(1.0 + 0.0j)
-            if externals:
-                raise ValueError("empty network with free legs")
+        if net:
+            total = total + _contract_network(net, env, model, n_ext, at)
+        elif n_ext:
+            raise ValueError("empty network with free legs")
         else:
-            operands = []
-            for atom in net:
-                tensor, legs = _eval_atom(atom, env, model)
-                operands.extend([tensor, legs])
-            # compact leg ids for einsum's integer-subscript mode
-            seen: dict[int, int] = {}
-            for i in range(1, len(operands), 2):
-                operands[i] = [seen.setdefault(l, len(seen)) for l in operands[i]]
-            out = [seen[l] for l in externals if l in seen]
-            contrib = np.einsum(*operands, out)
-            # positions never touched by any atom keep an implicit identity;
-            # that cannot happen for vacuum-surviving terms of balanced words
-            if len(out) != len(externals):
-                raise ValueError("network does not cover all word positions")
-            order = [out.index(seen[l]) for l in externals]
-            contrib = np.transpose(contrib, order)
-        total = total + contrib
-    return total * (TWO_PI ** term.two_pi_power)
+            total = total + 1.0
+    return np.asarray(total * (TWO_PI ** term.two_pi_power))
 
 
 def resolve_momenta(
@@ -519,7 +581,7 @@ def validate_orderings(in_momenta, out_momenta) -> None:
         raise ValueError("out-momenta must be strictly decreasing")
 
 
-MAX_PARTICLES = 6  # term count grows as n! 2^n
+MAX_PARTICLES = 6  # n! 2^n terms: 46,080 at n = 6, which take ~30 s to evaluate
 
 
 def n_particle_expression(
@@ -583,10 +645,9 @@ def factorization_residual(
         if term is None:
             engine_val = 0.0 + 0.0j
         else:
-            coeff = evaluate_coefficient(expr, term, env, model)
             eps, xi = physical_components(in_momenta, p_sub)
-            idx = tuple(reversed([eps[i] for i in range(n)])) + tuple(xi)
-            engine_val = complex(coeff[idx])
+            idx = tuple(reversed(eps)) + tuple(xi)
+            engine_val = complex(evaluate_coefficient(expr, term, env, model, at=idx)[()])
         worst = max(worst, abs(engine_val - prod))
     return worst
 
@@ -635,8 +696,8 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     for rel, ref in ((+1, opta.A(p)), (-1, opta.B(p))):
         term = next(t for t in expr.terms if t.pairing[0][2] == rel)
         env = {"p": p, "k": p / rel}
-        coeff = evaluate_coefficient(expr, term, env, model)
         eps = _component_index(int(np.sign(p)))
         xi = _component_index(-int(np.sign(env["k"])))
-        worst = max(worst, abs(complex(coeff[eps, xi]) - complex(ref[0, 0])))
+        coeff = evaluate_coefficient(expr, term, env, model, at=(eps, xi))
+        worst = max(worst, abs(complex(coeff[()]) - complex(ref[0, 0])))
     return worst

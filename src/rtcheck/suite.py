@@ -13,6 +13,7 @@ doubled data under names suffixed "(doubled)" for diagnostic runs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -52,11 +53,13 @@ def _triples(momenta):
 
 
 def _max_over(points, fn):
+    """Largest residual and its point; the first NaN residual outranks every
+    number, so a check with a non-finite residual reports it and fails."""
     worst = -1.0
     at: tuple[float, ...] = ()
     for pt in points:
         r = fn(*pt)
-        if r > worst:
+        if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst, at = r, tuple(pt)
     return worst, at
 

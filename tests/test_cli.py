@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rtcheck
 from rtcheck.cli import main
 
 
@@ -116,6 +121,20 @@ class TestAmplitude:
     def test_momentum_count_validated(self, delta_config, capsys):
         assert main(["amplitude", "--config", delta_config, "--n", "2",
                      "--in=1.0", "--out=2.0"]) == 2
+
+    def test_four_particles_at_n2_finish_in_a_fresh_process(self, rational_config):
+        # 384 terms over (2N)^8-entry networks: minutes with one unplanned
+        # einsum per network, about a second with planned, sliced contraction
+        src = Path(rtcheck.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtcheck.cli", "amplitude", "--config", rational_config,
+             "--n", "4", "--in=-2.1,-0.7,0.9,2.5", "--out=2.4,1.1,-0.5,-1.9"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["terms"]) == 384
 
 
 class TestCatalog:

@@ -390,3 +390,98 @@ class TestHierarchy:
     def test_zero_momentum_rejected(self):
         with pytest.raises(ValueError):
             hierarchy_commutator_residual(0, 1, MODEL, 0.0)
+
+
+def _reference_coefficient(expr, term, env, model):
+    """The coefficient by one unplanned np.einsum per network."""
+    n_ext = len(expr.word)
+    total = np.zeros((model.doubled_dim,) * n_ext, dtype=complex)
+    for net in term.networks:
+        if not net:  # the empty word's unit network
+            total = total + 1.0
+            continue
+        operands, seen = [], {}
+        for atom in net:
+            tensor, legs = fock._eval_atom(atom, env, model)
+            operands += [tensor, [seen.setdefault(l, len(seen)) for l in legs]]
+        total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
+    return total * TWO_PI ** term.two_pi_power
+
+
+def _rational_model():
+    return build_doubled_model(
+        rational_S(2, 1.0),
+        tau=lambda k: (k / (k + 1j)) * np.eye(2),
+        rho=lambda k: (-1j / (k + 1j)) * np.eye(2),
+    )
+
+
+PLAN_MOMENTA = {0: [], 1: [-1.3], 2: [-1.3, 2.1], 3: [-2.2, -0.9, 1.7]}
+
+
+def _expression_terms(n, model):
+    """(expr, term, env) for every term of the n-particle expression."""
+    in_labels = [f"k{i+1}" for i in range(n)]
+    out_labels = [f"p{i+1}" for i in range(n)]
+    expr = fock.n_particle_expression(n, in_labels, out_labels, model)
+    seeds = dict(zip(in_labels, PLAN_MOMENTA[n]))
+    return [(expr, t, resolve_momenta(t, expr.word, seeds)) for t in expr.terms]
+
+
+class TestPlannedContraction:
+    @pytest.mark.parametrize("model_name", ["N=1", "N=2"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_full_tensor_matches_unplanned_einsum(self, model_name, n):
+        model = MODEL if model_name == "N=1" else _rational_model()
+        for expr, term, env in _expression_terms(n, model):
+            got = evaluate_coefficient(expr, term, env, model)
+            ref = _reference_coefficient(expr, term, env, model)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("model_name", ["N=1", "N=2"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_sliced_entry_equals_full_tensor_entry(self, model_name, n):
+        model = MODEL if model_name == "N=1" else _rational_model()
+        rng = np.random.default_rng(n)
+        for expr, term, env in _expression_terms(n, model):
+            full = evaluate_coefficient(expr, term, env, model)
+            for _ in range(4):
+                idx = tuple(int(i) for i in rng.integers(model.doubled_dim, size=2 * n))
+                got = evaluate_coefficient(expr, term, env, model, at=idx)
+                assert got.shape == ()
+                assert abs(got[()] - full[idx]) <= 1e-12
+
+    def test_sliced_entry_needs_one_index_per_position(self):
+        expr, term, env = _expression_terms(1, MODEL)[0]
+        with pytest.raises(ValueError, match="one component index"):
+            evaluate_coefficient(expr, term, env, MODEL, at=(0,))
+
+    def test_concurrent_threads_get_identical_arrays(self):
+        import sys
+        import threading
+
+        model = _rational_model()
+        jobs = _expression_terms(3, model)
+        results: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = [evaluate_coefficient(e, t, env, model) for e, t, env in jobs]
+
+        fock._plan.cache_clear()  # make the threads race on compiling plans
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for other in results.values():
+            assert all(np.array_equal(x, y) for x, y in zip(results[0], other))

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rtcheck.config import build_model, parse_config
@@ -145,6 +147,24 @@ class TestSuite:
             "bulk": "rational:N=2,c=1", "checks": ["factorization(1)"]}))
         with pytest.raises(ValueError, match="scalar isotopic"):
             run_suite(build_model(cfg))
+
+    def test_nan_residual_is_reported_and_fails(self):
+        # T(k) = inf * k makes T(k) T(k) + R(k) R(-k) - 1 NaN at every point
+        cfg = parse_config(json.dumps({
+            "bulk": {"name": "identity", "dim": 1},
+            "defect": {"name": "custom", "transmission": "1e308*1e308*k",
+                       "reflection": "0"},
+            "samples": 6,
+            "checks": ["defect-unitarity", "ybe"],
+        }))
+        with np.errstate(all="ignore"):
+            report = run_suite(build_model(cfg))
+        unitarity, ybe = report.checks
+        assert math.isnan(unitarity.max_residual)
+        assert unitarity.worst_momenta != ()
+        assert not unitarity.passed
+        assert ybe.passed
+        assert not report.all_pass
 
     def test_checks_are_thread_safe(self):
         # evaluators are pure and models immutable: concurrent runs over the
