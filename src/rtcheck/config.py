@@ -110,13 +110,17 @@ def parse_config(text: str) -> ModelConfig:
     cfg = ModelConfig(
         bulk=bulk,
         defect=defect,
-        doubled=bool(raw.get("doubled", True)),
-        samples=int(raw.get("samples", DEFAULT_SAMPLES)),
-        exclusion_radius=float(raw.get("exclusion_radius", DEFAULT_RADIUS)),
-        seed=int(raw.get("seed", 0)),
-        tolerance=float(raw.get("tolerance", _env_tolerance())),
-        checks=tuple(raw.get("checks", ())),
+        doubled=_typed(raw, "doubled", True, bool, "a boolean"),
+        samples=_typed(raw, "samples", DEFAULT_SAMPLES, int, "an integer"),
+        exclusion_radius=float(
+            _typed(raw, "exclusion_radius", DEFAULT_RADIUS, (int, float), "a number")
+        ),
+        seed=_typed(raw, "seed", 0, int, "an integer"),
+        tolerance=float(_typed(raw, "tolerance", _env_tolerance(), (int, float), "a number")),
+        checks=tuple(_typed(raw, "checks", [], list, "a list of check names")),
     )
+    if not all(isinstance(c, str) for c in cfg.checks):
+        raise ConfigError(f"'checks' must be a list of check names, got {raw['checks']!r}")
     if cfg.tolerance <= 0:
         raise ConfigError("tolerance must be > 0")
     if cfg.samples < 1:
@@ -126,6 +130,15 @@ def parse_config(text: str) -> ModelConfig:
     build_bulk(cfg)  # validates parameters eagerly
     build_half_line_defect(cfg)
     return cfg
+
+
+def _typed(raw: dict, key: str, default, types, what: str):
+    """raw[key] (or the default) if it has one of the JSON types; bool is
+    not accepted as a number, since JSON true/false are no numbers."""
+    value = raw.get(key, default)
+    if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{key!r} must be {what}, got {value!r}")
 
 
 def _env_tolerance() -> float:

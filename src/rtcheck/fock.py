@@ -25,6 +25,22 @@ one component of the coefficient passes ``at=`` with one index per word
 position: every leaf tensor is then sliced on its external legs before
 contracting, and the (2N)^(2n) tensor is never built.
 
+The expansion of a word depends only on its shape: per symbol the kind,
+label, momentum sign and whether it is dressed.  It never depends on the
+model (which only supplies the leg dimension), so ``normal_order_vev``
+expands each shape once and keeps the term list in a bounded cache.  A
+dressing atom refers to its word position, and the dress function is read
+from the caller's word when the coefficient is evaluated, so two words of
+one shape share an expansion but keep their own dressings.
+
+The one-particle kernels of the Hamiltonian hierarchy come from the
+four-symbol word <a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q
+as +p or -p.  Those signs are read once per kernel; at each momentum one
+pass over the terms gives the traced coefficients of both the delta(p - k)
+and the delta(p + k) part, memoized per momentum for the kernel's lifetime,
+and ``hierarchy_commutator_residual`` takes H^(m) and H^(n) as two moments
+of one such pass.
+
 Delta normalization is the bare delta internally; the physical-model
 comparison layer multiplies by 2*pi per contraction through the explicit
 ``two_pi_power`` field.
@@ -81,8 +97,10 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 # Atoms reference integer leg ids; the external leg of word position i is i.
 # ("S", (a_old, ad_new, a_new, ad_old), q_expr, p_expr)   4-leg braid tensor
 # ("C", (a_leg, ad_leg), "T"|"R", q_expr)                 contraction matrix
-# ("D", (row, col), dress_fn, label)                      dressing matrix
-# where an expr is (sign, label).
+# ("D", (row, col), position)                             dressing matrix
+# where an expr is (sign, label).  A dressing atom names the word position
+# whose symbol carries the dress function, so an expansion holds no model
+# closure and can be shared by every word of the same shape.
 
 Expr = tuple[int, str]
 
@@ -121,14 +139,24 @@ def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeEx
     """Vacuum expectation value of a word as a canonicalized expression.
 
     Words with unequal creator/annihilator counts give the zero expression.
+    The term list depends only on the word's shape, not on the model or on
+    the dress functions, so it is expanded once per shape (see ``_expand``);
+    the returned expression holds the caller's word, whose dressings the
+    ``"D"`` atoms reference by position.
     """
     word = tuple(word)
-    n_a = sum(1 for s in word if s.kind == "a")
-    n_ad = len(word) - n_a
-    if n_a != n_ad:
-        return AmplitudeExpression(word, model.doubled_dim, ())
+    shape = tuple((s.kind, s.label, s.sign, s.dress is not None) for s in word)
+    return AmplitudeExpression(word, model.doubled_dim, _expand(shape))
 
-    counter = [len(word)]  # fresh internal leg ids
+
+@functools.lru_cache(maxsize=64)
+def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionTerm, ...]:
+    """Terms of a word given as (kind, label, sign, dressed) per symbol."""
+    n_a = sum(1 for kind, *_ in shape if kind == "a")
+    if 2 * n_a != len(shape):
+        return ()
+
+    counter = [len(shape)]  # fresh internal leg ids
 
     def fresh() -> int:
         counter[0] += 1
@@ -137,18 +165,18 @@ def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeEx
     # live word entries: (position, kind, expr(sign,label), current_leg)
     init_atoms: list[tuple] = []
     init_word = []
-    for pos, s in enumerate(word):
+    for pos, (kind, label, sign, dressed) in enumerate(shape):
         leg = pos
-        if s.dress is not None:
+        if dressed:
             inner = fresh()
-            if s.kind == "ad":
+            if kind == "ad":
                 # [ad^b X]^ext: X rows contract the creator component
-                init_atoms.append(("D", (inner, pos), s.dress, s.label))
+                init_atoms.append(("D", (inner, pos), pos))
             else:
                 # [X a]_ext: X columns contract the annihilator component
-                init_atoms.append(("D", (pos, inner), s.dress, s.label))
+                init_atoms.append(("D", (pos, inner), pos))
             leg = inner
-        init_word.append((pos, s.kind, (s.sign, s.label), leg))
+        init_word.append((pos, kind, (sign, label), leg))
 
     done: list[tuple[tuple, tuple]] = []  # (pairing, atoms)
     stack = [(tuple(init_atoms), (), tuple(init_word))]
@@ -189,10 +217,9 @@ def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeEx
     merged: dict[tuple, list[tuple]] = {}
     for pairs, atoms in done:
         merged.setdefault(_canonical_pairing(pairs), []).append(atoms)
-    terms = tuple(
+    return tuple(
         ContractionTerm(pairing, tuple(nets)) for pairing, nets in sorted(merged.items())
     )
-    return AmplitudeExpression(word, model.doubled_dim, terms)
 
 
 def canonicalize(expr: AmplitudeExpression) -> AmplitudeExpression:
@@ -216,7 +243,10 @@ def with_two_pi(expr: AmplitudeExpression) -> AmplitudeExpression:
     return replace(expr, terms=terms)
 
 
-def _eval_atom(atom: tuple, env: dict[str, float], model: DoubledModel):
+def _eval_atom(
+    atom: tuple, env: dict[str, float], model: DoubledModel,
+    word: tuple[WordSymbol, ...] = (),
+):
     kind = atom[0]
     d = model.doubled_dim
     if kind == "S":
@@ -232,8 +262,9 @@ def _eval_atom(atom: tuple, env: dict[str, float], model: DoubledModel):
             m = np.asarray(model.calR(q), dtype=complex)
         return m, list(legs)
     if kind == "D":
-        _, legs, fn, label = atom
-        return np.asarray(fn(env[label]), dtype=complex), list(legs)
+        _, legs, pos = atom
+        symbol = word[pos]
+        return np.asarray(symbol.dress(env[symbol.label]), dtype=complex), list(legs)
     raise ValueError(f"unknown atom kind {atom[0]!r}")
 
 
@@ -280,13 +311,14 @@ def _letters(legs: tuple[int, ...]) -> str:
 
 
 def _contract_network(
-    net: tuple, env: dict[str, float], model: DoubledModel, n_ext: int,
-    at: Optional[tuple[int, ...]],
+    net: tuple, env: dict[str, float], model: DoubledModel,
+    word: tuple[WordSymbol, ...], at: Optional[tuple[int, ...]],
 ) -> np.ndarray:
+    n_ext = len(word)
     tensors, inputs = [], []
     seen: dict[int, int] = {}  # leg id -> compacted id
     for atom in net:
-        tensor, legs = _eval_atom(atom, env, model)
+        tensor, legs = _eval_atom(atom, env, model, word)
         if at is not None:
             tensor = tensor[tuple(at[l] if l < n_ext else slice(None) for l in legs)]
         tensors.append(tensor)
@@ -319,7 +351,7 @@ def evaluate_coefficient(
     total = np.zeros(() if at is not None else (d,) * n_ext, dtype=complex)
     for net in term.networks:
         if net:
-            total = total + _contract_network(net, env, model, n_ext, at)
+            total = total + _contract_network(net, env, model, expr.word, at)
         elif n_ext:
             raise ValueError("empty network with free legs")
         else:
@@ -435,6 +467,55 @@ def one_particle_amplitude(
 HAMILTONIAN_PREFACTOR = 0.5  # the 1/2 in front of the Hamiltonian integral
 
 
+def _traced_four_word(
+    model: DoubledModel, mid_creator: WordSymbol, mid_annihilator: WordSymbol
+) -> Callable[[float], tuple[tuple, tuple]]:
+    """Traced coefficients of <a(p) M†(w) M(w) ad(q)>, per momentum p.
+
+    The middle symbols share the integration label; their component legs are
+    traced.  Each surviving term fixes w = +-p and q = +-p through its
+    pairing; the signs are read once, by resolving the pairing at p = 1.  The
+    returned function maps p to two tuples of (w, tr_1 coeff) in term order:
+    the terms with q = p (the delta(p - k) part) and those with q = -p (the
+    delta(p + k) part).  It is memoized per p for its own lifetime.
+    """
+    expr = normal_order_vev([a("p"), mid_creator, mid_annihilator, ad("q")], model)
+    signs = []
+    for term in expr.terms:
+        env = resolve_momenta(term, expr.word, {"p": 1.0})
+        if "w" in env and "q" in env:
+            signs.append((term, env["w"], env["q"]))
+    memo: dict[float, tuple[tuple, tuple]] = {}
+
+    def traced(p: float) -> tuple[tuple, tuple]:
+        got = memo.get(p)
+        if got is None:
+            parts: tuple[list, list] = ([], [])
+            for term, sw, sq in signs:
+                env = {"p": p, "w": sw * p, "q": sq * p}
+                coeff = evaluate_coefficient(expr, term, env, model)
+                parts[sq < 0].append((env["w"], np.trace(coeff, axis1=1, axis2=2)))
+            got = memo[p] = (tuple(parts[0]), tuple(parts[1]))
+        return got
+
+    return traced
+
+
+def _moment_kernel(
+    traced: Callable[[float], tuple[tuple, tuple]], power: int, prefactor: float, dim: int
+) -> OneParticleKernel:
+    """The w^power moment of traced four-word coefficients, as a kernel: the
+    delta calculus reduces the integral over w to the substitution."""
+    zero = np.zeros((dim, dim), dtype=complex)
+
+    def moment(terms: tuple) -> np.ndarray:
+        return prefactor * sum(((w ** power) * tr for w, tr in terms), zero)
+
+    return OneParticleKernel(
+        dim, lambda p: moment(traced(p)[0]), lambda p: moment(traced(p)[1])
+    )
+
+
 def _kernel_from_four_word(
     model: DoubledModel,
     power: int,
@@ -442,31 +523,9 @@ def _kernel_from_four_word(
     mid_annihilator: WordSymbol,
     prefactor: float,
 ) -> OneParticleKernel:
-    """Kernel of <a(p) [integral dw w^power M†(w) M(w)] ad(q)> via the engine.
-
-    The middle symbols share the integration label; their component legs are
-    traced.  Each surviving term fixes w from p through its pairing, and the
-    delta calculus reduces the integral to the substitution.
-    """
-    word = [a("p"), mid_creator, mid_annihilator, ad("q")]
-    expr = normal_order_vev(word, model)
-    d = model.doubled_dim
-    by_pos = {i: s for i, s in enumerate(expr.word)}
-
-    def part(p: float, want_flip: bool) -> np.ndarray:
-        out = np.zeros((d, d), dtype=complex)
-        for term in expr.terms:
-            env = resolve_momenta(term, expr.word, {"p": p})
-            if "w" not in env or "q" not in env:
-                continue
-            flip = env["q"] * p < 0  # q is exactly +p or -p here
-            if flip != want_flip:
-                continue
-            coeff = evaluate_coefficient(expr, term, env, model)
-            out = out + (env["w"] ** power) * np.trace(coeff, axis1=1, axis2=2)
-        return prefactor * out
-
-    return OneParticleKernel(d, lambda p: part(p, False), lambda p: part(p, True))
+    """Kernel of <a(p) [integral dw w^power M†(w) M(w)] ad(q)> via the engine."""
+    traced = _traced_four_word(model, mid_creator, mid_annihilator)
+    return _moment_kernel(traced, power, prefactor, model.doubled_dim)
 
 
 def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
@@ -490,12 +549,17 @@ def hierarchy_commutator_residual(
 
     [H^(m), H^(n)] must equal [(-1)^m - (-1)^n] times the reflection-moment
     kernel of order m + n; both sides are built independently (compose /
-    subtract versus engine expansion).
+    subtract of the Hamiltonian moments versus the engine expansion of the
+    dressed reflection-moment word).
     """
+    if m < 0 or n < 0:
+        raise ValueError("hierarchy index must be >= 0")
     if p == 0:
         raise ValueError("kernel comparison undefined at p = 0")
-    Km = hamiltonian_kernel(m, model)
-    Kn = hamiltonian_kernel(n, model)
+    # H^(m) and H^(n) are two moments of one word: trace its terms once
+    traced = _traced_four_word(model, ad("w"), a("w"))
+    Km = _moment_kernel(traced, m, HAMILTONIAN_PREFACTOR, model.doubled_dim)
+    Kn = _moment_kernel(traced, n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
     lhs = subtract(compose(Km, Kn), compose(Kn, Km))
     pref = (-1.0) ** m - (-1.0) ** n
     rhs = scale(reflection_moment_kernel(m + n, model), pref)

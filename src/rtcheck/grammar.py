@@ -9,12 +9,21 @@ Grammar (precedence low to high):
 
 NUMBER is a decimal literal with an optional imaginary suffix 'i' or 'j'.
 The single free variable is the momentum k; evaluation is complex.
+
+The parser compiles an expression to a postfix program that a stack machine
+evaluates, so long operator chains need no recursion.  Parentheses and
+unary minus do recurse while parsing; they may nest at most ``MAX_NESTING``
+deep, and deeper input is an ``ExpressionError`` like any other malformed
+expression.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Callable
+
+MAX_NESTING = 100  # parentheses plus unary minus; keeps parsing well inside the stack
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[ij]?)"
@@ -41,9 +50,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
+    """Recursive descent that appends postfix instructions to ``program``."""
+
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
+        self.program: list[tuple] = []
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -53,75 +66,84 @@ class _Parser:
         self.i += 1
         return tok
 
+    def nested(self, rule):
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_NESTING} parentheses or signs"
+            )
+        rule()
+        self.nesting -= 1
+
     def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+        self.term()
+        while self.peek() in (("op", "+"), ("op", "-")):
             _, op = self.take()
-            rhs = self.term()
-            node = ("+", node, rhs) if op == "+" else ("-", node, rhs)
-        return node
+            self.term()
+            self.program.append((op,))
 
     def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+        self.unary()
+        while self.peek() in (("op", "*"), ("op", "/")):
             _, op = self.take()
-            rhs = self.unary()
-            node = ("*", node, rhs) if op == "*" else ("/", node, rhs)
-        return node
+            self.unary()
+            self.program.append((op,))
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
-            return ("neg", self.unary())
-        return self.atom()
+            self.nested(self.unary)
+            self.program.append(("neg",))
+        else:
+            self.atom()
 
     def atom(self):
         kind, value = self.take()
         if kind == "num":
             if value[-1] in "ij":
-                return ("const", complex(0.0, float(value[:-1])))
-            return ("const", complex(float(value)))
-        if kind == "name":
+                self.program.append(("const", complex(0.0, float(value[:-1]))))
+            else:
+                self.program.append(("const", complex(float(value))))
+        elif kind == "name":
             if value != "k":
                 raise ExpressionError(f"unknown name {value!r}; only 'k' is allowed")
-            return ("var",)
-        if (kind, value) == ("op", "("):
-            node = self.expr()
+            self.program.append(("var",))
+        elif (kind, value) == ("op", "("):
+            self.nested(self.expr)
             if self.take() != ("op", ")"):
                 raise ExpressionError("unbalanced parentheses")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}")
+        else:
+            raise ExpressionError(f"unexpected token {value!r}")
 
 
-def _node_eval(node, k: complex) -> complex:
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "var":
-        return k
-    if op == "neg":
-        return -_node_eval(node[1], k)
-    a = _node_eval(node[1], k)
-    b = _node_eval(node[2], k)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ExpressionError(f"bad node {op!r}")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _run(program: list[tuple], k: complex) -> complex:
+    stack: list[complex] = []
+    for ins in program:
+        op = ins[0]
+        if op == "const":
+            stack.append(ins[1])
+        elif op == "var":
+            stack.append(k)
+        elif op == "neg":
+            stack.append(-stack.pop())
+        else:
+            b = stack.pop()
+            stack.append(_BINARY[op](stack.pop(), b))
+    return stack[0]
 
 
 def parse_expression(text: str) -> Callable[[float], complex]:
     """Compile a closed-form expression in k into an evaluator."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    parser.expr()
     if parser.peek() != (None, None):
         raise ExpressionError(f"trailing input near {parser.peek()[1]!r}")
+    program = parser.program
 
     def fn(k: float) -> complex:
-        return _node_eval(node, complex(k))
+        return _run(program, complex(k))
 
     return fn

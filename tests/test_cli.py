@@ -72,6 +72,21 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "totally-bogus" in capsys.readouterr().err
 
+    def test_deeply_nested_custom_defect_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        deep = "(" * 3000 + "k" + ")" * 3000
+        cfg.write_text(json.dumps({
+            "defect": {"name": "custom", "transmission": deep, "reflection": "0"},
+        }))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "nests deeper" in capsys.readouterr().err
+
+    def test_mistyped_config_value_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": "ybe"}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "checks" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
 

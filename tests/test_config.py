@@ -7,7 +7,7 @@ from rtcheck.config import (
     build_model,
     parse_config,
 )
-from rtcheck.grammar import ExpressionError, parse_expression
+from rtcheck.grammar import MAX_NESTING, ExpressionError, parse_expression
 
 
 class TestGrammar:
@@ -22,6 +22,23 @@ class TestGrammar:
     def test_compound_with_scientific_notation(self):
         f = parse_expression("(k*k - 2.5e0) / (k + 3i) + 1")
         assert abs(f(1.5) - ((1.5**2 - 2.5) / (1.5 + 3j) + 1)) < 1e-15
+
+    def test_long_operator_chains_evaluate(self):
+        assert parse_expression("+".join(["k"] * 5000))(0.5) == 2500
+        assert parse_expression("1-2-3")(0.0) == -4
+        assert parse_expression("8/2/2*-k")(3.0) == -6
+
+    @pytest.mark.parametrize(
+        "deep", ["(" * 3000 + "k" + ")" * 3000, "-" * 3000 + "k"], ids=["parens", "signs"]
+    )
+    def test_nesting_depth_is_bounded(self, deep):
+        with pytest.raises(ExpressionError, match="nests deeper"):
+            parse_expression(deep)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_NESTING // 2  # each level below is one parenthesis and one sign
+        assert parse_expression("(-" * depth + "k" + ")" * depth)(2.0) == 2
+        assert parse_expression("(" * MAX_NESTING + "k" + ")" * MAX_NESTING)(2.0) == 2
 
     def test_round_trip_matches_python_eval(self):
         text = "1 - 2i*k/(k*k + 4)"
@@ -122,6 +139,38 @@ class TestParseConfig:
         monkeypatch.setenv("RTCHECK_TOLERANCE", "soup")
         with pytest.raises(ConfigError):
             parse_config(json.dumps({}))
+
+
+class TestStrictTypes:
+    """Config values of the wrong JSON type are errors, never coerced."""
+
+    @staticmethod
+    def rejects(key, *values):
+        for value in values:
+            with pytest.raises(ConfigError, match=key):
+                parse_config(json.dumps({key: value}))
+
+    def test_doubled_must_be_a_bool(self):
+        self.rejects("doubled", "false", 0, None)
+
+    def test_samples_must_be_an_integer(self):
+        self.rejects("samples", 2.7, 20.0, True, "50")
+
+    def test_seed_must_be_an_integer(self):
+        self.rejects("seed", 1.5, False, "3")
+
+    def test_checks_must_be_a_list_of_strings(self):
+        self.rejects("checks", "ybe", ["ybe", 1], {"ybe": True})
+
+    def test_exclusion_radius_must_be_a_number(self):
+        self.rejects("exclusion_radius", "0.1", True, None)
+
+    def test_tolerance_must_be_a_number(self):
+        self.rejects("tolerance", "1e-9", False, [1e-9])
+
+    def test_integers_are_numbers(self):
+        cfg = parse_config(json.dumps({"tolerance": 1, "exclusion_radius": 1}))
+        assert (cfg.tolerance, cfg.exclusion_radius) == (1.0, 1.0)
 
 
 class TestBuildModel:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -485,3 +487,118 @@ class TestPlannedContraction:
         assert sorted(results) == [0, 1, 2, 3]
         for other in results.values():
             assert all(np.array_equal(x, y) for x, y in zip(results[0], other))
+
+
+def _old_four_word_part(word, model, power, p, want_flip):
+    """One part of a four-word kernel by a loop over all terms at p."""
+    expr = normal_order_vev(word, model)
+    d = model.doubled_dim
+    out = np.zeros((d, d), dtype=complex)
+    for term in expr.terms:
+        env = resolve_momenta(term, expr.word, {"p": p})
+        if "w" not in env or "q" not in env:
+            continue
+        if (env["q"] * p < 0) != want_flip:
+            continue
+        coeff = evaluate_coefficient(expr, term, env, model)
+        out = out + env["w"] ** power * np.trace(coeff, axis1=1, axis2=2)
+    return fock.HAMILTONIAN_PREFACTOR * out
+
+
+class TestShapeCachedKernels:
+    @pytest.mark.parametrize("dressed_pos", [1, 2])
+    def test_same_shape_words_use_their_own_dress(self, dressed_pos):
+        model = _rational_model()
+        d = model.doubled_dim
+        dresses = [
+            lambda w: np.asarray(model.calR(w)),
+            lambda w: np.eye(d) + w * np.arange(d * d).reshape(d, d),
+        ]
+
+        def word(dress):
+            syms = [a("p"), ad("w"), a("w", sign=-1), ad("q")]
+            syms[dressed_pos] = replace(syms[dressed_pos], dress=dress)
+            return syms
+
+        bare = normal_order_vev(word(None), model)
+        bare_terms = {t.pairing: t for t in bare.terms}
+        exprs = [normal_order_vev(word(f), model) for f in dresses]
+        assert exprs[0].terms is exprs[1].terms  # one cached expansion
+        got = []
+        for expr, f in zip(exprs, dresses):
+            for term in expr.terms:
+                env = resolve_momenta(term, expr.word, {"p": 0.7})
+                coeff = evaluate_coefficient(expr, term, env, model)
+                plain = evaluate_coefficient(bare, bare_terms[term.pairing], env, model)
+                # the dress contracts the symbol's component leg from outside
+                if dressed_pos == 2:
+                    ref = np.einsum("ij,abjd->abid", f(env["w"]), plain)
+                else:
+                    ref = np.einsum("ji,ajcd->aicd", f(env["w"]), plain)
+                assert np.max(np.abs(coeff - ref)) <= 1e-13
+                got.append(coeff)
+        half = len(got) // 2
+        assert any(np.max(np.abs(x - y)) > 1e-3 for x, y in zip(got[:half], got[half:]))
+
+    @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
+    def test_kernels_match_the_per_term_loop(self, model_name):
+        model = MODEL if model_name == "delta N=1" else _rational_model()
+        mid_r = a("w", sign=-1, dress=lambda w: model.calR(w))
+        for power in range(5):
+            cases = [
+                (hamiltonian_kernel(power, model), [a("p"), ad("w"), a("w"), ad("q")]),
+                (reflection_moment_kernel(power, model), [a("p"), ad("w"), mid_r, ad("q")]),
+            ]
+            for K, word in cases:
+                for p in (0.7, -0.7, 1.9, -1.9):
+                    for part, flip in ((K.A, False), (K.B, True)):
+                        ref = _old_four_word_part(word, model, power, p, flip)
+                        assert np.max(np.abs(part(p) - ref)) <= 1e-14
+
+    def test_commutator_evaluates_each_term_once_per_momentum(self, monkeypatch):
+        calls = []
+        original = fock.evaluate_coefficient
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "evaluate_coefficient", counting)
+        hierarchy_commutator_residual(0, 1, _rational_model(), 0.7)
+        assert 0 < len(calls) <= 12
+
+    def test_concurrent_threads_on_a_cleared_cache_agree(self):
+        import sys
+        import threading
+
+        model = _rational_model()
+        momenta = (0.7, -1.3, 2.2)
+
+        def residuals():
+            return [
+                (hierarchy_commutator_residual(m, n, model, p),
+                 hierarchy_relation_residual(2, model, p))
+                for m, n in ((0, 1), (1, 3)) for p in momenta
+            ]
+
+        serial = residuals()
+        results: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = residuals()
+
+        fock._expand.cache_clear()  # make the threads race on expanding shapes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(results[i] == serial for i in range(4))
