@@ -15,11 +15,10 @@ from .fock import (
     OneParticleKernel,
     normal_order_vev,
 )
+from .report import TOOLKIT_VERSION as __version__
 from .report import VerificationReport, emit_report, parse_report
 from .smatrix import BulkSMatrix, identity_S, permutation_S, rational_S, sample_momenta
 from .suite import available_checks, default_checks, run_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeExpression",

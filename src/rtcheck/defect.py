@@ -1,15 +1,21 @@
 """Reflection/transmission defect data and the impurity consistency residuals.
 
-The relation checkers compute literal left-minus-right infinity norms of the
-source equations, with no algebraic simplification, so a defective input (or
-a defective equation) shows up as a reproducible residual.  Heaviside
-projections are exact: theta(xi*k) multiplies the whole matrix by 0 or 1, and
-k = 0 is a domain error rather than a convention.
+Every impurity relation is a word in S, R and T: the pure reflection,
+pure transmission, mixed, vacuum-matrix (rr1/tt1/tr1) and reduced relations
+are rows of one table, RELATIONS, and one evaluator, chain_residual, computes
+the literal left-minus-right infinity norm of any row, with no algebraic
+simplification, so a defective input (or a defective equation) shows up as a
+reproducible residual.  The per-family functions below name the rows they
+accept and the data they read.  Heaviside projections are exact: theta(xi*k)
+multiplies the whole matrix by 0 or 1, and k = 0 is a domain error rather
+than a convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 from typing import Callable
 
 import numpy as np
@@ -120,73 +126,131 @@ def hermitian_analyticity_residual(D: DefectPair, k: float) -> float:
     return norm_inf(dagger(D.T(k)) - D.T(k)) + norm_inf(dagger(D.R(k)) - D.R(-k))
 
 
-def _legs(d: int, m: np.ndarray, leg: int) -> np.ndarray:
-    eye = np.eye(d, dtype=complex)
-    return kron(m, eye) if leg == 1 else kron(eye, m)
+# A parsed factor is ("S" | "S21", a, b) or ("R" | "T", xi, leg, k), xi None
+# for no projection; a word is (lhs factors, rhs factors).
+Word = tuple[tuple[tuple, ...], tuple[tuple, ...]]
+_PROJECTIONS = {"+": +1, "-": -1, "": None}
+
+
+def _word(equation: str) -> Word:
+    sides = []
+    for side in equation.split(" = "):
+        factors = []
+        for token in side.split():
+            head, args = token[:-1].split("(")
+            if head in ("S", "S21"):
+                factors.append((head, *args.split(",")))
+            else:
+                factors.append((head[0], _PROJECTIONS[head[1:-1]], int(head[-1]), args))
+        sides.append(tuple(factors))
+    lhs, rhs = sides
+    return lhs, rhs
+
+
+# One row per relation variant, "lhs = rhs", each side a product taken
+# strictly left to right.  A factor is S(a,b) or S21(a,b), the two-leg
+# S-matrix or its leg swap at momenta a, b, or R<xi><leg>(k) / T<xi><leg>(k),
+# a defect matrix at momentum k on leg 1 or 2 under the Heaviside projection
+# xi ("+", "-", or nothing for none).  Momenta are the names bound by _momenta.
+RELATIONS: dict[str, Word] = {name: _word(equation) for name, equation in {
+    # pure reflection
+    "SRSR+": "S(k1,k2) R+2(k1) S(k2,-k1) R+2(k2) = R+2(k2) S(k1,-k2) R+2(k1) S(-k2,-k1)",
+    "SRSR-": "S(k1,k2) R-1(k2) S(-k2,k1) R-1(k1) = R-1(k1) S(-k1,k2) R-1(k2) S(-k2,-k1)",
+    # pure transmission
+    "TST": "T+1(k1) S(k1,k2) T-1(k2) = T-2(k2) S(k1,k2) T+2(k1)",
+    "STT-": "S(k1,k2) T-1(k2) T-2(k1) = T-1(k1) T-2(k2) S(k1,k2)",
+    "STT+": "S(k1,k2) T+1(k2) T+2(k1) = T+1(k1) T+2(k2) S(k1,k2)",
+    # mixed reflection-transmission, as printed
+    "TSRS+": "R+1(k1) T-2(k2) = T-2(k2) S(k1,k2) R+2(k1) S(k2,-k1)",
+    "TSRS-": "T+1(k1) R-2(k2) = T+1(k1) S(k1,k2) R-1(k2) S(-k2,k1)",
+    "SRST+": "R+1(k1) T+2(k2) = S(k1,k2) R+2(k1) S(k2,-k1) T+2(k2)",
+    "SRST-": "T-1(k1) R-2(k2) = S(k1,k2) R-1(k2) S(-k2,k1) T-1(k1)",
+    "TSR+": "R+1(k1) T-2(k2) S(-k1,k2) = T-2(k2) S(k1,k2) R+2(k1)",
+    "TSR-": "T+1(k1) R-2(k2) S(k1,-k2) = T+1(k1) S(k1,k2) R-1(k2)",
+    "RST+": "R+2(k1) S(k2,-k1) T+2(k2) = S(k2,k1) R+1(k1) T+2(k2)",
+    "RST-": "R-1(k2) S(-k2,k1) T-1(k1) = S(k2,k1) T-1(k1) R-2(k2)",
+    # vacuum-matrix consistency, unprojected
+    "rr1": "S(k1,k2) R1(k1) S21(k2,-k1) R2(k2) = R2(k2) S(k1,-k2) R1(k1) S21(-k2,-k1)",
+    "tt1": "S(k1,k2) T1(k1) S21(k2,k1) T2(k2) = T2(k2) S(k1,k2) T1(k1) S21(k2,k1)",
+    "tr1": "S(k1,k2) R1(k1) S21(k2,-k1) T2(k2) = T2(k2) S(k1,k2) R1(k1) S21(k2,-k1)",
+    # reduced relations of the doubled model: T is tau, R is rho, s12(u) = s(u, 0)
+    "tau-tau": "S(k1-k2,0) T1(k1) S21(k2-k1,0) T2(k2) = T2(k2) S(k1-k2,0) T1(k1) S21(k2-k1,0)",
+    "tau-rho": "S(k1-k2,0) T1(k1) S21(k2-k1,0) R2(k2) = R2(k2) S(k1+k2,0) T1(k1) S21(-k1-k2,0)",
+    "rho-rho": "S(k1-k2,0) R1(k1) S21(k1+k2,0) R2(k2) = R2(k2) S(k1+k2,0) R1(k1) S21(k1-k2,0)",
+}.items()}
+
+
+def _momenta(k1: float, k2: float) -> dict[str, float]:
+    u, v = k1 - k2, k1 + k2
+    return {
+        "k1": k1, "k2": k2, "-k1": -k1, "-k2": -k2,
+        "k1-k2": u, "k2-k1": -u, "k1+k2": v, "-k1-k2": -v, "0": 0.0,
+    }
+
+
+def chain_residual(
+    word: Word,
+    S: Callable[[float, float], np.ndarray],
+    S21: Callable[[float, float], np.ndarray],
+    D: DefectPair,
+    k1: float,
+    k2: float,
+) -> float:
+    """Literal residual norm_inf(lhs - rhs) of one relation word at (k1, k2).
+
+    S and S21 evaluate the two-leg S-matrix and its leg swap; R and T factors
+    come from D, embedded on their leg with the identity on the other.  Each
+    distinct factor is built once, and each side is multiplied strictly left
+    to right, as a @ b @ c is, with no algebraic simplification.
+    """
+    _check_momentum(k1)
+    _check_momentum(k2)
+    at = _momenta(k1, k2)
+    eye = np.eye(D.dim, dtype=complex)
+    built: dict[tuple, np.ndarray] = {}
+
+    def build(factor: tuple) -> np.ndarray:
+        if factor not in built:
+            kind = factor[0]
+            if kind == "S":
+                built[factor] = S(at[factor[1]], at[factor[2]])
+            elif kind == "S21":
+                built[factor] = S21(at[factor[1]], at[factor[2]])
+            else:
+                _, xi, leg, k = factor
+                data = D if xi is None else project(D, xi)
+                m = data.R(at[k]) if kind == "R" else data.T(at[k])
+                built[factor] = kron(m, eye) if leg == 1 else kron(eye, m)
+        return built[factor]
+
+    lhs, rhs = word
+    return norm_inf(reduce(matmul, map(build, lhs)) - reduce(matmul, map(build, rhs)))
+
+
+def _projected_relation(
+    S: BulkSMatrix, D: DefectPair, k1: float, k2: float, variant: str
+) -> float:
+    if D.dim != S.leg_dim:
+        raise ValueError(f"defect dim {D.dim} does not match S leg dim {S.leg_dim}")
+    return chain_residual(RELATIONS[variant], S.eval, S.eval_swapped, D, k1, k2)
 
 
 def reflection_relation_residual(
     S: BulkSMatrix, D: DefectPair, k1: float, k2: float, xi: int
 ) -> float:
     """Literal residual of the pure-reflection relation for sign xi."""
-    _check_momentum(k1)
-    _check_momentum(k2)
-    d = S.leg_dim
-    if D.dim != d:
-        raise ValueError(f"defect dim {D.dim} does not match S leg dim {d}")
-    P = project(D, xi)
-    if xi == +1:
-        lhs = (
-            S.eval(k1, k2)
-            @ _legs(d, P.R(k1), 2)
-            @ S.eval(k2, -k1)
-            @ _legs(d, P.R(k2), 2)
-        )
-        rhs = (
-            _legs(d, P.R(k2), 2)
-            @ S.eval(k1, -k2)
-            @ _legs(d, P.R(k1), 2)
-            @ S.eval(-k2, -k1)
-        )
-    else:
-        lhs = (
-            S.eval(k1, k2)
-            @ _legs(d, P.R(k2), 1)
-            @ S.eval(-k2, k1)
-            @ _legs(d, P.R(k1), 1)
-        )
-        rhs = (
-            _legs(d, P.R(k1), 1)
-            @ S.eval(-k1, k2)
-            @ _legs(d, P.R(k2), 1)
-            @ S.eval(-k2, -k1)
-        )
-    return norm_inf(lhs - rhs)
+    if xi not in (+1, -1):
+        raise ValueError("projection sign must be +1 or -1")
+    return _projected_relation(S, D, k1, k2, "SRSR+" if xi == +1 else "SRSR-")
 
 
 def transmission_relation_residual(
     S: BulkSMatrix, D: DefectPair, k1: float, k2: float, variant: str
 ) -> float:
     """Literal residual of one pure-transmission relation: TST, STT- or STT+."""
-    _check_momentum(k1)
-    _check_momentum(k2)
-    d = S.leg_dim
-    if D.dim != d:
-        raise ValueError(f"defect dim {D.dim} does not match S leg dim {d}")
-    Tp = project(D, +1)
-    Tm = project(D, -1)
-    if variant == "TST":
-        lhs = _legs(d, Tp.T(k1), 1) @ S.eval(k1, k2) @ _legs(d, Tm.T(k2), 1)
-        rhs = _legs(d, Tm.T(k2), 2) @ S.eval(k1, k2) @ _legs(d, Tp.T(k1), 2)
-    elif variant == "STT-":
-        lhs = S.eval(k1, k2) @ _legs(d, Tm.T(k2), 1) @ _legs(d, Tm.T(k1), 2)
-        rhs = _legs(d, Tm.T(k1), 1) @ _legs(d, Tm.T(k2), 2) @ S.eval(k1, k2)
-    elif variant == "STT+":
-        lhs = S.eval(k1, k2) @ _legs(d, Tp.T(k2), 1) @ _legs(d, Tp.T(k1), 2)
-        rhs = _legs(d, Tp.T(k1), 1) @ _legs(d, Tp.T(k2), 2) @ S.eval(k1, k2)
-    else:
+    if variant not in TRANSMISSION_VARIANTS:
         raise ValueError(f"unknown transmission relation variant {variant!r}")
-    return norm_inf(lhs - rhs)
+    return _projected_relation(S, D, k1, k2, variant)
 
 
 def mixed_relation_residual(
@@ -202,62 +266,9 @@ def mixed_relation_residual(
     of two s factors), so the relations hold only for constant s or where
     r*t = 0: a nonconstant bulk allows reflection or transmission, not both.
     """
-    _check_momentum(k1)
-    _check_momentum(k2)
-    d = S.leg_dim
-    if D.dim != d:
-        raise ValueError(f"defect dim {D.dim} does not match S leg dim {d}")
-    Rp = project(D, +1)
-    Rm = project(D, -1)
-    Tp = project(D, +1)
-    Tm = project(D, -1)
-    if variant == "TSRS+":
-        lhs = _legs(d, Rp.R(k1), 1) @ _legs(d, Tm.T(k2), 2)
-        rhs = (
-            _legs(d, Tm.T(k2), 2)
-            @ S.eval(k1, k2)
-            @ _legs(d, Rp.R(k1), 2)
-            @ S.eval(k2, -k1)
-        )
-    elif variant == "TSRS-":
-        lhs = _legs(d, Tp.T(k1), 1) @ _legs(d, Rm.R(k2), 2)
-        rhs = (
-            _legs(d, Tp.T(k1), 1)
-            @ S.eval(k1, k2)
-            @ _legs(d, Rm.R(k2), 1)
-            @ S.eval(-k2, k1)
-        )
-    elif variant == "SRST+":
-        lhs = _legs(d, Rp.R(k1), 1) @ _legs(d, Tp.T(k2), 2)
-        rhs = (
-            S.eval(k1, k2)
-            @ _legs(d, Rp.R(k1), 2)
-            @ S.eval(k2, -k1)
-            @ _legs(d, Tp.T(k2), 2)
-        )
-    elif variant == "SRST-":
-        lhs = _legs(d, Tm.T(k1), 1) @ _legs(d, Rm.R(k2), 2)
-        rhs = (
-            S.eval(k1, k2)
-            @ _legs(d, Rm.R(k2), 1)
-            @ S.eval(-k2, k1)
-            @ _legs(d, Tm.T(k1), 1)
-        )
-    elif variant == "TSR+":
-        lhs = _legs(d, Rp.R(k1), 1) @ _legs(d, Tm.T(k2), 2) @ S.eval(-k1, k2)
-        rhs = _legs(d, Tm.T(k2), 2) @ S.eval(k1, k2) @ _legs(d, Rp.R(k1), 2)
-    elif variant == "TSR-":
-        lhs = _legs(d, Tp.T(k1), 1) @ _legs(d, Rm.R(k2), 2) @ S.eval(k1, -k2)
-        rhs = _legs(d, Tp.T(k1), 1) @ S.eval(k1, k2) @ _legs(d, Rm.R(k2), 1)
-    elif variant == "RST+":
-        lhs = _legs(d, Rp.R(k1), 2) @ S.eval(k2, -k1) @ _legs(d, Tp.T(k2), 2)
-        rhs = S.eval(k2, k1) @ _legs(d, Rp.R(k1), 1) @ _legs(d, Tp.T(k2), 2)
-    elif variant == "RST-":
-        lhs = _legs(d, Rm.R(k2), 1) @ S.eval(-k2, k1) @ _legs(d, Tm.T(k1), 1)
-        rhs = S.eval(k2, k1) @ _legs(d, Tm.T(k1), 1) @ _legs(d, Rm.R(k2), 2)
-    else:
+    if variant not in MIXED_VARIANTS:
         raise ValueError(f"unknown mixed relation variant {variant!r}")
-    return norm_inf(lhs - rhs)
+    return _projected_relation(S, D, k1, k2, variant)
 
 
 def consistency_relation_residual(
@@ -274,24 +285,7 @@ def consistency_relation_residual(
     transmission matrices of any Fock representation; S21(a, b) is the
     evaluated matrix with legs exchanged.
     """
-    _check_momentum(k1)
-    _check_momentum(k2)
-    d = calS.leg_dim
-    R1 = lambda k: _legs(d, np.asarray(calR(k), dtype=complex), 1)
-    R2 = lambda k: _legs(d, np.asarray(calR(k), dtype=complex), 2)
-    T1 = lambda k: _legs(d, np.asarray(calT(k), dtype=complex), 1)
-    T2 = lambda k: _legs(d, np.asarray(calT(k), dtype=complex), 2)
-    if variant == "rr1":
-        lhs = calS.eval(k1, k2) @ R1(k1) @ calS.eval_swapped(k2, -k1) @ R2(k2)
-        rhs = R2(k2) @ calS.eval(k1, -k2) @ R1(k1) @ calS.eval_swapped(-k2, -k1)
-    elif variant == "tt1":
-        lhs = calS.eval(k1, k2) @ T1(k1) @ calS.eval_swapped(k2, k1) @ T2(k2)
-        rhs = T2(k2) @ calS.eval(k1, k2) @ T1(k1) @ calS.eval_swapped(k2, k1)
-    elif variant == "tr1":
-        lhs = calS.eval(k1, k2) @ R1(k1) @ calS.eval_swapped(k2, -k1) @ T2(k2)
-        rhs = T2(k2) @ calS.eval(k1, k2) @ R1(k1) @ calS.eval_swapped(k2, -k1)
-    else:
+    if variant not in CONSISTENCY_VARIANTS:
         raise ValueError(f"unknown consistency relation variant {variant!r}")
-    return norm_inf(lhs - rhs)
-
-
+    pair = DefectPair(calS.leg_dim, calR, calT)
+    return chain_residual(RELATIONS[variant], calS.eval, calS.eval_swapped, pair, k1, k2)

@@ -20,39 +20,17 @@ argument k1 - k2, cross-side scattering picks up k1 + k2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .defect import DefectPair
+from .defect import RELATIONS, DefectPair, chain_residual
 from .smatrix import BulkSMatrix
 from .tensor import norm_inf, swap_legs
 
 MatrixFn = Callable[[float], np.ndarray]
 
 REDUCED_VARIANTS = ("tau-tau", "tau-rho", "rho-rho")
-
-
-@dataclass(frozen=True)
-class HalfLineIndex:
-    """Doubled index alpha = (xi, i); xi in {+1, -1}, i in 1..N."""
-
-    xi: int
-    i: int
-
-    def flat(self, N: int) -> int:
-        if self.xi not in (+1, -1):
-            raise ValueError("xi must be +1 or -1")
-        if not 1 <= self.i <= N:
-            raise ValueError(f"isotopic index {self.i} out of range 1..{N}")
-        block = 0 if self.xi == +1 else 1
-        return block * N + (self.i - 1)
-
-    @staticmethod
-    def from_flat(a: int, N: int) -> "HalfLineIndex":
-        if not 0 <= a < 2 * N:
-            raise ValueError(f"flat index {a} out of range")
-        return HalfLineIndex(+1 if a < N else -1, a % N + 1)
 
 
 @dataclass(frozen=True)
@@ -91,42 +69,6 @@ def embed_calS(S: BulkSMatrix) -> BulkSMatrix:
         return np.ascontiguousarray(out).reshape(n2 * n2, n2 * n2)
 
     return BulkSMatrix(2 * N, fn, False, S.pole_predicate, name=f"calS[{S.name}]")
-
-
-def embed_calS_uncrossed(S: BulkSMatrix) -> BulkSMatrix:
-    """Diagnostic variant of embed_calS with the isotopic columns uncrossed:
-    same half-line label exchange, S[(i1,i2),(j1,j2)] instead of the printed
-    S[(i1,i2),(j2,j1)]."""
-    N = S.leg_dim
-
-    def fn(k1: float, k2: float) -> np.ndarray:
-        s = S.eval(k1, k2).reshape(N, N, N, N)
-        eye2 = np.eye(2)
-        out = np.einsum("xf,ye,abcd->xaybecfd", eye2, eye2, s)
-        n2 = 2 * N
-        return np.ascontiguousarray(out).reshape(n2 * n2, n2 * n2)
-
-    return BulkSMatrix(2 * N, fn, False, S.pole_predicate, name=f"calS-uncrossed[{S.name}]")
-
-
-def calS_crossing_diagnostic(S: BulkSMatrix, momenta: Iterable[float]) -> dict:
-    """Yang-Baxter and unitarity residuals of the printed (column-crossed)
-    embedding versus the uncrossed variant, reported side by side.
-
-    The printed form is what embed_calS implements; this diagnostic only
-    reports whether the uncrossed alternative would pass, it never switches.
-    """
-    from .smatrix import unitarity_residual, ybe_residual
-
-    vals = list(momenta)
-    if len(vals) < 3:
-        raise ValueError("need at least three momenta")
-    out = {}
-    for name, emb in (("printed", embed_calS(S)), ("uncrossed", embed_calS_uncrossed(S))):
-        ybe = max(ybe_residual(emb, *t) for t in zip(vals, vals[1:], vals[2:]))
-        uni = max(unitarity_residual(emb, a, b) for a, b in zip(vals, vals[1:]))
-        out[name] = {"ybe": ybe, "unitarity": uni}
-    return out
 
 
 def embed_calRT(R: MatrixFn, T: MatrixFn, N: int) -> tuple[MatrixFn, MatrixFn]:
@@ -236,35 +178,11 @@ def reduced_relation_residual(
     s must be translation invariant; s12(u) is evaluated as s(u, 0) and
     s21(u) as its leg swap.
     """
-    N = s.leg_dim
-    eye = np.eye(N, dtype=complex)
-
-    def s12(u: float) -> np.ndarray:
-        return s.eval(u, 0.0)
-
-    def s21(u: float) -> np.ndarray:
-        return swap_legs(s.eval(u, 0.0))
-
-    def leg1(m: np.ndarray) -> np.ndarray:
-        return np.kron(np.asarray(m, dtype=complex), eye)
-
-    def leg2(m: np.ndarray) -> np.ndarray:
-        return np.kron(eye, np.asarray(m, dtype=complex))
-
-    u = k1 - k2
-    v = k1 + k2
-    if variant == "tau-tau":
-        lhs = s12(u) @ leg1(tau(k1)) @ s21(-u) @ leg2(tau(k2))
-        rhs = leg2(tau(k2)) @ s12(u) @ leg1(tau(k1)) @ s21(-u)
-    elif variant == "tau-rho":
-        lhs = s12(u) @ leg1(tau(k1)) @ s21(-u) @ leg2(rho(k2))
-        rhs = leg2(rho(k2)) @ s12(v) @ leg1(tau(k1)) @ s21(-v)
-    elif variant == "rho-rho":
-        lhs = s12(u) @ leg1(rho(k1)) @ s21(v) @ leg2(rho(k2))
-        rhs = leg2(rho(k2)) @ s12(v) @ leg1(rho(k1)) @ s21(u)
-    else:
+    if variant not in REDUCED_VARIANTS:
         raise ValueError(f"unknown reduced relation variant {variant!r}")
-    return norm_inf(lhs - rhs)
+    s21 = lambda a, b: swap_legs(s.eval(a, b))
+    pair = DefectPair(s.leg_dim, rho, tau)
+    return chain_residual(RELATIONS[variant], s.eval, s21, pair, k1, k2)
 
 
 def symmetrized_unitarity_residual(

@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import functools
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .defect import DefectPair
-from .doubling import DoubledModel
+from .doubling import DoubledModel, half_line_defect
 from .tensor import norm_inf
 
 TWO_PI = 2.0 * np.pi
@@ -220,27 +220,6 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
     return tuple(
         ContractionTerm(pairing, tuple(nets)) for pairing, nets in sorted(merged.items())
     )
-
-
-def canonicalize(expr: AmplitudeExpression) -> AmplitudeExpression:
-    """Merge terms with equal pairings; idempotent."""
-    merged: dict[tuple, list] = {}
-    for t in expr.terms:
-        key = _canonical_pairing(t.pairing)
-        merged.setdefault(key, []).extend(t.networks)
-    terms = tuple(
-        ContractionTerm(p, tuple(nets), expr.terms[0].two_pi_power if expr.terms else 0)
-        for p, nets in sorted(merged.items())
-    )
-    return replace(expr, terms=terms)
-
-
-def with_two_pi(expr: AmplitudeExpression) -> AmplitudeExpression:
-    """Raise the 2*pi bookkeeping by one per contraction in every term."""
-    terms = tuple(
-        replace(t, two_pi_power=t.two_pi_power + len(t.pairing)) for t in expr.terms
-    )
-    return replace(expr, terms=terms)
 
 
 def _eval_atom(
@@ -680,8 +659,7 @@ def factorization_residual(
     if n == 0:
         return 0.0
 
-    half = half_pair_from(model)
-    opta = one_particle_amplitude(half, delta_2pi=False)
+    opta = one_particle_amplitude(half_line_defect(model), delta_2pi=False)
     in_labels = [f"k{i+1}" for i in range(n)]
     out_labels = [f"p{i+1}" for i in range(n)]
     expr = n_particle_expression(n, in_labels, out_labels, model)
@@ -716,36 +694,6 @@ def factorization_residual(
     return worst
 
 
-def n_particle_tensor(
-    n: int, in_momenta: list[float], model: DoubledModel, max_particles: int = 3
-) -> list[tuple[tuple, np.ndarray]]:
-    """Full component tensors of the n-particle amplitude, one per pairing.
-
-    Each entry is (pairing, tensor) with one axis of size 2N per word
-    position and the substitution p_i = rel_i * k_i applied.  Guarded to
-    small particle numbers; use component queries beyond that.
-    """
-    if n > max_particles:
-        raise ValueError(f"full tensors are limited to n <= {max_particles}")
-    if len(in_momenta) != n:
-        raise ValueError("momentum list must have length n")
-    in_labels = [f"k{i+1}" for i in range(n)]
-    out_labels = [f"p{i+1}" for i in range(n)]
-    expr = n_particle_expression(n, in_labels, out_labels, model)
-    out = []
-    for term in expr.terms:
-        env = resolve_momenta(term, expr.word, dict(zip(in_labels, in_momenta)))
-        out.append((term.pairing, evaluate_coefficient(expr, term, env, model)))
-    return out
-
-
-def half_pair_from(model: DoubledModel) -> DefectPair:
-    """Half-line defect data of a doubled model (from provenance)."""
-    from .doubling import half_line_defect
-
-    return half_line_defect(model)
-
-
 def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     """Engine one-particle kernel versus the projected-amplitude kernel, both
     restricted to the physical component assignment (N = 1 models)."""
@@ -754,8 +702,7 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     if p == 0:
         raise ValueError("undefined at p = 0")
     expr = normal_order_vev([a("p"), ad("k")], model)
-    half = half_pair_from(model)
-    opta = one_particle_amplitude(half, delta_2pi=False)
+    opta = one_particle_amplitude(half_line_defect(model), delta_2pi=False)
     worst = 0.0
     for rel, ref in ((+1, opta.A(p)), (-1, opta.B(p))):
         term = next(t for t in expr.terms if t.pairing[0][2] == rel)

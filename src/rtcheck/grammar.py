@@ -14,7 +14,8 @@ The parser compiles an expression to a postfix program that a stack machine
 evaluates, so long operator chains need no recursion.  Parentheses and
 unary minus do recurse while parsing; they may nest at most ``MAX_NESTING``
 deep, and deeper input is an ``ExpressionError`` like any other malformed
-expression.
+expression.  Division by zero during evaluation is an ``ExpressionError``
+too, naming the expression and k.
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ def parse_expression(text: str) -> Callable[[float], complex]:
     program = parser.program
 
     def fn(k: float) -> complex:
-        return _run(program, complex(k))
+        try:
+            return _run(program, complex(k))
+        except ZeroDivisionError as exc:
+            raise ExpressionError(f"division by zero in {text!r} at k = {k!r}") from exc
 
     return fn

@@ -4,6 +4,13 @@ Every check evaluates one identity's residual over the sampled momenta and
 records the maximum together with the worst-case momenta; the suite never
 aborts early, so a report is complete even when checks fail.
 
+Each check is one CheckSpec row in CHECKS: its name, the points it samples
+(single momenta, cyclic pairs or triples, or the factorization set), whether
+it runs on the doubled data, what else it needs (N = 1, a translation-
+invariant bulk, a minimum sample count), when it is on by default, and its
+residual.  The registry, the default list, the requirement errors and
+`rtcheck catalog` are all derived from these rows.
+
 Projected (Heaviside) relations run on the model's half-line data, where
 they are stated; the vacuum-matrix relations (rr1/tt1/tr1), unitarity,
 Hermitian analyticity, the involution and the hierarchy identities run on
@@ -14,7 +21,9 @@ doubled data under names suffixed "(doubled)" for diagnostic runs.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import KW_ONLY, dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,30 +35,23 @@ from .config import AssembledModel
 from .report import CheckResult, VerificationReport
 from .tensor import norm_inf
 
-CheckFn = Callable[[AssembledModel, tuple[float, ...]], tuple[float, tuple[float, ...]]]
 
-_REGISTRY: dict[str, CheckFn] = {}
+def _cyclic(size: int):
+    """Each sampled momentum with the size - 1 that follow it, cyclically."""
 
+    def points(momenta):
+        vals = list(momenta)
+        return [tuple(vals[(i + j) % len(vals)] for j in range(size)) for i in range(len(vals))]
 
-def _register(name: str):
-    def wrap(fn: CheckFn) -> CheckFn:
-        _REGISTRY[name] = fn
-        return fn
-
-    return wrap
+    return points
 
 
-def _pairs(momenta):
-    vals = list(momenta)
-    return [(vals[i], vals[(i + 1) % len(vals)]) for i in range(len(vals))]
+_SINGLES, _PAIRS, _TRIPLES = _cyclic(1), _cyclic(2), _cyclic(3)
 
 
-def _triples(momenta):
-    vals = list(momenta)
-    return [
-        (vals[i], vals[(i + 1) % len(vals)], vals[(i + 2) % len(vals)])
-        for i in range(len(vals))
-    ]
+def _factorization_set(n: int):
+    """The n momenta of smallest modulus, ascending, as one point."""
+    return lambda momenta: [tuple(sorted(sorted(momenta, key=abs)[:n]))]
 
 
 def _max_over(points, fn):
@@ -64,223 +66,195 @@ def _max_over(points, fn):
     return worst, at
 
 
-def _need_doubled(model: AssembledModel):
-    if model.doubled is None:
-        raise ValueError("check requires a doubled model (set doubled: true)")
-    return model.doubled
+class _Target(NamedTuple):
+    """What a residual reads: the S-matrix and defect pair of the data the
+    check runs on (half-line or doubled), the bulk and the doubled model."""
+
+    S: sm.BulkSMatrix
+    pair: dft.DefectPair
+    bulk: sm.BulkSMatrix
+    dm: dbl.DoubledModel | None
 
 
-@_register("ybe")
-def _chk_ybe(model, momenta):
-    return _max_over(_triples(momenta), lambda a, b, c: sm.ybe_residual(model.bulk, a, b, c))
+def _always(model: AssembledModel) -> bool:
+    return True
 
 
-@_register("unitarity-S")
-def _chk_unit(model, momenta):
-    return _max_over(_pairs(momenta), lambda a, b: sm.unitarity_residual(model.bulk, a, b))
+def _never(model: AssembledModel) -> bool:
+    return False
 
 
-@_register("shift-invariance")
-def _chk_shift(model, momenta):
-    if not model.bulk.translation_invariant:
-        return 0.0, ()
-    return _max_over(
-        _pairs(momenta),
-        lambda a, b: sm.shift_invariance_residual(model.bulk, a, b, 0.5),
-    )
+def _invariant(model: AssembledModel) -> bool:
+    return model.bulk.translation_invariant
 
 
-@_register("ybe(doubled)")
-def _chk_ybe_doubled(model, momenta):
-    calS = _need_doubled(model).calS
-    return _max_over(_triples(momenta), lambda a, b, c: sm.ybe_residual(calS, a, b, c))
+@dataclass(frozen=True)
+class CheckSpec:
+    """One verification check.  It is in the default list when
+    default_for(model) holds and the model meets its needs (doubled, scalar,
+    invariant); min_samples applies whenever it runs."""
+
+    name: str
+    points: Callable  # sampled momenta -> the points the residual is taken at
+    residual: Callable  # (_Target, *point) -> float
+    _: KW_ONLY
+    doubled: bool = False  # runs on the doubled data, so needs the doubled model
+    scalar: bool = False  # needs scalar isotopic sectors (N = 1)
+    invariant: bool = False  # needs a translation-invariant bulk
+    min_samples: int = 1
+    default_for: Callable[[AssembledModel], bool] = _always
 
 
-@_register("unitarity-S(doubled)")
-def _chk_unit_doubled(model, momenta):
-    calS = _need_doubled(model).calS
-    return _max_over(_pairs(momenta), lambda a, b: sm.unitarity_residual(calS, a, b))
+def _ybe(t, a, b, c):
+    return sm.ybe_residual(t.S, a, b, c)
 
 
-@_register("defect-unitarity")
-def _chk_def_unit(model, momenta):
-    pair = _need_doubled(model).defect_pair()
-    return _max_over([(k,) for k in momenta], lambda k: dft.defect_unitarity_residual(pair, k))
+def _unitarity(t, a, b):
+    return sm.unitarity_residual(t.S, a, b)
 
 
-@_register("hermitian-analyticity")
-def _chk_ha(model, momenta):
-    pair = _need_doubled(model).defect_pair()
-    return _max_over(
-        [(k,) for k in momenta], lambda k: dft.hermitian_analyticity_residual(pair, k)
-    )
+def _shift_invariance(t, a, b):
+    return sm.shift_invariance_residual(t.S, a, b, 0.5)
 
 
-def _fig_check(variant: str, on_doubled: bool):
-    def run(model: AssembledModel, momenta):
-        if on_doubled:
-            dm = _need_doubled(model)
-            S, pair = dm.calS, dm.defect_pair()
-        else:
-            S, pair = model.bulk, model.half_line
-        if variant in ("SRSR+", "SRSR-"):
-            xi = +1 if variant.endswith("+") else -1
-            fn = lambda a, b: dft.reflection_relation_residual(S, pair, a, b, xi)
-        elif variant in dft.TRANSMISSION_VARIANTS:
-            fn = lambda a, b: dft.transmission_relation_residual(S, pair, a, b, variant)
-        else:
-            fn = lambda a, b: dft.mixed_relation_residual(S, pair, a, b, variant)
-        return _max_over(_pairs(momenta), fn)
+def _projected(variant, t, a, b):
+    if variant in dft.REFLECTION_VARIANTS:
+        xi = +1 if variant.endswith("+") else -1
+        return dft.reflection_relation_residual(t.S, t.pair, a, b, xi)
+    if variant in dft.TRANSMISSION_VARIANTS:
+        return dft.transmission_relation_residual(t.S, t.pair, a, b, variant)
+    return dft.mixed_relation_residual(t.S, t.pair, a, b, variant)
 
-    return run
+
+def _defect_unitarity(t, k):
+    return dft.defect_unitarity_residual(t.pair, k)
+
+
+def _hermitian_analyticity(t, k):
+    return dft.hermitian_analyticity_residual(t.pair, k)
+
+
+def _consistency(variant, t, a, b):
+    return dft.consistency_relation_residual(t.dm.calS, t.dm.calR, t.dm.calT, a, b, variant)
+
+
+def _reduced(variant, t, a, b):
+    tau, rho = t.dm.provenance["tau"], t.dm.provenance["rho"]
+    return dbl.reduced_relation_residual(t.bulk, tau, rho, a, b, variant)
+
+
+def _symmetrized_unitarity(t, k):
+    tau, rho = t.dm.provenance["tau"], t.dm.provenance["rho"]
+    return dbl.symmetrized_unitarity_residual(tau, rho, t.bulk.leg_dim, k)
+
+
+def _j_squared(t, k):
+    J = fock.involution_kernel(t.dm)
+    return fock.kernel_distance(fock.compose(J, J), fock.identity_kernel(t.dm.doubled_dim), k)
+
+
+def _u_squared(t, k):
+    u = dbl.involution_matrix(t.dm.calR, t.dm.calT, k)
+    return norm_inf(u @ u - np.eye(u.shape[0]))
+
+
+def _commutator(m, n, t, k):
+    return fock.hierarchy_commutator_residual(m, n, t.dm, k)
+
+
+def _hierarchy_relation(n, t, k):
+    return fock.hierarchy_relation_residual(n, t.dm, k)
+
+
+def _opta_agreement(t, k):
+    return fock.opta_agreement_residual(t.dm, k)
+
+
+def _factorization(t, *ks):
+    return fock.factorization_residual(len(ks), list(ks), sorted(ks, reverse=True), t.dm)
 
 
 FIG_VARIANTS = dft.REFLECTION_VARIANTS + dft.TRANSMISSION_VARIANTS + dft.MIXED_VARIANTS
-for _v in FIG_VARIANTS:
-    _REGISTRY[_v] = _fig_check(_v, on_doubled=False)
-    _REGISTRY[f"{_v}(doubled)"] = _fig_check(_v, on_doubled=True)
+
+# Row order is the order of the default list.
+CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
+    CheckSpec("ybe", _TRIPLES, _ybe, min_samples=3),
+    CheckSpec("unitarity-S", _PAIRS, _unitarity),
+    CheckSpec("shift-invariance", _PAIRS, _shift_invariance, invariant=True),
+    *(CheckSpec(v, _PAIRS, partial(_projected, v)) for v in FIG_VARIANTS),
+    *(
+        CheckSpec(f"{v}(doubled)", _PAIRS, partial(_projected, v), doubled=True,
+                  default_for=_never)
+        for v in FIG_VARIANTS
+    ),
+    CheckSpec("ybe(doubled)", _TRIPLES, _ybe, doubled=True, min_samples=3),
+    CheckSpec("unitarity-S(doubled)", _PAIRS, _unitarity, doubled=True),
+    CheckSpec("defect-unitarity", _SINGLES, _defect_unitarity, doubled=True),
+    CheckSpec("hermitian-analyticity", _SINGLES, _hermitian_analyticity, doubled=True),
+    *(
+        CheckSpec(v, _PAIRS, partial(_consistency, v), doubled=True)
+        for v in dft.CONSISTENCY_VARIANTS
+    ),
+    *(
+        CheckSpec(f"reduced-{v}", _PAIRS, partial(_reduced, v), doubled=True, invariant=True)
+        for v in dbl.REDUCED_VARIANTS
+    ),
+    CheckSpec("symmetrized-unitarity", _SINGLES, _symmetrized_unitarity, doubled=True,
+              default_for=_invariant),
+    CheckSpec("J-squared", _SINGLES, _j_squared, doubled=True),
+    CheckSpec("involution-U-squared", _SINGLES, _u_squared, doubled=True),
+    *(
+        CheckSpec(f"hierarchy-commutator({m},{n})", _SINGLES, partial(_commutator, m, n),
+                  doubled=True, default_for=_never if (m, n) == (2, 4) else _always)
+        for m, n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2))
+    ),
+    *(
+        CheckSpec(f"hierarchy-relation({n})", _SINGLES, partial(_hierarchy_relation, n),
+                  doubled=True, default_for=_always if n == 2 else _never)
+        for n in (0, 2)
+    ),
+    CheckSpec("opta-agreement", _SINGLES, _opta_agreement, doubled=True, scalar=True),
+    *(
+        CheckSpec(f"factorization({n})", _factorization_set(n), _factorization, doubled=True,
+                  scalar=True, min_samples=n, default_for=_always if n < 4 else _never)
+        for n in (1, 2, 3, 4)
+    ),
+)}
 
 
-def _consistency_check(variant: str):
-    def run(model: AssembledModel, momenta):
-        dm = _need_doubled(model)
-        return _max_over(
-            _pairs(momenta),
-            lambda a, b: dft.consistency_relation_residual(
-                dm.calS, dm.calR, dm.calT, a, b, variant
-            ),
-        )
-
-    return run
+def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
+    dm = model.doubled
+    if spec.doubled:
+        target = _Target(dm.calS, dm.defect_pair(), model.bulk, dm)
+    else:
+        target = _Target(model.bulk, model.half_line, model.bulk, dm)
+    return _max_over(spec.points(momenta), partial(spec.residual, target))
 
 
-for _v in dft.CONSISTENCY_VARIANTS:
-    _REGISTRY[_v] = _consistency_check(_v)
+_REGISTRY: dict[str, Callable] = {name: partial(_run_check, spec) for name, spec in CHECKS.items()}
 
 
-def _reduced_check(variant: str):
-    def run(model: AssembledModel, momenta):
-        dm = _need_doubled(model)
-        tau = dm.provenance["tau"]
-        rho = dm.provenance["rho"]
-        return _max_over(
-            _pairs(momenta),
-            lambda a, b: dbl.reduced_relation_residual(model.bulk, tau, rho, a, b, variant),
-        )
-
-    return run
-
-
-for _v in dbl.REDUCED_VARIANTS:
-    _REGISTRY[f"reduced-{_v}"] = _reduced_check(_v)
-
-
-@_register("symmetrized-unitarity")
-def _chk_sym_unit(model, momenta):
-    dm = _need_doubled(model)
-    tau, rho = dm.provenance["tau"], dm.provenance["rho"]
-    return _max_over(
-        [(k,) for k in momenta],
-        lambda k: dbl.symmetrized_unitarity_residual(tau, rho, model.bulk.leg_dim, k),
-    )
-
-
-@_register("J-squared")
-def _chk_j2(model, momenta):
-    dm = _need_doubled(model)
-    J = fock.involution_kernel(dm)
-    ident = fock.identity_kernel(dm.doubled_dim)
-    return _max_over(
-        [(k,) for k in momenta],
-        lambda k: fock.kernel_distance(fock.compose(J, J), ident, k),
-    )
-
-
-@_register("involution-U-squared")
-def _chk_u2(model, momenta):
-    dm = _need_doubled(model)
-
-    def res(k):
-        u = dbl.involution_matrix(dm.calR, dm.calT, k)
-        return norm_inf(u @ u - np.eye(u.shape[0]))
-
-    return _max_over([(k,) for k in momenta], res)
-
-
-@_register("opta-agreement")
-def _chk_opta(model, momenta):
-    dm = _need_doubled(model)
-    return _max_over([(k,) for k in momenta], lambda k: fock.opta_agreement_residual(dm, k))
-
-
-def _factorization_check(n: int):
-    def run(model: AssembledModel, momenta):
-        dm = _need_doubled(model)
-        vals = sorted(momenta, key=abs)[: max(n, 1)]
-        if len(vals) < n:
-            raise ValueError(f"need at least {n} sampled momenta")
-        ks = sorted(vals)
-        ps = sorted(ks, reverse=True)
-        r = fock.factorization_residual(n, ks, ps, dm)
-        return r, tuple(ks)
-
-    return run
-
-
-for _n in (1, 2, 3, 4):
-    _REGISTRY[f"factorization({_n})"] = _factorization_check(_n)
-
-
-def _hier_comm_check(m: int, n: int):
-    def run(model: AssembledModel, momenta):
-        dm = _need_doubled(model)
-        return _max_over(
-            [(k,) for k in momenta],
-            lambda k: fock.hierarchy_commutator_residual(m, n, dm, k),
-        )
-
-    return run
-
-
-for _m, _n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2)):
-    _REGISTRY[f"hierarchy-commutator({_m},{_n})"] = _hier_comm_check(_m, _n)
-
-
-def _hier_rel_check(n: int):
-    def run(model: AssembledModel, momenta):
-        dm = _need_doubled(model)
-        return _max_over(
-            [(k,) for k in momenta],
-            lambda k: fock.hierarchy_relation_residual(n, dm, k),
-        )
-
-    return run
-
-
-for _n in (0, 2):
-    _REGISTRY[f"hierarchy-relation({_n})"] = _hier_rel_check(_n)
-
-
-_HALF_LINE_ONLY = {"ybe", "unitarity-S", "shift-invariance", *FIG_VARIANTS}
+def _unmet(spec: CheckSpec, model: AssembledModel, samples: int | None) -> str | None:
+    """Why the check cannot run on this model (and sample count), or None."""
+    if spec.doubled and model.doubled is None:
+        return f"check {spec.name!r} requires a doubled model (set doubled: true)"
+    if spec.scalar and model.doubled.bulk_dim != 1:
+        return f"check {spec.name!r} is defined for scalar isotopic sectors (N = 1)"
+    if samples is not None and samples < spec.min_samples:
+        what = "the Yang-Baxter check" if spec.points is _TRIPLES else f"check {spec.name!r}"
+        return f"{what} needs at least {spec.min_samples} sampled momenta"
+    if spec.invariant and not model.bulk.translation_invariant:
+        return f"check {spec.name!r} needs a translation-invariant bulk"
+    return None
 
 
 def check_requirements(name: str, model: AssembledModel, samples: int) -> None:
     """Reject inapplicable check requests up front (configuration errors)."""
-    if name not in _REGISTRY:
+    if name not in CHECKS:
         raise ValueError(f"unknown check name(s): ['{name}']; see `rtcheck catalog`")
-    if name not in _HALF_LINE_ONLY and model.doubled is None:
-        raise ValueError(f"check {name!r} requires a doubled model (set doubled: true)")
-    if name.startswith("factorization(") or name == "opta-agreement":
-        if model.doubled is not None and model.doubled.bulk_dim != 1:
-            raise ValueError(f"check {name!r} is defined for scalar isotopic sectors (N = 1)")
-    if name.startswith("factorization("):
-        n = int(name[len("factorization(") : -1])
-        if samples < n:
-            raise ValueError(f"check {name!r} needs at least {n} sampled momenta")
-    if name.startswith("reduced-") and not model.bulk.translation_invariant:
-        raise ValueError(f"check {name!r} needs a translation-invariant bulk")
-    if name == "ybe" and samples < 3:
-        raise ValueError("the Yang-Baxter check needs at least 3 sampled momenta")
+    error = _unmet(CHECKS[name], model, samples)
+    if error is not None:
+        raise ValueError(error)
 
 
 def available_checks() -> tuple[str, ...]:
@@ -288,26 +262,10 @@ def available_checks() -> tuple[str, ...]:
 
 
 def default_checks(model: AssembledModel) -> tuple[str, ...]:
-    names = ["ybe", "unitarity-S"]
-    if model.bulk.translation_invariant:
-        names.append("shift-invariance")
-    names.extend(FIG_VARIANTS)
-    if model.doubled is not None:
-        names.extend(["ybe(doubled)", "unitarity-S(doubled)"])
-        names.extend(["defect-unitarity", "hermitian-analyticity"])
-        names.extend(dft.CONSISTENCY_VARIANTS)
-        if model.bulk.translation_invariant:
-            names.extend(f"reduced-{v}" for v in dbl.REDUCED_VARIANTS)
-            names.append("symmetrized-unitarity")
-        names.extend(["J-squared", "involution-U-squared"])
-        names.extend(
-            [f"hierarchy-commutator({m},{n})" for m, n in ((0, 2), (1, 3), (0, 1), (1, 2))]
-        )
-        names.append("hierarchy-relation(2)")
-        if model.doubled.bulk_dim == 1:
-            names.append("opta-agreement")
-            names.extend(f"factorization({n})" for n in (1, 2, 3))
-    return tuple(names)
+    return tuple(
+        name for name, spec in CHECKS.items()
+        if spec.default_for(model) and _unmet(spec, model, None) is None
+    )
 
 
 def run_suite(model: AssembledModel) -> VerificationReport:

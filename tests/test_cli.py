@@ -90,6 +90,24 @@ class TestVerify:
     def test_missing_file_exit_two(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
 
+    def test_division_by_zero_in_custom_defect_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "defect": {"name": "custom", "transmission": "k/(k-k)", "reflection": "0"},
+            "checks": ["TST"],
+        }))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rtcheck: error: division by zero in 'k/(k-k)' at k = ")
+        assert "Traceback" not in err
+
+    def test_doubled_yang_baxter_needs_three_samples(self, tmp_path, capsys):
+        # with two samples every triple is degenerate, (k1, k2, k1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 2, "checks": ["ybe(doubled)"]}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "needs at least 3 sampled momenta" in capsys.readouterr().err
+
 
 class TestAmplitude:
     def test_zero_particles_single_unit_term(self, delta_config, capsys):

@@ -4,6 +4,9 @@ import pytest
 from rtcheck.defect import (
     CONSISTENCY_VARIANTS,
     MIXED_VARIANTS,
+    REFLECTION_VARIANTS,
+    RELATIONS,
+    TRANSMISSION_VARIANTS,
     DefectPair,
     ZeroMomentumError,
     consistency_relation_residual,
@@ -16,8 +19,13 @@ from rtcheck.defect import (
     reflection_relation_residual,
     transmission_relation_residual,
 )
-from rtcheck.doubling import build_doubled_model, embed_calRT
-from rtcheck.smatrix import identity_S, rational_S, sample_momenta
+from rtcheck.doubling import (
+    REDUCED_VARIANTS,
+    build_doubled_model,
+    embed_calRT,
+    reduced_relation_residual,
+)
+from rtcheck.smatrix import BulkSMatrix, identity_S, rational_S, sample_momenta
 
 ETA = 1.0
 KS = sample_momenta(24, seed=17).values
@@ -268,3 +276,76 @@ class TestNegativeControl:
         # the unperturbed pair passes
         clean = doubled_delta_pair(1.0)
         assert max(defect_unitarity_residual(clean, k) for k in KS[:8]) < 1e-13
+
+
+# Defect data and an S-matrix with no structure: no factor commutes with
+# another, so every factor, leg, projection and momentum of a relation word
+# shows in its residual.
+_A = np.array([[0.3 + 1.1j, -0.7 + 0.2j], [1.4 - 0.5j, -0.2 - 0.9j]])
+_B = np.array([[-0.6 + 0.4j, 0.9 - 1.3j], [0.1 + 0.8j, 0.5 + 0.2j]])
+_C = np.array([[1.2 - 0.3j, 0.4 + 0.6j], [-0.8 - 0.1j, 0.7 + 1.5j]])
+_D = np.array([[0.2 + 0.5j, -1.1 - 0.4j], [0.6 - 0.7j, -0.3 + 0.9j]])
+_GRID = np.arange(16.0).reshape(4, 4)
+GENERIC_S = BulkSMatrix(
+    2,
+    lambda k1, k2: np.kron(_A, _C) + 0.1 * _GRID
+    + k1 * (np.kron(_B, _D) - 0.05j * _GRID.T)
+    + k2 * (np.kron(_C, _A) + 0.2j * np.eye(4)[::-1]),
+    False,
+    name="generic",
+)
+GENERIC_R = lambda k: _A + k * _B
+GENERIC_T = lambda k: _C + k * _D
+SIGN_PATTERNS = [(0.7, -1.3), (1.1, 0.4), (-0.9, -0.5), (-0.6, 1.2)]
+
+
+def generic_residual(variant, k1, k2):
+    pair = DefectPair(2, GENERIC_R, GENERIC_T)
+    if variant in REFLECTION_VARIANTS:
+        xi = +1 if variant == "SRSR+" else -1
+        return reflection_relation_residual(GENERIC_S, pair, k1, k2, xi)
+    if variant in TRANSMISSION_VARIANTS:
+        return transmission_relation_residual(GENERIC_S, pair, k1, k2, variant)
+    if variant in MIXED_VARIANTS:
+        return mixed_relation_residual(GENERIC_S, pair, k1, k2, variant)
+    if variant in CONSISTENCY_VARIANTS:
+        return consistency_relation_residual(GENERIC_S, GENERIC_R, GENERIC_T, k1, k2, variant)
+    return reduced_relation_residual(GENERIC_S, GENERIC_T, GENERIC_R, k1, k2, variant)
+
+
+ALL_VARIANTS = (REFLECTION_VARIANTS + TRANSMISSION_VARIANTS + MIXED_VARIANTS
+                + CONSISTENCY_VARIANTS + REDUCED_VARIANTS)
+
+
+class TestRelationTable:
+    # recorded from the hand-written matrix chains that the table replaced;
+    # each projected word is nonzero only on the sign pattern of its projections
+    RECORDED = {
+        "SRSR+": [0.0, 30.490520459269916, 0.0, 0.0],
+        "SRSR-": [0.0, 0.0, 81.90913818507391, 0.0],
+        "TST": [30.111835500540415, 0.0, 0.0, 0.0],
+        "STT-": [0.0, 0.0, 14.805119810056022, 0.0],
+        "STT+": [0.0, 17.463131686463967, 0.0, 0.0],
+        "TSRS+": [68.2559677253642, 0.0, 0.0, 0.0],
+        "TSRS-": [86.44052058576386, 0.0, 0.0, 0.0],
+        "SRST+": [0.0, 28.342719328696134, 0.0, 0.0],
+        "SRST-": [0.0, 0.0, 47.382540078518346, 0.0],
+        "TSR+": [24.214872777939423, 0.0, 0.0, 0.0],
+        "TSR-": [27.771890507326113, 0.0, 0.0, 0.0],
+        "RST+": [0.0, 16.143467084848417, 0.0, 0.0],
+        "RST-": [0.0, 0.0, 23.177245456598293, 0.0],
+        "rr1": [99.46348791299549, 42.807086672100155, 134.8001059291139, 96.30448455164944],
+        "tt1": [81.32709626559712, 54.928331864290406, 54.091324027249016, 66.92320813175988],
+        "tr1": [45.507826531990474, 38.01200098067478, 76.00605367787291, 88.22707432645278],
+        "tau-tau": [99.80437862560348, 40.48259785549134, 52.61567442057073, 68.80362400808536],
+        "tau-rho": [116.85584823663253, 66.88051649598623, 106.56130738066778, 66.53671754707842],
+        "rho-rho": [62.187929418365044, 32.9469296548473, 71.30576387600269, 46.1554054696644],
+    }
+
+    def test_one_row_per_variant(self):
+        assert sorted(RELATIONS) == sorted(ALL_VARIANTS) == sorted(self.RECORDED)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_generic_data_residuals_are_unchanged(self, variant):
+        got = [generic_residual(variant, a, b) for a, b in SIGN_PATTERNS]
+        assert got == pytest.approx(self.RECORDED[variant], rel=1e-12, abs=1e-12)

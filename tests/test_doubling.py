@@ -3,14 +3,11 @@ import pytest
 
 from rtcheck.doubling import (
     REDUCED_VARIANTS,
-    HalfLineIndex,
     build_doubled_model,
-    calS_crossing_diagnostic,
     double_S_bulk,
     double_defect,
     embed_calRT,
     embed_calS,
-    embed_calS_uncrossed,
     involution_matrix,
     reduced_relation_residual,
     symmetrized_unitarity_residual,
@@ -32,28 +29,6 @@ KS = sample_momenta(32, seed=8).values
 PAIRS = list(zip(KS, KS[1:]))
 
 
-class TestHalfLineIndex:
-    def test_flattening_is_bijective(self):
-        N = 3
-        seen = set()
-        for xi in (+1, -1):
-            for i in range(1, N + 1):
-                a = HalfLineIndex(xi, i).flat(N)
-                assert HalfLineIndex.from_flat(a, N) == HalfLineIndex(xi, i)
-                seen.add(a)
-        assert seen == set(range(2 * N))
-
-    def test_plus_block_first(self):
-        assert HalfLineIndex(+1, 1).flat(2) == 0
-        assert HalfLineIndex(-1, 1).flat(2) == 2
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            HalfLineIndex(+1, 3).flat(2)
-        with pytest.raises(ValueError):
-            HalfLineIndex.from_flat(4, 2)
-
-
 class TestEmbedCalS:
     def test_scalar_bulk_gives_half_line_exchange(self):
         got = embed_calS(identity_S(1)).eval(0.3, -1.1)
@@ -69,21 +44,6 @@ class TestEmbedCalS:
         emb = embed_calS(rational_S(2, 1.0))
         worst = max(unitarity_residual(emb, a, b) for a, b in PAIRS[:10])
         assert worst <= 1e-12
-
-    def test_crossing_diagnostic(self):
-        # the printed column-crossed embedding does not preserve the plain
-        # Yang-Baxter equation for the rational bulk; the uncrossed variant
-        # does; unitarity survives either way
-        diag = calS_crossing_diagnostic(rational_S(2, 1.0), KS[:8])
-        assert diag["printed"]["ybe"] > 1e-2
-        assert diag["uncrossed"]["ybe"] <= 1e-10
-        assert diag["printed"]["unitarity"] <= 1e-12
-        assert diag["uncrossed"]["unitarity"] <= 1e-12
-
-    def test_uncrossed_matches_printed_for_scalar_bulk(self):
-        a = embed_calS(identity_S(1)).eval(0.4, 1.7)
-        b = embed_calS_uncrossed(identity_S(1)).eval(0.4, 1.7)
-        assert norm_inf(a - b) == 0.0
 
 
 class TestEmbedCalRT:

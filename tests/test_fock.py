@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from rtcheck import fock
 from rtcheck.defect import pure_reflection_defect, pure_transmission_defect
 from rtcheck.deltamodel import DeltaModel
-from rtcheck.doubling import build_doubled_model
+from rtcheck.doubling import build_doubled_model, half_line_defect
 from rtcheck.fock import (
     TWO_PI,
     OneParticleKernel,
     a,
     ad,
     add,
-    canonicalize,
     compose,
     evaluate_coefficient,
     factorization_residual,
@@ -31,7 +30,6 @@ from rtcheck.fock import (
     reflection_moment_kernel,
     resolve_momenta,
     scale,
-    with_two_pi,
 )
 from rtcheck.smatrix import identity_S, rational_S
 
@@ -85,13 +83,6 @@ class TestNormalOrdering:
         if kinds.count("a") != kinds.count("ad"):
             assert expr.is_zero
 
-    def test_canonicalize_is_idempotent(self):
-        word = [a("q2"), a("q1"), ad("k1"), ad("k2")]
-        expr = normal_order_vev(word, MODEL)
-        once = canonicalize(expr)
-        twice = canonicalize(once)
-        assert once == twice
-
     def test_two_particle_term_count(self):
         # two matchings times two signs per pair
         expr = normal_order_vev([a("q2"), a("q1"), ad("k1"), ad("k2")], MODEL)
@@ -103,39 +94,29 @@ class TestNormalOrdering:
         env = resolve_momenta(term, expr.word, {"q": 1.5})
         assert env["p"] == -1.5
 
-    def test_with_two_pi_bookkeeping(self):
-        expr = normal_order_vev([a("q"), ad("p")], MODEL)
-        lifted = with_two_pi(expr)
-        assert all(t.two_pi_power == 1 for t in lifted.terms)
-        t0 = lifted.terms[0]
-        env = resolve_momenta(t0, lifted.word, {"q": 2.0})
-        plain = evaluate_coefficient(expr, expr.terms[0], env, MODEL)
-        scaled = evaluate_coefficient(lifted, t0, env, MODEL)
-        assert np.allclose(scaled, TWO_PI * plain)
-
 
 class TestOneParticleAmplitude:
     def test_frozen_values_eta1(self):
-        half = fock.half_pair_from(MODEL)
+        half = half_line_defect(MODEL)
         K = one_particle_amplitude(half, delta_2pi=True)
         assert abs(K.A(2.0)[0, 0] - TWO_PI * (4 - 2j) / 5) < 1e-12
         assert abs(K.B(2.0)[0, 0] - TWO_PI * (-1 - 2j) / 5) < 1e-12
 
     def test_free_case(self):
-        half = fock.half_pair_from(FREE)
+        half = half_line_defect(FREE)
         K = one_particle_amplitude(half, delta_2pi=True)
         assert abs(K.A(1.3)[0, 0] - TWO_PI) < 1e-15
         assert abs(K.B(1.3)[0, 0]) == 0.0
 
     def test_negative_momentum_uses_reflected_argument(self):
-        half = fock.half_pair_from(MODEL)
+        half = half_line_defect(MODEL)
         K = one_particle_amplitude(half, delta_2pi=False)
         p = -1.7
         assert abs(K.A(p)[0, 0] - DELTA.T(-p)) < 1e-15
         assert abs(K.B(p)[0, 0] - DELTA.R(-p)) < 1e-15
 
     def test_zero_momentum_rejected(self):
-        K = one_particle_amplitude(fock.half_pair_from(MODEL))
+        K = one_particle_amplitude(half_line_defect(MODEL))
         with pytest.raises(ValueError):
             K.A(0.0)
 
@@ -246,23 +227,6 @@ class TestBraidWiring:
         labels = [f"x{i}" for i in range(7)]
         with pytest.raises(ValueError):
             fock.n_particle_expression(7, labels, labels, MODEL)
-
-
-class TestTensorQuery:
-    def test_two_particle_tensors_factorize(self):
-        ks = [-1.3, 2.1]
-        entries = fock.n_particle_tensor(2, ks, MODEL)
-        assert len(entries) == 8
-        for pairing, tensor in entries:
-            assert tensor.shape == (2, 2, 2, 2)
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            fock.n_particle_tensor(4, [-2.0, -1.0, 1.0, 2.0], MODEL)
-
-    def test_momentum_count_validated(self):
-        with pytest.raises(ValueError):
-            fock.n_particle_tensor(2, [-1.0], MODEL)
 
 
 class TestKernels:
