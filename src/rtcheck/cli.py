@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -41,9 +42,12 @@ def _cmd_verify(args) -> int:
 
 def _parse_momenta(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        momenta = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad momentum list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, momenta)):
+        raise ConfigError(f"bad momentum list {text!r}: momenta must be finite")
+    return momenta
 
 
 def _cmd_amplitude(args) -> int:
@@ -73,9 +77,7 @@ def _cmd_amplitude(args) -> int:
     for term in expr.terms:
         seeds = {in_labels[i]: ks[i] for i in range(n)}
         env = fock.resolve_momenta(term, expr.word, seeds)
-        eps, xi = fock.physical_components(ks, [env[l] for l in out_labels])
-        idx = tuple(reversed(eps)) + tuple(xi)
-        value = complex(fock.evaluate_coefficient(expr, term, env, dm, at=idx)[()])
+        value = fock.physical_coefficient(expr, term, env, dm)
         pairing = [
             {"out": expr.word[a_pos].label, "in": expr.word[c_pos].label, "sign": rel}
             for a_pos, c_pos, rel in term.pairing

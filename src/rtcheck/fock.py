@@ -49,6 +49,7 @@ comparison layer multiplies by 2*pi per contraction through the explicit
 from __future__ import annotations
 
 import functools
+import itertools
 import string
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -338,6 +339,24 @@ def evaluate_coefficient(
     return np.asarray(total * (TWO_PI ** term.two_pi_power))
 
 
+def physical_coefficient(
+    expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
+    model: DoubledModel,
+) -> complex:
+    """The term's coefficient at the physical component assignment.
+
+    A word position's component follows its symbol's momentum
+    sign * env[label]: eps = sign(p) for an annihilator a(p) and
+    xi = -sign(k) for a creator ad(k), where xi = + is the first block.
+    """
+    at = []
+    for symbol in expr.word:
+        q = symbol.sign * env[symbol.label]
+        side = q if symbol.kind == "a" else -q  # eps or xi
+        at.append(0 if side > 0 else 1)
+    return complex(evaluate_coefficient(expr, term, env, model, at=tuple(at))[()])
+
+
 def resolve_momenta(
     term: ContractionTerm, word: tuple[WordSymbol, ...], seeds: dict[str, float]
 ) -> dict[str, float]:
@@ -368,9 +387,6 @@ class OneParticleKernel:
     dim: int
     A: Callable[[float], np.ndarray]
     B: Callable[[float], np.ndarray]
-
-    def __call__(self, p: float) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.A(p), dtype=complex), np.asarray(self.B(p), dtype=complex)
 
 
 def identity_kernel(dim: int) -> OneParticleKernel:
@@ -423,22 +439,13 @@ def one_particle_amplitude(
 ) -> OneParticleKernel:
     """The transition-amplitude kernel assembled from Heaviside projections.
 
-    A(p) = theta(p) T(p) + theta(-p) T(-p), B likewise with R, optionally
-    times 2*pi per delta.
+    A(p) = theta(p) T(p) + theta(-p) T(-p) = T(|p|), B likewise with R,
+    optionally times 2*pi per delta; p = 0 is a domain error.
     """
     c = TWO_PI if delta_2pi else 1.0
-
-    def A(p: float) -> np.ndarray:
-        if p == 0:
-            raise ValueError("amplitude undefined at p = 0")
-        return c * (half_line.T(p) if p > 0 else half_line.T(-p))
-
-    def B(p: float) -> np.ndarray:
-        if p == 0:
-            raise ValueError("amplitude undefined at p = 0")
-        return c * (half_line.R(p) if p > 0 else half_line.R(-p))
-
-    return OneParticleKernel(half_line.dim, A, B)
+    return OneParticleKernel(
+        half_line.dim, lambda p: c * half_line.T(abs(p)), lambda p: c * half_line.R(abs(p))
+    )
 
 
 # --- engine-derived kernels -------------------------------------------------
@@ -517,7 +524,7 @@ def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
 
 def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
-    mid = a("w", sign=-1, dress=lambda w: model.calR(w))
+    mid = a("w", sign=-1, dress=model.calR)
     return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR)
 
 
@@ -571,12 +578,12 @@ def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
     eye = np.eye(d, dtype=complex)
 
     creators = [
-        ad("w", dress=lambda w: eye + np.asarray(model.calT(w), dtype=complex)),
-        ad("w", sign=-1, dress=lambda w: np.asarray(model.calR(-w), dtype=complex)),
+        ad("w", dress=lambda w: eye + model.calT(w)),
+        ad("w", sign=-1, dress=lambda w: model.calR(-w)),
     ]
     annihilators = [
-        a("w", dress=lambda w: eye + np.asarray(model.calT(w), dtype=complex)),
-        a("w", sign=-1, dress=lambda w: np.asarray(model.calR(w), dtype=complex)),
+        a("w", dress=lambda w: eye + model.calT(w)),
+        a("w", sign=-1, dress=model.calR),
     ]
     k_rt = None
     for cr in creators:
@@ -585,33 +592,13 @@ def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
             k_rt = piece if k_rt is None else add(k_rt, piece)
 
     k_zf = _kernel_from_four_word(zf, n, ad("w"), a("w"), 1.0)
-    imp_t = _kernel_from_four_word(
-        zf, n, ad("w"), a("w", dress=lambda w: np.asarray(model.calT(w), dtype=complex)), 1.0
-    )
-    imp_r = _kernel_from_four_word(
-        zf, n, ad("w"),
-        a("w", sign=-1, dress=lambda w: np.asarray(model.calR(w), dtype=complex)), 1.0,
-    )
+    imp_t = _kernel_from_four_word(zf, n, ad("w"), a("w", dress=model.calT), 1.0)
+    imp_r = _kernel_from_four_word(zf, n, ad("w"), a("w", sign=-1, dress=model.calR), 1.0)
     rhs = scale(add(k_zf, add(imp_t, imp_r)), 0.5)
     return kernel_distance(k_rt, rhs, p)
 
 
 # --- factorization ----------------------------------------------------------
-
-
-def _component_index(xi_sign: int) -> int:
-    # flattening puts xi = + first
-    return 0 if xi_sign > 0 else 1
-
-
-def physical_components(
-    in_momenta: list[float], out_momenta: list[float]
-) -> tuple[list[int], list[int]]:
-    """Component assignments for the physical in/out configuration:
-    xi_i = -sign(k_i) for creators, eps_i = sign(p_i) for annihilators."""
-    xi = [_component_index(-int(np.sign(k))) for k in in_momenta]
-    eps = [_component_index(int(np.sign(p))) for p in out_momenta]
-    return eps, xi
 
 
 def validate_orderings(in_momenta, out_momenta) -> None:
@@ -663,33 +650,19 @@ def factorization_residual(
     in_labels = [f"k{i+1}" for i in range(n)]
     out_labels = [f"p{i+1}" for i in range(n)]
     expr = n_particle_expression(n, in_labels, out_labels, model)
-    # word positions: a(p_n)..a(p_1) at 0..n-1, ad(k_1)..ad(k_n) at n..2n-1
-    pos_of_out = {i: n - 1 - i for i in range(n)}  # out slot i -> word position
-    pos_of_in = {i: n + i for i in range(n)}
     by_pairing = {t.pairing: t for t in expr.terms}
 
     worst = 0.0
-    for bits in range(2**n):
-        sigma = [1 - 2 * ((bits >> i) & 1) for i in range(n)]
-        p_sub = [sigma[i] * in_momenta[i] for i in range(n)]
-        pairing = _canonical_pairing(
-            (pos_of_out[i], pos_of_in[i], sigma[i]) for i in range(n)
-        )
-        env = {in_labels[i]: in_momenta[i] for i in range(n)}
-        env.update({out_labels[i]: p_sub[i] for i in range(n)})
-
+    for sigma in itertools.product((+1, -1), repeat=n):
+        p_sub = [s * k for s, k in zip(sigma, in_momenta)]
+        # out slot i is word position n - 1 - i, in slot i is position n + i
+        pairing = _canonical_pairing((n - 1 - i, n + i, sigma[i]) for i in range(n))
+        env = dict(zip(in_labels + out_labels, list(in_momenta) + p_sub))
         prod = 1.0 + 0.0j
-        for i in range(n):
-            mat = opta.A(p_sub[i]) if sigma[i] == +1 else opta.B(p_sub[i])
-            prod *= complex(mat[0, 0])
-
+        for s, p in zip(sigma, p_sub):
+            prod *= complex((opta.A(p) if s == +1 else opta.B(p))[0, 0])
         term = by_pairing.get(pairing)
-        if term is None:
-            engine_val = 0.0 + 0.0j
-        else:
-            eps, xi = physical_components(in_momenta, p_sub)
-            idx = tuple(reversed(eps)) + tuple(xi)
-            engine_val = complex(evaluate_coefficient(expr, term, env, model, at=idx)[()])
+        engine_val = 0j if term is None else physical_coefficient(expr, term, env, model)
         worst = max(worst, abs(engine_val - prod))
     return worst
 
@@ -706,9 +679,6 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     worst = 0.0
     for rel, ref in ((+1, opta.A(p)), (-1, opta.B(p))):
         term = next(t for t in expr.terms if t.pairing[0][2] == rel)
-        env = {"p": p, "k": p / rel}
-        eps = _component_index(int(np.sign(p)))
-        xi = _component_index(-int(np.sign(env["k"])))
-        coeff = evaluate_coefficient(expr, term, env, model, at=(eps, xi))
-        worst = max(worst, abs(complex(coeff[()]) - complex(ref[0, 0])))
+        coeff = physical_coefficient(expr, term, {"p": p, "k": p / rel}, model)
+        worst = max(worst, abs(coeff - complex(ref[0, 0])))
     return worst

@@ -19,6 +19,8 @@ import numpy as np
 from .tensor import embed_pair, identity_two_leg, norm_inf, permutation_operator, swap_legs
 
 DEFAULT_EXCLUSION_RADIUS = 1e-3
+SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SCALE]
+SAMPLE_TRIES = 10_000  # draws before an unsatisfiable exclusion gives up
 
 
 class PoleError(ValueError):
@@ -110,8 +112,6 @@ def sample_momenta(
     n: int,
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
     seed: int = 0,
-    scale: float = 3.0,
-    max_tries: int = 10_000,
 ) -> MomentumSample:
     """Deterministic momenta with |k| and all pairwise |k_i -+ k_j| >= radius.
 
@@ -125,11 +125,11 @@ def sample_momenta(
     tries = 0
     while len(values) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > SAMPLE_TRIES:
             raise RuntimeError(
                 f"could not sample {n} momenta with exclusion radius {exclusion_radius}"
             )
-        k = float(rng.uniform(-scale, scale))
+        k = float(rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE))
         if abs(k) < exclusion_radius:
             continue
         if any(

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-LEG_PAIRS = {(1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)}
-
 
 def as_operator(x) -> np.ndarray:
     """Validate a square complex matrix: finite entries, dim >= 1."""
@@ -64,28 +62,21 @@ def swap_legs(x) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(1, 0, 3, 2)).reshape(d * d, d * d)
 
 
+# einsum subscripts (x[a,b,c,d], eye[e,f]) -> three-leg operator, per leg pair
+EMBED_SUBSCRIPTS = {(1, 2): "abcd,ef->abecdf", (1, 3): "abcd,ef->aebcfd", (2, 3): "abcd,ef->eabfcd"}
+
+
 def embed_pair(x, legs: tuple[int, int]) -> np.ndarray:
     """Embed a two-leg operator into three legs, identity on the leg not named.
 
-    ``legs`` is an ordered pair from {1,2,3}; embed_pair(X, (2,1)) equals
-    embed_pair(swap_legs(X), (1,2)).
+    ``legs`` is an increasing pair from {1,2,3}: (1,2), (1,3) or (2,3).
     """
     x = as_operator(x)
-    if tuple(legs) not in LEG_PAIRS:
+    subscripts = EMBED_SUBSCRIPTS.get(tuple(legs))
+    if subscripts is None:
         raise ValueError(f"invalid leg pair {legs}")
-    l1, l2 = legs
-    if l1 > l2:
-        return embed_pair(swap_legs(x), (l2, l1))
     d = leg_dim(x)
-    t = x.reshape(d, d, d, d)
-    eye = np.eye(d, dtype=complex)
-    l3 = ({1, 2, 3} - {l1, l2}).pop()
-    rows = [""] * 3
-    rows[l1 - 1], rows[l2 - 1], rows[l3 - 1] = "a", "b", "e"
-    cols = [""] * 3
-    cols[l1 - 1], cols[l2 - 1], cols[l3 - 1] = "c", "d", "f"
-    spec = "abcd,ef->" + "".join(rows) + "".join(cols)
-    full = np.einsum(spec, t, eye)
+    full = np.einsum(subscripts, x.reshape(d, d, d, d), np.eye(d, dtype=complex))
     return np.ascontiguousarray(full).reshape(d**3, d**3)
 
 

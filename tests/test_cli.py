@@ -151,6 +151,11 @@ class TestAmplitude:
         out = json.loads(capsys.readouterr().out)
         assert out["nonphysical_ordering"] is True
 
+    def test_nonfinite_momenta_exit_two(self, delta_config, capsys):
+        assert main(["amplitude", "--config", delta_config, "--n", "1",
+                     "--in=nan", "--out=nan", "--allow-nonphysical"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_momentum_count_validated(self, delta_config, capsys):
         assert main(["amplitude", "--config", delta_config, "--n", "2",
                      "--in=1.0", "--out=2.0"]) == 2

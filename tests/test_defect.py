@@ -22,7 +22,7 @@ from rtcheck.defect import (
 from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
-    embed_calRT,
+    double_defect,
     reduced_relation_residual,
 )
 from rtcheck.smatrix import BulkSMatrix, identity_S, rational_S, sample_momenta
@@ -40,7 +40,7 @@ def delta_scalar_fns(eta):
 
 def doubled_delta_pair(eta):
     T, R = delta_scalar_fns(eta)
-    calR, calT = embed_calRT(R, T, 1)
+    calT, calR = double_defect(T, R, 1)
     return DefectPair(2, calR, calT, name="doubled-delta")
 
 

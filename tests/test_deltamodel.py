@@ -15,7 +15,6 @@ from rtcheck.fock import (
     TWO_PI,
     evaluate_coefficient,
     n_particle_expression,
-    physical_components,
     resolve_momenta,
 )
 from rtcheck.smatrix import sample_momenta
@@ -154,7 +153,9 @@ class TestCrossRepresentation:
             env = resolve_momenta(term, expr.word, env)
             tensor = evaluate_coefficient(expr, term, env, dm)
             p_sub = [sigma[i] * ks[i] for i in range(n)]
-            eps, xi = physical_components(ks, p_sub)
+            # physical components: eps = sign(p), xi = -sign(k); xi = + is index 0
+            eps = [0 if p > 0 else 1 for p in p_sub]
+            xi = [0 if k < 0 else 1 for k in ks]
             idx = tuple(reversed(eps)) + tuple(xi)
             assert abs(complex(tensor[idx]) - coeff) <= 1e-11
 

@@ -6,8 +6,6 @@ from rtcheck.doubling import (
     build_doubled_model,
     double_S_bulk,
     double_defect,
-    embed_calRT,
-    embed_calS,
     involution_matrix,
     reduced_relation_residual,
     symmetrized_unitarity_residual,
@@ -29,26 +27,11 @@ KS = sample_momenta(32, seed=8).values
 PAIRS = list(zip(KS, KS[1:]))
 
 
-class TestEmbedCalS:
-    def test_scalar_bulk_gives_half_line_exchange(self):
-        got = embed_calS(identity_S(1)).eval(0.3, -1.1)
-        assert norm_inf(got - permutation_operator(2)) == 0.0
-
-    def test_linearity_in_scalar_bulk(self):
-        f = lambda k1, k2: (k1 - k2) / (k1 - k2 + 2j)
-        S = BulkSMatrix(1, lambda k1, k2: f(k1, k2) * np.eye(1), True)
-        got = embed_calS(S).eval(0.7, -0.2)
-        assert norm_inf(got - f(0.7, -0.2) * permutation_operator(2)) < 1e-15
-
-    def test_unitarity_is_preserved(self):
-        emb = embed_calS(rational_S(2, 1.0))
-        worst = max(unitarity_residual(emb, a, b) for a, b in PAIRS[:10])
-        assert worst <= 1e-12
-
-
 class TestEmbedCalRT:
+    """double_defect's blocks: calR block-diagonal, calT block-antidiagonal."""
+
     def test_delta_scalars_give_textbook_matrices(self):
-        calR, calT = embed_calRT(R_delta, T_delta, 1)
+        calT, calR = double_defect(T_delta, R_delta, 1)
         for k in KS[:8]:
             t, r = T_delta(k)[0, 0], R_delta(k)[0, 0]
             expected_T = np.array([[0, t], [np.conj(t), 0]])
@@ -57,11 +40,11 @@ class TestEmbedCalRT:
             assert norm_inf(calR(k) - expected_R) < 1e-15
 
     def test_zero_reflection(self):
-        calR, _ = embed_calRT(lambda k: np.zeros((2, 2)), lambda k: np.eye(2), 2)
+        _, calR = double_defect(lambda k: np.eye(2), lambda k: np.zeros((2, 2)), 2)
         assert norm_inf(calR(0.7)) == 0.0
 
     def test_identity_transmission_is_half_line_flip(self):
-        _, calT = embed_calRT(lambda k: np.zeros((2, 2)), lambda k: np.eye(2), 2)
+        calT, _ = double_defect(lambda k: np.eye(2), lambda k: np.zeros((2, 2)), 2)
         flip = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
         assert norm_inf(calT(1.3) - flip) == 0.0
 
@@ -95,11 +78,10 @@ class TestDoubleSBulk:
                         if (x1, x2) != (e1, e2):
                             assert np.all(m[x1, :, x2, :, e1, :, e2, :] == 0.0)
 
-    def test_requires_translation_invariance_unless_overridden(self):
+    def test_requires_translation_invariance(self):
         odd = BulkSMatrix(1, lambda k1, k2: np.eye(1), False)
         with pytest.raises(ValueError):
             double_S_bulk(odd)
-        assert double_S_bulk(odd, allow_non_invariant=True).leg_dim == 2
 
 
 class TestDoubleDefect:

@@ -114,7 +114,7 @@ class TestSampling:
 
     def test_unsatisfiable_raises(self):
         with pytest.raises(RuntimeError):
-            sample_momenta(50, exclusion_radius=1.0, seed=0, scale=2.0, max_tries=500)
+            sample_momenta(50, exclusion_radius=1.0, seed=0)
 
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
