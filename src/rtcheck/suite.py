@@ -279,17 +279,19 @@ def run_suite(model: AssembledModel) -> VerificationReport:
     for name in names:
         check_requirements(name, model, cfg.samples)
     results = []
-    for name in names:
-        residual, worst = _REGISTRY[name](model, sample.values)
-        results.append(
-            CheckResult(
-                check_id=name,
-                max_residual=float(residual),
-                worst_momenta=worst,
-                samples=cfg.samples,
-                passed=bool(residual <= cfg.tolerance),
+    # non-finite data gives a nan or inf residual, which fails its check
+    with np.errstate(all="ignore"):
+        for name in names:
+            residual, worst = _REGISTRY[name](model, sample.values)
+            results.append(
+                CheckResult(
+                    check_id=name,
+                    max_residual=float(residual),
+                    worst_momenta=worst,
+                    samples=cfg.samples,
+                    passed=bool(residual <= cfg.tolerance),
+                )
             )
-        )
     return VerificationReport(
         config=cfg.echo(), checks=tuple(results), tolerance=cfg.tolerance
     )

@@ -10,6 +10,17 @@ import rtcheck
 from rtcheck.cli import main
 
 
+def run_cli(*args):
+    """rtcheck in a fresh interpreter, so stderr shows everything it prints."""
+    src = Path(rtcheck.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "rtcheck.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 @pytest.fixture
 def delta_config(tmp_path):
     path = tmp_path / "delta.json"
@@ -101,6 +112,18 @@ class TestVerify:
         assert err.startswith("rtcheck: error: division by zero in 'k/(k-k)' at k = ")
         assert "Traceback" not in err
 
+    def test_nonfinite_defect_data_fails_its_checks(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"},
+            "checks": ["TST", "reduced-tau-tau"],
+        }))
+        proc = run_cli("verify", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        rows = [line.split()[:4] for line in proc.stdout.splitlines()[4:6]]
+        assert rows == [["TST", "nan", "50", "FAIL"], ["reduced-tau-tau", "nan", "50", "FAIL"]]
+
     def test_doubled_yang_baxter_needs_three_samples(self, tmp_path, capsys):
         # with two samples every triple is degenerate, (k1, k2, k1)
         cfg = tmp_path / "cfg.json"
@@ -163,14 +186,8 @@ class TestAmplitude:
     def test_four_particles_at_n2_finish_in_a_fresh_process(self, rational_config):
         # 384 terms over (2N)^8-entry networks: minutes with one unplanned
         # einsum per network, about a second with planned, sliced contraction
-        src = Path(rtcheck.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rtcheck.cli", "amplitude", "--config", rational_config,
-             "--n", "4", "--in=-2.1,-0.7,0.9,2.5", "--out=2.4,1.1,-0.5,-1.9"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("amplitude", "--config", rational_config,
+                       "--n", "4", "--in=-2.1,-0.7,0.9,2.5", "--out=2.4,1.1,-0.5,-1.9")
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["terms"]) == 384
 
