@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,14 @@ DEFAULT_SAMPLES = 50
 DEFAULT_RADIUS = 1e-3
 TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
 
-BULK_CATALOG = ("identity", "permutation", "rational")
-DEFECT_CATALOG = ("delta", "pure-transmission", "pure-reflection", "custom")
+# catalog entry -> the parameters it accepts besides "name"
+BULK_CATALOG = {"identity": ("dim",), "permutation": ("dim",), "rational": ("N", "c")}
+DEFECT_CATALOG = {
+    "delta": ("eta",),
+    "pure-transmission": (),
+    "pure-reflection": (),
+    "custom": ("transmission", "reflection"),
+}
 
 
 class ConfigError(ValueError):
@@ -107,6 +114,9 @@ def parse_config(text: str) -> ModelConfig:
                 f"unknown {section} catalog entry {entry['name']!r}; "
                 f"available: {list(catalog)}"
             )
+        unknown = set(entry) - {"name", *catalog[entry["name"]]}
+        if unknown:
+            raise ConfigError(f"unknown {entry['name']!r} parameters: {sorted(unknown)}")
     cfg = ModelConfig(
         bulk=bulk,
         defect=defect,
@@ -151,18 +161,45 @@ def _env_tolerance() -> float:
         raise ConfigError(f"bad {TOLERANCE_ENV_VAR} value {value!r}") from exc
 
 
+def _parameter(entry: dict, key: str, default, integral: bool = False):
+    """A catalog parameter: a JSON number within the finite float range,
+    never a bool.  With ``integral`` it is an integral number >= 1, returned
+    as an int (the string shorthand gives floats such as 2.0)."""
+    value = entry.get(key, default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:
+        if not integral:
+            return float(value)
+        if value >= 1 and value == int(value):
+            return int(value)
+    what = "an integer >= 1" if integral else "a finite number"
+    raise ConfigError(f"{entry['name']} parameter {key!r} must be {what}, got {value!r}")
+
+
+def _expression(entry: dict, key: str):
+    """A custom defect entry: an expression string, compiled."""
+    if not isinstance(entry.get(key), str):
+        raise ConfigError(f"custom defect needs a {key!r} string, got {entry.get(key)!r}")
+    try:
+        return parse_expression(entry[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad custom defect expression: {exc}") from exc
+
+
 def build_bulk(cfg: ModelConfig) -> BulkSMatrix:
     b = cfg.bulk
     name = b["name"]
-    try:
-        if name == "identity":
-            return identity_S(int(b.get("dim", 1)))
-        if name == "permutation":
-            return permutation_S(int(b.get("dim", 1)))
-        if name == "rational":
-            return rational_S(int(b.get("N", 2)), float(b.get("c", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad bulk parameters for {name!r}: {exc}") from exc
+    if name == "identity":
+        return identity_S(_parameter(b, "dim", 1, integral=True))
+    if name == "permutation":
+        return permutation_S(_parameter(b, "dim", 1, integral=True))
+    if name == "rational":
+        N = _parameter(b, "N", 2, integral=True)
+        c = _parameter(b, "c", 1.0)
+        try:
+            return rational_S(N, c)
+        except ValueError as exc:
+            raise ConfigError(f"bad bulk parameters for {name!r}: {exc}") from exc
     raise ConfigError(f"unknown bulk catalog entry {name!r}")
 
 
@@ -170,22 +207,18 @@ def build_half_line_defect(cfg: ModelConfig) -> DefectPair:
     d = cfg.defect
     name = d["name"]
     if name == "delta":
+        eta = _parameter(d, "eta", 1.0)
         try:
-            return delta_defect(float(d.get("eta", 1.0)))
-        except (TypeError, ValueError) as exc:
+            return delta_defect(eta)
+        except ValueError as exc:
             raise ConfigError(f"bad delta parameters: {exc}") from exc
     if name == "pure-transmission":
         return pure_transmission_defect()
     if name == "pure-reflection":
         return pure_reflection_defect()
     if name == "custom":
-        try:
-            t_fn = parse_expression(str(d["transmission"]))
-            r_fn = parse_expression(str(d["reflection"]))
-        except KeyError as exc:
-            raise ConfigError(f"custom defect needs {exc.args[0]!r} entry") from exc
-        except ValueError as exc:
-            raise ConfigError(f"bad custom defect expression: {exc}") from exc
+        t_fn = _expression(d, "transmission")
+        r_fn = _expression(d, "reflection")
         return DefectPair(
             1,
             lambda k: np.array([[r_fn(k)]]),

@@ -124,6 +124,25 @@ class TestVerify:
         rows = [line.split()[:4] for line in proc.stdout.splitlines()[4:6]]
         assert rows == [["TST", "nan", "50", "FAIL"], ["reduced-tau-tau", "nan", "50", "FAIL"]]
 
+    @pytest.mark.parametrize("section", [
+        {"bulk": {"name": "identity", "dim": 2.7}},
+        {"bulk": {"name": "identity", "dim": -1}},
+        {"bulk": {"name": "permutation", "dim": True}},
+        {"bulk": {"name": "rational", "N": "3"}},
+        {"bulk": {"name": "rational", "c": True}},
+        {"bulk": {"name": "rational", "c": float("inf")}},
+        pytest.param({"bulk": {"name": "rational", "c": 10**400}}, id="c = 10**400"),
+        {"bulk": {"name": "identity", "dimm": 2}},
+        {"defect": {"name": "delta", "eta": "2"}},
+        {"defect": {"name": "pure-reflection", "eta": 1.0}},
+        {"defect": {"name": "custom", "transmission": 1, "reflection": "0"}},
+    ], ids=lambda section: json.dumps(section))
+    def test_bad_catalog_parameter_exit_two(self, section, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("rtcheck: error: ")
+
     def test_doubled_yang_baxter_needs_three_samples(self, tmp_path, capsys):
         # with two samples every triple is degenerate, (k1, k2, k1)
         cfg = tmp_path / "cfg.json"
