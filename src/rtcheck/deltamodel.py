@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defect import delta_defect
+from .defect import DefectPair, delta_defect
 from .doubling import DoubledModel, build_doubled_model
 from .fock import TWO_PI
 from .smatrix import identity_S
