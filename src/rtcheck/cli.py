@@ -86,7 +86,7 @@ def _cmd_amplitude(args) -> int:
             {
                 "pairing": pairing,
                 "coefficient": {"re": value.real, "im": value.imag},
-                "two_pi_power": term.two_pi_power,
+                "two_pi_power": 0,  # coefficients are against the bare delta
             }
         )
     out = {

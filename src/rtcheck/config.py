@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,15 +29,6 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 50
 DEFAULT_RADIUS = 1e-3
 TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
-
-# catalog entry -> the parameters it accepts besides "name"
-BULK_CATALOG = {"identity": ("dim",), "permutation": ("dim",), "rational": ("N", "c")}
-DEFECT_CATALOG = {
-    "delta": ("eta",),
-    "pure-transmission": (),
-    "pure-reflection": (),
-    "custom": ("transmission", "reflection"),
-}
 
 
 class ConfigError(ValueError):
@@ -105,18 +97,8 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     bulk = _expand_shorthand(raw.get("bulk", {"name": "identity", "dim": 1}))
     defect = _expand_shorthand(raw.get("defect", {"name": "delta", "eta": 1.0}))
-    for section, catalog in (("bulk", BULK_CATALOG), ("defect", DEFECT_CATALOG)):
-        entry = bulk if section == "bulk" else defect
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"{section} section must be an object with a 'name'")
-        if entry["name"] not in catalog:
-            raise ConfigError(
-                f"unknown {section} catalog entry {entry['name']!r}; "
-                f"available: {list(catalog)}"
-            )
-        unknown = set(entry) - {"name", *catalog[entry["name"]]}
-        if unknown:
-            raise ConfigError(f"unknown {entry['name']!r} parameters: {sorted(unknown)}")
+    _builder("bulk", bulk)
+    _builder("defect", defect)
     cfg = ModelConfig(
         bulk=bulk,
         defect=defect,
@@ -186,49 +168,65 @@ def _expression(entry: dict, key: str):
         raise ConfigError(f"bad custom defect expression: {exc}") from exc
 
 
+def _custom_defect(entry: dict) -> DefectPair:
+    t_fn = _expression(entry, "transmission")
+    r_fn = _expression(entry, "reflection")
+    return DefectPair(1, lambda k: np.array([[r_fn(k)]]), lambda k: np.array([[t_fn(k)]]))
+
+
+# catalog entry -> (the parameters it accepts besides "name", its builder)
+BULK_CATALOG = {
+    "identity": (("dim",), lambda b: identity_S(_parameter(b, "dim", 1, integral=True))),
+    "permutation": (("dim",), lambda b: permutation_S(_parameter(b, "dim", 1, integral=True))),
+    "rational": (
+        ("N", "c"),
+        lambda b: rational_S(_parameter(b, "N", 2, integral=True), _parameter(b, "c", 1.0)),
+    ),
+}
+DEFECT_CATALOG = {
+    "delta": (("eta",), lambda d: delta_defect(_parameter(d, "eta", 1.0))),
+    "pure-transmission": ((), lambda d: pure_transmission_defect()),
+    "pure-reflection": ((), lambda d: pure_reflection_defect()),
+    "custom": (("transmission", "reflection"), _custom_defect),
+}
+
+
+def _builder(section: str, entry) -> Callable[[dict], object]:
+    """The builder of a catalog entry, once its name and parameter keys are
+    checked."""
+    catalog = BULK_CATALOG if section == "bulk" else DEFECT_CATALOG
+    if not isinstance(entry, dict) or "name" not in entry:
+        raise ConfigError(f"{section} section must be an object with a 'name'")
+    if entry["name"] not in catalog:
+        raise ConfigError(
+            f"unknown {section} catalog entry {entry['name']!r}; available: {list(catalog)}"
+        )
+    params, build = catalog[entry["name"]]
+    unknown = set(entry) - {"name", *params}
+    if unknown:
+        raise ConfigError(f"unknown {entry['name']!r} parameters: {sorted(unknown)}")
+    return build
+
+
+def _build(section: str, entry: dict):
+    """Build a catalog entry; a value its builder rejects (c = 0) is a ConfigError."""
+    try:
+        return _builder(section, entry)(entry)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad {entry['name']} parameters: {exc}") from exc
+
+
 def build_bulk(cfg: ModelConfig) -> BulkSMatrix:
-    b = cfg.bulk
-    name = b["name"]
-    if name == "identity":
-        return identity_S(_parameter(b, "dim", 1, integral=True))
-    if name == "permutation":
-        return permutation_S(_parameter(b, "dim", 1, integral=True))
-    if name == "rational":
-        N = _parameter(b, "N", 2, integral=True)
-        c = _parameter(b, "c", 1.0)
-        try:
-            return rational_S(N, c)
-        except ValueError as exc:
-            raise ConfigError(f"bad bulk parameters for {name!r}: {exc}") from exc
-    raise ConfigError(f"unknown bulk catalog entry {name!r}")
+    return _build("bulk", cfg.bulk)
 
 
 def build_half_line_defect(cfg: ModelConfig) -> DefectPair:
-    d = cfg.defect
-    name = d["name"]
-    if name == "delta":
-        eta = _parameter(d, "eta", 1.0)
-        try:
-            return delta_defect(eta)
-        except ValueError as exc:
-            raise ConfigError(f"bad delta parameters: {exc}") from exc
-    if name == "pure-transmission":
-        return pure_transmission_defect()
-    if name == "pure-reflection":
-        return pure_reflection_defect()
-    if name == "custom":
-        t_fn = _expression(d, "transmission")
-        r_fn = _expression(d, "reflection")
-        return DefectPair(
-            1,
-            lambda k: np.array([[r_fn(k)]]),
-            lambda k: np.array([[t_fn(k)]]),
-            name="custom",
-        )
-    raise ConfigError(f"unknown defect catalog entry {name!r}")
+    return _build("defect", cfg.defect)
 
 
-def scalar_times_identity(pair: DefectPair, N: int):
+def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
     """Lift a scalar defect to N isotopic dimensions: tau = T * I etc."""
     eye = np.eye(N, dtype=complex)
 
@@ -238,20 +236,17 @@ def scalar_times_identity(pair: DefectPair, N: int):
     def rho(k: float) -> np.ndarray:
         return complex(pair.R(k)[0, 0]) * eye
 
-    return tau, rho
+    return DefectPair(N, rho, tau)
 
 
 def build_model(cfg: ModelConfig) -> "AssembledModel":
     bulk = build_bulk(cfg)
     half = build_half_line_defect(cfg)
     if half.dim == 1 and bulk.leg_dim > 1:
-        tau, rho = scalar_times_identity(half, bulk.leg_dim)
-        half = DefectPair(bulk.leg_dim, rho, tau, name=half.name)
-    else:
-        tau, rho = half.transmission, half.reflection
+        half = scalar_times_identity(half, bulk.leg_dim)
     doubled = None
     if cfg.doubled:
-        doubled = build_doubled_model(bulk, tau=tau, rho=rho)
+        doubled = build_doubled_model(bulk, half.transmission, half.reflection)
     return AssembledModel(cfg=cfg, bulk=bulk, half_line=half, doubled=doubled)
 
 

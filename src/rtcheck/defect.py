@@ -45,7 +45,6 @@ class DefectPair:
     dim: int
     reflection: Callable[[float], np.ndarray]
     transmission: Callable[[float], np.ndarray]
-    name: str = ""
 
     def R(self, k: float) -> np.ndarray:
         _check_momentum(k)
@@ -95,20 +94,20 @@ def delta_defect(eta: float) -> DefectPair:
         _check_momentum(k)
         return np.array([[-1j * eta / (k + 1j * eta)]])
 
-    return DefectPair(1, R, T, name=f"delta(eta={eta})")
+    return DefectPair(1, R, T)
 
 
 def pure_transmission_defect() -> DefectPair:
     one = np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    return DefectPair(1, lambda k: zero, lambda k: one, name="pure-transmission")
+    return DefectPair(1, lambda k: zero, lambda k: one)
 
 
 def pure_reflection_defect() -> DefectPair:
     """Hard wall: R = -1, T = 0 (the eta -> infinity limit of the delta impurity)."""
     minus_one = -np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    return DefectPair(1, lambda k: minus_one, lambda k: zero, name="pure-reflection")
+    return DefectPair(1, lambda k: minus_one, lambda k: zero)
 
 
 def defect_unitarity_residual(D: DefectPair, k: float) -> float:

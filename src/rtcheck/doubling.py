@@ -15,7 +15,7 @@ argument k1 - k2, cross-side scattering picks up k1 + k2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,20 +31,25 @@ REDUCED_VARIANTS = ("tau-tau", "tau-rho", "rho-rho")
 
 @dataclass(frozen=True)
 class DoubledModel:
-    """The canonical impurity model object: doubled S-matrix plus defect data."""
+    """The canonical impurity model object: the bulk s and half-line pair
+    (tau, rho), and the doubled S-matrix and defect data built from them."""
 
-    bulk_dim: int
+    bulk: BulkSMatrix
+    half_line: DefectPair
     calS: BulkSMatrix
     calR: MatrixFn
     calT: MatrixFn
-    provenance: dict = field(default_factory=dict)
+
+    @property
+    def bulk_dim(self) -> int:
+        return self.bulk.leg_dim
 
     @property
     def doubled_dim(self) -> int:
         return 2 * self.bulk_dim
 
     def defect_pair(self) -> DefectPair:
-        return DefectPair(self.doubled_dim, self.calR, self.calT, name="doubled")
+        return DefectPair(self.doubled_dim, self.calR, self.calT)
 
 
 # (sign of k1, sign of k2) in the bulk arguments of each (xi1, xi2) sector
@@ -99,30 +104,13 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
             out[block] = s.eval(s1 * k1, s2 * k2).reshape(N, N, N, N)
         return out.reshape(n2 * n2, n2 * n2)
 
-    def pole(k1: float, k2: float) -> bool:
-        return any(s.pole_predicate(s1 * k1, s2 * k2) for s1, s2 in SECTORS.values())
-
-    return BulkSMatrix(n2, fn, False, pole, name=f"doubled[{s.name}]")
+    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]")
 
 
 def build_doubled_model(s: BulkSMatrix, tau: MatrixFn, rho: MatrixFn) -> DoubledModel:
     calT, calR = double_defect(tau, rho, s.leg_dim)
-    return DoubledModel(
-        bulk_dim=s.leg_dim,
-        calS=double_S_bulk(s),
-        calR=calR,
-        calT=calT,
-        provenance={"bulk": s, "tau": tau, "rho": rho},
-    )
-
-
-def half_line_defect(model: DoubledModel) -> DefectPair:
-    """The (tau, rho) half-line data the doubled model was assembled from."""
-    tau = model.provenance.get("tau")
-    rho = model.provenance.get("rho")
-    if tau is None or rho is None:
-        raise ValueError("model carries no half-line provenance")
-    return DefectPair(model.bulk_dim, rho, tau, name="half-line")
+    half_line = DefectPair(s.leg_dim, rho, tau)
+    return DoubledModel(s, half_line, double_S_bulk(s), calR, calT)
 
 
 def reduced_relation_residual(

@@ -41,9 +41,9 @@ and the delta(p + k) part, memoized per momentum for the kernel's lifetime,
 and ``hierarchy_commutator_residual`` takes H^(m) and H^(n) as two moments
 of one such pass.
 
-Delta normalization is the bare delta internally; the physical-model
-comparison layer multiplies by 2*pi per contraction through the explicit
-``two_pi_power`` field.
+Coefficients are taken against the bare delta: no layer multiplies by
+2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
+every term.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .defect import DefectPair
-from .doubling import DoubledModel, half_line_defect
+from .doubling import DoubledModel, build_doubled_model
 from .tensor import norm_inf
 
 TWO_PI = 2.0 * np.pi
@@ -118,7 +118,6 @@ class ContractionTerm:
 
     pairing: tuple[tuple[int, int, int], ...]
     networks: tuple[tuple, ...]
-    two_pi_power: int = 0
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ def evaluate_coefficient(
             raise ValueError("empty network with free legs")
         else:
             total = total + 1.0
-    return np.asarray(total * (TWO_PI ** term.two_pi_power))
+    return np.asarray(total)
 
 
 def physical_coefficient(
@@ -554,9 +553,8 @@ def hierarchy_commutator_residual(
 
 def _zf_view(model: DoubledModel) -> DoubledModel:
     """Same exchange matrix, trivial defect: the plain ZF contraction rules."""
-    d = model.doubled_dim
-    zero = np.zeros((d, d), dtype=complex)
-    return DoubledModel(model.bulk_dim, model.calS, lambda k: zero, lambda k: zero)
+    zero = np.zeros((model.bulk_dim, model.bulk_dim), dtype=complex)
+    return build_doubled_model(model.bulk, lambda k: zero, lambda k: zero)
 
 
 def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
@@ -646,7 +644,7 @@ def factorization_residual(
     if n == 0:
         return 0.0
 
-    opta = one_particle_amplitude(half_line_defect(model), delta_2pi=False)
+    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
     in_labels = [f"k{i+1}" for i in range(n)]
     out_labels = [f"p{i+1}" for i in range(n)]
     expr = n_particle_expression(n, in_labels, out_labels, model)
@@ -675,7 +673,7 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     if p == 0:
         raise ValueError("undefined at p = 0")
     expr = normal_order_vev([a("p"), ad("k")], model)
-    opta = one_particle_amplitude(half_line_defect(model), delta_2pi=False)
+    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
     worst = 0.0
     for rel, ref in ((+1, opta.A(p)), (-1, opta.B(p))):
         term = next(t for t in expr.terms if t.pairing[0][2] == rel)

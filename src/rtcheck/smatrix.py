@@ -11,7 +11,7 @@ obtained by swapping the legs of the evaluated matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,21 +23,14 @@ SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SC
 SAMPLE_TRIES = 10_000  # draws before an unsatisfiable exclusion gives up
 
 
-class PoleError(ValueError):
-    """An S-matrix was evaluated on its singular set."""
-
-
 @dataclass(frozen=True)
 class BulkSMatrix:
     leg_dim: int
     fn: Callable[[float, float], np.ndarray]
     translation_invariant: bool
-    pole_predicate: Callable[[float, float], bool] = field(default=lambda k1, k2: False)
     name: str = ""
 
     def eval(self, k1: float, k2: float) -> np.ndarray:
-        if self.pole_predicate(k1, k2):
-            raise PoleError(f"S-matrix {self.name or '<anon>'} singular at ({k1}, {k2})")
         return self.fn(k1, k2)
 
     def eval_swapped(self, k1: float, k2: float) -> np.ndarray:
@@ -76,11 +69,6 @@ def rational_S(N: int, c: float) -> BulkSMatrix:
 
 
 def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
-    for a, b in ((k1, k2), (k1, k3), (k2, k3)):
-        if S.pole_predicate(a, b):
-            raise PoleError(
-                f"Yang-Baxter check for {S.name or '<anon>'} hits a pole at ({a}, {b})"
-            )
     s12 = embed_pair(S.eval(k1, k2), (1, 2))
     s13 = embed_pair(S.eval(k1, k3), (1, 3))
     s23 = embed_pair(S.eval(k2, k3), (2, 3))
@@ -88,11 +76,6 @@ def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
 
 
 def unitarity_residual(S: BulkSMatrix, k1: float, k2: float) -> float:
-    for a, b in ((k1, k2), (k2, k1)):
-        if S.pole_predicate(a, b):
-            raise PoleError(
-                f"unitarity check for {S.name or '<anon>'} hits a pole at ({a}, {b})"
-            )
     eye = identity_two_leg(S.leg_dim)
     return norm_inf(S.eval(k1, k2) @ S.eval_swapped(k2, k1) - eye)
 
@@ -101,18 +84,11 @@ def shift_invariance_residual(S: BulkSMatrix, k1: float, k2: float, shift: float
     return norm_inf(S.eval(k1, k2) - S.eval(k1 + shift, k2 + shift))
 
 
-@dataclass(frozen=True)
-class MomentumSample:
-    values: tuple[float, ...]
-    exclusion_radius: float
-    seed: int
-
-
 def sample_momenta(
     n: int,
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
     seed: int = 0,
-) -> MomentumSample:
+) -> tuple[float, ...]:
     """Deterministic momenta with |k| and all pairwise |k_i -+ k_j| >= radius.
 
     The exclusions keep Heaviside projections and delta supports away from
@@ -137,4 +113,4 @@ def sample_momenta(
         ):
             continue
         values.append(k)
-    return MomentumSample(tuple(values), exclusion_radius, seed)
+    return tuple(values)

@@ -68,11 +68,10 @@ def _max_over(points, fn):
 
 class _Target(NamedTuple):
     """What a residual reads: the S-matrix and defect pair of the data the
-    check runs on (half-line or doubled), the bulk and the doubled model."""
+    check runs on (half-line or doubled), and the doubled model."""
 
     S: sm.BulkSMatrix
     pair: dft.DefectPair
-    bulk: sm.BulkSMatrix
     dm: dbl.DoubledModel | None
 
 
@@ -139,13 +138,13 @@ def _consistency(variant, t, a, b):
 
 
 def _reduced(variant, t, a, b):
-    tau, rho = t.dm.provenance["tau"], t.dm.provenance["rho"]
-    return dbl.reduced_relation_residual(t.bulk, tau, rho, a, b, variant)
+    tau, rho = t.dm.half_line.transmission, t.dm.half_line.reflection
+    return dbl.reduced_relation_residual(t.dm.bulk, tau, rho, a, b, variant)
 
 
 def _symmetrized_unitarity(t, k):
-    tau, rho = t.dm.provenance["tau"], t.dm.provenance["rho"]
-    return dbl.symmetrized_unitarity_residual(tau, rho, t.bulk.leg_dim, k)
+    tau, rho = t.dm.half_line.transmission, t.dm.half_line.reflection
+    return dbl.symmetrized_unitarity_residual(tau, rho, t.dm.bulk_dim, k)
 
 
 def _j_squared(t, k):
@@ -225,9 +224,9 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
 def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
     dm = model.doubled
     if spec.doubled:
-        target = _Target(dm.calS, dm.defect_pair(), model.bulk, dm)
+        target = _Target(dm.calS, dm.defect_pair(), dm)
     else:
-        target = _Target(model.bulk, model.half_line, model.bulk, dm)
+        target = _Target(model.bulk, model.half_line, dm)
     return _max_over(spec.points(momenta), partial(spec.residual, target))
 
 
@@ -271,7 +270,7 @@ def default_checks(model: AssembledModel) -> tuple[str, ...]:
 def run_suite(model: AssembledModel) -> VerificationReport:
     """Execute the configured checks; complete report even on failures."""
     cfg = model.cfg
-    sample = sm.sample_momenta(cfg.samples, cfg.exclusion_radius, cfg.seed)
+    momenta = sm.sample_momenta(cfg.samples, cfg.exclusion_radius, cfg.seed)
     names = cfg.checks or default_checks(model)
     unknown = [n for n in names if n not in _REGISTRY]
     if unknown:
@@ -282,7 +281,7 @@ def run_suite(model: AssembledModel) -> VerificationReport:
     # non-finite data gives a nan or inf residual, which fails its check
     with np.errstate(all="ignore"):
         for name in names:
-            residual, worst = _REGISTRY[name](model, sample.values)
+            residual, worst = _REGISTRY[name](model, momenta)
             results.append(
                 CheckResult(
                     check_id=name,

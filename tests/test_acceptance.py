@@ -35,7 +35,6 @@ from rtcheck.deltamodel import (
 from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
-    half_line_defect,
     reduced_relation_residual,
     symmetrized_unitarity_residual,
 )
@@ -60,7 +59,7 @@ def report(criterion: str, passed: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def momenta():
-    return sample_momenta(100, seed=2026).values
+    return sample_momenta(100, seed=2026)
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +119,8 @@ def test_criterion_4_doubled_bulk_passes_uS(momenta, doubled_rational):
 def test_criterion_4_reduced_relations_and_symmetrized_unitarity(
     momenta, rational_bulk, doubled_rational
 ):
-    tau = doubled_rational.provenance["tau"]
-    rho = doubled_rational.provenance["rho"]
+    tau = doubled_rational.half_line.transmission
+    rho = doubled_rational.half_line.reflection
     pairs = list(zip(momenta[:31], momenta[1:32]))
     worst = 0.0
     for v in REDUCED_VARIANTS:
@@ -140,7 +139,7 @@ def test_criterion_4_reduced_relations_and_symmetrized_unitarity(
 def test_criterion_4_reflection_and_transmission_relations(
     momenta, rational_bulk, doubled_rational
 ):
-    half = half_line_defect(doubled_rational)
+    half = doubled_rational.half_line
     pairs = list(zip(momenta[:31], momenta[1:32]))
     worst = 0.0
     for xi in (+1, -1):
@@ -218,9 +217,9 @@ def test_criterion_4_mixed_relations(momenta, rational_bulk, doubled_rational):
     and (c) every variant meets its projection on some pair with a residual
     above 1e-3, so (b) is not met vacuously by zeros.
     """
-    half = half_line_defect(doubled_rational)
-    rho = doubled_rational.provenance["rho"]
-    tau = doubled_rational.provenance["tau"]
+    half = doubled_rational.half_line
+    rho = doubled_rational.half_line.reflection
+    tau = doubled_rational.half_line.transmission
     pairs = list(zip(momenta[:31], momenta[1:32]))
 
     control = max(
@@ -273,7 +272,7 @@ def test_criterion_5_engine_reproduces_factorized_amplitudes():
         worst = max(worst, fock.factorization_residual(n, ks, ps, model))
     # the 2 pi convention at n = 1: engine coefficient times 2 pi equals the
     # transition amplitude bracket
-    half = half_line_defect(model)
+    half = model.half_line
     K = fock.one_particle_amplitude(half, delta_2pi=True)
     m = DeltaModel(1.0)
     conv = abs(K.A(2.0)[0, 0] - fock.TWO_PI * m.T(2.0))

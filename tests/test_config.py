@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rtcheck.config import (
@@ -185,6 +186,14 @@ class TestBuildModel:
         assert model.half_line.dim == 2
         assert model.doubled is not None
         assert model.doubled.doubled_dim == 4
+
+    def test_doubled_model_reads_the_model_data(self):
+        model = build_model(parse_config(json.dumps({"bulk": "rational:N=2"})))
+        assert model.doubled.bulk is model.bulk
+        half = model.doubled.half_line
+        for k in (-1.3, 0.4, 2.1):
+            assert np.array_equal(half.T(k), model.half_line.T(k))
+            assert np.array_equal(half.R(k), model.half_line.R(k))
 
     def test_undoubled_model(self):
         cfg = parse_config(json.dumps({"doubled": False}))

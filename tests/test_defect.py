@@ -28,7 +28,7 @@ from rtcheck.doubling import (
 from rtcheck.smatrix import BulkSMatrix, identity_S, rational_S, sample_momenta
 
 ETA = 1.0
-KS = sample_momenta(24, seed=17).values
+KS = sample_momenta(24, seed=17)
 PAIRS = list(zip(KS, KS[1:]))
 
 
@@ -41,7 +41,7 @@ def delta_scalar_fns(eta):
 def doubled_delta_pair(eta):
     T, R = delta_scalar_fns(eta)
     calT, calR = double_defect(T, R, 1)
-    return DefectPair(2, calR, calT, name="doubled-delta")
+    return DefectPair(2, calR, calT)
 
 
 class TestDeltaDefect:

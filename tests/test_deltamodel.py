@@ -22,7 +22,7 @@ from rtcheck.smatrix import sample_momenta
 ETA = 1.0
 MODEL = DeltaModel(ETA)
 FREE = DeltaModel(0.0)
-KS = sample_momenta(30, seed=21).values
+KS = sample_momenta(30, seed=21)
 
 
 class TestAmplitudes:

@@ -23,7 +23,7 @@ from rtcheck.tensor import norm_inf, permutation_operator
 ETA = 1.0
 T_delta = lambda k: np.array([[k / (k + 1j * ETA)]])
 R_delta = lambda k: np.array([[-1j * ETA / (k + 1j * ETA)]])
-KS = sample_momenta(32, seed=8).values
+KS = sample_momenta(32, seed=8)
 PAIRS = list(zip(KS, KS[1:]))
 
 
@@ -56,7 +56,7 @@ class TestDoubleSBulk:
 
     def test_doubled_rational_passes_ybe_and_unitarity(self):
         dS = double_S_bulk(rational_S(2, 1.0))
-        ks = sample_momenta(52, seed=12).values
+        ks = sample_momenta(52, seed=12)
         worst_ybe = max(ybe_residual(dS, *t) for t in zip(ks, ks[1:], ks[2:]))
         worst_uni = max(unitarity_residual(dS, a, b) for a, b in zip(ks, ks[1:]))
         assert worst_ybe <= 1e-10
@@ -166,9 +166,7 @@ class TestDoubledModelInvariants:
             assert hermitian_analyticity_residual(pair, k) <= 1e-13
 
     def test_provenance_round_trip(self):
-        from rtcheck.doubling import half_line_defect
-
         model = build_doubled_model(identity_S(1), tau=T_delta, rho=R_delta)
-        half = half_line_defect(model)
+        half = model.half_line
         assert half.dim == 1
         assert abs(half.T(0.7)[0, 0] - T_delta(0.7)[0, 0]) == 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rtcheck import fock
 from rtcheck.defect import pure_reflection_defect, pure_transmission_defect
 from rtcheck.deltamodel import DeltaModel
-from rtcheck.doubling import build_doubled_model, half_line_defect
+from rtcheck.doubling import build_doubled_model
 from rtcheck.fock import (
     TWO_PI,
     OneParticleKernel,
@@ -97,26 +97,26 @@ class TestNormalOrdering:
 
 class TestOneParticleAmplitude:
     def test_frozen_values_eta1(self):
-        half = half_line_defect(MODEL)
+        half = MODEL.half_line
         K = one_particle_amplitude(half, delta_2pi=True)
         assert abs(K.A(2.0)[0, 0] - TWO_PI * (4 - 2j) / 5) < 1e-12
         assert abs(K.B(2.0)[0, 0] - TWO_PI * (-1 - 2j) / 5) < 1e-12
 
     def test_free_case(self):
-        half = half_line_defect(FREE)
+        half = FREE.half_line
         K = one_particle_amplitude(half, delta_2pi=True)
         assert abs(K.A(1.3)[0, 0] - TWO_PI) < 1e-15
         assert abs(K.B(1.3)[0, 0]) == 0.0
 
     def test_negative_momentum_uses_reflected_argument(self):
-        half = half_line_defect(MODEL)
+        half = MODEL.half_line
         K = one_particle_amplitude(half, delta_2pi=False)
         p = -1.7
         assert abs(K.A(p)[0, 0] - DELTA.T(-p)) < 1e-15
         assert abs(K.B(p)[0, 0] - DELTA.R(-p)) < 1e-15
 
     def test_zero_momentum_rejected(self):
-        K = one_particle_amplitude(half_line_defect(MODEL))
+        K = one_particle_amplitude(MODEL.half_line)
         with pytest.raises(ValueError):
             K.A(0.0)
 
@@ -371,7 +371,7 @@ def _reference_coefficient(expr, term, env, model):
             tensor, legs = fock._eval_atom(atom, env, model)
             operands += [tensor, [seen.setdefault(l, len(seen)) for l in legs]]
         total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
-    return total * TWO_PI ** term.two_pi_power
+    return total
 
 
 def _rational_model():
