@@ -102,7 +102,7 @@ def sample_momenta(
     while len(values) < n:
         tries += 1
         if tries > SAMPLE_TRIES:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not sample {n} momenta with exclusion radius {exclusion_radius}"
             )
         k = float(rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE))

@@ -143,6 +143,14 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("rtcheck: error: ")
 
+    def test_unsatisfiable_exclusion_radius_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exclusion_radius": 2.0, "samples": 10}))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "rtcheck: error: could not sample 10 momenta with exclusion radius 2.0\n"
+        )
+
     def test_doubled_yang_baxter_needs_three_samples(self, tmp_path, capsys):
         # with two samples every triple is degenerate, (k1, k2, k1)
         cfg = tmp_path / "cfg.json"

@@ -97,7 +97,7 @@ class TestSampling:
                 assert abs(vals[i] + vals[j]) >= 1e-3
 
     def test_unsatisfiable_raises(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="could not sample 50 momenta"):
             sample_momenta(50, exclusion_radius=1.0, seed=0)
 
     def test_needs_positive_count(self):
