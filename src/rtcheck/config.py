@@ -29,6 +29,9 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 50
 DEFAULT_RADIUS = 1e-3
 TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
+# Bound on the leg dimensions dim and N: the doubled checks build (2N)^6-entry
+# operators, and verify with rational N = 6 takes over 100 s and 337 MB (2-core x86-64).
+MAX_LEG_DIM = 6
 
 
 class ConfigError(ValueError):
@@ -144,17 +147,17 @@ def _env_tolerance() -> float:
 
 
 def _parameter(entry: dict, key: str, default, integral: bool = False):
-    """A catalog parameter: a JSON number within the finite float range,
-    never a bool.  With ``integral`` it is an integral number >= 1, returned
-    as an int (the string shorthand gives floats such as 2.0)."""
+    """A catalog parameter: a JSON number within the float range, never a
+    bool.  With ``integral`` it is a leg dimension, an integral number from
+    1 to MAX_LEG_DIM, returned as an int (shorthand gives floats like 2.0)."""
     value = entry.get(key, default)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and abs(value) <= sys.float_info.max:
         if not integral:
             return float(value)
-        if value >= 1 and value == int(value):
+        if 1 <= value <= MAX_LEG_DIM and value == int(value):
             return int(value)
-    what = "an integer >= 1" if integral else "a finite number"
+    what = f"an integer from 1 to {MAX_LEG_DIM}" if integral else "a finite number"
     raise ConfigError(f"{entry['name']} parameter {key!r} must be {what}, got {value!r}")
 
 

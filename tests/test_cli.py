@@ -136,6 +136,9 @@ class TestVerify:
         {"defect": {"name": "delta", "eta": "2"}},
         {"defect": {"name": "pure-reflection", "eta": 1.0}},
         {"defect": {"name": "custom", "transmission": 1, "reflection": "0"}},
+        {"bulk": {"name": "identity", "dim": 1000}},
+        {"bulk": {"name": "identity", "dim": 1e300}},
+        {"bulk": "rational:N=7"},
     ], ids=lambda section: json.dumps(section))
     def test_bad_catalog_parameter_exit_two(self, section, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
