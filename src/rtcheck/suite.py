@@ -247,15 +247,6 @@ def _unmet(spec: CheckSpec, model: AssembledModel, samples: int | None) -> str |
     return None
 
 
-def check_requirements(name: str, model: AssembledModel, samples: int) -> None:
-    """Reject inapplicable check requests up front (configuration errors)."""
-    if name not in CHECKS:
-        raise ValueError(f"unknown check name(s): ['{name}']; see `rtcheck catalog`")
-    error = _unmet(CHECKS[name], model, samples)
-    if error is not None:
-        raise ValueError(error)
-
-
 def available_checks() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
@@ -275,8 +266,10 @@ def run_suite(model: AssembledModel) -> VerificationReport:
     unknown = [n for n in names if n not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown check name(s): {unknown}; see `rtcheck catalog`")
-    for name in names:
-        check_requirements(name, model, cfg.samples)
+    for name in names:  # inapplicable requests are configuration errors
+        error = _unmet(CHECKS[name], model, cfg.samples)
+        if error is not None:
+            raise ValueError(error)
     results = []
     # non-finite data gives a nan or inf residual, which fails its check
     with np.errstate(all="ignore"):
