@@ -212,7 +212,7 @@ def _builder(section: str, entry) -> Callable[[dict], object]:
 
 
 def _build(section: str, entry: dict):
-    """Build a catalog entry; a value its builder rejects (c = 0) is a ConfigError."""
+    """Build a catalog entry; a value its builder rejects (c = 0, eta < 0) is a ConfigError."""
     try:
         return _builder(section, entry)(entry)
     except ConfigError:
