@@ -249,7 +249,7 @@ def build_model(cfg: ModelConfig) -> "AssembledModel":
         half = scalar_times_identity(half, bulk.leg_dim)
     doubled = None
     if cfg.doubled:
-        doubled = build_doubled_model(bulk, half.transmission, half.reflection)
+        doubled = build_doubled_model(bulk, half)
     return AssembledModel(cfg=cfg, bulk=bulk, half_line=half, doubled=doubled)
 
 

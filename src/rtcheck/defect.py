@@ -271,12 +271,7 @@ def mixed_relation_residual(
 
 
 def consistency_relation_residual(
-    calS: BulkSMatrix,
-    calR: Callable[[float], np.ndarray],
-    calT: Callable[[float], np.ndarray],
-    k1: float,
-    k2: float,
-    variant: str,
+    calS: BulkSMatrix, D: DefectPair, k1: float, k2: float, variant: str
 ) -> float:
     """Residual of a vacuum-matrix consistency relation: rr1, tt1 or tr1.
 
@@ -286,5 +281,4 @@ def consistency_relation_residual(
     """
     if variant not in CONSISTENCY_VARIANTS:
         raise ValueError(f"unknown consistency relation variant {variant!r}")
-    pair = DefectPair(calS.leg_dim, calR, calT)
-    return chain_residual(RELATIONS[variant], calS.eval, calS.eval_swapped, pair, k1, k2)
+    return _projected_relation(calS, D, k1, k2, variant)

@@ -40,11 +40,7 @@ class DeltaModel:
 
     def doubled(self) -> DoubledModel:
         """The impurity algebra data: free bulk, doubled delta amplitudes."""
-        return build_doubled_model(
-            identity_S(1),
-            tau=lambda k: np.array([[self.T(k)]]),
-            rho=lambda k: np.array([[self.R(k)]]),
-        )
+        return build_doubled_model(identity_S(1), self.defect_pair())
 
 
 def _theta(x: float) -> float:

@@ -5,8 +5,9 @@ i the isotopic index; flattening puts the xi = + block first.  Any
 translation-invariant bulk S-matrix s on C^N is promoted to an impurity model
 on C^{2N} by the tau/rho block ansatz of Mintchev, Ragoucy & Sorba: the
 doubled S-matrix is block-diagonal in the (xi1, xi2) sectors with arguments
-s(k1-k2), s(k1+k2), s(-k1-k2), s(k2-k1), and the defect generators take the
-block form t(k) = antidiag(tau(k), tau(-k)), r(k) = diag(rho(k), rho(-k)).
+s(k1-k2), s(k1+k2), s(-k1-k2), s(k2-k1), and the half-line DefectPair (rho, tau)
+maps to the doubled DefectPair (calR, calT) of block form
+calT(k) = antidiag(tau(k), tau(-k)), calR(k) = diag(rho(k), rho(-k)).
 
 The sector order of the doubled S-matrix is (+,+), (+,-), (-,+), (-,-):
 same-side scattering far from the impurity keeps the translation-invariant
@@ -16,7 +17,6 @@ argument k1 - k2, cross-side scattering picks up k1 + k2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,21 +24,18 @@ from .defect import RELATIONS, DefectPair, chain_residual
 from .smatrix import BulkSMatrix
 from .tensor import norm_inf, swap_legs
 
-MatrixFn = Callable[[float], np.ndarray]
-
 REDUCED_VARIANTS = ("tau-tau", "tau-rho", "rho-rho")
 
 
 @dataclass(frozen=True)
 class DoubledModel:
-    """The canonical impurity model object: the bulk s and half-line pair
-    (tau, rho), and the doubled S-matrix and defect data built from them."""
+    """The canonical impurity model object: the bulk s, the half-line pair
+    (rho, tau), and the doubled S-matrix and pair (calR, calT) built from them."""
 
     bulk: BulkSMatrix
     half_line: DefectPair
     calS: BulkSMatrix
-    calR: MatrixFn
-    calT: MatrixFn
+    defect: DefectPair  # dim 2N
 
     @property
     def bulk_dim(self) -> int:
@@ -48,16 +45,13 @@ class DoubledModel:
     def doubled_dim(self) -> int:
         return 2 * self.bulk_dim
 
-    def defect_pair(self) -> DefectPair:
-        return DefectPair(self.doubled_dim, self.calR, self.calT)
-
 
 # (sign of k1, sign of k2) in the bulk arguments of each (xi1, xi2) sector
 SECTORS = {(0, 0): (1, 1), (0, 1): (1, -1), (1, 0): (-1, 1), (1, 1): (-1, -1)}
 
 
-def double_defect(tau: MatrixFn, rho: MatrixFn, N: int) -> tuple[MatrixFn, MatrixFn]:
-    """Defect generators (calT, calR) of the doubled model from (tau, rho).
+def double_defect(half: DefectPair) -> DefectPair:
+    """The doubled pair (calR, calT) on C^{2N} from the half-line pair (rho, tau).
 
     calT is block-antidiagonal and calR block-diagonal, with the xi = -
     blocks evaluated at -k.  That makes the doubled pair Hermitian-analytic
@@ -65,7 +59,9 @@ def double_defect(tau: MatrixFn, rho: MatrixFn, N: int) -> tuple[MatrixFn, Matri
     relations; for the delta impurity it reproduces the textbook 2x2 vacuum
     matrices exactly.
     """
+    N = half.dim
     plus, minus = slice(None, N), slice(N, None)
+    tau, rho = half.transmission, half.reflection
 
     def calT(k: float) -> np.ndarray:
         out = np.zeros((2 * N, 2 * N), dtype=complex)
@@ -79,7 +75,7 @@ def double_defect(tau: MatrixFn, rho: MatrixFn, N: int) -> tuple[MatrixFn, Matri
         out[minus, minus] = rho(-k)
         return out
 
-    return calT, calR
+    return DefectPair(2 * N, calR, calT)
 
 
 def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
@@ -107,37 +103,29 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
     return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]")
 
 
-def build_doubled_model(s: BulkSMatrix, tau: MatrixFn, rho: MatrixFn) -> DoubledModel:
-    calT, calR = double_defect(tau, rho, s.leg_dim)
-    half_line = DefectPair(s.leg_dim, rho, tau)
-    return DoubledModel(s, half_line, double_S_bulk(s), calR, calT)
+def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:
+    return DoubledModel(s, half_line, double_S_bulk(s), double_defect(half_line))
 
 
 def reduced_relation_residual(
-    s: BulkSMatrix, tau: MatrixFn, rho: MatrixFn, k1: float, k2: float, variant: str
+    s: BulkSMatrix, D: DefectPair, k1: float, k2: float, variant: str
 ) -> float:
     """Literal residual of one reduced defect relation of the doubled model.
 
-    s must be translation invariant; s12(u) is evaluated as s(u, 0) and
-    s21(u) as its leg swap.
+    s must be translation invariant and D is the half-line pair (rho, tau);
+    s12(u) is evaluated as s(u, 0) and s21(u) as its leg swap.
     """
     if variant not in REDUCED_VARIANTS:
         raise ValueError(f"unknown reduced relation variant {variant!r}")
     s21 = lambda a, b: swap_legs(s.eval(a, b))
-    pair = DefectPair(s.leg_dim, rho, tau)
-    return chain_residual(RELATIONS[variant], s.eval, s21, pair, k1, k2)
+    return chain_residual(RELATIONS[variant], s.eval, s21, D, k1, k2)
 
 
-def symmetrized_unitarity_residual(
-    tau: MatrixFn, rho: MatrixFn, N: int, k: float
-) -> float:
+def symmetrized_unitarity_residual(D: DefectPair, k: float) -> float:
     """|tau(k)tau(-k) + rho(k)rho(-k) - I| + |tau(k)rho(-k) + rho(k)tau(-k)|
-    plus the Hermitian-analyticity defects of tau and rho."""
-    eye = np.eye(N, dtype=complex)
-    t_k = np.asarray(tau(k), dtype=complex)
-    t_mk = np.asarray(tau(-k), dtype=complex)
-    r_k = np.asarray(rho(k), dtype=complex)
-    r_mk = np.asarray(rho(-k), dtype=complex)
+    plus the Hermitian-analyticity defects of tau and rho, D = (rho, tau)."""
+    eye = np.eye(D.dim, dtype=complex)
+    t_k, t_mk, r_k, r_mk = D.T(k), D.T(-k), D.R(k), D.R(-k)
     res = norm_inf(t_k @ t_mk + r_k @ r_mk - eye)
     res += norm_inf(t_k @ r_mk + r_k @ t_mk)
     res += norm_inf(t_k.conj().T - t_mk)
@@ -145,12 +133,8 @@ def symmetrized_unitarity_residual(
     return res
 
 
-def involution_matrix(calR: MatrixFn, calT: MatrixFn, k: float) -> np.ndarray:
+def involution_matrix(D: DefectPair, k: float) -> np.ndarray:
     """Block matrix U(k) = [[T(k), R(k)], [R(-k), T(-k)]] on the (k, -k) doublet."""
     if k == 0:
         raise ValueError("involution matrix is undefined at k = 0")
-    t_k = np.asarray(calT(k), dtype=complex)
-    t_mk = np.asarray(calT(-k), dtype=complex)
-    r_k = np.asarray(calR(k), dtype=complex)
-    r_mk = np.asarray(calR(-k), dtype=complex)
-    return np.block([[t_k, r_k], [r_mk, t_mk]])
+    return np.block([[D.T(k), D.R(k)], [D.R(-k), D.T(-k)]])

@@ -236,9 +236,9 @@ def _eval_atom(
         _, legs, flavor, (sq, lq) = atom
         q = sq * env[lq]
         if flavor == "T":
-            m = np.eye(d, dtype=complex) + np.asarray(model.calT(q), dtype=complex)
+            m = np.eye(d, dtype=complex) + np.asarray(model.defect.transmission(q), dtype=complex)
         else:
-            m = np.asarray(model.calR(q), dtype=complex)
+            m = np.asarray(model.defect.reflection(q), dtype=complex)
         return m, list(legs)
     if kind == "D":
         _, legs, pos = atom
@@ -430,7 +430,8 @@ def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p: float) -> f
 
 def involution_kernel(model: DoubledModel) -> OneParticleKernel:
     """J with A(k) = calT(k), B(k) = calR(k); J o J = id iff defect unitarity."""
-    return OneParticleKernel(model.doubled_dim, model.calT, model.calR)
+    D = model.defect
+    return OneParticleKernel(model.doubled_dim, D.transmission, D.reflection)
 
 
 def one_particle_amplitude(
@@ -523,7 +524,7 @@ def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
 
 def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
-    mid = a("w", sign=-1, dress=model.calR)
+    mid = a("w", sign=-1, dress=model.defect.reflection)
     return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR)
 
 
@@ -554,7 +555,8 @@ def hierarchy_commutator_residual(
 def _zf_view(model: DoubledModel) -> DoubledModel:
     """Same exchange matrix, trivial defect: the plain ZF contraction rules."""
     zero = np.zeros((model.bulk_dim, model.bulk_dim), dtype=complex)
-    return build_doubled_model(model.bulk, lambda k: zero, lambda k: zero)
+    trivial = DefectPair(model.bulk_dim, lambda k: zero, lambda k: zero)
+    return build_doubled_model(model.bulk, trivial)
 
 
 def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
@@ -572,16 +574,16 @@ def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
     if p == 0:
         raise ValueError("kernel comparison undefined at p = 0")
     zf = _zf_view(model)
-    d = model.doubled_dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(model.doubled_dim, dtype=complex)
+    calT, calR = model.defect.transmission, model.defect.reflection
 
     creators = [
-        ad("w", dress=lambda w: eye + model.calT(w)),
-        ad("w", sign=-1, dress=lambda w: model.calR(-w)),
+        ad("w", dress=lambda w: eye + calT(w)),
+        ad("w", sign=-1, dress=lambda w: calR(-w)),
     ]
     annihilators = [
-        a("w", dress=lambda w: eye + model.calT(w)),
-        a("w", sign=-1, dress=model.calR),
+        a("w", dress=lambda w: eye + calT(w)),
+        a("w", sign=-1, dress=calR),
     ]
     k_rt = None
     for cr in creators:
@@ -590,8 +592,8 @@ def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
             k_rt = piece if k_rt is None else add(k_rt, piece)
 
     k_zf = _kernel_from_four_word(zf, n, ad("w"), a("w"), 1.0)
-    imp_t = _kernel_from_four_word(zf, n, ad("w"), a("w", dress=model.calT), 1.0)
-    imp_r = _kernel_from_four_word(zf, n, ad("w"), a("w", sign=-1, dress=model.calR), 1.0)
+    imp_t = _kernel_from_four_word(zf, n, ad("w"), a("w", dress=calT), 1.0)
+    imp_r = _kernel_from_four_word(zf, n, ad("w"), a("w", sign=-1, dress=calR), 1.0)
     rhs = scale(add(k_zf, add(imp_t, imp_r)), 0.5)
     return kernel_distance(k_rt, rhs, p)
 

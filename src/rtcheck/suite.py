@@ -134,17 +134,15 @@ def _hermitian_analyticity(t, k):
 
 
 def _consistency(variant, t, a, b):
-    return dft.consistency_relation_residual(t.dm.calS, t.dm.calR, t.dm.calT, a, b, variant)
+    return dft.consistency_relation_residual(t.S, t.pair, a, b, variant)
 
 
 def _reduced(variant, t, a, b):
-    tau, rho = t.dm.half_line.transmission, t.dm.half_line.reflection
-    return dbl.reduced_relation_residual(t.dm.bulk, tau, rho, a, b, variant)
+    return dbl.reduced_relation_residual(t.dm.bulk, t.dm.half_line, a, b, variant)
 
 
 def _symmetrized_unitarity(t, k):
-    tau, rho = t.dm.half_line.transmission, t.dm.half_line.reflection
-    return dbl.symmetrized_unitarity_residual(tau, rho, t.dm.bulk_dim, k)
+    return dbl.symmetrized_unitarity_residual(t.dm.half_line, k)
 
 
 def _j_squared(t, k):
@@ -153,7 +151,7 @@ def _j_squared(t, k):
 
 
 def _u_squared(t, k):
-    u = dbl.involution_matrix(t.dm.calR, t.dm.calT, k)
+    u = dbl.involution_matrix(t.pair, k)
     return norm_inf(u @ u - np.eye(u.shape[0]))
 
 
@@ -224,7 +222,7 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
 def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
     dm = model.doubled
     if spec.doubled:
-        target = _Target(dm.calS, dm.defect_pair(), dm)
+        target = _Target(dm.calS, dm.defect, dm)
     else:
         target = _Target(model.bulk, model.half_line, dm)
     return _max_over(spec.points(momenta), partial(spec.residual, target))

@@ -17,6 +17,7 @@ from rtcheck import fock
 from rtcheck.config import build_model, parse_config
 from rtcheck.defect import (
     MIXED_VARIANTS,
+    DefectPair,
     consistency_relation_residual,
     defect_unitarity_residual,
     hermitian_analyticity_residual,
@@ -72,7 +73,7 @@ def doubled_rational(rational_bulk):
     eta = 1.0
     tau = lambda k: (k / (k + 1j * eta)) * np.eye(2)
     rho = lambda k: (-1j * eta / (k + 1j * eta)) * np.eye(2)
-    return build_doubled_model(rational_bulk, tau=tau, rho=rho)
+    return build_doubled_model(rational_bulk, DefectPair(2, rho, tau))
 
 
 def test_criterion_1_delta_amplitude_unitarity(momenta):
@@ -86,7 +87,7 @@ def test_criterion_1_delta_amplitude_unitarity(momenta):
 
 
 def test_criterion_2_doubled_delta_matrices(momenta):
-    pair = DeltaModel(1.0).doubled().defect_pair()
+    pair = DeltaModel(1.0).doubled().defect
     worst = 0.0
     for k in momenta[:50]:
         worst = max(worst, defect_unitarity_residual(pair, k))
@@ -119,18 +120,17 @@ def test_criterion_4_doubled_bulk_passes_uS(momenta, doubled_rational):
 def test_criterion_4_reduced_relations_and_symmetrized_unitarity(
     momenta, rational_bulk, doubled_rational
 ):
-    tau = doubled_rational.half_line.transmission
-    rho = doubled_rational.half_line.reflection
+    half = doubled_rational.half_line
     pairs = list(zip(momenta[:31], momenta[1:32]))
     worst = 0.0
     for v in REDUCED_VARIANTS:
         worst = max(
             worst,
-            max(reduced_relation_residual(rational_bulk, tau, rho, a, b, v)
+            max(reduced_relation_residual(rational_bulk, half, a, b, v)
                 for a, b in pairs),
         )
     for k in momenta[:30]:
-        worst = max(worst, symmetrized_unitarity_residual(tau, rho, 2, k))
+        worst = max(worst, symmetrized_unitarity_residual(half, k))
     report("4b reduced relations + symmetrized unitarity", worst <= 1e-10,
            f"max={worst:.2e}")
     assert worst <= 1e-10
@@ -165,7 +165,7 @@ def test_criterion_4_consistency_relations(momenta, doubled_rational):
         worst = max(
             worst,
             max(consistency_relation_residual(
-                doubled_rational.calS, doubled_rational.calR, doubled_rational.calT,
+                doubled_rational.calS, doubled_rational.defect,
                 a, b, v) for a, b in pairs),
         )
     report("4d rr1 / tt1 / tr1", worst <= 1e-10, f"max={worst:.2e}")
@@ -287,16 +287,8 @@ def test_criterion_5_engine_reproduces_factorized_amplitudes():
 def test_criterion_6_involution(momenta):
     models = {
         "delta": DeltaModel(1.0).doubled(),
-        "pure-transmission": build_doubled_model(
-            identity_S(1),
-            tau=pure_transmission_defect().transmission,
-            rho=pure_transmission_defect().reflection,
-        ),
-        "pure-reflection": build_doubled_model(
-            identity_S(1),
-            tau=pure_reflection_defect().transmission,
-            rho=pure_reflection_defect().reflection,
-        ),
+        "pure-transmission": build_doubled_model(identity_S(1), pure_transmission_defect()),
+        "pure-reflection": build_doubled_model(identity_S(1), pure_reflection_defect()),
     }
     worst = 0.0
     for model in models.values():
@@ -354,8 +346,8 @@ def test_criterion_9_negative_control(momenta):
     eta = 1.0
     tau = lambda k: np.array([[k / (k + 1j * eta)]])
     rho_bad = lambda k: 1.1 * np.array([[-1j * eta / (k + 1j * eta)]])
-    broken = build_doubled_model(identity_S(1), tau=tau, rho=rho_bad)
-    pair = broken.defect_pair()
+    broken = build_doubled_model(identity_S(1), DefectPair(1, rho_bad, tau))
+    pair = broken.defect
     ks = momenta[:20]
 
     unit_res = max(defect_unitarity_residual(pair, k) for k in ks)
@@ -366,7 +358,7 @@ def test_criterion_9_negative_control(momenta):
     )
     ybe = max(ybe_residual(broken.calS, *t) for t in zip(ks, ks[1:], ks[2:]))
     # the unperturbed model passes the unitarity check that now fails
-    clean_pair = DeltaModel(eta).doubled().defect_pair()
+    clean_pair = DeltaModel(eta).doubled().defect
     clean_res = max(defect_unitarity_residual(clean_pair, k) for k in ks)
 
     ok = unit_res > 1e-3 and mixed_res > 1e-3 and ybe <= 1e-12 and clean_res <= 1e-13

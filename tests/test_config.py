@@ -8,6 +8,7 @@ from rtcheck.config import (
     build_model,
     parse_config,
 )
+from rtcheck.defect import DefectPair
 from rtcheck.grammar import MAX_NESTING, ExpressionError, parse_expression
 
 
@@ -194,6 +195,21 @@ class TestBuildModel:
         for k in (-1.3, 0.4, 2.1):
             assert np.array_equal(half.T(k), model.half_line.T(k))
             assert np.array_equal(half.R(k), model.half_line.R(k))
+
+    def test_doubled_model_carries_the_half_line_and_doubled_pairs(self):
+        model = build_model(parse_config(json.dumps({"bulk": "rational:N=2"})))
+        assert model.doubled.half_line is model.half_line
+        doubled, half, N = model.doubled.defect, model.half_line, 2
+        assert isinstance(doubled, DefectPair)
+        assert doubled.dim == 2 * N
+        for k in (-1.3, 0.4, 2.1):
+            T, R = doubled.T(k), doubled.R(k)
+            assert np.array_equal(T[:N, N:], half.T(k))
+            assert np.array_equal(T[N:, :N], half.T(-k))
+            assert not T[:N, :N].any() and not T[N:, N:].any()
+            assert np.array_equal(R[:N, :N], half.R(k))
+            assert np.array_equal(R[N:, N:], half.R(-k))
+            assert not R[:N, N:].any() and not R[N:, :N].any()
 
     def test_undoubled_model(self):
         cfg = parse_config(json.dumps({"doubled": False}))

@@ -40,8 +40,7 @@ def delta_scalar_fns(eta):
 
 def doubled_delta_pair(eta):
     T, R = delta_scalar_fns(eta)
-    calT, calR = double_defect(T, R, 1)
-    return DefectPair(2, calR, calT)
+    return double_defect(DefectPair(1, R, T))
 
 
 class TestDeltaDefect:
@@ -231,16 +230,17 @@ class TestConsistencyRelations:
         calS = identity_S(2)
         diag = lambda k: np.diag([k / (k + 1j), k / (k + 2j)]).astype(complex)
         for a, b in PAIRS[:6]:
-            assert consistency_relation_residual(calS, diag, diag, a, b, "rr1") <= 1e-15
+            assert consistency_relation_residual(
+                calS, DefectPair(2, diag, diag), a, b, "rr1"
+            ) <= 1e-15
 
     @pytest.mark.parametrize("variant", CONSISTENCY_VARIANTS)
     def test_doubled_delta(self, variant):
-        model = build_doubled_model(
-            identity_S(1), tau=delta_scalar_fns(ETA)[0], rho=delta_scalar_fns(ETA)[1]
-        )
+        T, R = delta_scalar_fns(ETA)
+        model = build_doubled_model(identity_S(1), DefectPair(1, R, T))
         for a, b in PAIRS[:10]:
             assert consistency_relation_residual(
-                model.calS, model.calR, model.calT, a, b, variant
+                model.calS, model.defect, a, b, variant
             ) <= 1e-13
 
     @pytest.mark.parametrize("variant", CONSISTENCY_VARIANTS)
@@ -248,30 +248,26 @@ class TestConsistencyRelations:
         T, R = delta_scalar_fns(ETA)
         model = build_doubled_model(
             rational_S(2, 1.0),
-            tau=lambda k: T(k)[0, 0] * np.eye(2),
-            rho=lambda k: R(k)[0, 0] * np.eye(2),
+            DefectPair(2, lambda k: R(k)[0, 0] * np.eye(2), lambda k: T(k)[0, 0] * np.eye(2)),
         )
         worst = max(
-            consistency_relation_residual(model.calS, model.calR, model.calT, a, b, variant)
+            consistency_relation_residual(model.calS, model.defect, a, b, variant)
             for a, b in PAIRS
         )
         assert worst <= 1e-10
 
     def test_unknown_variant(self):
-        model = build_doubled_model(
-            identity_S(1), tau=delta_scalar_fns(1.0)[0], rho=delta_scalar_fns(1.0)[1]
-        )
+        T, R = delta_scalar_fns(1.0)
+        model = build_doubled_model(identity_S(1), DefectPair(1, R, T))
         with pytest.raises(ValueError):
-            consistency_relation_residual(model.calS, model.calR, model.calT, 1.0, 2.0, "zz")
+            consistency_relation_residual(model.calS, model.defect, 1.0, 2.0, "zz")
 
 
 class TestNegativeControl:
     def test_scaled_reflection_breaks_unitarity_not_ybe(self):
         T, R = delta_scalar_fns(1.0)
-        model = build_doubled_model(
-            identity_S(1), tau=T, rho=lambda k: 1.1 * R(k)
-        )
-        pair = model.defect_pair()
+        model = build_doubled_model(identity_S(1), DefectPair(1, lambda k: 1.1 * R(k), T))
+        pair = model.defect
         assert max(defect_unitarity_residual(pair, k) for k in KS[:8]) > 1e-3
         # the unperturbed pair passes
         clean = doubled_delta_pair(1.0)
@@ -309,8 +305,8 @@ def generic_residual(variant, k1, k2):
     if variant in MIXED_VARIANTS:
         return mixed_relation_residual(GENERIC_S, pair, k1, k2, variant)
     if variant in CONSISTENCY_VARIANTS:
-        return consistency_relation_residual(GENERIC_S, GENERIC_R, GENERIC_T, k1, k2, variant)
-    return reduced_relation_residual(GENERIC_S, GENERIC_T, GENERIC_R, k1, k2, variant)
+        return consistency_relation_residual(GENERIC_S, pair, k1, k2, variant)
+    return reduced_relation_residual(GENERIC_S, pair, k1, k2, variant)
 
 
 ALL_VARIANTS = (REFLECTION_VARIANTS + TRANSMISSION_VARIANTS + MIXED_VARIANTS

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtcheck import fock
-from rtcheck.defect import pure_reflection_defect, pure_transmission_defect
+from rtcheck.defect import DefectPair, pure_reflection_defect, pure_transmission_defect
 from rtcheck.deltamodel import DeltaModel
 from rtcheck.doubling import build_doubled_model
 from rtcheck.fock import (
@@ -39,7 +39,7 @@ FREE = DeltaModel(0.0).doubled()
 
 
 def doubled_from_defect(pair):
-    return build_doubled_model(identity_S(1), tau=pair.transmission, rho=pair.reflection)
+    return build_doubled_model(identity_S(1), pair)
 
 
 class TestNormalOrdering:
@@ -58,8 +58,8 @@ class TestNormalOrdering:
         envs = {+1: {"q": q, "p": q}, -1: {"q": q, "p": -q}}
         got_T = evaluate_coefficient(expr, by_rel[+1], envs[+1], MODEL)
         got_R = evaluate_coefficient(expr, by_rel[-1], envs[-1], MODEL)
-        assert np.allclose(got_T, np.eye(2) + MODEL.calT(q), atol=1e-15)
-        assert np.allclose(got_R, MODEL.calR(q), atol=1e-15)
+        assert np.allclose(got_T, np.eye(2) + MODEL.defect.T(q), atol=1e-15)
+        assert np.allclose(got_R, MODEL.defect.R(q), atol=1e-15)
 
     @pytest.mark.parametrize(
         "word",
@@ -158,7 +158,7 @@ class TestFactorization:
     def test_requires_scalar_isotopic_sector(self):
         T = lambda k: (k / (k + 1j)) * np.eye(2)
         R = lambda k: (-1j / (k + 1j)) * np.eye(2)
-        m = build_doubled_model(rational_S(2, 1.0), tau=T, rho=R)
+        m = build_doubled_model(rational_S(2, 1.0), DefectPair(2, R, T))
         with pytest.raises(ValueError):
             factorization_residual(1, [-1.0], [1.0], m)
 
@@ -178,11 +178,12 @@ class TestBraidWiring:
             model = MODEL
         else:
             eta = 1.0
-            model = build_doubled_model(
-                rational_S(2, 1.0),
-                tau=lambda k: (k / (k + 1j * eta)) * np.eye(2),
-                rho=lambda k: (-1j * eta / (k + 1j * eta)) * np.eye(2),
+            half_line = DefectPair(
+                2,
+                lambda k: (-1j * eta / (k + 1j * eta)) * np.eye(2),
+                lambda k: (k / (k + 1j * eta)) * np.eye(2),
             )
+            model = build_doubled_model(rational_S(2, 1.0), half_line)
         d = model.doubled_dim
         s1, s2 = signs
         k1, k2 = -1.3, 2.1
@@ -194,7 +195,7 @@ class TestBraidWiring:
         got = evaluate_coefficient(expr, term, env, model)
 
         def cmat(sig, q):
-            return (np.eye(d) + model.calT(q)) if sig == +1 else model.calR(q)
+            return (np.eye(d) + model.defect.T(q)) if sig == +1 else model.defect.R(q)
 
         s4 = model.calS.eval(p1, k1).reshape(d, d, d, d)
         m1 = cmat(s1, p1)  # contraction of the braided a(p1) with ad(k2)
@@ -217,8 +218,8 @@ class TestBraidWiring:
         term = next(t for t in expr.terms if t.pairing == pairing)
         env = {"k1": 1.4, "k2": 2.0, "p1": 1.4, "p2": 2.0}
         got = evaluate_coefficient(expr, term, env, MODEL)
-        c1 = np.eye(2) + MODEL.calT(1.4)
-        c2 = np.eye(2) + MODEL.calT(2.0)
+        c1 = np.eye(2) + MODEL.defect.T(1.4)
+        c2 = np.eye(2) + MODEL.defect.T(2.0)
         # c1 ties axes (p1, k1) = (1, 2); c2 ties (p2, k2) = (0, 3)
         manual = np.einsum("bc,ad->abcd", c1, c2)
         assert np.allclose(got, manual, atol=1e-15)
@@ -295,17 +296,17 @@ class TestHamiltonianKernels:
     def test_delta_model_order_two(self):
         K = hamiltonian_kernel(2, MODEL)
         p = 1.5
-        expA = p**2 * (np.eye(2) + MODEL.calT(p))
-        expB = p**2 * MODEL.calR(p)
+        expA = p**2 * (np.eye(2) + MODEL.defect.T(p))
+        expB = p**2 * MODEL.defect.R(p)
         assert np.allclose(K.A(p), expA, atol=1e-13)
         assert np.allclose(K.B(p), expB, atol=1e-13)
 
     def test_odd_orders_through_engine(self):
         K = hamiltonian_kernel(1, MODEL)
         p = -0.8
-        calT = np.asarray(MODEL.calT(p))
+        calT = np.asarray(MODEL.defect.T(p))
         expA = p * calT @ (np.eye(2) + calT)
-        expB = p * calT @ np.asarray(MODEL.calR(p))
+        expB = p * calT @ np.asarray(MODEL.defect.R(p))
         assert np.allclose(K.A(p), expA, atol=1e-13)
         assert np.allclose(K.B(p), expB, atol=1e-13)
 
@@ -346,7 +347,7 @@ class TestHierarchy:
     def test_relation_for_rational_doubling(self):
         T = lambda k: (k / (k + 1j)) * np.eye(2)
         R = lambda k: (-1j / (k + 1j)) * np.eye(2)
-        model = build_doubled_model(rational_S(2, 1.0), tau=T, rho=R)
+        model = build_doubled_model(rational_S(2, 1.0), DefectPair(2, R, T))
         assert hierarchy_relation_residual(2, model, 0.7) <= 1e-12
 
     def test_relation_rejects_odd_orders(self):
@@ -375,11 +376,10 @@ def _reference_coefficient(expr, term, env, model):
 
 
 def _rational_model():
-    return build_doubled_model(
-        rational_S(2, 1.0),
-        tau=lambda k: (k / (k + 1j)) * np.eye(2),
-        rho=lambda k: (-1j / (k + 1j)) * np.eye(2),
+    half_line = DefectPair(
+        2, lambda k: (-1j / (k + 1j)) * np.eye(2), lambda k: (k / (k + 1j)) * np.eye(2)
     )
+    return build_doubled_model(rational_S(2, 1.0), half_line)
 
 
 PLAN_MOMENTA = {0: [], 1: [-1.3], 2: [-1.3, 2.1], 3: [-2.2, -0.9, 1.7]}
@@ -475,7 +475,7 @@ class TestShapeCachedKernels:
         model = _rational_model()
         d = model.doubled_dim
         dresses = [
-            lambda w: np.asarray(model.calR(w)),
+            lambda w: np.asarray(model.defect.R(w)),
             lambda w: np.eye(d) + w * np.arange(d * d).reshape(d, d),
         ]
 
@@ -507,7 +507,7 @@ class TestShapeCachedKernels:
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_kernels_match_the_per_term_loop(self, model_name):
         model = MODEL if model_name == "delta N=1" else _rational_model()
-        mid_r = a("w", sign=-1, dress=lambda w: model.calR(w))
+        mid_r = a("w", sign=-1, dress=lambda w: model.defect.R(w))
         for power in range(5):
             cases = [
                 (hamiltonian_kernel(power, model), [a("p"), ad("w"), a("w"), ad("q")]),
