@@ -20,7 +20,7 @@ from .tensor import embed_pair, identity_two_leg, norm_inf, permutation_operator
 
 DEFAULT_EXCLUSION_RADIUS = 1e-3
 SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SCALE]
-SAMPLE_TRIES = 10_000  # draws before an unsatisfiable exclusion gives up
+SAMPLE_TRIES = 10_000  # rejected draws in a row before an unsatisfiable exclusion gives up
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,18 @@ def sample_momenta(
         raise ValueError("need at least one momentum")
     rng = np.random.default_rng(seed)
     values: list[float] = []
-    tries = 0
+    rejected = 0  # draws in a row since the last accepted one
     while len(values) < n:
-        tries += 1
-        if tries > SAMPLE_TRIES:
+        if rejected == SAMPLE_TRIES:
             raise ValueError(
                 f"could not sample {n} momenta with exclusion radius {exclusion_radius}"
             )
         k = float(rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE))
-        if abs(k) < exclusion_radius:
-            continue
-        if any(
+        if abs(k) < exclusion_radius or any(
             abs(k - v) < exclusion_radius or abs(k + v) < exclusion_radius for v in values
         ):
+            rejected += 1
             continue
+        rejected = 0
         values.append(k)
     return tuple(values)

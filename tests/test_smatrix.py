@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rtcheck import smatrix
 from rtcheck.smatrix import (
     identity_S,
     permutation_S,
@@ -99,6 +100,10 @@ class TestSampling:
     def test_unsatisfiable_raises(self):
         with pytest.raises(ValueError, match="could not sample 50 momenta"):
             sample_momenta(50, exclusion_radius=1.0, seed=0)
+
+    def test_budget_counts_rejected_draws_in_a_row_only(self, monkeypatch):
+        monkeypatch.setattr(smatrix, "SAMPLE_TRIES", 5)
+        assert len(sample_momenta(50, 1e-9)) == 50
 
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
