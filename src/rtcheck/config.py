@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,11 +22,16 @@ from .defect import (
 )
 from .doubling import DoubledModel, build_doubled_model
 from .grammar import parse_expression
-from .smatrix import BulkSMatrix, identity_S, permutation_S, rational_S
+from .smatrix import (
+    DEFAULT_EXCLUSION_RADIUS,
+    BulkSMatrix,
+    identity_S,
+    permutation_S,
+    rational_S,
+)
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 50
-DEFAULT_RADIUS = 1e-3
 TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
 # Bound on the leg dimensions dim and N: the doubled checks build (2N)^6-entry
 # operators, and verify with rational N = 6 takes over 100 s and 337 MB (2-core x86-64).
@@ -44,7 +48,7 @@ class ModelConfig:
     defect: dict
     doubled: bool = True
     samples: int = DEFAULT_SAMPLES
-    exclusion_radius: float = DEFAULT_RADIUS
+    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS
     seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
     checks: tuple[str, ...] = ()  # empty means the default list for the model
@@ -100,15 +104,15 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     bulk = _expand_shorthand(raw.get("bulk", {"name": "identity", "dim": 1}))
     defect = _expand_shorthand(raw.get("defect", {"name": "delta", "eta": 1.0}))
-    _builder("bulk", bulk)
-    _builder("defect", defect)
+    _build("bulk", bulk)  # validates names and parameters eagerly
+    _build("defect", defect)
     cfg = ModelConfig(
         bulk=bulk,
         defect=defect,
         doubled=_typed(raw, "doubled", True, bool, "a boolean"),
         samples=_typed(raw, "samples", DEFAULT_SAMPLES, int, "an integer"),
         exclusion_radius=float(
-            _typed(raw, "exclusion_radius", DEFAULT_RADIUS, (int, float), "a number")
+            _typed(raw, "exclusion_radius", DEFAULT_EXCLUSION_RADIUS, (int, float), "a number")
         ),
         seed=_typed(raw, "seed", 0, int, "an integer"),
         tolerance=float(_typed(raw, "tolerance", _env_tolerance(), (int, float), "a number")),
@@ -122,8 +126,6 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError("samples must be >= 1")
     if cfg.exclusion_radius <= 0:
         raise ConfigError("exclusion_radius must be > 0")
-    build_bulk(cfg)  # validates parameters eagerly
-    build_half_line_defect(cfg)
     return cfg
 
 
@@ -194,9 +196,9 @@ DEFECT_CATALOG = {
 }
 
 
-def _builder(section: str, entry) -> Callable[[dict], object]:
-    """The builder of a catalog entry, once its name and parameter keys are
-    checked."""
+def _build(section: str, entry):
+    """Build a catalog entry once its name and parameter keys are checked; a
+    value its builder rejects (c = 0, eta < 0) is a ConfigError."""
     catalog = BULK_CATALOG if section == "bulk" else DEFECT_CATALOG
     if not isinstance(entry, dict) or "name" not in entry:
         raise ConfigError(f"{section} section must be an object with a 'name'")
@@ -208,25 +210,12 @@ def _builder(section: str, entry) -> Callable[[dict], object]:
     unknown = set(entry) - {"name", *params}
     if unknown:
         raise ConfigError(f"unknown {entry['name']!r} parameters: {sorted(unknown)}")
-    return build
-
-
-def _build(section: str, entry: dict):
-    """Build a catalog entry; a value its builder rejects (c = 0, eta < 0) is a ConfigError."""
     try:
-        return _builder(section, entry)(entry)
+        return build(entry)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad {entry['name']} parameters: {exc}") from exc
-
-
-def build_bulk(cfg: ModelConfig) -> BulkSMatrix:
-    return _build("bulk", cfg.bulk)
-
-
-def build_half_line_defect(cfg: ModelConfig) -> DefectPair:
-    return _build("defect", cfg.defect)
 
 
 def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
@@ -243,8 +232,8 @@ def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
 
 
 def build_model(cfg: ModelConfig) -> "AssembledModel":
-    bulk = build_bulk(cfg)
-    half = build_half_line_defect(cfg)
+    bulk = _build("bulk", cfg.bulk)
+    half = _build("defect", cfg.defect)
     if half.dim == 1 and bulk.leg_dim > 1:
         half = scalar_times_identity(half, bulk.leg_dim)
     doubled = None
