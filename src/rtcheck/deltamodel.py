@@ -40,7 +40,7 @@ class DeltaModel:
 
     def doubled(self) -> DoubledModel:
         """The impurity algebra data: free bulk, doubled delta amplitudes."""
-        return build_doubled_model(identity_S(1), self.defect_pair())
+        return build_doubled_model(identity_S(1), delta_defect(self.eta))
 
 
 def _theta(x: float) -> float:

@@ -98,7 +98,7 @@ def sample_momenta(
         raise ValueError("need at least one momentum")
     rng = np.random.default_rng(seed)
     values: list[float] = []
-    rejected = 0  # draws in a row since the last accepted one
+    rejected = 0  # rejected draws since the last accepted one
     while len(values) < n:
         if rejected == SAMPLE_TRIES:
             raise ValueError(
