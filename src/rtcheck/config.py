@@ -8,6 +8,7 @@ and reflection entries in the expression grammar.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,6 +53,23 @@ class ModelConfig:
     seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
     checks: tuple[str, ...] = ()  # empty means the default list for the model
+
+    def __post_init__(self) -> None:
+        """Value checks, so a --seed override through dataclasses.replace is
+        checked like the config file."""
+        if not all(isinstance(c, str) for c in self.checks):
+            raise ConfigError(f"'checks' must be a list of check names, got {list(self.checks)!r}")
+        for key in ("tolerance", "exclusion_radius"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+        if self.tolerance <= 0:
+            raise ConfigError("tolerance must be > 0")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if self.exclusion_radius <= 0:
+            raise ConfigError("exclusion_radius must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
         return {
@@ -106,7 +124,7 @@ def parse_config(text: str) -> ModelConfig:
     defect = _expand_shorthand(raw.get("defect", {"name": "delta", "eta": 1.0}))
     _build("bulk", bulk)  # validates names and parameters eagerly
     _build("defect", defect)
-    cfg = ModelConfig(
+    return ModelConfig(
         bulk=bulk,
         defect=defect,
         doubled=_typed(raw, "doubled", True, bool, "a boolean"),
@@ -118,15 +136,6 @@ def parse_config(text: str) -> ModelConfig:
         tolerance=float(_typed(raw, "tolerance", _env_tolerance(), (int, float), "a number")),
         checks=tuple(_typed(raw, "checks", [], list, "a list of check names")),
     )
-    if not all(isinstance(c, str) for c in cfg.checks):
-        raise ConfigError(f"'checks' must be a list of check names, got {raw['checks']!r}")
-    if cfg.tolerance <= 0:
-        raise ConfigError("tolerance must be > 0")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.exclusion_radius <= 0:
-        raise ConfigError("exclusion_radius must be > 0")
-    return cfg
 
 
 def _typed(raw: dict, key: str, default, types, what: str):
@@ -143,9 +152,12 @@ def _env_tolerance() -> float:
     if value is None:
         return DEFAULT_TOLERANCE
     try:
-        return float(value)
+        tolerance = float(value)
     except ValueError as exc:
         raise ConfigError(f"bad {TOLERANCE_ENV_VAR} value {value!r}") from exc
+    if not math.isfinite(tolerance):
+        raise ConfigError(f"{TOLERANCE_ENV_VAR} must be finite, got {value!r}")
+    return tolerance
 
 
 def _parameter(entry: dict, key: str, default, integral: bool = False):

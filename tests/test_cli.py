@@ -71,6 +71,24 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["config"]["seed"] == 11
 
+    def test_negative_seed_override_exit_two(self, delta_config, capsys):
+        assert main(["verify", "--config", delta_config, "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "rtcheck: error: seed must be >= 0, got -5\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        # an infinite tolerance would pass the failing mixed relation SRST+
+        ({"tolerance": float("inf"), "bulk": "rational:N=2", "checks": ["SRST+"]},
+         "tolerance must be finite, got inf"),
+        ({"tolerance": float("nan")}, "tolerance must be finite, got nan"),
+        ({"exclusion_radius": float("nan")}, "exclusion_radius must be finite, got nan"),
+    ], ids=["seed", "tolerance-inf", "tolerance-nan", "radius-nan"])
+    def test_out_of_range_config_value_exit_two(self, fields, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"rtcheck: error: {message}\n"
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"bulk": {"name": "nosuch"}}))

@@ -170,6 +170,22 @@ class TestStrictTypes:
     def test_tolerance_must_be_a_number(self):
         self.rejects("tolerance", "1e-9", False, [1e-9])
 
+    def test_tolerance_must_be_finite(self):
+        self.rejects("tolerance", float("inf"), float("nan"))
+
+    def test_exclusion_radius_must_be_finite(self):
+        self.rejects("exclusion_radius", float("inf"), float("nan"))
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity"])
+    def test_env_tolerance_must_be_finite(self, value, monkeypatch):
+        monkeypatch.setenv("RTCHECK_TOLERANCE", value)
+        with pytest.raises(ConfigError, match="RTCHECK_TOLERANCE must be finite"):
+            parse_config(json.dumps({}))
+
+    def test_seed_must_not_be_negative(self):
+        self.rejects("seed", -1, -(2**70))
+        assert parse_config(json.dumps({"seed": 0})).seed == 0
+
     def test_integers_are_numbers(self):
         cfg = parse_config(json.dumps({"tolerance": 1, "exclusion_radius": 1}))
         assert (cfg.tolerance, cfg.exclusion_radius) == (1.0, 1.0)
