@@ -68,10 +68,10 @@ EMBED_SUBSCRIPTS = {(1, 2): "abcd,ef->abecdf", (1, 3): "abcd,ef->aebcfd", (2, 3)
 def embed_pair(x, legs: tuple[int, int]) -> np.ndarray:
     """Embed a two-leg operator into three legs, identity on the leg not named.
 
-    ``legs`` is an increasing pair from {1,2,3}: (1,2), (1,3) or (2,3).  The
-    program no longer calls it: smatrix.ybe_residual applies each factor to
-    its own legs, and the tests compare that kernel against the dense
-    products of these embeddings.
+    ``legs`` is an increasing pair from {1,2,3}: (1,2), (1,3) or (2,3).  Only
+    the tests call it: the dense products of these embeddings are the
+    reference for smatrix.ybe_residual, which applies each factor to its
+    own legs.
     """
     x = as_operator(x)
     subscripts = EMBED_SUBSCRIPTS.get(tuple(legs))
