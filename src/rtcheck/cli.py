@@ -57,6 +57,8 @@ def _cmd_amplitude(args) -> int:
         raise ConfigError("amplitude queries need a doubled model (doubled: true)")
     dm = model.doubled
     n = args.n
+    if n < 0:
+        raise ConfigError("n must be >= 0")
     ks = _parse_momenta(args.in_momenta) if args.in_momenta else []
     ps = _parse_momenta(args.out_momenta) if args.out_momenta else []
     if len(ks) != n or len(ps) != n:
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"rtcheck: error: {exc}\n")
         return 2
 

@@ -54,16 +54,20 @@ def _factorization_set(n: int):
     return lambda momenta: [tuple(sorted(sorted(momenta, key=abs)[:n]))]
 
 
-def _max_over(points, fn):
+def _max_over(points, residuals):
     """Largest residual and its point; the first NaN residual outranks every
     number, so a check with a non-finite residual reports it and fails."""
     worst = -1.0
     at: tuple[float, ...] = ()
-    for pt in points:
-        r = fn(*pt)
+    for pt, r in zip(points, residuals):
         if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst, at = r, tuple(pt)
     return worst, at
+
+
+def _pointwise(fn: Callable, *args) -> Callable:
+    """fn(*args, target, *point) -> float as a residual (target, points)."""
+    return lambda t, points: [fn(*args, t, *pt) for pt in points]
 
 
 class _Target(NamedTuple):
@@ -95,7 +99,7 @@ class CheckSpec:
 
     name: str
     points: Callable  # sampled momenta -> the points the residual is taken at
-    residual: Callable  # (_Target, *point) -> float
+    residual: Callable  # (_Target, points) -> one residual per point
     _: KW_ONLY
     doubled: bool = False  # runs on the doubled data, so needs the doubled model
     scalar: bool = False  # needs scalar isotopic sectors (N = 1)
@@ -155,12 +159,12 @@ def _u_squared(t, k):
     return norm_inf(u @ u - np.eye(u.shape[0]))
 
 
-def _commutator(m, n, t, k):
-    return fock.hierarchy_commutator_residual(m, n, t.dm, k)
+def _commutator(m, n, t, points):
+    return fock.hierarchy_commutator_residuals(m, n, t.dm, [k for k, in points])
 
 
-def _hierarchy_relation(n, t, k):
-    return fock.hierarchy_relation_residual(n, t.dm, k)
+def _hierarchy_relation(n, t, points):
+    return fock.hierarchy_relation_residuals(n, t.dm, [k for k, in points])
 
 
 def _opta_agreement(t, k):
@@ -175,31 +179,31 @@ FIG_VARIANTS = dft.REFLECTION_VARIANTS + dft.TRANSMISSION_VARIANTS + dft.MIXED_V
 
 # Row order is the order of the default list.
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("ybe", _TRIPLES, _ybe, min_samples=3),
-    CheckSpec("unitarity-S", _PAIRS, _unitarity),
-    CheckSpec("shift-invariance", _PAIRS, _shift_invariance, invariant=True),
-    *(CheckSpec(v, _PAIRS, partial(_projected, v)) for v in FIG_VARIANTS),
+    CheckSpec("ybe", _TRIPLES, _pointwise(_ybe), min_samples=3),
+    CheckSpec("unitarity-S", _PAIRS, _pointwise(_unitarity)),
+    CheckSpec("shift-invariance", _PAIRS, _pointwise(_shift_invariance), invariant=True),
+    *(CheckSpec(v, _PAIRS, _pointwise(_projected, v)) for v in FIG_VARIANTS),
     *(
-        CheckSpec(f"{v}(doubled)", _PAIRS, partial(_projected, v), doubled=True,
+        CheckSpec(f"{v}(doubled)", _PAIRS, _pointwise(_projected, v), doubled=True,
                   default_for=_never)
         for v in FIG_VARIANTS
     ),
-    CheckSpec("ybe(doubled)", _TRIPLES, _ybe, doubled=True, min_samples=3),
-    CheckSpec("unitarity-S(doubled)", _PAIRS, _unitarity, doubled=True),
-    CheckSpec("defect-unitarity", _SINGLES, _defect_unitarity, doubled=True),
-    CheckSpec("hermitian-analyticity", _SINGLES, _hermitian_analyticity, doubled=True),
+    CheckSpec("ybe(doubled)", _TRIPLES, _pointwise(_ybe), doubled=True, min_samples=3),
+    CheckSpec("unitarity-S(doubled)", _PAIRS, _pointwise(_unitarity), doubled=True),
+    CheckSpec("defect-unitarity", _SINGLES, _pointwise(_defect_unitarity), doubled=True),
+    CheckSpec("hermitian-analyticity", _SINGLES, _pointwise(_hermitian_analyticity), doubled=True),
     *(
-        CheckSpec(v, _PAIRS, partial(_consistency, v), doubled=True)
+        CheckSpec(v, _PAIRS, _pointwise(_consistency, v), doubled=True)
         for v in dft.CONSISTENCY_VARIANTS
     ),
     *(
-        CheckSpec(f"reduced-{v}", _PAIRS, partial(_reduced, v), doubled=True, invariant=True)
+        CheckSpec(f"reduced-{v}", _PAIRS, _pointwise(_reduced, v), doubled=True, invariant=True)
         for v in dbl.REDUCED_VARIANTS
     ),
-    CheckSpec("symmetrized-unitarity", _SINGLES, _symmetrized_unitarity, doubled=True,
+    CheckSpec("symmetrized-unitarity", _SINGLES, _pointwise(_symmetrized_unitarity), doubled=True,
               default_for=_invariant),
-    CheckSpec("J-squared", _SINGLES, _j_squared, doubled=True),
-    CheckSpec("involution-U-squared", _SINGLES, _u_squared, doubled=True),
+    CheckSpec("J-squared", _SINGLES, _pointwise(_j_squared), doubled=True),
+    CheckSpec("involution-U-squared", _SINGLES, _pointwise(_u_squared), doubled=True),
     *(
         CheckSpec(f"hierarchy-commutator({m},{n})", _SINGLES, partial(_commutator, m, n),
                   doubled=True, default_for=_never if (m, n) == (2, 4) else _always)
@@ -210,10 +214,11 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
                   doubled=True, default_for=_always if n == 2 else _never)
         for n in (0, 2)
     ),
-    CheckSpec("opta-agreement", _SINGLES, _opta_agreement, doubled=True, scalar=True),
+    CheckSpec("opta-agreement", _SINGLES, _pointwise(_opta_agreement), doubled=True, scalar=True),
     *(
-        CheckSpec(f"factorization({n})", _factorization_set(n), _factorization, doubled=True,
-                  scalar=True, min_samples=n, default_for=_always if n < 4 else _never)
+        CheckSpec(f"factorization({n})", _factorization_set(n), _pointwise(_factorization),
+                  doubled=True, scalar=True, min_samples=n,
+                  default_for=_always if n < 4 else _never)
         for n in (1, 2, 3, 4)
     ),
 )}
@@ -225,7 +230,8 @@ def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
         target = _Target(dm.calS, dm.defect, dm)
     else:
         target = _Target(model.bulk, model.half_line, dm)
-    return _max_over(spec.points(momenta), partial(spec.residual, target))
+    points = spec.points(momenta)
+    return _max_over(points, spec.residual(target, points))
 
 
 _REGISTRY: dict[str, Callable] = {name: partial(_run_check, spec) for name, spec in CHECKS.items()}

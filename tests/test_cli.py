@@ -231,6 +231,11 @@ class TestAmplitude:
         assert main(["amplitude", "--config", delta_config, "--n", "2",
                      "--in=1.0", "--out=2.0"]) == 2
 
+    def test_negative_particle_count_exit_two(self, delta_config, capsys):
+        assert main(["amplitude", "--config", delta_config, "--n", "-1",
+                     "--in=", "--out="]) == 2
+        assert "n must be >= 0" in capsys.readouterr().err
+
     def test_four_particles_at_n2_finish_in_a_fresh_process(self, rational_config):
         # 384 terms over (2N)^8-entry networks: minutes with one unplanned
         # einsum per network, about a second with planned, sliced contraction
@@ -247,3 +252,13 @@ class TestCatalog:
         assert set(out["bulk"]) == {"identity", "permutation", "rational"}
         assert "delta" in out["defect"]
         assert "ybe" in out["checks"]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["amplitude", "--n", "0"]])
+def test_config_directory_exit_two(command, tmp_path):
+    # a directory is an OSError other than FileNotFoundError; exit 1 is
+    # reserved for a failed check
+    proc = run_cli(*command, "--config", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("rtcheck: error:")
+    assert "Traceback" not in proc.stderr

@@ -519,17 +519,59 @@ class TestShapeCachedKernels:
                         ref = _old_four_word_part(word, model, power, p, flip)
                         assert np.max(np.abs(part(p) - ref)) <= 1e-14
 
-    def test_commutator_evaluates_each_term_once_per_momentum(self, monkeypatch):
+    @pytest.mark.parametrize("count", [1, 50])
+    def test_commutator_contracts_each_term_once_per_batch(self, monkeypatch, count):
+        # 4 terms of H at p and at -p, 4 of the reflection moment at p,
+        # however many momenta share the batch
         calls = []
-        original = fock.evaluate_coefficient
+        original = fock._contract
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(len(args[1]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fock, "evaluate_coefficient", counting)
-        hierarchy_commutator_residual(0, 1, _rational_model(), 0.7)
+        monkeypatch.setattr(fock, "_contract", counting)
+        momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
+        residuals = fock.hierarchy_commutator_residuals(0, 1, _rational_model(), momenta)
+        assert len(residuals) == count
         assert 0 < len(calls) <= 12
+        assert set(calls) == {count}
+
+    @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
+    def test_batch_equals_one_momentum_at_a_time(self, model_name):
+        model = MODEL if model_name == "delta N=1" else _rational_model()
+        rng = np.random.default_rng(11)
+        momenta = [float(k) for k in rng.uniform(0.05, 3.0, 20) * np.repeat([1, -1], 10)]
+        for m, n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2)):
+            batch = fock.hierarchy_commutator_residuals(m, n, model, momenta)
+            assert batch == [hierarchy_commutator_residual(m, n, model, p) for p in momenta]
+        for n in (0, 2):
+            batch = fock.hierarchy_relation_residuals(n, model, momenta)
+            assert batch == [hierarchy_relation_residual(n, model, p) for p in momenta]
+
+    def test_batched_forms_keep_the_one_momentum_errors(self):
+        with pytest.raises(ValueError, match="p = 0"):
+            fock.hierarchy_commutator_residuals(0, 1, MODEL, [0.7, 0.0])
+        with pytest.raises(ValueError, match="even orders"):
+            fock.hierarchy_relation_residuals(1, MODEL, [0.7])
+
+    def test_suite_threads_agree_on_the_hierarchy_checks(self):
+        import json
+        from concurrent.futures import ThreadPoolExecutor
+
+        from rtcheck.config import build_model, parse_config
+        from rtcheck.report import emit_report
+        from rtcheck.suite import CHECKS, run_suite
+
+        names = [name for name in CHECKS if name.startswith("hierarchy-")]
+        assert len(names) == 7
+        model = build_model(parse_config(json.dumps({
+            "bulk": "rational:N=2,c=1", "samples": 12, "seed": 4, "checks": names})))
+        sequential = emit_report(run_suite(model), "json")
+        fock._expand.cache_clear()  # make the threads race on expanding shapes
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reports = list(pool.map(lambda _: emit_report(run_suite(model), "json"), range(4)))
+        assert all(r == sequential for r in reports)
 
     def test_concurrent_threads_on_a_cleared_cache_agree(self):
         import sys
