@@ -75,11 +75,11 @@ def _cmd_amplitude(args) -> int:
     in_labels = [f"k{i+1}" for i in range(n)]
     out_labels = [f"p{i+1}" for i in range(n)]
     expr = fock.n_particle_expression(n, in_labels, out_labels, dm)
-    terms_out = []
+    terms_out, cache = [], {}  # one leaf cache for all terms of the query
     for term in expr.terms:
         seeds = {in_labels[i]: ks[i] for i in range(n)}
         env = fock.resolve_momenta(term, expr.word, seeds)
-        value = fock.physical_coefficient(expr, term, env, dm)
+        value = fock.physical_coefficient(expr, term, env, dm, cache)
         pairing = [
             {"out": expr.word[a_pos].label, "in": expr.word[c_pos].label, "sign": rel}
             for a_pos, c_pos, rel in term.pairing

@@ -228,9 +228,8 @@ def _eval_atom(
     atom: tuple, env: dict[str, float], model: DoubledModel,
     word: tuple[WordSymbol, ...] = (), cache: Optional[dict] = None,
 ):
-    """The atom's tensor at one momentum assignment, and its legs.  A leaf
-    is keyed on its kind (or flavour) and signed momentum, a dressing on its
-    dress function and value; ``cache`` (one call, one model) keeps each."""
+    """The atom's tensor at one momentum assignment, and its legs, kept in ``cache`` (one
+    model) under (kind or flavour, signed momenta), or (dress, value) for a dressing."""
     kind = atom[0]
     if kind == "S":
         key = ("S", atom[2][0] * env[atom[2][1]], atom[3][0] * env[atom[3][1]])
@@ -328,21 +327,22 @@ def _contract(
 
 def evaluate_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel, at: Optional[tuple[int, ...]] = None,
+    model: DoubledModel, at: Optional[tuple[int, ...]] = None, cache: Optional[dict] = None,
 ) -> np.ndarray:
     """Evaluate a term's coefficient tensor at a momentum assignment.
 
     The result has one axis of size 2N per word position, in word order.
     With ``at`` (one component index per word position) only that entry is
     contracted and the result is a 0-d array.  The caller is responsible
-    for supplying an assignment consistent with the term's pairing.
+    for supplying an assignment consistent with the term's pairing.  Calls
+    that pass one ``cache`` (one model) evaluate each distinct leaf once.
     """
     d = model.doubled_dim
     n_ext = len(expr.word)
     if at is not None and len(at) != n_ext:
         raise ValueError(f"need one component index per word position ({n_ext})")
     total = np.zeros(() if at is not None else (d,) * n_ext, dtype=complex)
-    cache: dict = {}
+    cache = {} if cache is None else cache
     for net in term.networks:
         if net:
             total = total + _contract(net, [env], model, expr.word, cache, at)[0]
@@ -355,7 +355,7 @@ def evaluate_coefficient(
 
 def physical_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel,
+    model: DoubledModel, cache: Optional[dict] = None,
 ) -> complex:
     """The term's coefficient at the physical component assignment.
 
@@ -368,7 +368,7 @@ def physical_coefficient(
         q = symbol.sign * env[symbol.label]
         side = q if symbol.kind == "a" else -q  # eps or xi
         at.append(0 if side > 0 else 1)
-    return complex(evaluate_coefficient(expr, term, env, model, at=tuple(at))[()])
+    return complex(evaluate_coefficient(expr, term, env, model, at=tuple(at), cache=cache)[()])
 
 
 def resolve_momenta(
@@ -694,7 +694,7 @@ def factorization_residual(
     expr = n_particle_expression(n, in_labels, out_labels, model)
     by_pairing = {t.pairing: t for t in expr.terms}
 
-    worst = 0.0
+    worst, cache = 0.0, {}
     for sigma in itertools.product((+1, -1), repeat=n):
         p_sub = [s * k for s, k in zip(sigma, in_momenta)]
         # out slot i is word position n - 1 - i, in slot i is position n + i
@@ -704,7 +704,7 @@ def factorization_residual(
         for s, p in zip(sigma, p_sub):
             prod *= complex((opta.A(p) if s == +1 else opta.B(p))[0, 0])
         term = by_pairing.get(pairing)
-        engine_val = 0j if term is None else physical_coefficient(expr, term, env, model)
+        engine_val = 0j if term is None else physical_coefficient(expr, term, env, model, cache)
         worst = max(worst, abs(engine_val - prod))
     return worst
 

@@ -418,6 +418,28 @@ class TestPlannedContraction:
                 assert got.shape == ()
                 assert abs(got[()] - full[idx]) <= 1e-12
 
+    def test_one_cache_evaluates_each_leaf_once_per_query(self):
+        model = _rational_model()
+        calls = []
+
+        def counted(flavour, fn):
+            def evaluate(k):
+                calls.append((flavour, k))
+                return fn(k)
+            return evaluate
+
+        counting = replace(model, defect=DefectPair(
+            model.doubled_dim, counted("R", model.defect.reflection),
+            counted("T", model.defect.transmission)))
+        jobs = _expression_terms(3, counting)
+        alone = [evaluate_coefficient(e, t, env, counting) for e, t, env in jobs]
+        assert len(calls) > len(set(calls))  # each call evaluates its own leaves
+        calls.clear()
+        cache: dict = {}
+        shared = [evaluate_coefficient(e, t, env, counting, cache=cache) for e, t, env in jobs]
+        assert len(calls) == len(set(calls))
+        assert all(np.array_equal(x, y) for x, y in zip(alone, shared))
+
     def test_sliced_entry_needs_one_index_per_position(self):
         expr, term, env = _expression_terms(1, MODEL)[0]
         with pytest.raises(ValueError, match="one component index"):
@@ -557,6 +579,7 @@ class TestShapeCachedKernels:
 
     def test_suite_threads_agree_on_the_hierarchy_checks(self):
         import json
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         from rtcheck.config import build_model, parse_config
@@ -569,9 +592,16 @@ class TestShapeCachedKernels:
             "bulk": "rational:N=2,c=1", "samples": 12, "seed": 4, "checks": names})))
         sequential = emit_report(run_suite(model), "json")
         fock._expand.cache_clear()  # make the threads race on expanding shapes
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            reports = list(pool.map(lambda _: emit_report(run_suite(model), "json"), range(4)))
-        assert all(r == sequential for r in reports)
+        fock._plan.cache_clear()  # and on compiling plans
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reports = list(pool.map(
+                    lambda _: emit_report(run_suite(model), "json"), range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == [sequential] * 4
 
     def test_concurrent_threads_on_a_cleared_cache_agree(self):
         import sys
