@@ -20,6 +20,7 @@ from .config import (
     build_model,
     parse_config,
 )
+from .defect import ZeroMomentumError
 from .report import emit_report
 from .suite import available_checks, run_suite
 
@@ -67,6 +68,8 @@ def _cmd_amplitude(args) -> int:
     if n > 0:
         try:
             fock.validate_orderings(ks, ps)
+        except ZeroMomentumError:
+            raise  # a domain error, which no override admits
         except ValueError as exc:
             if not args.allow_nonphysical:
                 raise ConfigError(f"{exc} (pass --allow-nonphysical to override)")

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,10 +84,7 @@ class ModelConfig:
         }
 
 
-_KNOWN_KEYS = {
-    "bulk", "defect", "doubled", "samples", "exclusion_radius", "seed",
-    "tolerance", "checks",
-}
+_KNOWN_KEYS = {f.name for f in fields(ModelConfig)}
 
 
 def _expand_shorthand(entry) -> dict:

@@ -87,11 +87,9 @@ def delta_defect(eta: float) -> DefectPair:
         raise ValueError("delta impurity coupling must be >= 0")
 
     def T(k: float) -> np.ndarray:
-        _check_momentum(k)
         return np.array([[k / (k + 1j * eta)]])
 
     def R(k: float) -> np.ndarray:
-        _check_momentum(k)
         return np.array([[-1j * eta / (k + 1j * eta)]])
 
     return DefectPair(1, R, T)
@@ -112,7 +110,6 @@ def pure_reflection_defect() -> DefectPair:
 
 def defect_unitarity_residual(D: DefectPair, k: float) -> float:
     """|T(k)T(k) + R(k)R(-k) - I| + |T(k)R(k) + R(k)T(-k)|."""
-    _check_momentum(k)
     eye = np.eye(D.dim, dtype=complex)
     first = D.T(k) @ D.T(k) + D.R(k) @ D.R(-k) - eye
     second = D.T(k) @ D.R(k) + D.R(k) @ D.T(-k)
@@ -121,7 +118,6 @@ def defect_unitarity_residual(D: DefectPair, k: float) -> float:
 
 def hermitian_analyticity_residual(D: DefectPair, k: float) -> float:
     """|T(k)^dag - T(k)| + |R(k)^dag - R(-k)|."""
-    _check_momentum(k)
     return norm_inf(dagger(D.T(k)) - D.T(k)) + norm_inf(dagger(D.R(k)) - D.R(-k))
 
 

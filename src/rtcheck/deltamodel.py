@@ -13,7 +13,7 @@ import numpy as np
 
 from .defect import DefectPair, delta_defect
 from .doubling import DoubledModel, build_doubled_model
-from .fock import TWO_PI
+from .fock import TWO_PI, validate_orderings
 from .smatrix import identity_S
 
 
@@ -154,15 +154,12 @@ def n_particle_product(
     """Coefficients of the factorized product, indexed by the sign pattern
     sigma (sigma_i = +1 for the delta(p_i - k_i) branch of factor i).
 
-    Requires k_1 < ... < k_n and p_1 > ... > p_n.
+    Requires nonzero momenta, k_1 < ... < k_n and p_1 > ... > p_n.
     """
     n = len(k_list)
     if len(p_list) != n:
         raise ValueError("momentum lists must have equal length")
-    if any(not b > a for a, b in zip(k_list, k_list[1:])):
-        raise ValueError("in-momenta must be strictly increasing")
-    if any(not b < a for a, b in zip(p_list, p_list[1:])):
-        raise ValueError("out-momenta must be strictly decreasing")
+    validate_orderings(k_list, p_list)
     out: dict[tuple[int, ...], complex] = {}
     for bits in range(2**n):
         sigma = tuple(1 - 2 * ((bits >> i) & 1) for i in range(n))

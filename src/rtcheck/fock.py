@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .defect import DefectPair
+from .defect import DefectPair, ZeroMomentumError
 from .doubling import DoubledModel, build_doubled_model
 
 TWO_PI = 2.0 * np.pi
@@ -246,9 +246,9 @@ def _eval_atom(
         elif kind == "D":
             tensor = np.asarray(key[0](key[1]), dtype=complex)
         elif key[0] == "T":
-            tensor = np.eye(d) + np.asarray(model.defect.transmission(key[1]), dtype=complex)
+            tensor = np.eye(d) + model.defect.T(key[1])
         else:
-            tensor = np.asarray(model.defect.reflection(key[1]), dtype=complex)
+            tensor = model.defect.R(key[1])
         cache[key] = tensor
     return tensor, list(atom[1])
 
@@ -447,8 +447,7 @@ def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p) -> float | 
 
 def involution_kernel(model: DoubledModel) -> OneParticleKernel:
     """J with A(k) = calT(k), B(k) = calR(k); J o J = id iff defect unitarity."""
-    D = model.defect
-    return OneParticleKernel(model.doubled_dim, D.transmission, D.reflection)
+    return OneParticleKernel(model.doubled_dim, model.defect.T, model.defect.R)
 
 
 def one_particle_amplitude(
@@ -553,7 +552,7 @@ def reflection_moment_kernel(
     power: int, model: DoubledModel, cache: Optional[dict] = None
 ) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
-    mid = a("w", sign=-1, dress=model.defect.reflection)
+    mid = a("w", sign=-1, dress=model.defect.R)
     return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR, cache)
 
 
@@ -612,7 +611,7 @@ def hierarchy_relation_residuals(
     zf = _zf_view(model)
     cache: dict = {}
     eye = np.eye(model.doubled_dim, dtype=complex)
-    calT, calR = model.defect.transmission, model.defect.reflection
+    calT, calR = model.defect.T, model.defect.R
 
     creators = [
         ad("w", dress=lambda w: eye + calT(w)),
@@ -646,7 +645,7 @@ def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
 def validate_orderings(in_momenta, out_momenta) -> None:
     ks, ps = list(in_momenta), list(out_momenta)
     if any(k == 0 for k in ks) or any(p == 0 for p in ps):
-        raise ValueError("zero momentum in amplitude query")
+        raise ZeroMomentumError("zero momentum in amplitude query")
     if any(not k2 > k1 for k1, k2 in zip(ks, ks[1:])):
         raise ValueError("in-momenta must be strictly increasing")
     if any(not p2 < p1 for p1, p2 in zip(ps, ps[1:])):

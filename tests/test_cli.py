@@ -222,6 +222,21 @@ class TestAmplitude:
         out = json.loads(capsys.readouterr().out)
         assert out["nonphysical_ordering"] is True
 
+    @pytest.mark.parametrize("flags", [[], ["--allow-nonphysical"]])
+    @pytest.mark.parametrize("defect", [
+        {"name": "delta", "eta": 1.0},
+        {"name": "custom", "transmission": "k/(k+2i)", "reflection": "-2i/(k+2i)"},
+        {"name": "pure-transmission"},
+        {"name": "pure-reflection"},
+    ])
+    def test_zero_momentum_is_a_domain_error(self, defect, flags, tmp_path, capsys):
+        # no ordering override admits defect data at k = 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"bulk": "identity:dim=1", "defect": defect}))
+        assert main(["amplitude", "--config", str(path), "--n", "1",
+                     "--in=0", "--out=0", *flags]) == 2
+        assert capsys.readouterr().err == "rtcheck: error: zero momentum in amplitude query\n"
+
     def test_nonfinite_momenta_exit_two(self, delta_config, capsys):
         assert main(["amplitude", "--config", delta_config, "--n", "1",
                      "--in=nan", "--out=nan", "--allow-nonphysical"]) == 2

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtcheck import fock
-from rtcheck.defect import DefectPair, pure_reflection_defect, pure_transmission_defect
+from rtcheck.config import build_model, parse_config
+from rtcheck.defect import (
+    DefectPair,
+    ZeroMomentumError,
+    pure_reflection_defect,
+    pure_transmission_defect,
+)
 from rtcheck.deltamodel import DeltaModel
 from rtcheck.doubling import build_doubled_model
 from rtcheck.fock import (
@@ -256,6 +263,26 @@ class TestKernels:
         J = involution_kernel(model)
         for p in (0.7, -2.3):
             assert kernel_distance(compose(J, J), identity_kernel(2), p) <= 1e-14
+
+    @pytest.mark.parametrize("defect", [
+        {"name": "delta", "eta": 1.0},
+        {"name": "custom", "transmission": "k/(k+2i)", "reflection": "-2i/(k+2i)"},
+        {"name": "pure-transmission"},
+        {"name": "pure-reflection"},
+    ])
+    def test_defect_data_at_zero_momentum_raises(self, defect):
+        # the kernels and the engine leaves read defect data through the
+        # checked DefectPair.R/.T, so k = 0 is a domain error for every defect
+        model = build_model(parse_config(json.dumps(
+            {"bulk": "identity:dim=1", "defect": defect}))).doubled
+        J = involution_kernel(model)
+        for read in (J.A, J.B):
+            with pytest.raises(ZeroMomentumError):
+                read(0.0)
+        expr = normal_order_vev([a("p"), ad("k")], model)
+        for term in expr.terms:
+            with pytest.raises(ZeroMomentumError):
+                fock.physical_coefficient(expr, term, {"p": 0.0, "k": 0.0}, model)
 
     def test_composition_associativity(self):
         rng = np.random.default_rng(5)
