@@ -101,7 +101,7 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
             out[block] = s.eval(s1 * k1, s2 * k2).reshape(N, N, N, N)
         return out.reshape(n2 * n2, n2 * n2)
 
-    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]")
+    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", sectors=2)
 
 
 def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:
@@ -118,7 +118,7 @@ def reduced_relation_residual(
     """
     if variant not in REDUCED_VARIANTS:
         raise ValueError(f"unknown reduced relation variant {variant!r}")
-    return chain_residual(RELATIONS[variant], s.eval, s.eval_swapped, D, k1, k2)
+    return chain_residual(RELATIONS[variant], s, D, [(k1, k2)])[0]
 
 
 def symmetrized_unitarity_residual(D: DefectPair, k: float) -> float:

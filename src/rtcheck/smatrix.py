@@ -37,6 +37,7 @@ class BulkSMatrix:
     fn: Callable[[float, float], np.ndarray]
     translation_invariant: bool
     name: str = ""
+    sectors: int = 1  # blocks per leg; each evaluated matrix maps every pair of them to itself
 
     def eval(self, k1: float, k2: float) -> np.ndarray:
         return self.fn(k1, k2)
@@ -76,25 +77,51 @@ def rational_S(N: int, c: float) -> BulkSMatrix:
     return BulkSMatrix(N, fn, True, name=f"rational({N},{c})")
 
 
-def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
-    """norm_inf(S12 S13 S23 - S23 S13 S12), each factor applied to its own legs.
+def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, float]:
+    """The diagonal blocks (K, m, m, n*n, n*n) of a stack x (K, d*d, d*d) of
+    two-leg operators whose legs have m = sectors blocks of size n, and the
+    stack's largest entry outside them.  Block (s1, s2) is the operator on
+    sector (s1, s2), the pair of leg blocks that it maps to itself."""
+    m = sectors
+    n = leg_dim(x[0]) // m
+    # axes (operator, row s1, s2, column s1', s2', row i1, i2, column j1, j2)
+    u = x.reshape(-1, m, n, m, n, m, n, m, n).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8)
+    u = u.reshape(len(x), m**4, n * n, n * n)
+    sizes = np.abs(u).max(axis=(2, 3))
+    sizes[:, ::m * m + 1] = 0.0  # row sectors equal to column sectors: the blocks
+    return u[:, ::m * m + 1].reshape(-1, m, m, n * n, n * n), float(sizes.max())
 
-    Each side forms its last two factors as one three-leg operator, with
-    axes (a, b, c, a', b', c') for row (a, b, c) and column (a', b', c'),
-    then applies its first factor to that operator's rows.
+
+def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
+    """norm_inf(S12 S13 S23 - S23 S13 S12), one sector triple at a time.
+
+    Each factor maps every sector to itself, so each side is block-diagonal
+    in the sectors (s1, s2, s3) of the three legs, with blocks that are
+    products of the factors' blocks (s1, s2), (s1, s3), (s2, s3).  A block
+    written into the wrong sector shows as an off-sector entry, which counts
+    in the residual.  Each side forms its last two factors as one three-leg
+    operator, axes (a, b, c, a', b', c'), then applies its first factor to
+    that operator's rows, for all sector triples at once.
     """
-    s12 = as_operator(S.eval(k1, k2))
-    d = leg_dim(s12)
-    s13 = as_operator(S.eval(k1, k3)).reshape(d, d, d, d)  # axes (a, c, a', c')
-    s23 = as_operator(S.eval(k2, k3))
-    n = d**3
-    # S13 S23, summed over leg 3 between them: tensordot axes (a, c, a', b, b', c')
-    lhs = np.tensordot(s13, s23.reshape(d, d, d, d), axes=(3, 1)).transpose(0, 3, 1, 2, 4, 5)
-    lhs = s12 @ lhs.reshape(d * d, -1)  # S12 on legs (1, 2)
-    # S13 S12, summed over leg 1 between them: tensordot axes (a, c, c', b, a', b')
-    rhs = np.tensordot(s13, s12.reshape(d, d, d, d), axes=(2, 0)).transpose(0, 3, 1, 4, 5, 2)
-    rhs = np.matmul(s23, rhs.reshape(d, d * d, -1))  # S23 on legs (2, 3), batched over leg 1
-    return norm_inf(lhs.reshape(n, n) - rhs.reshape(n, n))
+    m = S.sectors
+    factors = np.stack([as_operator(S.eval(a, b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))])
+    blocks, off_sector = sector_blocks(factors, m)
+    d = leg_dim(blocks[0, 0, 0])
+    # leading axes (s1, s2, s3), each factor of size 1 on the sector it does not touch
+    s12 = blocks[0].reshape(m, m, 1, d * d, d * d)
+    s13 = blocks[1].reshape(m, 1, m, d, d, d, d)  # axes (a, c, a', c')
+    s23 = blocks[2].reshape(1, m, m, d, d, d, d)  # axes (b, c, b', c')
+    # S13 S23, summed over leg 3 between them: axes (a, c, a', b, b', c')
+    lhs = s13.reshape(m, 1, m, -1, d) @ s23.transpose(0, 1, 2, 4, 3, 5, 6).reshape(1, m, m, d, -1)
+    lhs = lhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 5, 7, 8)
+    lhs = s12 @ lhs.reshape(m, m, m, d * d, -1)  # S12 on legs (1, 2)
+    # S13 S12, summed over leg 1 between them: axes (a, c, c', b, a', b')
+    rhs = s13.transpose(0, 1, 2, 3, 4, 6, 5).reshape(m, 1, m, -1, d) @ s12.reshape(m, m, 1, d, -1)
+    rhs = rhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 7, 8, 5)
+    # S23 on legs (2, 3), batched over leg 1
+    rhs = s23.reshape(1, m, m, 1, d * d, d * d) @ rhs.reshape(m, m, m, d, d * d, -1)
+    diff = lhs.reshape(m**3, -1) - rhs.reshape(m**3, -1)
+    return float(np.maximum(np.abs(diff).max(), off_sector))  # a nan in either stays
 
 
 def unitarity_residual(S: BulkSMatrix, k1: float, k2: float) -> float:

@@ -120,13 +120,8 @@ def _shift_invariance(t, a, b):
     return sm.shift_invariance_residual(t.S, a, b, 0.5)
 
 
-def _projected(variant, t, a, b):
-    if variant in dft.REFLECTION_VARIANTS:
-        xi = +1 if variant.endswith("+") else -1
-        return dft.reflection_relation_residual(t.S, t.pair, a, b, xi)
-    if variant in dft.TRANSMISSION_VARIANTS:
-        return dft.transmission_relation_residual(t.S, t.pair, a, b, variant)
-    return dft.mixed_relation_residual(t.S, t.pair, a, b, variant)
+def _relation(variant, t, points):
+    return dft.chain_residual(dft.RELATIONS[variant], t.S, t.pair, points)
 
 
 def _defect_unitarity(t, k):
@@ -137,12 +132,8 @@ def _hermitian_analyticity(t, k):
     return dft.hermitian_analyticity_residual(t.pair, k)
 
 
-def _consistency(variant, t, a, b):
-    return dft.consistency_relation_residual(t.S, t.pair, a, b, variant)
-
-
-def _reduced(variant, t, a, b):
-    return dbl.reduced_relation_residual(t.dm.bulk, t.dm.half_line, a, b, variant)
+def _reduced(variant, t, points):
+    return dft.chain_residual(dft.RELATIONS[variant], t.dm.bulk, t.dm.half_line, points)
 
 
 def _symmetrized_unitarity(t, k):
@@ -182,9 +173,9 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("ybe", _TRIPLES, _pointwise(_ybe), min_samples=3),
     CheckSpec("unitarity-S", _PAIRS, _pointwise(_unitarity)),
     CheckSpec("shift-invariance", _PAIRS, _pointwise(_shift_invariance), invariant=True),
-    *(CheckSpec(v, _PAIRS, _pointwise(_projected, v)) for v in FIG_VARIANTS),
+    *(CheckSpec(v, _PAIRS, partial(_relation, v)) for v in FIG_VARIANTS),
     *(
-        CheckSpec(f"{v}(doubled)", _PAIRS, _pointwise(_projected, v), doubled=True,
+        CheckSpec(f"{v}(doubled)", _PAIRS, partial(_relation, v), doubled=True,
                   default_for=_never)
         for v in FIG_VARIANTS
     ),
@@ -193,11 +184,11 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("defect-unitarity", _SINGLES, _pointwise(_defect_unitarity), doubled=True),
     CheckSpec("hermitian-analyticity", _SINGLES, _pointwise(_hermitian_analyticity), doubled=True),
     *(
-        CheckSpec(v, _PAIRS, _pointwise(_consistency, v), doubled=True)
+        CheckSpec(v, _PAIRS, partial(_relation, v), doubled=True)
         for v in dft.CONSISTENCY_VARIANTS
     ),
     *(
-        CheckSpec(f"reduced-{v}", _PAIRS, _pointwise(_reduced, v), doubled=True, invariant=True)
+        CheckSpec(f"reduced-{v}", _PAIRS, partial(_reduced, v), doubled=True, invariant=True)
         for v in dbl.REDUCED_VARIANTS
     ),
     CheckSpec("symmetrized-unitarity", _SINGLES, _pointwise(_symmetrized_unitarity), doubled=True,

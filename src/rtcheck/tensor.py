@@ -31,11 +31,15 @@ def leg_dim(x: np.ndarray) -> int:
 
 
 def kron(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.kron(a, b)
+    """Kronecker product of two d x d matrices.  Either may be a stack
+    (P, d, d), which gives the (P, d*d, d*d) stack of the products."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    d = a.shape[-1] if a.ndim in (2, 3) and b.ndim in (2, 3) else 0
+    if d < 1 or a.shape[-2:] != (d, d) or b.shape[-2:] != (d, d):
+        raise ValueError(f"expected d x d matrices or stacks of them, got {a.shape} and {b.shape}")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]  # the products np.kron forms
+    return out.reshape(*out.shape[:-4], d * d, d * d)
 
 
 def identity_two_leg(d: int) -> np.ndarray:
