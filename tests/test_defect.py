@@ -1,7 +1,11 @@
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from rtcheck.defect import (
+    CHUNK,
     CONSISTENCY_VARIANTS,
     MIXED_VARIANTS,
     REFLECTION_VARIANTS,
@@ -9,6 +13,7 @@ from rtcheck.defect import (
     TRANSMISSION_VARIANTS,
     DefectPair,
     ZeroMomentumError,
+    chain_residual,
     consistency_relation_residual,
     defect_unitarity_residual,
     delta_defect,
@@ -25,7 +30,9 @@ from rtcheck.doubling import (
     double_defect,
     reduced_relation_residual,
 )
+from rtcheck.grammar import parse_expression
 from rtcheck.smatrix import BulkSMatrix, identity_S, rational_S, sample_momenta
+from rtcheck.tensor import norm_inf
 
 ETA = 1.0
 KS = sample_momenta(24, seed=17)
@@ -345,3 +352,149 @@ class TestRelationTable:
     def test_generic_data_residuals_are_unchanged(self, variant):
         got = [generic_residual(variant, a, b) for a, b in SIGN_PATTERNS]
         assert got == pytest.approx(self.RECORDED[variant], rel=1e-12, abs=1e-12)
+
+
+class TestMomentumArgument:
+    """The readers take one momentum; an array is an error, not a batch."""
+
+    READERS = {
+        "R": lambda d: d.R, "T": lambda d: d.T,
+        "R+": lambda d: project(d, +1).R, "T-": lambda d: project(d, -1).T,
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("k", [np.array([0.7, -1.3]), np.array([0.7]), np.array([[0.7]])])
+    def test_array_momentum_is_rejected(self, reader, k):
+        with pytest.raises(ValueError, match="one momentum, got an array of shape"):
+            self.READERS[reader](delta_defect(1.0))(k)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_numpy_scalars_are_one_momentum(self, reader):
+        read = self.READERS[reader](delta_defect(1.0))
+        for k in (np.float64(-0.7), np.array(-0.7), np.int64(-2)):
+            assert np.array_equal(read(k), read(float(k)))
+
+
+def loop_residual(word, S, D, k1, k2):
+    """One point at a time, as dense two-leg matrices: the reference for the
+    stacked evaluator, which must give the same bits."""
+    at = {"k1": k1, "k2": k2, "-k1": -k1, "-k2": -k2, "k1-k2": k1 - k2, "k2-k1": k2 - k1,
+          "k1+k2": k1 + k2, "-k1-k2": -k1 - k2, "0": 0.0}
+    eye = np.eye(D.dim, dtype=complex)
+
+    def build(factor):
+        if factor[0] in ("S", "S21"):
+            fn = S.eval if factor[0] == "S" else S.eval_swapped
+            return fn(at[factor[1]], at[factor[2]])
+        kind, xi, leg, k = factor
+        data = D if xi is None else project(D, xi)
+        m = data.R(at[k]) if kind == "R" else data.T(at[k])
+        return np.kron(m, eye) if leg == 1 else np.kron(eye, m)
+
+    lhs, rhs = word
+    return norm_inf(reduce(np.matmul, map(build, lhs)) - reduce(np.matmul, map(build, rhs)))
+
+
+GENERIC_PAIR = DefectPair(2, GENERIC_R, GENERIC_T)
+STACK_KS = sample_momenta(2 * CHUNK + 2, seed=23)
+STACK_POINTS = list(zip(STACK_KS, STACK_KS[1:]))  # 2 CHUNK + 1 points
+
+
+class TestStackedChains:
+    """chain_residual takes its points CHUNK at a time; each point's residual
+    is the one-point loop's, bit for bit, whatever the chunking."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_any_point_count_gives_the_one_point_values(self, variant, n):
+        points = STACK_POINTS[:n]
+        word = RELATIONS[variant]
+        got = chain_residual(word, GENERIC_S, GENERIC_PAIR, points)
+        assert got == [loop_residual(word, GENERIC_S, GENERIC_PAIR, a, b) for a, b in points]
+
+    def test_doubled_data_gives_the_one_point_values(self):
+        T, R = delta_scalar_fns(ETA)
+        model = build_doubled_model(
+            rational_S(2, 1.0),
+            DefectPair(2, lambda k: R(k)[0, 0] * np.eye(2), lambda k: T(k)[0, 0] * np.eye(2)),
+        )
+        for variant in ("rr1", "tr1", "SRSR+", "TSRS-"):
+            word = RELATIONS[variant]
+            got = chain_residual(word, model.calS, model.defect, STACK_POINTS)
+            want = [loop_residual(word, model.calS, model.defect, a, b) for a, b in STACK_POINTS]
+            assert got == want
+
+    @pytest.mark.parametrize("where", [0, CHUNK // 2, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_zero_momentum_anywhere_raises(self, where, slot):
+        points = [list(p) for p in STACK_POINTS[:CHUNK + 2]]
+        points[where][slot] = 0.0
+        with pytest.raises(ZeroMomentumError):
+            chain_residual(RELATIONS["tt1"], GENERIC_S, GENERIC_PAIR, [tuple(p) for p in points])
+
+    def test_nonfinite_datum_shows_at_its_point_only(self):
+        bad_k = STACK_POINTS[CHUNK][0]  # k1 of point CHUNK and k2 of point CHUNK - 1
+        overflow = parse_expression("1e308*1e308*k")
+        T = lambda k: overflow(k) * np.eye(2) if k == bad_k else GENERIC_T(k)
+        broken = DefectPair(2, GENERIC_R, T)
+        for variant in ("tt1", "tau-tau", "TST"):
+            with np.errstate(all="ignore"):
+                got = chain_residual(RELATIONS[variant], GENERIC_S, broken, STACK_POINTS)
+            clean = chain_residual(RELATIONS[variant], GENERIC_S, GENERIC_PAIR, STACK_POINTS)
+            touched = {i for i, p in enumerate(STACK_POINTS) if bad_k in p}
+            assert touched == {CHUNK - 1, CHUNK}
+            assert [got[i] for i in range(len(got)) if i not in touched] == [
+                clean[i] for i in range(len(clean)) if i not in touched]
+            if variant != "TST":  # TST reads T+1(k1) and T-1(k2): one of the two
+                assert not any(math.isfinite(got[i]) for i in touched)
+            else:
+                assert sum(not math.isfinite(got[i]) for i in touched) >= 1
+
+
+# A factor's replacements: its matrix (S <-> S21, R <-> T), its leg, its
+# projection sign (none counts as one more sign) and each of its momenta
+MATRIX_SWAP = {"S": "S21", "S21": "S", "R": "T", "T": "R"}
+OTHER_MOMENTA = {
+    "k1": ("k2", "-k1"), "k2": ("k1", "-k2"), "-k1": ("k1", "-k2"), "-k2": ("k2", "-k1"),
+    "k1-k2": ("k2-k1", "k1+k2"), "k2-k1": ("k1-k2", "-k1-k2"),
+    "k1+k2": ("-k1-k2", "k1-k2"), "-k1-k2": ("k1+k2", "k2-k1"), "0": ("k1",),
+}
+
+
+def factor_mutants(factor):
+    kind = factor[0]
+    yield (MATRIX_SWAP[kind], *factor[1:])
+    if kind in ("S", "S21"):
+        _, a, b = factor
+        yield from ((kind, x, b) for x in OTHER_MOMENTA[a])
+        yield from ((kind, a, x) for x in OTHER_MOMENTA[b])
+        return
+    _, xi, leg, k = factor
+    yield (kind, xi, 3 - leg, k)
+    yield from ((kind, x, leg, k) for x in (None, +1, -1) if x != xi)
+    yield from ((kind, xi, leg, x) for x in OTHER_MOMENTA[k])
+
+
+def word_mutants(word):
+    """Every word with exactly one factor replaced."""
+    for side in (0, 1):
+        for i, factor in enumerate(word[side]):
+            for mutant in factor_mutants(factor):
+                sides = [list(word[0]), list(word[1])]
+                sides[side][i] = mutant
+                yield tuple(sides[0]), tuple(sides[1])
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_every_factor_shows_in_the_stacked_residual(variant):
+    """On structureless data, replacing any one factor's matrix, leg,
+    projection or momentum moves the residual at some sign pattern: the
+    evaluator cannot drop or misplace a factor unseen."""
+    word = RELATIONS[variant]
+    base = chain_residual(word, GENERIC_S, GENERIC_PAIR, SIGN_PATTERNS)
+    count = 0
+    for mutant in word_mutants(word):
+        got = chain_residual(mutant, GENERIC_S, GENERIC_PAIR, SIGN_PATTERNS)
+        assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
+        count += 1
+    assert count >= 3 * len(word[0] + word[1])

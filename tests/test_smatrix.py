@@ -1,17 +1,19 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rtcheck import smatrix
-from rtcheck.config import AssembledModel, build_model, parse_config
-from rtcheck.doubling import build_doubled_model
+from rtcheck.config import DEFAULT_TOLERANCE, AssembledModel, build_model, parse_config
+from rtcheck.doubling import SECTORS, build_doubled_model, double_S_bulk
 from rtcheck.smatrix import (
     BulkSMatrix,
     identity_S,
     permutation_S,
     rational_S,
     sample_momenta,
+    sector_blocks,
     shift_invariance_residual,
     unitarity_residual,
     ybe_residual,
@@ -154,6 +156,75 @@ class TestLegLocalYangBaxter:
                 assert not check.passed and check.max_residual > 1e-8
             else:
                 assert check.passed and check.max_residual <= 1e-12
+
+
+CATALOG_BULKS = [identity_S(1), identity_S(2), permutation_S(2), permutation_S(3),
+                 rational_S(1, 1.0), rational_S(2, 1.0), rational_S(3, 0.7)]
+SIGNED_TRIPLES = TRIPLES + [(-0.7, -0.4, 1.9), (0.3, 1.1, 2.2), (-1.3, -2.1, -0.6)]
+
+
+class TestSectorBlockedYangBaxter:
+    """A doubled S-matrix has two blocks per leg; ybe_residual reads the
+    sector blocks out of each evaluated factor."""
+
+    @pytest.mark.parametrize("bulk", CATALOG_BULKS, ids=lambda s: s.name)
+    def test_doubled_catalog_bulks_are_exactly_sector_diagonal(self, bulk):
+        dS = double_S_bulk(bulk)
+        assert dS.sectors == 2 and bulk.sectors == 1
+        pairs = [(a, b) for a, b, _ in SIGNED_TRIPLES]
+        blocks, off_sector = sector_blocks(np.stack([dS.eval(a, b) for a, b in pairs]), 2)
+        assert off_sector == 0.0
+        for (a, b), block in zip(pairs, blocks):
+            for (x1, x2), (s1, s2) in SECTORS.items():
+                assert np.array_equal(block[x1, x2], bulk.eval(s1 * a, s2 * b))
+
+    @pytest.mark.parametrize("bulk", CATALOG_BULKS, ids=lambda s: s.name)
+    def test_blocked_residual_matches_the_dense_products(self, bulk):
+        dS = double_S_bulk(bulk)
+        for k in SIGNED_TRIPLES:
+            assert abs(ybe_residual(dS, *k) - dense_ybe(dS, *k)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_blocked_residual_matches_the_dense_products_on_generic_data(self, d):
+        """A translation-invariant bulk that solves nothing (d > 1, so its
+        values do not commute), so the residual is O(1)."""
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(2, d * d, d * d)) + 1j * rng.normal(size=(2, d * d, d * d))
+        dS = double_S_bulk(BulkSMatrix(d, lambda k1, k2: a + (k1 - k2) * b, True))
+        for k in SIGNED_TRIPLES:
+            want = dense_ybe(dS, *k)
+            assert want > 1.0
+            assert abs(ybe_residual(dS, *k) - want) <= 1e-12 * want
+
+    @staticmethod
+    def misplaced(model, sector, wrong):
+        """The doubled S-matrix with the block of `sector` (xi1, xi2) written
+        into the columns of sector `wrong`, through the public constructor."""
+        good = model.doubled.calS
+        n = model.bulk.leg_dim
+        x1, x2 = (slice(x * n, x * n + n) for x in sector)
+        y1, y2 = (slice(x * n, x * n + n) for x in wrong)
+
+        def fn(k1, k2):
+            out = good.eval(k1, k2).reshape((2 * n,) * 4).copy()
+            out[x1, x2, y1, y2] = out[x1, x2, x1, x2]
+            out[x1, x2, x1, x2] = 0.0
+            return out.reshape(4 * n * n, 4 * n * n)
+
+        bad = BulkSMatrix(2 * n, fn, False, name="misplaced", sectors=2)
+        return dataclasses.replace(model, doubled=dataclasses.replace(model.doubled, calS=bad))
+
+    @pytest.mark.parametrize("bulk", ["identity:dim=1", "rational:N=2", "rational:N=3"])
+    def test_a_block_in_the_wrong_sector_fails_ybe_doubled(self, bulk):
+        model = build_model(parse_config(json.dumps({
+            "bulk": bulk, "samples": 3, "checks": ["ybe(doubled)"]})))
+        assert model.cfg.tolerance == DEFAULT_TOLERANCE
+        assert run_suite(model).all_pass
+        for sector in SECTORS:
+            for wrong in SECTORS:
+                if wrong != sector:
+                    (check,) = run_suite(self.misplaced(model, sector, wrong)).checks
+                    assert not check.passed and check.max_residual >= 0.5
 
 
 def reference_sample(n, radius, seed):

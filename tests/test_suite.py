@@ -1,16 +1,21 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rtcheck.config import build_model, parse_config
+from rtcheck.defect import CHUNK, DefectPair
+from rtcheck.doubling import build_doubled_model
+from rtcheck.grammar import parse_expression
 from rtcheck.report import (
     CheckResult,
     VerificationReport,
     emit_report,
     parse_report,
 )
+from rtcheck.smatrix import sample_momenta
 from rtcheck.suite import available_checks, default_checks, run_suite
 
 DELTA_CFG = json.dumps({
@@ -165,6 +170,23 @@ class TestSuite:
         assert not unitarity.passed
         assert ybe.passed
         assert not report.all_pass
+
+    def test_nonfinite_datum_at_one_momentum_fails_there(self):
+        # the custom transmission "1e308*1e308*k" at one sampled momentum only,
+        # which two cyclic pairs share, one on each side of a chunk boundary
+        raw = {"bulk": "rational:N=2", "samples": 2 * CHUNK + 1, "seed": 4,
+               "checks": ["tt1", "tr1", "reduced-tau-tau"]}
+        model = build_model(parse_config(json.dumps(raw)))
+        bad = sample_momenta(2 * CHUNK + 1, seed=4)[CHUNK]
+        overflow, half = parse_expression("1e308*1e308*k"), model.half_line
+        T = lambda k: overflow(k) * np.eye(2) if k == bad else half.T(k)
+        broken = DefectPair(2, half.R, T)
+        model = replace(model, half_line=broken, doubled=build_doubled_model(model.bulk, broken))
+        with np.errstate(all="ignore"):
+            report = run_suite(model)
+        for check in report.checks:
+            assert not check.passed and not math.isfinite(check.max_residual)
+            assert bad in check.worst_momenta
 
     def test_checks_are_thread_safe(self):
         # evaluators are pure and models immutable: concurrent runs over the

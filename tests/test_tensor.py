@@ -48,6 +48,20 @@ class TestKron:
         with pytest.raises(ValueError):
             kron(np.eye(2), np.eye(3))
 
+    def test_stack_on_either_side_gives_the_stack_of_products(self):
+        stack = np.stack([random_matrix(3) for _ in range(5)])
+        b = random_matrix(3)
+        left, right = kron(stack, b), kron(b, stack)
+        assert left.shape == right.shape == (5, 9, 9)
+        for p in range(5):
+            assert np.array_equal(left[p], np.kron(stack[p], b))
+            assert np.array_equal(right[p], np.kron(b, stack[p]))
+
+    @pytest.mark.parametrize("shapes", [((4, 2, 2), (3, 3)), ((2, 3), (2, 3)), ((2,), (2,))])
+    def test_stack_shape_mismatch(self, shapes):
+        with pytest.raises(ValueError):
+            kron(np.ones(shapes[0]), np.ones(shapes[1]))
+
     def test_nonfinite_entries_propagate(self):
         # NaN reaches the residual, which then fails its check
         bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
