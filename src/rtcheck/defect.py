@@ -38,7 +38,7 @@ class ZeroMomentumError(ValueError):
 
 
 def _check_momentum(k: float) -> None:
-    if not isinstance(k, (int, float)) and np.ndim(k) != 0:
+    if not isinstance(k, (int, float)) and np.ndim(k) != 0:  # floats skip np.ndim
         raise ValueError(f"defect data takes one momentum, got an array of shape {np.shape(k)}")
     if k == 0:
         raise ZeroMomentumError("defect data is undefined at k = 0")

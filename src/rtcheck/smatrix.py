@@ -86,7 +86,7 @@ def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, float]:
     stack's largest entry outside them.  Block (s1, s2) is the operator on
     sector (s1, s2), the pair of leg blocks that it maps to itself."""
     m = sectors
-    n = leg_dim(x[0]) // m
+    n = leg_dim(as_operator(x[0])) // m
     # axes (operator, row s1, s2, column s1', s2', row i1, i2, column j1, j2)
     u = x.reshape(-1, m, n, m, n, m, n, m, n).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8)
     u = u.reshape(len(x), m**4, n * n, n * n)
@@ -107,7 +107,7 @@ def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
     that operator's rows, for all sector triples at once.
     """
     m = S.sectors
-    factors = np.stack([as_operator(S.eval(a, b)) for a, b in ((k1, k2), (k1, k3), (k2, k3))])
+    factors = np.array([S.eval(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))], dtype=complex)
     blocks, off_sector = sector_blocks(factors, m)
     d = leg_dim(blocks[0, 0, 0])
     # leading axes (s1, s2, s3), each factor of size 1 on the sector it does not touch
