@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,16 +72,8 @@ class ModelConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
-        return {
-            "bulk": dict(self.bulk),
-            "defect": dict(self.defect),
-            "doubled": self.doubled,
-            "samples": self.samples,
-            "exclusion_radius": self.exclusion_radius,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "checks": list(self.checks),
-        }
+        """Every field, in declaration order, as the report's JSON `config`."""
+        return {**asdict(self), "checks": list(self.checks)}
 
 
 _KNOWN_KEYS = {f.name for f in fields(ModelConfig)}

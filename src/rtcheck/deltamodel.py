@@ -1,8 +1,9 @@
 """The exactly solvable delta-impurity model on the line.
 
 Scattering eigenfunctions, the matching condition at the origin, and the
-transition amplitudes they generate; this is the analytic cross-check for
-the algebraic machinery.  Only eta >= 0 is supported (no bound state).
+transition amplitudes they generate: the analytic cross-check for the
+algebraic machinery.  Only eta >= 0 is supported (no bound state).  Each
+eigenfunction formula reads its branch sign, T and R once, through _branch.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defect import DefectPair, delta_defect
+from .defect import delta_defect
 from .doubling import DoubledModel, build_doubled_model
 from .fock import TWO_PI, validate_orderings
 from .smatrix import identity_S
@@ -35,31 +36,29 @@ class DeltaModel:
             raise ValueError("amplitude undefined at k = 0")
         return -1j * self.eta / (k + 1j * self.eta)
 
-    def defect_pair(self) -> DefectPair:
-        return delta_defect(self.eta)
-
     def doubled(self) -> DoubledModel:
         """The impurity algebra data: free bulk, doubled delta amplitudes."""
         return build_doubled_model(identity_S(1), delta_defect(self.eta))
 
 
-def _theta(x: float) -> float:
-    if x == 0:
-        raise ValueError("Heaviside undefined at 0")
-    return 1.0 if x > 0 else 0.0
+def _branch(model: DeltaModel, k: float, branch: str) -> tuple[int, complex, complex] | None:
+    """(s, T(-s k), R(-s k)) of the branch, s = +1 for '+'; None where it vanishes (s k > 0)."""
+    if k == 0:
+        raise ValueError("eigenfunctions are labeled by k != 0")
+    if branch not in ("+", "-"):
+        raise ValueError("branch must be '+' or '-'")
+    s = +1 if branch == "+" else -1
+    if s * k > 0:
+        return None
+    return s, model.T(-s * k), model.R(-s * k)
 
 
 def psi(model: DeltaModel, k: float, branch: str, x: float) -> complex:
     """Scattering eigenfunction psi_k^branch(x); branch '+' lives on k < 0."""
-    if k == 0:
-        raise ValueError("eigenfunctions are labeled by k != 0")
-    s = +1 if branch == "+" else -1
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    if _theta(-s * k) == 0.0:
+    data = _branch(model, k, branch)
+    if data is None:
         return 0.0
-    T = model.T(-s * k)
-    R = model.R(-s * k)
+    s, T, R = data
     if x == 0:
         # both one-sided limits equal T(-sk) = 1 + R(-sk)
         return complex(T)
@@ -71,42 +70,27 @@ def psi(model: DeltaModel, k: float, branch: str, x: float) -> complex:
 def psi_prime(model: DeltaModel, k: float, branch: str, x: float) -> complex:
     """Analytic derivative of psi; at x = 0 the one-sided limits differ, use
     x -> 0+ / 0- explicitly."""
-    if k == 0:
-        raise ValueError("eigenfunctions are labeled by k != 0")
-    s = +1 if branch == "+" else -1
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
+    data = _branch(model, k, branch)
     if x == 0:
         raise ValueError("derivative at 0 is one-sided; evaluate at ±0 offsets")
-    if _theta(-s * k) == 0.0:
+    if data is None:
         return 0.0
-    T = model.T(-s * k)
-    R = model.R(-s * k)
+    s, T, R = data
     if s * x < 0:
         return 1j * k * T * np.exp(1j * k * x)
     return 1j * k * np.exp(1j * k * x) - 1j * k * R * np.exp(-1j * k * x)
 
 
-def _one_sided_derivatives(model, k, branch):
-    s = +1 if branch == "+" else -1
-    if _theta(-s * k) == 0.0:
-        return 0.0, 0.0
-    T = model.T(-s * k)
-    R = model.R(-s * k)
-    d_trans = 1j * k * T  # limit from the transmitted side
-    d_inc = 1j * k * (1.0 - R)  # limit from the incident side
-    if s > 0:  # branch '+': incident side is x > 0
-        return d_inc, d_trans
-    return d_trans, d_inc
-
-
 def boundary_condition_residual(model: DeltaModel, k: float, branch: str) -> float:
     """| [psi'(0+) - psi'(0-)] - 2 eta psi(0) | from analytic one-sided limits."""
-    if k == 0:
-        raise ValueError("eigenfunctions are labeled by k != 0")
-    d_plus, d_minus = _one_sided_derivatives(model, k, branch)
-    value = psi(model, k, branch, 0.0)
-    return abs((d_plus - d_minus) - 2.0 * model.eta * value)
+    data = _branch(model, k, branch)
+    if data is None:
+        return 0.0
+    s, T, R = data
+    d_trans = 1j * k * T  # limit from the transmitted side
+    d_inc = 1j * k * (1.0 - R)  # limit from the incident side
+    d_plus, d_minus = (d_inc, d_trans) if s > 0 else (d_trans, d_inc)  # '+' comes from x > 0
+    return abs((d_plus - d_minus) - 2.0 * model.eta * complex(T))
 
 
 def plane_wave_bc_residual(model: DeltaModel, k: float) -> float:
@@ -124,16 +108,13 @@ def schrodinger_residual(
     """max over a grid avoiding 0 of | -1/2 psi''_FD - (k^2/2) psi |."""
     if h <= 0 or extent <= 3 * h:
         raise ValueError("need 0 < h and extent > 3h")
-    xs = np.arange(2 * h, extent, h)
-    grid = np.concatenate([-xs[::-1], xs])  # stays away from the kink at 0
-    vals = np.array([psi(model, k, branch, x) for x in grid])
+    xs = np.arange(2 * h, extent, h)  # each half line stays away from the kink at 0
     e = 0.5 * k * k
     worst = 0.0
-    for i in range(1, len(grid) - 1):
-        if abs(grid[i + 1] - grid[i] - h) > 1e-12 or abs(grid[i] - grid[i - 1] - h) > 1e-12:
-            continue  # skip the junction straddling the excluded origin
-        second = (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / (h * h)
-        worst = max(worst, abs(-0.5 * second - e * vals[i]))
+    for half in (-xs[::-1], xs):
+        vals = np.array([psi(model, k, branch, x) for x in half])
+        second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (h * h)
+        worst = np.abs(-0.5 * second - e * vals[1:-1]).max(initial=worst)
     return worst
 
 
@@ -143,8 +124,8 @@ def in_out_overlap(model: DeltaModel, p: float, k: float, two_pi: bool = True):
     if p == 0 or k == 0:
         raise ValueError("amplitude undefined at zero momentum")
     c = TWO_PI if two_pi else 1.0
-    diag = c * (model.T(p) if p > 0 else model.T(-p))
-    flip = c * (model.R(p) if p > 0 else model.R(-p))
+    diag = c * model.T(abs(p))
+    flip = c * model.R(abs(p))
     return diag, flip
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defect import RELATIONS, DefectPair, chain_residual
+from .defect import DefectPair, family_view
 from .smatrix import BulkSMatrix
 from .tensor import norm_inf
 from .tensor import swap_legs  # not called here; bench/tracing.py still spans this name
@@ -108,17 +108,7 @@ def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:
     return DoubledModel(s, half_line, double_S_bulk(s), double_defect(half_line))
 
 
-def reduced_relation_residual(
-    s: BulkSMatrix, D: DefectPair, k1: float, k2: float, variant: str
-) -> float:
-    """Literal residual of one reduced defect relation of the doubled model.
-
-    s must be translation invariant and D is the half-line pair (rho, tau);
-    s12(u) is evaluated as s(u, 0) and s21(u) as its leg swap.
-    """
-    if variant not in REDUCED_VARIANTS:
-        raise ValueError(f"unknown reduced relation variant {variant!r}")
-    return chain_residual(RELATIONS[variant], s, D, [(k1, k2)])[0]
+reduced_relation_residual = family_view(REDUCED_VARIANTS, "reduced")
 
 
 def symmetrized_unitarity_residual(D: DefectPair, k: float) -> float:

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rtcheck.config import (
     ConfigError,
+    ModelConfig,
     build_model,
     parse_config,
 )
@@ -66,6 +68,14 @@ class TestParseConfig:
         assert cfg.samples == 50
         assert cfg.exclusion_radius == 1e-3
         assert cfg.doubled is True
+
+    def test_echo_has_every_field_and_round_trips(self):
+        cfg = parse_config(json.dumps({"bulk": "rational:N=2,c=0.5", "samples": 7,
+                                       "checks": ["ybe", "tt1"], "seed": 3}))
+        echo = cfg.echo()
+        assert list(echo) == [f.name for f in fields(ModelConfig)]
+        assert echo["checks"] == ["ybe", "tt1"]
+        assert parse_config(json.dumps(echo)) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

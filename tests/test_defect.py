@@ -1,4 +1,5 @@
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -22,6 +23,7 @@ from rtcheck.defect import (
     project,
     pure_reflection_defect,
     reflection_relation_residual,
+    relation_residual,
     transmission_relation_residual,
 )
 from rtcheck.doubling import (
@@ -302,18 +304,22 @@ GENERIC_T = lambda k: _C + k * _D
 SIGN_PATTERNS = [(0.7, -1.3), (1.1, 0.4), (-0.9, -0.5), (-0.6, 1.2)]
 
 
-def generic_residual(variant, k1, k2):
-    pair = DefectPair(2, GENERIC_R, GENERIC_T)
+GENERIC_PAIR = DefectPair(2, GENERIC_R, GENERIC_T)
+# each family view with its variant tuple; reflection takes xi instead
+FAMILY_VIEWS = {
+    TRANSMISSION_VARIANTS: transmission_relation_residual,
+    MIXED_VARIANTS: mixed_relation_residual,
+    CONSISTENCY_VARIANTS: consistency_relation_residual,
+    REDUCED_VARIANTS: reduced_relation_residual,
+}
+
+
+def family_call(variant, S, D, k1, k2):
+    """The residual of one row through the public name of its family."""
     if variant in REFLECTION_VARIANTS:
-        xi = +1 if variant == "SRSR+" else -1
-        return reflection_relation_residual(GENERIC_S, pair, k1, k2, xi)
-    if variant in TRANSMISSION_VARIANTS:
-        return transmission_relation_residual(GENERIC_S, pair, k1, k2, variant)
-    if variant in MIXED_VARIANTS:
-        return mixed_relation_residual(GENERIC_S, pair, k1, k2, variant)
-    if variant in CONSISTENCY_VARIANTS:
-        return consistency_relation_residual(GENERIC_S, pair, k1, k2, variant)
-    return reduced_relation_residual(GENERIC_S, pair, k1, k2, variant)
+        return reflection_relation_residual(S, D, k1, k2, +1 if variant == "SRSR+" else -1)
+    family = next(f for f in FAMILY_VIEWS if variant in f)
+    return FAMILY_VIEWS[family](S, D, k1, k2, variant)
 
 
 ALL_VARIANTS = (REFLECTION_VARIANTS + TRANSMISSION_VARIANTS + MIXED_VARIANTS
@@ -350,7 +356,7 @@ class TestRelationTable:
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_generic_data_residuals_are_unchanged(self, variant):
-        got = [generic_residual(variant, a, b) for a, b in SIGN_PATTERNS]
+        got = [family_call(variant, GENERIC_S, GENERIC_PAIR, a, b) for a, b in SIGN_PATTERNS]
         assert got == pytest.approx(self.RECORDED[variant], rel=1e-12, abs=1e-12)
 
 
@@ -395,7 +401,6 @@ def loop_residual(word, S, D, k1, k2):
     return norm_inf(reduce(np.matmul, map(build, lhs)) - reduce(np.matmul, map(build, rhs)))
 
 
-GENERIC_PAIR = DefectPair(2, GENERIC_R, GENERIC_T)
 STACK_KS = sample_momenta(2 * CHUNK + 2, seed=23)
 STACK_POINTS = list(zip(STACK_KS, STACK_KS[1:]))  # 2 CHUNK + 1 points
 
@@ -494,3 +499,38 @@ def test_every_factor_shows_in_the_stacked_residual(variant):
         assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
         count += 1
     assert count >= 3 * len(word[0] + word[1])
+
+
+GENERIC_DOUBLED = build_doubled_model(rational_S(2, 1.0), GENERIC_PAIR)
+VIEW_DATA = {
+    "half-line": (GENERIC_S, GENERIC_PAIR),
+    "doubled": (GENERIC_DOUBLED.calS, GENERIC_DOUBLED.defect),
+}
+
+
+class TestRelationViews:
+    """relation_residual and the family names are one-point lookups of the
+    table row: the same bits as chain_residual at that point."""
+
+    @pytest.mark.parametrize("data", VIEW_DATA)
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_views_equal_the_row(self, variant, data):
+        S, D = VIEW_DATA[data]
+        for k1, k2 in SIGN_PATTERNS:
+            want = chain_residual(RELATIONS[variant], S, D, [(k1, k2)])[0]
+            assert relation_residual(S, D, k1, k2, variant) == want
+            assert family_call(variant, S, D, k1, k2) == want
+
+    @pytest.mark.parametrize("family", FAMILY_VIEWS, ids=lambda f: f[0])
+    def test_family_view_rejects_other_rows(self, family):
+        view = FAMILY_VIEWS[family]
+        for variant in RELATIONS:
+            if variant in family:
+                continue
+            with pytest.raises(ValueError, match=re.escape(repr(variant))):
+                view(GENERIC_S, GENERIC_PAIR, 0.7, -1.3, variant)
+
+    @pytest.mark.parametrize("xi", [0, 2, -2])
+    def test_reflection_view_rejects_other_signs(self, xi):
+        with pytest.raises(ValueError):
+            reflection_relation_residual(GENERIC_S, GENERIC_PAIR, 0.7, -1.3, xi)

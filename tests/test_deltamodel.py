@@ -74,6 +74,28 @@ class TestEigenfunctions:
         with pytest.raises(ValueError):
             psi_prime(MODEL, -1.0, "+", 0.0)
 
+    @pytest.mark.parametrize("k,branch", [(1.0, "+"), (-0.6, "-")])
+    def test_vanishing_branch(self, k, branch):
+        # psi_k^+ lives on k < 0 and psi_k^- on k > 0
+        for x in (-2.0, -1e-9, 0.0, 1e-9, 0.7):
+            assert psi(MODEL, k, branch, x) == 0.0
+        assert psi_prime(MODEL, k, branch, 0.7) == 0.0
+        assert boundary_condition_residual(MODEL, k, branch) == 0.0
+        with pytest.raises(ValueError, match="one-sided"):
+            psi_prime(MODEL, k, branch, 0.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda k, br: psi(MODEL, k, br, 0.5),
+        lambda k, br: psi_prime(MODEL, k, br, 0.5),
+        lambda k, br: boundary_condition_residual(MODEL, k, br),
+    ])
+    def test_unknown_branch_and_zero_momentum_rejected(self, fn):
+        for k in (1.0, -1.0):
+            with pytest.raises(ValueError, match="branch must be"):
+                fn(k, "x")
+        with pytest.raises(ValueError, match="k != 0"):
+            fn(0.0, "+")
+
 
 class TestBoundaryCondition:
     @pytest.mark.parametrize(
@@ -88,6 +110,20 @@ class TestBoundaryCondition:
     def test_plane_wave_negative_control(self):
         # e^{ikx} has a continuous derivative: residual is exactly 2 eta
         assert plane_wave_bc_residual(MODEL, 1.0) == 2.0 * ETA
+
+
+def loop_schrodinger_residual(model, k, branch, h, extent=5.0):
+    """One grid point at a time: the reference for the sliced residual."""
+    xs = np.arange(2 * h, extent, h)
+    grid = np.concatenate([-xs[::-1], xs])
+    vals = [psi(model, k, branch, x) for x in grid]
+    worst = 0.0
+    for i in range(1, len(grid) - 1):
+        if i in (len(xs) - 1, len(xs)):
+            continue  # the stencil would straddle the excluded origin
+        second = (vals[i + 1] - 2 * vals[i] + vals[i - 1]) / (h * h)
+        worst = max(worst, abs(-0.5 * second - 0.5 * k * k * vals[i]))
+    return worst
 
 
 class TestSchrodingerResidual:
@@ -105,6 +141,15 @@ class TestSchrodingerResidual:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             schrodinger_residual(MODEL, -2.0, "+", h=0.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 5e-4])
+    @pytest.mark.parametrize("eta,k,branch", [(1.0, -2.0, "+"), (0.5, 1.3, "-"),
+                                              (3.0, -0.4, "+"), (1.0, 2.0, "+")])
+    def test_half_line_slices_match_the_point_loop(self, eta, k, branch, h):
+        model = DeltaModel(eta)
+        want = loop_schrodinger_residual(model, k, branch, h)
+        got = schrodinger_residual(model, k, branch, h=h)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestOverlap:
