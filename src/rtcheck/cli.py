@@ -7,6 +7,7 @@ or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -78,31 +79,64 @@ def _cmd_amplitude(args) -> int:
     in_labels = [f"k{i+1}" for i in range(n)]
     out_labels = [f"p{i+1}" for i in range(n)]
     expr = fock.n_particle_expression(n, in_labels, out_labels, dm)
-    terms_out, cache = [], {}  # one leaf cache for all terms of the query
-    for term in expr.terms:
-        seeds = {in_labels[i]: ks[i] for i in range(n)}
-        env = fock.resolve_momenta(term, expr.word, seeds)
-        value = fock.physical_coefficient(expr, term, env, dm, cache)
-        pairing = [
-            {"out": expr.word[a_pos].label, "in": expr.word[c_pos].label, "sign": rel}
-            for a_pos, c_pos, rel in term.pairing
-        ]
-        terms_out.append(
-            {
-                "pairing": pairing,
-                "coefficient": {"re": value.real, "im": value.imag},
-                "two_pi_power": 0,  # coefficients are against the bare delta
-            }
-        )
-    out = {
-        "n": n,
-        "in_momenta": ks,
-        "out_momenta": ps,
-        "nonphysical_ordering": nonphysical,
-        "terms": terms_out,
-    }
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    seeds = dict(zip(in_labels, ks))
+    values = fock.physical_coefficients(
+        expr, [(term, fock.resolve_momenta(term, expr.word, seeds)) for term in expr.terms], dm)
+    pairings = ([(expr.word[a_pos].label, expr.word[c_pos].label, rel)
+                 for a_pos, c_pos, rel in term.pairing] for term in expr.terms)
+    for chunk in amplitude_json(n, ks, ps, nonphysical, zip(pairings, values)):
+        sys.stdout.write(chunk)
     return 0
+
+
+def _number(x: float) -> str:
+    """A float as ``json.dumps`` writes it (NaN and Infinity included)."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _array(items: list[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+_TERM = """{
+      "coefficient": {
+        "im": %s,
+        "re": %s
+      },
+      "pairing": %s,
+      "two_pi_power": 0
+    }"""  # coefficients are against the bare delta
+
+
+@functools.lru_cache(maxsize=256)
+def _pair(out: str, in_: str, sign: int) -> str:
+    return """{
+          "in": %s,
+          "out": %s,
+          "sign": %d
+        }""" % (json.dumps(in_), json.dumps(out), sign)
+
+
+def amplitude_json(n: int, ks: list[float], ps: list[float], nonphysical: bool, terms):
+    """The amplitude document, chunk by chunk, exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes it.  ``terms``
+    yields (pairing, coefficient) with the pairing a list of (out label, in
+    label, sign); one chunk holds one term record."""
+    yield ('{\n  "in_momenta": %s,\n  "n": %d,\n  "nonphysical_ordering": %s,\n'
+           '  "out_momenta": %s,\n  "terms": ' % (
+               _array([_number(k) for k in ks], "  "), n, json.dumps(nonphysical),
+               _array([_number(p) for p in ps], "  ")))
+    sep = "[\n    "  # before the first record, then ",\n    "
+    for pairing, value in terms:
+        pairs = _array([_pair(*p) for p in pairing], "      ")
+        yield sep + _TERM % (_number(value.imag), _number(value.real), pairs)
+        sep = ",\n    "
+    yield "[]\n}\n" if sep[0] == "[" else "\n  ]\n}\n"
 
 
 def _cmd_catalog(_args) -> int:

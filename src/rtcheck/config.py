@@ -220,14 +220,16 @@ def _build(section: str, entry):
 
 
 def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
-    """Lift a scalar defect to N isotopic dimensions: tau = T * I etc."""
+    """Lift a scalar defect to N isotopic dimensions: tau = T * I etc.  The
+    lifted callables read the scalar ones directly: the lifted pair's own
+    ``R``/``T`` has checked the momentum."""
     eye = np.eye(N, dtype=complex)
 
     def tau(k: float) -> np.ndarray:
-        return complex(pair.T(k)[0, 0]) * eye
+        return complex(pair.transmission(k)[0, 0]) * eye
 
     def rho(k: float) -> np.ndarray:
-        return complex(pair.R(k)[0, 0]) * eye
+        return complex(pair.reflection(k)[0, 0]) * eye
 
     return DefectPair(N, rho, tau)
 

@@ -20,12 +20,16 @@ A network is contracted by a plan: pairwise ``np.einsum`` steps whose order
 comes from numpy's greedy path search (the opt_einsum strategy).  A plan
 depends only on the network's topology (the compacted leg lists, the word
 positions and the leg dimension 2N), so it is compiled once per topology
-and cached; n = 4 has 24 topologies, n = 6 has 720.  Each step runs once
-over a leading batch axis of momentum assignments (one assignment is a
-batch of one).  A caller that reads one component of the coefficient
-passes ``at=`` with one index per word position: every leaf tensor is then
-sliced on its external legs before contracting, and the (2N)^(2n) tensor
-is never built.
+and cached.  Each step runs once over a leading batch axis.
+``evaluate_coefficients`` puts every network of a query that has the same
+leg lists, and so the same topology, on that axis, each with its own
+momenta: the n! 2^n networks of an n-particle amplitude fall into n!
+topologies of 2^n networks each (24 of 16 at n = 4, 720 of 64 at n = 6),
+since the T/R choices change only leaves.  A caller that reads one
+component of a coefficient passes ``at=`` with one index per word
+position: every leaf tensor is then sliced on its external legs before
+contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
+never built.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and whether it is dressed.  It never depends on the
@@ -120,6 +124,7 @@ class ContractionTerm:
 
     pairing: tuple[tuple[int, int, int], ...]
     networks: tuple[tuple, ...]
+    legs: tuple[tuple, ...]  # per network its atoms' leg lists: equal ones share a topology
 
 
 @dataclass(frozen=True)
@@ -158,19 +163,14 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
     if 2 * n_a != len(shape):
         return ()
 
-    counter = [len(shape)]  # fresh internal leg ids
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
     # live word entries: (position, kind, expr(sign,label), current_leg)
     init_atoms: list[tuple] = []
     init_word = []
+    free = len(shape)  # the next fresh internal leg id
     for pos, (kind, label, sign, dressed) in enumerate(shape):
         leg = pos
         if dressed:
-            inner = fresh()
+            inner, free = free, free + 1
             if kind == "ad":
                 # [ad^b X]^ext: X rows contract the creator component
                 init_atoms.append(("D", (inner, pos), pos))
@@ -180,10 +180,13 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
             leg = inner
         init_word.append((pos, kind, (sign, label), leg))
 
+    # Each branch numbers its fresh legs on from its parent's, so networks of
+    # one braid structure (they differ in T/R choices only) have equal leg
+    # lists, which evaluate_coefficients groups by.
     done: list[tuple[tuple, tuple]] = []  # (pairing, atoms)
-    stack = [(tuple(init_atoms), (), tuple(init_word))]
+    stack = [(tuple(init_atoms), (), tuple(init_word), free)]
     while stack:
-        atoms, pairs, live = stack.pop()
+        atoms, pairs, live, free = stack.pop()
         idx = max((i for i, e in enumerate(live) if e[1] == "a"), default=None)
         if idx is None:
             if live:  # leftover creators hit the vacuum bra
@@ -200,27 +203,33 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
         # transmission contraction: delta(q - p) (I + calT(q))
         pair_t = pairs + (((a_pos, c_pos, sa * sc)),)
         atoms_t = atoms + (("C", (a_leg, c_leg), "T", a_expr),)
-        stack.append((atoms_t, pair_t, live[:idx] + live[idx + 2 :]))
+        stack.append((atoms_t, pair_t, live[:idx] + live[idx + 2 :], free))
         # reflection contraction: delta(q + p) calR(q)
         pair_r = pairs + (((a_pos, c_pos, -sa * sc)),)
         atoms_r = atoms + (("C", (a_leg, c_leg), "R", a_expr),)
-        stack.append((atoms_r, pair_r, live[:idx] + live[idx + 2 :]))
+        stack.append((atoms_r, pair_r, live[:idx] + live[idx + 2 :], free))
         # braided continuation: ad(p) S12(q, p) a(q)
-        new_c = fresh()
-        new_a = fresh()
+        new_c, new_a = free, free + 1
         atoms_s = atoms + (("S", (a_leg, new_c, new_a, c_leg), a_expr, c_expr),)
         swapped = (
             live[:idx]
             + ((c_pos, c_kind, c_expr, new_c), (a_pos, "a", a_expr, new_a))
             + live[idx + 2 :]
         )
-        stack.append((atoms_s, pairs, swapped))
+        stack.append((atoms_s, pairs, swapped, free + 2))
 
     merged: dict[tuple, list[tuple]] = {}
     for pairs, atoms in done:
         merged.setdefault(_canonical_pairing(pairs), []).append(atoms)
+    shared: dict[tuple, tuple] = {}  # one object per distinct leg lists
+
+    def legs(net: tuple) -> tuple:
+        key = tuple(atom[1] for atom in net)
+        return shared.setdefault(key, key)
+
     return tuple(
-        ContractionTerm(pairing, tuple(nets)) for pairing, nets in sorted(merged.items())
+        ContractionTerm(pairing, tuple(nets), tuple(map(legs, nets)))
+        for pairing, nets in sorted(merged.items())
     )
 
 
@@ -228,8 +237,8 @@ def _eval_atom(
     atom: tuple, env: dict[str, float], model: DoubledModel,
     word: tuple[WordSymbol, ...] = (), cache: Optional[dict] = None,
 ):
-    """The atom's tensor at one momentum assignment, and its legs, kept in ``cache`` (one
-    model) under (kind or flavour, signed momenta), or (dress, value) for a dressing."""
+    """The atom's tensor at one momentum assignment, kept in ``cache`` (one model)
+    under (kind or flavour, signed momenta), or (dress, value) for a dressing."""
     kind = atom[0]
     if kind == "S":
         key = ("S", atom[2][0] * env[atom[2][1]], atom[3][0] * env[atom[3][1]])
@@ -250,7 +259,7 @@ def _eval_atom(
         else:
             tensor = model.defect.R(key[1])
         cache[key] = tensor
-    return tensor, list(atom[1])
+    return tensor
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,78 +306,116 @@ def _letters(legs: tuple[int, ...]) -> str:
 
 
 def _contract(
-    net: tuple, envs: list[dict[str, float]], model: DoubledModel,
-    word: tuple[WordSymbol, ...], cache: dict,
-    at: Optional[tuple[int, ...]] = None, trace: bool = False,
+    word: tuple[WordSymbol, ...], jobs: list[tuple], model: DoubledModel, cache: dict,
+    trace: bool = False,
 ) -> np.ndarray:
-    """Contract one network at each momentum assignment in ``envs``, on a
-    leading batch axis.  With ``trace`` word legs 1 and 2 are one leg and
-    the result keeps legs 0 and 3: the plan takes the middle-leg trace."""
+    """Contract networks of one topology, job j = (network, momentum
+    assignment, at) on row j of a leading batch axis.  With ``at`` (one
+    component index per word position, or None for every job) each leaf is
+    sliced on its external legs and row j is a scalar.  With ``trace`` the
+    plan takes the trace over word legs 1 and 2 and the result keeps legs 0
+    and 3."""
     n_ext = len(word)
     same = {2: 1} if trace else {}
-    tensors, inputs = [], []
     seen: dict[int, int] = {}  # leg id -> compacted id
-    for atom in net:
-        leaves = [_eval_atom(atom, env, model, word, cache)[0] for env in envs]
-        tensor = leaves[0][None] if len(leaves) == 1 else np.stack(leaves)  # a view for one
-        if at is not None:
-            tensor = tensor[(slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
-        tensors.append(tensor)
-        inputs.append(tuple(seen.setdefault(same.get(l, l), len(seen)) for l in atom[1]))
+    inputs = tuple(tuple(seen.setdefault(same.get(l, l), len(seen)) for l in atom[1])
+                   for atom in jobs[0][0])
     # positions never touched by any atom keep an implicit identity;
     # that cannot happen for vacuum-surviving terms of balanced words
     output = tuple(seen.get(l, -1) for l in ((0, 3) if trace else range(n_ext)))
     if -1 in output:
         raise ValueError("network does not cover all word positions")
-    for positions, subscripts in _plan(tuple(inputs), output, model.doubled_dim, at is not None):
+    sliced = jobs[0][2] is not None
+    if sliced:  # row j of the batch takes its own entry
+        rows = np.arange(len(jobs))
+        ats = np.array([at for *_, at in jobs]).T
+    tensors = []
+    for i, atom in enumerate(jobs[0][0]):
+        tensor = np.array([_eval_atom(net[i], env, model, word, cache) for net, env, _ in jobs])
+        if sliced:  # the same legs are external in every network of one topology
+            tensor = tensor[(rows, *(ats[l] if l < n_ext else slice(None) for l in atom[1]))]
+        tensors.append(tensor)
+    for positions, subscripts in _plan(inputs, output, model.doubled_dim, sliced):
         tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
     return tensors[0]
+
+
+def evaluate_coefficients(
+    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel,
+    cache: Optional[dict] = None,
+) -> list[np.ndarray]:
+    """Coefficient tensors of terms of one expression, one per job (term,
+    momentum assignment, at).
+
+    A result has one axis of size 2N per word position, in word order.
+    With ``at`` (one component index per word position) only that entry is
+    contracted and the result is a 0-d array.  The caller is responsible
+    for supplying assignments consistent with the terms' pairings.  The
+    networks of all jobs are grouped by topology and each group is one
+    batched contraction; each term then sums its networks' values in
+    network order.  Calls that pass one ``cache`` (one model) evaluate each
+    distinct leaf once.
+    """
+    n_ext = len(expr.word)
+    cache = {} if cache is None else cache
+    values: list[list] = []  # per job, its networks' values in network order
+    groups: dict[tuple, list] = {}
+    for term, env, at in jobs:
+        if at is not None and len(at) != n_ext:
+            raise ValueError(f"need one component index per word position ({n_ext})")
+        mine: list = []
+        values.append(mine)
+        for net, legs in zip(term.networks, term.legs):
+            if net:
+                key = (legs, at is None)
+                groups.setdefault(key, []).append((mine, len(mine), (net, env, at)))
+                mine.append(None)
+            elif n_ext:
+                raise ValueError("empty network with free legs")
+            else:
+                mine.append(1.0)
+    for members in groups.values():
+        batch = _contract(expr.word, [job for *_, job in members], model, cache)
+        for (mine, slot, _), value in zip(members, batch):
+            mine[slot] = value
+    shape = (model.doubled_dim,) * n_ext
+    return [np.asarray(sum(mine, np.zeros(() if at is not None else shape, dtype=complex)))
+            for (_, _, at), mine in zip(jobs, values)]
 
 
 def evaluate_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
     model: DoubledModel, at: Optional[tuple[int, ...]] = None, cache: Optional[dict] = None,
 ) -> np.ndarray:
-    """Evaluate a term's coefficient tensor at a momentum assignment.
+    """One term's coefficient tensor at a momentum assignment (see
+    ``evaluate_coefficients``)."""
+    return evaluate_coefficients(expr, [(term, env, at)], model, cache)[0]
 
-    The result has one axis of size 2N per word position, in word order.
-    With ``at`` (one component index per word position) only that entry is
-    contracted and the result is a 0-d array.  The caller is responsible
-    for supplying an assignment consistent with the term's pairing.  Calls
-    that pass one ``cache`` (one model) evaluate each distinct leaf once.
+
+def physical_coefficients(
+    expr: AmplitudeExpression, jobs: list[tuple[ContractionTerm, dict[str, float]]],
+    model: DoubledModel, cache: Optional[dict] = None,
+) -> list[complex]:
+    """Coefficients of terms (term, momentum assignment) at the physical
+    component assignment, evaluated as one batch.
+
+    A word position's component follows its symbol's momentum
+    sign * env[label]: eps = sign(p) for an annihilator a(p) and
+    xi = -sign(k) for a creator ad(k), where xi = + is the first block.
     """
-    d = model.doubled_dim
-    n_ext = len(expr.word)
-    if at is not None and len(at) != n_ext:
-        raise ValueError(f"need one component index per word position ({n_ext})")
-    total = np.zeros(() if at is not None else (d,) * n_ext, dtype=complex)
-    cache = {} if cache is None else cache
-    for net in term.networks:
-        if net:
-            total = total + _contract(net, [env], model, expr.word, cache, at)[0]
-        elif n_ext:
-            raise ValueError("empty network with free legs")
-        else:
-            total = total + 1.0
-    return np.asarray(total)
+    sides = [(s.sign if s.kind == "a" else -s.sign, s.label) for s in expr.word]  # eps or xi
+    got = evaluate_coefficients(expr, [
+        (term, env, tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides))
+        for term, env in jobs], model, cache)
+    return [complex(value[()]) for value in got]
 
 
 def physical_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
     model: DoubledModel, cache: Optional[dict] = None,
 ) -> complex:
-    """The term's coefficient at the physical component assignment.
-
-    A word position's component follows its symbol's momentum
-    sign * env[label]: eps = sign(p) for an annihilator a(p) and
-    xi = -sign(k) for a creator ad(k), where xi = + is the first block.
-    """
-    at = []
-    for symbol in expr.word:
-        q = symbol.sign * env[symbol.label]
-        side = q if symbol.kind == "a" else -q  # eps or xi
-        at.append(0 if side > 0 else 1)
-    return complex(evaluate_coefficient(expr, term, env, model, at=tuple(at), cache=cache)[()])
+    """One term's coefficient at the physical component assignment."""
+    return physical_coefficients(expr, [(term, env)], model, cache)[0]
 
 
 def resolve_momenta(
@@ -500,7 +547,8 @@ def _traced_four_word(
             parts: tuple[list, list] = ([], [])
             for term, sw, sq in signs:
                 envs = [{"p": p, "w": sw * p, "q": sq * p} for p in ps]
-                tr = sum(_contract(net, envs, model, expr.word, cache, trace=True)
+                tr = sum(_contract(expr.word, [(net, env, None) for env in envs], model, cache,
+                                   trace=True)
                          for net in term.networks)
                 parts[sq < 0].append(([env["w"] for env in envs], tr))
             got = passes[ps] = (tuple(parts[0]), tuple(parts[1]))
@@ -655,7 +703,7 @@ def validate_orderings(in_momenta, out_momenta) -> None:
         raise ValueError("out-momenta must be strictly decreasing")
 
 
-MAX_PARTICLES = 6  # n! 2^n terms: 46,080 at n = 6, which take ~15 s to evaluate
+MAX_PARTICLES = 6  # n! 2^n terms: 46,080 at n = 6, which take ~6-7 s cold to evaluate
 
 
 def n_particle_expression(
@@ -696,7 +744,7 @@ def factorization_residual(
     expr = n_particle_expression(n, in_labels, out_labels, model)
     by_pairing = {t.pairing: t for t in expr.terms}
 
-    worst, cache = 0.0, {}
+    products, jobs = [], []
     for sigma in itertools.product((+1, -1), repeat=n):
         p_sub = [s * k for s, k in zip(sigma, in_momenta)]
         # out slot i is word position n - 1 - i, in slot i is position n + i
@@ -705,8 +753,14 @@ def factorization_residual(
         prod = 1.0 + 0.0j
         for s, p in zip(sigma, p_sub):
             prod *= complex((opta.A(p) if s == +1 else opta.B(p))[0, 0])
-        term = by_pairing.get(pairing)
-        engine_val = 0j if term is None else physical_coefficient(expr, term, env, model, cache)
+        products.append((prod, pairing in by_pairing))
+        if pairing in by_pairing:
+            jobs.append((by_pairing[pairing], env))
+    # all sign patterns in one batch
+    engine = iter(physical_coefficients(expr, jobs, model))
+    worst = 0.0
+    for prod, found in products:
+        engine_val = next(engine) if found else 0j
         worst = max(worst, abs(engine_val - prod))
     return worst
 
@@ -720,9 +774,9 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
         raise ValueError("undefined at p = 0")
     expr = normal_order_vev([a("p"), ad("k")], model)
     opta = one_particle_amplitude(model.half_line, delta_2pi=False)
+    jobs = [(next(t for t in expr.terms if t.pairing[0][2] == rel), {"p": p, "k": p / rel})
+            for rel in (+1, -1)]
     worst = 0.0
-    for rel, ref in ((+1, opta.A(p)), (-1, opta.B(p))):
-        term = next(t for t in expr.terms if t.pairing[0][2] == rel)
-        coeff = physical_coefficient(expr, term, {"p": p, "k": p / rel}, model)
+    for coeff, ref in zip(physical_coefficients(expr, jobs, model), (opta.A(p), opta.B(p))):
         worst = max(worst, abs(coeff - complex(ref[0, 0])))
     return worst

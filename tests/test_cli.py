@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rtcheck
-from rtcheck.cli import main
+from rtcheck.cli import amplitude_json, main
 
 
 def run_cli(*args):
@@ -258,6 +260,68 @@ class TestAmplitude:
                        "--n", "4", "--in=-2.1,-0.7,0.9,2.5", "--out=2.4,1.1,-0.5,-1.9")
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["terms"]) == 384
+
+
+GOLDEN_AMPLITUDE = Path(__file__).parent / "golden" / "amplitude"
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1e22, 1.0, -1.0, 3.0,
+               1.5, 0.1, float("nan"), float("inf"), float("-inf")]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(),
+                   st.integers(-2**53, 2**53).map(float))
+labels = st.one_of(st.sampled_from(["k1", "p1", "k6", "p6"]), st.text(max_size=4))
+pairings = st.lists(st.tuples(labels, labels, st.sampled_from([1, -1])), max_size=6)
+term_lists = st.lists(st.tuples(pairings, st.builds(complex, floats, floats)), max_size=5)
+
+
+def _dumps(n, ks, ps, nonphysical, terms) -> str:
+    """The amplitude document the way the CLI wrote it before the emitter."""
+    doc = {
+        "n": n,
+        "in_momenta": ks,
+        "out_momenta": ps,
+        "nonphysical_ordering": nonphysical,
+        "terms": [
+            {"pairing": [{"out": o, "in": i, "sign": s} for o, i, s in pairing],
+             "coefficient": {"re": value.real, "im": value.imag},
+             "two_pi_power": 0}
+            for pairing, value in terms],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestAmplitudeEmitter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6), st.lists(floats, max_size=6), st.lists(floats, max_size=6),
+           st.booleans(), term_lists)
+    def test_matches_json_dumps(self, n, ks, ps, nonphysical, terms):
+        # NaN and Infinity are written as json.dumps writes them, not RFC 8259
+        got = "".join(amplitude_json(n, ks, ps, nonphysical, terms))
+        assert got == _dumps(n, ks, ps, nonphysical, terms)
+
+    @pytest.mark.parametrize("terms", [[], [([], 1 + 0j)], [([], -0.0 - 0j), ([], 5e-324j)]])
+    def test_empty_lists_and_pairings(self, terms):
+        for nonphysical in (False, True):
+            got = "".join(amplitude_json(0, [], [], nonphysical, terms))
+            assert got == _dumps(0, [], [], nonphysical, terms)
+
+    def test_streams_one_write_per_term(self, monkeypatch, tmp_path):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+        config = GOLDEN_AMPLITUDE / "pure_reflection_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "2",
+                     "--in=0.5,-1.5", "--out=2.5,1", "--allow-nonphysical"]) == 0
+        assert len(writes) == 8 + 2  # the head, one record per term, the tail
+        doc = json.loads("".join(writes))
+        assert doc["nonphysical_ordering"] is True
+        assert writes[1].startswith("[\n    {") and writes[-1] == "\n  ]\n}\n"
+
+    def test_exact_query_matches_its_byte_golden(self, capsys):
+        # identity N=1 with pure reflection: every coefficient is exactly -1.0
+        # or 0.0, so the bytes depend on no BLAS or CPU
+        config = GOLDEN_AMPLITUDE / "pure_reflection_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "3",
+                     "--in=-1.5,0.5,2", "--out=2.5,1,-0.5"]) == 0
+        golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n3.json"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestCatalog:

@@ -9,8 +9,9 @@ from rtcheck.config import (
     ModelConfig,
     build_model,
     parse_config,
+    scalar_times_identity,
 )
-from rtcheck.defect import DefectPair
+from rtcheck.defect import DefectPair, ZeroMomentumError, delta_defect
 from rtcheck.grammar import MAX_NESTING, ExpressionError, parse_expression
 
 
@@ -244,3 +245,21 @@ class TestBuildModel:
         cfg = parse_config(json.dumps({"doubled": False}))
         model = build_model(cfg)
         assert model.doubled is None
+
+
+class TestScalarLift:
+    def test_lift_reads_the_scalar_callables_once_through_its_own_check(self, monkeypatch):
+        scalar = delta_defect(1.0)
+        lifted = scalar_times_identity(scalar, 3)
+        reads = []
+        for name in ("R", "T"):
+            original = getattr(DefectPair, name)
+            monkeypatch.setattr(DefectPair, name, lambda self, k, _o=original, _n=name: (
+                reads.append((_n, self.dim)), _o(self, k))[1])
+        for k in (0.7, -1.3):
+            assert np.array_equal(lifted.T(k), scalar.transmission(k)[0, 0] * np.eye(3))
+            assert np.array_equal(lifted.R(k), scalar.reflection(k)[0, 0] * np.eye(3))
+        # one validated read per lifted read, none of the scalar pair nested in it
+        assert reads == [("T", 3), ("R", 3), ("T", 3), ("R", 3)]
+        with pytest.raises(ZeroMomentumError):
+            lifted.T(0.0)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,8 +407,8 @@ def _reference_coefficient(expr, term, env, model):
             continue
         operands, seen = [], {}
         for atom in net:
-            tensor, legs = fock._eval_atom(atom, env, model)
-            operands += [tensor, [seen.setdefault(l, len(seen)) for l in legs]]
+            tensor = fock._eval_atom(atom, env, model)
+            operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
         total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
     return total
 
@@ -675,3 +676,171 @@ class TestShapeCachedKernels:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert all(results[i] == serial for i in range(4))
+
+
+def _one_network_at_a_time(expr, term, env, at, model):
+    """One term's sliced coefficient by the per-network loop: each network a
+    batch of one with its leaves sliced by basic indexing, added in network
+    order.  The reference for the topology batches, which must equal it."""
+    n_ext = len(expr.word)
+    total = np.zeros((), dtype=complex)
+    for net in term.networks:
+        if not net:  # the empty word's unit network
+            total = total + 1.0
+            continue
+        tensors = [
+            fock._eval_atom(atom, env, model, expr.word)[None][
+                (slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
+            for atom in net]
+        seen: dict = {}
+        inputs = tuple(tuple(seen.setdefault(l, len(seen)) for l in atom[1]) for atom in net)
+        output = tuple(seen[l] for l in range(n_ext))
+        for positions, subscripts in fock._plan(inputs, output, model.doubled_dim, True):
+            tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
+        total = total + tensors[0][0]
+    return complex(total[()])
+
+
+BATCH_CONFIGS = {1: "delta_n1", 2: "rational_n2", 3: "rational_n3"}
+
+
+def _golden_model(N):
+    path = Path(__file__).parent / "golden" / "configs" / f"{BATCH_CONFIGS[N]}.json"
+    return build_model(parse_config(path.read_text())).doubled
+
+
+def _physical_jobs(n, model, seed):
+    """(expr, [(term, env)]) for every term of the n-particle amplitude at
+    momenta drawn from ``seed``: in-momenta increasing, as the CLI takes them."""
+    rng = np.random.default_rng(seed)
+    ks = sorted(float(k) for k in np.round(rng.uniform(0.2, 3.0, n) * rng.choice([-1, 1], n), 3))
+    in_labels = [f"k{i+1}" for i in range(n)]
+    out_labels = [f"p{i+1}" for i in range(n)]
+    expr = fock.n_particle_expression(n, in_labels, out_labels, model)
+    seeds = dict(zip(in_labels, ks))
+    return expr, [(t, resolve_momenta(t, expr.word, seeds)) for t in expr.terms]
+
+
+class TestTopologyBatches:
+    @pytest.mark.parametrize("N,n", [(N, n) for N in (1, 2, 3) for n in range(5)])
+    def test_batched_equals_the_per_network_loop(self, N, n):
+        model = _golden_model(N)
+        for seed in range(3 if N * n < 12 else 1):
+            expr, jobs = _physical_jobs(n, model, seed)
+            got = fock.physical_coefficients(expr, jobs, model)
+            sides = [(s.sign if s.kind == "a" else -s.sign, s.label) for s in expr.word]
+            want = [
+                _one_network_at_a_time(
+                    expr, term, env,
+                    tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides), model)
+                for term, env in jobs]
+            assert got == want
+            assert got == [fock.physical_coefficient(expr, t, env, model) for t, env in jobs]
+
+    def test_one_topology_group_holds_different_ats(self):
+        model = _golden_model(2)
+        rng = np.random.default_rng(7)
+        expr, jobs = _physical_jobs(3, model, 1)
+        by_topology: dict = {}
+        for term, env in jobs:
+            by_topology.setdefault(term.legs[0], []).append((term, env))
+        group = max(by_topology.values(), key=len)
+        assert len(group) == 8  # 2^n T/R choices share one braid structure
+        # the physical assignment already differs across the group; random
+        # components on top of it cover every leg
+        ats = [tuple(int(i) for i in rng.integers(model.doubled_dim, size=6)) for _ in group]
+        assert len(set(ats)) > 1
+        batch = fock.evaluate_coefficients(
+            expr, [(t, env, at) for (t, env), at in zip(group, ats)], model)
+        want = [_one_network_at_a_time(expr, t, env, at, model)
+                for (t, env), at in zip(group, ats)]
+        assert [complex(v[()]) for v in batch] == want
+
+    def test_full_tensors_batch_like_one_at_a_time(self):
+        model = _rational_model()
+        jobs = _expression_terms(3, model)
+        expr = jobs[0][0]
+        batch = fock.evaluate_coefficients(expr, [(t, env, None) for _, t, env in jobs], model)
+        assert all(np.array_equal(x, evaluate_coefficient(e, t, env, model))
+                   for x, (e, t, env) in zip(batch, jobs))
+        # sliced and full jobs in one call keep apart
+        mixed = fock.evaluate_coefficients(
+            expr, [(t, env, (0,) * 6 if i % 2 else None) for i, (_, t, env) in enumerate(jobs)],
+            model)
+        for i, (x, full) in enumerate(zip(mixed, batch)):
+            assert np.array_equal(x, full[(0,) * 6] if i % 2 else full)
+
+    def test_zero_particles_is_one_unit_term(self):
+        expr, jobs = _physical_jobs(0, MODEL, 0)
+        assert fock.physical_coefficients(expr, jobs, MODEL) == [1 + 0j]
+        assert fock.physical_coefficients(expr, [], MODEL) == []
+
+    def test_a_shared_leaf_cache_gives_the_results_of_separate_ones(self):
+        model = _rational_model()
+        calls = []
+
+        def counted(flavour, fn):
+            def evaluate(k):
+                calls.append((flavour, k))
+                return fn(k)
+            return evaluate
+
+        counting = replace(model, defect=DefectPair(
+            model.doubled_dim, counted("R", model.defect.reflection),
+            counted("T", model.defect.transmission)))
+        draws = [_physical_jobs(3, counting, seed) for seed in range(3)]
+        separate = [fock.physical_coefficients(expr, jobs, counting) for expr, jobs in draws]
+        cache: dict = {}
+        calls.clear()
+        shared = [fock.physical_coefficients(expr, jobs, counting, cache) for expr, jobs in draws]
+        assert len(calls) == len(set(calls))  # each distinct leaf once over all draws
+        assert shared == separate
+        calls.clear()
+        assert [fock.physical_coefficients(expr, jobs, counting, cache)
+                for expr, jobs in draws] == separate
+        assert not calls  # every leaf already in the cache
+
+    def test_threads_get_the_serial_results(self):
+        import sys
+        import threading
+
+        model = _golden_model(2)
+        draws = [_physical_jobs(3, model, seed) for seed in range(2)]
+        serial = [fock.physical_coefficients(expr, jobs, model) for expr, jobs in draws]
+        results: dict[int, list] = {}
+        start = threading.Barrier(4)
+
+        def work(i):
+            start.wait(timeout=60)
+            results[i] = [fock.physical_coefficients(expr, jobs, model) for expr, jobs in draws]
+
+        fock._plan.cache_clear()  # make the threads race on compiling plans
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [results[i] for i in range(4)] == [serial] * 4
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factorization_contracts_all_sign_patterns_in_one_call(self, monkeypatch, n):
+        calls = []
+        original = fock.evaluate_coefficients
+
+        def counting(expr, jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return original(expr, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "evaluate_coefficients", counting)
+        ks = [-1.7, 0.4, 2.2][:n]
+        factorization_residual(n, ks, sorted((k * 1.1 for k in ks), reverse=True), MODEL)
+        assert calls == [2 ** n]
+        calls.clear()
+        opta_agreement_residual(MODEL, 0.7)
+        assert calls == [2]
