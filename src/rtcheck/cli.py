@@ -53,8 +53,7 @@ def _parse_momenta(text: str) -> list[float]:
 
 
 def _cmd_amplitude(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    model = build_model(cfg)
+    model = build_model(_load_config(args.config))
     if model.doubled is None:
         raise ConfigError("amplitude queries need a doubled model (doubled: true)")
     dm = model.doubled
@@ -168,7 +167,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_amp.add_argument("--in", dest="in_momenta", default="", help="k1,k2,...")
     p_amp.add_argument("--out", dest="out_momenta", default="", help="p1,p2,...")
     p_amp.add_argument("--allow-nonphysical", action="store_true")
-    p_amp.add_argument("--seed", type=int, default=None)
     p_amp.set_defaults(fn=_cmd_amplitude)
 
     p_cat = sub.add_parser("catalog", help="list built-in models and checks")

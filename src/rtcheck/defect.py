@@ -182,8 +182,6 @@ RELATIONS: dict[str, Word] = {name: _word(equation) for name, equation in {
 
 
 def _momenta(k1: float, k2: float) -> dict[str, float]:
-    _check_momentum(k1)
-    _check_momentum(k2)
     u, v = k1 - k2, k1 + k2
     return {
         "k1": k1, "k2": k2, "-k1": -k1, "-k2": -k2,

@@ -125,6 +125,4 @@ def symmetrized_unitarity_residual(D: DefectPair, k: float) -> float:
 
 def involution_matrix(D: DefectPair, k: float) -> np.ndarray:
     """Block matrix U(k) = [[T(k), R(k)], [R(-k), T(-k)]] on the (k, -k) doublet."""
-    if k == 0:
-        raise ValueError("involution matrix is undefined at k = 0")
     return np.block([[D.T(k), D.R(k)], [D.R(-k), D.T(-k)]])

@@ -9,15 +9,18 @@ transmission type
     delta(q - p) [I + calT(q)]
 
 and one of reflection type  delta(q + p) calR(q).  An annihilator that
-reaches the vacuum kills its term, as does any leftover creator against the
-vacuum bra.  A surviving term is a perfect matching between annihilators
-and creators ("pairing"), decorated with a lazy tensor network
-("coefficient") whose leaves are S/T/R matrices evaluated at label-dependent
-momenta.  Coefficients are only evaluated after a substitution consistent
-with the pairing.
+reaches the vacuum kills its term; once every annihilator is paired, so is
+every creator, since the word is balanced.  A surviving term is a perfect
+matching between annihilators and creators ("pairing"), decorated with a lazy
+tensor network ("coefficient") whose leaves are S/T/R matrices evaluated at
+label-dependent momenta.  Coefficients are only evaluated after a
+substitution consistent with the pairing.
 
 A network is contracted by a plan: pairwise ``np.einsum`` steps whose order
-comes from numpy's greedy path search (the opt_einsum strategy).  A plan
+comes from numpy's greedy path search (the opt_einsum strategy), run with no
+memory limit: numpy's default limit, the size of the largest operand, would
+stop the search early and leave the rest to one naive ``np.einsum`` over up
+to 15 legs at n = 6, about 4^15 multiply-adds per network at N = 2.  A plan
 depends only on the network's topology (the compacted leg lists, the word
 positions and the leg dimension 2N), so it is compiled once per topology
 and cached.  Each step runs once over a leading batch axis.
@@ -59,7 +62,7 @@ import functools
 import itertools
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -138,10 +141,6 @@ class AmplitudeExpression:
         return not self.terms
 
 
-def _canonical_pairing(pairs: Iterable[tuple[int, int, int]]) -> tuple:
-    return tuple(sorted(pairs))
-
-
 def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeExpression:
     """Vacuum expectation value of a word as a canonicalized expression.
 
@@ -188,9 +187,7 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
     while stack:
         atoms, pairs, live, free = stack.pop()
         idx = max((i for i, e in enumerate(live) if e[1] == "a"), default=None)
-        if idx is None:
-            if live:  # leftover creators hit the vacuum bra
-                continue
+        if idx is None:  # every annihilator paired, and so every creator
             done.append((pairs, atoms))
             continue
         if idx == len(live) - 1:
@@ -220,7 +217,7 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
 
     merged: dict[tuple, list[tuple]] = {}
     for pairs, atoms in done:
-        merged.setdefault(_canonical_pairing(pairs), []).append(atoms)
+        merged.setdefault(tuple(sorted(pairs)), []).append(atoms)
     shared: dict[tuple, tuple] = {}  # one object per distinct leg lists
 
     def legs(net: tuple) -> tuple:
@@ -283,7 +280,7 @@ def _plan(
     interleaved = []
     for legs in inputs:
         interleaved += [np.empty((dim,) * len(legs)), list(legs)]
-    path = np.einsum_path(*interleaved, list(output), optimize="greedy")[0][1:]
+    path = np.einsum_path(*interleaved, list(output), optimize=("greedy", 1 << 62))[0][1:]
     live = list(inputs)
     steps = []
     for step, positions in enumerate(path):
@@ -410,14 +407,6 @@ def physical_coefficients(
     return [complex(value[()]) for value in got]
 
 
-def physical_coefficient(
-    expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel, cache: Optional[dict] = None,
-) -> complex:
-    """One term's coefficient at the physical component assignment."""
-    return physical_coefficients(expr, [(term, env)], model, cache)[0]
-
-
 def resolve_momenta(
     term: ContractionTerm, word: tuple[WordSymbol, ...], seeds: dict[str, float]
 ) -> dict[str, float]:
@@ -480,10 +469,6 @@ def add(K1: OneParticleKernel, K2: OneParticleKernel) -> OneParticleKernel:
 
 def scale(K: OneParticleKernel, c: complex) -> OneParticleKernel:
     return OneParticleKernel(K.dim, lambda p: c * K.A(p), lambda p: c * K.B(p))
-
-
-def subtract(K1: OneParticleKernel, K2: OneParticleKernel) -> OneParticleKernel:
-    return add(K1, scale(K2, -1.0))
 
 
 def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p) -> float | np.ndarray:
@@ -567,8 +552,6 @@ def _moment_kernel(
 
     def moment(part: int, p: float | np.ndarray) -> np.ndarray:
         ps = tuple(np.atleast_1d(p).tolist())  # the model gets Python floats
-        if 0 in ps:
-            raise ValueError("kernel comparison undefined at p = 0")
         total = zero
         for ws, tr in traced(ps)[part]:
             total = total + np.array([w ** power for w in ws])[:, None, None] * tr
@@ -614,10 +597,10 @@ def hierarchy_commutator_residuals(
     one per momentum.
 
     [H^(m), H^(n)] must equal [(-1)^m - (-1)^n] times the reflection-moment
-    kernel of order m + n; both sides are built independently (compose /
-    subtract of the Hamiltonian moments versus the engine expansion of the
-    dressed reflection-moment word), and each is evaluated at all momenta
-    in one batched pass per term.
+    kernel of order m + n; both sides are built independently (the
+    commutator of the Hamiltonian moments by compose versus the engine
+    expansion of the dressed reflection-moment word), and each is evaluated
+    at all momenta in one batched pass per term.
     """
     if m < 0 or n < 0:
         raise ValueError("hierarchy index must be >= 0")
@@ -626,7 +609,7 @@ def hierarchy_commutator_residuals(
     traced = _traced_four_word(model, ad("w"), a("w"), cache)
     Km = _moment_kernel(traced, m, HAMILTONIAN_PREFACTOR, model.doubled_dim)
     Kn = _moment_kernel(traced, n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
-    lhs = subtract(compose(Km, Kn), compose(Kn, Km))
+    lhs = add(compose(Km, Kn), scale(compose(Kn, Km), -1.0))
     pref = (-1.0) ** m - (-1.0) ** n
     rhs = scale(reflection_moment_kernel(m + n, model, cache), pref)
     return kernel_distance(lhs, rhs, np.array(momenta, dtype=float)).tolist()
@@ -703,7 +686,7 @@ def validate_orderings(in_momenta, out_momenta) -> None:
         raise ValueError("out-momenta must be strictly decreasing")
 
 
-MAX_PARTICLES = 6  # n! 2^n terms: 46,080 at n = 6, which take ~6-7 s cold to evaluate
+MAX_PARTICLES = 6  # n! 2^n terms: 46,080 at n = 6, which take ~4-6 s cold at N = 1 or 2
 
 
 def n_particle_expression(
@@ -748,7 +731,7 @@ def factorization_residual(
     for sigma in itertools.product((+1, -1), repeat=n):
         p_sub = [s * k for s, k in zip(sigma, in_momenta)]
         # out slot i is word position n - 1 - i, in slot i is position n + i
-        pairing = _canonical_pairing((n - 1 - i, n + i, sigma[i]) for i in range(n))
+        pairing = tuple(sorted((n - 1 - i, n + i, sigma[i]) for i in range(n)))
         env = dict(zip(in_labels + out_labels, list(in_momenta) + p_sub))
         prod = 1.0 + 0.0j
         for s, p in zip(sigma, p_sub):
@@ -770,8 +753,6 @@ def opta_agreement_residual(model: DoubledModel, p: float) -> float:
     restricted to the physical component assignment (N = 1 models)."""
     if model.bulk_dim != 1:
         raise ValueError("agreement check is defined for N = 1 models")
-    if p == 0:
-        raise ValueError("undefined at p = 0")
     expr = normal_order_vev([a("p"), ad("k")], model)
     opta = one_particle_amplitude(model.half_line, delta_2pi=False)
     jobs = [(next(t for t in expr.terms if t.pairing[0][2] == rel), {"p": p, "k": p / rel})

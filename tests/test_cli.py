@@ -253,6 +253,14 @@ class TestAmplitude:
                      "--in=", "--out="]) == 2
         assert "n must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["3", "-5"])
+    def test_seed_is_a_usage_error(self, delta_config, seed, capsys):
+        # amplitude samples nothing, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--config", delta_config, "--n", "0", "--seed", seed])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_four_particles_at_n2_finish_in_a_fresh_process(self, rational_config):
         # 384 terms over (2N)^8-entry networks: minutes with one unplanned
         # einsum per network, about a second with planned, sliced contraction

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from functools import reduce
@@ -5,6 +6,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from rtcheck import fock
+from rtcheck.config import build_model, parse_config
 from rtcheck.defect import (
     CHUNK,
     CONSISTENCY_VARIANTS,
@@ -30,6 +33,7 @@ from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
     double_defect,
+    involution_matrix,
     reduced_relation_residual,
 )
 from rtcheck.grammar import parse_expression
@@ -379,6 +383,63 @@ class TestMomentumArgument:
         read = self.READERS[reader](delta_defect(1.0))
         for k in (np.float64(-0.7), np.array(-0.7), np.int64(-2)):
             assert np.array_equal(read(k), read(float(k)))
+
+
+ZERO_MOMENTUM_DEFECTS = {
+    "delta": {"name": "delta", "eta": 1.0},
+    "pure-reflection": {"name": "pure-reflection"},
+    "custom": {"name": "custom", "transmission": "k/(k+2i)", "reflection": "-2i/(k+2i)"},
+}
+
+
+def _physical_at_zero(model):
+    expr = fock.normal_order_vev([fock.a("p"), fock.ad("k")], model)
+    return fock.physical_coefficients(
+        expr, [(term, {"p": 0.0, "k": 0.0}) for term in expr.terms], model)
+
+
+# Every public entry point that reads defect data at a momentum, made to read
+# it at 0.  Each reaches DefectPair.R/.T, the one place that checks k = 0.
+ZERO_MOMENTUM_READERS = {
+    "DefectPair.R": lambda m: m.half_line.R(0.0),
+    "DefectPair.T": lambda m: m.half_line.T(0.0),
+    "ProjectedDefect.R": lambda m: project(m.half_line, +1).R(0.0),
+    "ProjectedDefect.T": lambda m: project(m.half_line, -1).T(0.0),
+    "relation_residual(k1=0)": lambda m: relation_residual(m.bulk, m.half_line, 0.0, 0.7, "rr1"),
+    "relation_residual(k2=0)": lambda m: relation_residual(m.bulk, m.half_line, 0.7, 0.0, "rr1"),
+    "involution_matrix": lambda m: involution_matrix(m.half_line, 0.0),
+    "involution_kernel.A": lambda m: fock.involution_kernel(m.doubled).A(0.0),
+    "involution_kernel.B": lambda m: fock.involution_kernel(m.doubled).B(0.0),
+    "hamiltonian_kernel.A": lambda m: fock.hamiltonian_kernel(1, m.doubled).A(0.0),
+    "hierarchy_commutator_residuals":
+        lambda m: fock.hierarchy_commutator_residuals(0, 1, m.doubled, [0.7, 0.0]),
+    "hierarchy_relation_residuals":
+        lambda m: fock.hierarchy_relation_residuals(0, m.doubled, [0.0]),
+    "opta_agreement_residual": lambda m: fock.opta_agreement_residual(m.doubled, 0.0),
+    "physical_coefficients": lambda m: _physical_at_zero(m.doubled),
+}
+
+
+def _zero_momentum_model(defect):
+    return build_model(parse_config(json.dumps(
+        {"bulk": "identity:dim=1", "defect": ZERO_MOMENTUM_DEFECTS[defect]})))
+
+
+@pytest.mark.parametrize("defect", ZERO_MOMENTUM_DEFECTS)
+@pytest.mark.parametrize("reader", ZERO_MOMENTUM_READERS)
+def test_every_reader_raises_zero_momentum_error_at_zero(reader, defect):
+    with pytest.raises(ZeroMomentumError):
+        ZERO_MOMENTUM_READERS[reader](_zero_momentum_model(defect))
+
+
+@pytest.mark.parametrize("k1, k2", [(0.0, 0.7), (0.7, 0.0), (-0.0, -0.7)])
+@pytest.mark.parametrize("variant", RELATIONS)
+def test_every_relation_row_reads_defect_data_at_both_momenta(variant, k1, k2):
+    model = _zero_momentum_model("delta")
+    with pytest.raises(ZeroMomentumError):
+        relation_residual(model.bulk, model.half_line, k1, k2, variant)
+    with pytest.raises(ZeroMomentumError):
+        relation_residual(model.doubled.calS, model.doubled.defect, k1, k2, variant)
 
 
 def loop_residual(word, S, D, k1, k2):

@@ -283,7 +283,7 @@ class TestKernels:
         expr = normal_order_vev([a("p"), ad("k")], model)
         for term in expr.terms:
             with pytest.raises(ZeroMomentumError):
-                fock.physical_coefficient(expr, term, {"p": 0.0, "k": 0.0}, model)
+                fock.physical_coefficients(expr, [(term, {"p": 0.0, "k": 0.0})], model)
 
     def test_composition_associativity(self):
         rng = np.random.default_rng(5)
@@ -478,6 +478,25 @@ class TestPlannedContraction:
         assert len(calls) == len(set(calls))
         assert all(np.array_equal(x, y) for x, y in zip(alone, shared))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_plan_step_stays_pairwise(self, n):
+        """Capped at the largest operand, numpy's greedy path search would
+        stop early and leave the rest to one naive np.einsum over 9-15 legs
+        in 31 of the n = 6 topologies.  Uncapped, no step of an amplitude
+        plan at 2N = 4 spans more than 8 legs besides the batch axis."""
+        labels = [f"k{i}" for i in range(n)], [f"p{i}" for i in range(n)]
+        expr = fock.n_particle_expression(n, *labels, _golden_model(2))
+        wide = []
+        for legs in {legs for term in expr.terms for legs in term.legs}:
+            seen: dict = {}
+            inputs = tuple(tuple(seen.setdefault(l, len(seen)) for l in atom) for atom in legs)
+            output = tuple(seen[l] for l in range(2 * n))
+            spans = [len(set(subscripts) - set("Z,->"))
+                     for _, subscripts in fock._plan(inputs, output, 4, True)]
+            if max(spans) > 8:
+                wide.append(spans)
+        assert not wide
+
     def test_sliced_entry_needs_one_index_per_position(self):
         expr, term, env = _expression_terms(1, MODEL)[0]
         with pytest.raises(ValueError, match="one component index"):
@@ -610,7 +629,7 @@ class TestShapeCachedKernels:
             assert batch == [hierarchy_relation_residual(n, model, p) for p in momenta]
 
     def test_batched_forms_keep_the_one_momentum_errors(self):
-        with pytest.raises(ValueError, match="p = 0"):
+        with pytest.raises(ZeroMomentumError):
             fock.hierarchy_commutator_residuals(0, 1, MODEL, [0.7, 0.0])
         with pytest.raises(ValueError, match="even orders"):
             fock.hierarchy_relation_residuals(1, MODEL, [0.7])
@@ -735,7 +754,7 @@ class TestTopologyBatches:
                     tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides), model)
                 for term, env in jobs]
             assert got == want
-            assert got == [fock.physical_coefficient(expr, t, env, model) for t, env in jobs]
+            assert got == [fock.physical_coefficients(expr, [job], model)[0] for job in jobs]
 
     def test_one_topology_group_holds_different_ats(self):
         model = _golden_model(2)

@@ -2,8 +2,8 @@
 
 Each broken model is built from public constructors only: the configured
 half-line pair with one factor multiplied on the right by a scalar or a
-diagonal matrix, doubled again by build_doubled_model and run through
-run_suite at the default tolerance.
+diagonal matrix, or a perturbed bulk, doubled again by build_doubled_model
+and run through run_suite at the default tolerance.
 """
 
 import dataclasses
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from rtcheck.config import build_model, parse_config
-from rtcheck.defect import DefectPair
+from rtcheck.defect import DefectPair, delta_defect
 from rtcheck.doubling import build_doubled_model
+from rtcheck.smatrix import BulkSMatrix, rational_S
 from rtcheck.suite import run_suite
 
 EPS = 1e-3
@@ -105,3 +106,52 @@ def test_exchange_checks_fail_on_non_scalar_data(factor, failing):
     failed = _failures(model, factor, np.array([1.0, 1.0 + EPS]))
     assert sorted(failed) == sorted(failing)
     assert min(failed.values()) > 1e-7
+
+
+def _with_bulk(model, bulk: BulkSMatrix):
+    return dataclasses.replace(model, bulk=bulk, doubled=build_doubled_model(bulk, model.half_line))
+
+
+def _new_failures(model, broken) -> dict[str, float]:
+    """Checks that fail on ``broken`` but pass on ``model``, with their residuals."""
+    failing = {c.check_id for c in run_suite(model).checks if not c.passed}
+    return {c.check_id: c.max_residual for c in run_suite(broken).checks
+            if not c.passed and c.check_id not in failing}
+
+
+RATIONAL = rational_S(2, 1.0)
+
+
+def test_unitarity_checks_fail_on_a_scaled_bulk():
+    """(1 + EPS) s is no longer unitary, but it solves the Yang-Baxter
+    equation, whose sides both scale by (1 + EPS)^3, and it scales both
+    sides of every relation that passes alike.  Only the mixed relations
+    fail on the unbroken rational model (a no-go, see defect.relation_residual)."""
+    model = _delta_model("rational:N=2,c=1", [], samples=5)
+    scaled = BulkSMatrix(2, lambda k1, k2: (1 + EPS) * RATIONAL.eval(k1, k2), True)
+    failed = _new_failures(model, _with_bulk(model, scaled))
+    assert sorted(failed) == ["unitarity-S", "unitarity-S(doubled)"]
+    assert min(failed.values()) > 1e-3
+
+
+def test_shift_invariance_fails_on_a_bulk_that_is_not_of_difference_form():
+    """S(k1 + EPS (k1 + k2), k2) depends on k1 + k2 as well as k1 - k2,
+    although it declares itself translation invariant."""
+    model = _delta_model("rational:N=2,c=1", ["shift-invariance"])
+    shifted = BulkSMatrix(2, lambda k1, k2: RATIONAL.eval(k1 + EPS * (k1 + k2), k2), True)
+    failed = _new_failures(model, _with_bulk(model, shifted))
+    assert list(failed) == ["shift-invariance"]
+    assert failed["shift-invariance"] > 1e-4
+
+
+def test_engine_checks_fail_when_the_half_line_pair_is_not_the_doubled_one():
+    """opta-agreement and factorization compare the engine, which reads the
+    doubled pair, with products of the half-line amplitudes: a half line
+    delta(1 + EPS) under the doubled pair of delta(1) fails exactly those.
+    Every other check reads one of the two pairs only, and each is unitary."""
+    model = _delta_model("identity:dim=1", [], samples=5)
+    doubled = dataclasses.replace(model.doubled, half_line=delta_defect(1 + EPS))
+    failed = _new_failures(model, dataclasses.replace(model, doubled=doubled))
+    assert sorted(failed) == [
+        "factorization(1)", "factorization(2)", "factorization(3)", "opta-agreement"]
+    assert min(failed.values()) > 1e-4
