@@ -20,6 +20,7 @@ from .defect import (
     delta_defect,
     pure_reflection_defect,
     pure_transmission_defect,
+    scalar_data,
 )
 from .doubling import DoubledModel, build_doubled_model
 from .grammar import parse_expression
@@ -34,8 +35,8 @@ from .smatrix import (
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 50
 TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
-# Bound on the leg dimensions dim and N: the doubled checks build (2N)^6-entry
-# operators, and verify with rational N = 6 takes over 100 s and 337 MB (2-core x86-64).
+# Bound on the leg dimensions dim and N: the doubled checks' work grows as N^6 to
+# N^8; verify with rational N = 6 takes about 2 s and 66 MB (2-core x86-64).
 MAX_LEG_DIM = 6
 
 
@@ -177,7 +178,7 @@ def _expression(entry: dict, key: str):
 def _custom_defect(entry: dict) -> DefectPair:
     t_fn = _expression(entry, "transmission")
     r_fn = _expression(entry, "reflection")
-    return DefectPair(1, lambda k: np.array([[r_fn(k)]]), lambda k: np.array([[t_fn(k)]]))
+    return DefectPair(1, scalar_data(r_fn), scalar_data(t_fn), batched=True)
 
 
 # catalog entry -> (the parameters it accepts besides "name", its builder)
@@ -226,12 +227,12 @@ def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
     eye = np.eye(N, dtype=complex)
 
     def tau(k: float) -> np.ndarray:
-        return complex(pair.transmission(k)[0, 0]) * eye
+        return pair.transmission(k) * eye
 
     def rho(k: float) -> np.ndarray:
-        return complex(pair.reflection(k)[0, 0]) * eye
+        return pair.reflection(k) * eye
 
-    return DefectPair(N, rho, tau)
+    return DefectPair(N, rho, tau, batched=pair.batched)
 
 
 def build_model(cfg: ModelConfig) -> "AssembledModel":

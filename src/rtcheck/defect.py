@@ -5,60 +5,79 @@ pure transmission, mixed, vacuum-matrix (rr1/tt1/tr1) and reduced relations
 are rows of one table, RELATIONS, and one evaluator, chain_residual, computes
 the literal left-minus-right infinity norm of any row at a list of points,
 with no algebraic simplification, so a defective input (or a defective
-equation) shows up as a reproducible residual.  It stacks each factor over
-CHUNK points and multiplies the stacks, where one point at a time cost about
-0.2 ms of Python; the projected relations got 2-5 times faster on half-line
-data and the doubled rows 15-28% faster.  relation_residual is its one-point
-view of any row, and each family name is that view on one variant tuple.
-Heaviside projections are exact: theta(xi*k) multiplies the whole matrix by
-0 or 1, and k = 0 is a domain error rather than a convention.
+equation) shows up as a reproducible residual.  It reads each factor once
+per CHUNK points, with one model call on the momentum arrays, and walks
+both sides sector by sector; on the doubled data that works on
+(P, N*N, N*N) blocks instead of dense (P, 4N*N, 4N*N) stacks.
+relation_residual is its one-point view of any row, and each family name is
+that view on one variant tuple.  Heaviside projections are exact:
+theta(xi*k) is 0 or 1 for the whole matrix, data is read only where it is 1,
+and k = 0 is a domain error rather than a convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import matmul
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .smatrix import BulkSMatrix
-from .tensor import dagger, kron, norm_inf
+from .smatrix import BulkSMatrix, read_points
+from .tensor import dagger, kron, norm_inf, swap_legs
 
 REFLECTION_VARIANTS = ("SRSR+", "SRSR-")
 TRANSMISSION_VARIANTS = ("TST", "STT-", "STT+")
 MIXED_VARIANTS = ("TSRS+", "TSRS-", "SRST+", "SRST-", "TSR+", "TSR-", "RST+", "RST-")
 CONSISTENCY_VARIANTS = ("rr1", "tt1", "tr1")
-CHUNK = 8  # points per stacked evaluation; keeps each factor stack small and in cache
+# Points per reader call and block product.  On the relations benchmark (rational
+# N = 3, 200 points per check, 2-core x86-64) 24 to 64 were about equally fast,
+# 16 about 10% and 8 about 35% slower; peak RSS rose with the chunk, by under 1%
+# at 24, 2% at 32 and 7.5% at 64.
+CHUNK = 24
 
 
 class ZeroMomentumError(ValueError):
     """Defect data evaluated at k = 0, where theta(k) is undefined."""
 
 
-def _check_momentum(k: float) -> None:
-    if not isinstance(k, (int, float)) and np.ndim(k) != 0:  # floats skip np.ndim
-        raise ValueError(f"defect data takes one momentum, got an array of shape {np.shape(k)}")
-    if k == 0:
+def _momentum_array(k) -> np.ndarray | None:
+    """None for one momentum, else k as a 1-d float array; k = 0 anywhere
+    is a ZeroMomentumError, checked once per array."""
+    if isinstance(k, (int, float)) or np.ndim(k) == 0:  # floats skip np.ndim
+        if k == 0:
+            raise ZeroMomentumError("defect data is undefined at k = 0")
+        return None
+    ks = np.asarray(k, dtype=float)
+    if ks.ndim != 1:
+        raise ValueError(f"defect data takes one momentum or a 1-d array, got shape {ks.shape}")
+    if not ks.all():
         raise ZeroMomentumError("defect data is undefined at k = 0")
+    return ks
 
 
 @dataclass(frozen=True)
 class DefectPair:
-    """Matrix-valued reflection/transmission evaluators on R \\ {0}."""
+    """Matrix-valued reflection/transmission evaluators on R \\ {0}.  R and T
+    take one momentum, or a 1-d array of P for a (P, dim, dim) stack."""
 
     dim: int
     reflection: Callable[[float], np.ndarray]
     transmission: Callable[[float], np.ndarray]
+    batched: bool = False  # the evaluators broadcast over (P, 1, 1) momentum arrays
+    blocks: Callable | None = None  # a doubled pair's blocks: see doubling.double_defect
 
-    def R(self, k: float) -> np.ndarray:
-        _check_momentum(k)
-        return np.asarray(self.reflection(k), dtype=complex)
+    def R(self, k) -> np.ndarray:
+        return self._read(self.reflection, k)
 
-    def T(self, k: float) -> np.ndarray:
-        _check_momentum(k)
-        return np.asarray(self.transmission(k), dtype=complex)
+    def T(self, k) -> np.ndarray:
+        return self._read(self.transmission, k)
+
+    def _read(self, fn: Callable, k) -> np.ndarray:
+        ks = _momentum_array(k)
+        if ks is None:
+            return np.asarray(fn(k), dtype=complex)
+        return read_points(fn, self.batched, (self.dim, self.dim), ks)
 
 
 @dataclass(frozen=True)
@@ -68,17 +87,26 @@ class ProjectedDefect:
     pair: DefectPair
     xi: int  # +1 or -1
 
-    def R(self, k: float) -> np.ndarray:
-        _check_momentum(k)
-        if self.xi * k > 0:
-            return self.pair.R(k)
-        return np.zeros((self.pair.dim, self.pair.dim), dtype=complex)
+    def R(self, k) -> np.ndarray:
+        return self._masked(self.pair.R, k)
 
-    def T(self, k: float) -> np.ndarray:
-        _check_momentum(k)
-        if self.xi * k > 0:
-            return self.pair.T(k)
-        return np.zeros((self.pair.dim, self.pair.dim), dtype=complex)
+    def T(self, k) -> np.ndarray:
+        return self._masked(self.pair.T, k)
+
+    def blocks(self, kind: str, k: np.ndarray) -> np.ndarray:
+        return self._masked(partial(self.pair.blocks, kind), k)
+
+    def _masked(self, read: Callable, k) -> np.ndarray:
+        """read(k) where theta(xi k) = 1, zero elsewhere; read only where
+        theta is 1, so that a pole at a masked momentum stays out."""
+        ks = _momentum_array(k)
+        one = ks is None
+        ks = np.array([k], dtype=float) if one else ks
+        on = self.xi * ks > 0
+        part = read(ks[on])
+        out = np.zeros((*part.shape[:-3], len(ks), *part.shape[-2:]), dtype=complex)
+        out[..., on, :, :] = part
+        return out[0] if one else out
 
 
 def project(pair: DefectPair, xi: int) -> ProjectedDefect:
@@ -87,31 +115,39 @@ def project(pair: DefectPair, xi: int) -> ProjectedDefect:
     return ProjectedDefect(pair, xi)
 
 
+def scalar_data(amplitude: Callable[[complex], complex]) -> Callable:
+    """The 1 x 1 evaluator of a scalar amplitude, for a batched DefectPair.
+    It takes each momentum as a Python float, so an array read has the bits
+    of one-point reads (numpy's complex division differs in the last bit)."""
+
+    def fn(k):
+        if isinstance(k, np.ndarray) and k.ndim:
+            return np.array([amplitude(q) for q in k.ravel().tolist()]).reshape(k.shape)
+        return np.array([[amplitude(k)]])
+
+    return fn
+
+
 def delta_defect(eta: float) -> DefectPair:
     """Scalar amplitudes of the delta impurity: T = k/(k+i eta), R = -i eta/(k+i eta)."""
     if eta < 0:
         raise ValueError("delta impurity coupling must be >= 0")
-
-    def T(k: float) -> np.ndarray:
-        return np.array([[k / (k + 1j * eta)]])
-
-    def R(k: float) -> np.ndarray:
-        return np.array([[-1j * eta / (k + 1j * eta)]])
-
-    return DefectPair(1, R, T)
+    T = scalar_data(lambda k: k / (k + 1j * eta))
+    R = scalar_data(lambda k: -1j * eta / (k + 1j * eta))
+    return DefectPair(1, R, T, batched=True)
 
 
 def pure_transmission_defect() -> DefectPair:
     one = np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    return DefectPair(1, lambda k: zero, lambda k: one)
+    return DefectPair(1, lambda k: zero, lambda k: one, batched=True)
 
 
 def pure_reflection_defect() -> DefectPair:
     """Hard wall: R = -1, T = 0 (the eta -> infinity limit of the delta impurity)."""
     minus_one = -np.eye(1, dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    return DefectPair(1, lambda k: minus_one, lambda k: zero)
+    return DefectPair(1, lambda k: minus_one, lambda k: zero, batched=True)
 
 
 def defect_unitarity_residual(D: DefectPair, k: float) -> float:
@@ -181,12 +217,18 @@ RELATIONS: dict[str, Word] = {name: _word(equation) for name, equation in {
 }.items()}
 
 
-def _momenta(k1: float, k2: float) -> dict[str, float]:
+def _momenta(k1: np.ndarray, k2: np.ndarray) -> dict[str, np.ndarray]:
     u, v = k1 - k2, k1 + k2
     return {
         "k1": k1, "k2": k2, "-k1": -k1, "-k2": -k2,
-        "k1-k2": u, "k2-k1": -u, "k1+k2": v, "-k1-k2": -v, "0": 0.0,
+        "k1-k2": u, "k2-k1": -u, "k1+k2": v, "-k1-k2": -v, "0": np.zeros_like(k1),
     }
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two block maps (the row sector of each column sector, the block on each)."""
+    (row_a, blocks_a), (row_b, blocks_b) = a, b
+    return row_a[row_b], blocks_a[row_b] @ blocks_b
 
 
 def chain_residual(
@@ -194,38 +236,51 @@ def chain_residual(
 ) -> list[float]:
     """Literal residual norm_inf(lhs - rhs) of one relation word at each point (k1, k2).
 
-    S(a,b) and S21(a,b) are S.eval and S.eval_swapped; R and T factors
-    come from D, put on their leg with the identity on the other.  In chunks
-    of at most CHUNK points, each distinct factor is built once as a stack
-    (P, d*d, d*d), from one model call per point, and each side is multiplied
-    strictly left to right with no algebraic simplification, so each point
-    gets the residual it would get alone.
+    S(a,b) and S21(a,b) are S and its leg swap; R and T factors come from D,
+    put on their leg with the identity on the other.  Each factor maps each
+    column sector to one row sector through one block: on doubled data (S
+    and D hand out blocks) a leg has m = 2 sectors, S keeps the sector
+    (x1, x2), R on leg j keeps x_j and T on leg j flips it; other data is the
+    one-sector case.  Each side is the product of its block maps, taken
+    strictly left to right.  Where both sides end in one row sector the
+    residual takes |lhs - rhs| there, else max(|lhs|, |rhs|): the dense
+    one-point chain's value, up to the order in which it sums zero terms.
     """
     if D.dim != S.leg_dim:
         raise ValueError(f"defect dim {D.dim} does not match S leg dim {S.leg_dim}")
-    eye = np.eye(D.dim, dtype=complex)
-    lhs, rhs = word
+    m = 2 if S.blocks is not None and D.blocks is not None else 1
+    eye = np.eye(D.dim // m, dtype=complex)
+    sectors = np.arange(m * m)  # sector (x1, x2) of the two legs is x1 * m + x2
     out: list[float] = []
     for start in range(0, len(points), CHUNK):
-        at = [_momenta(k1, k2) for k1, k2 in points[start:start + CHUNK]]
-        built: dict[tuple, np.ndarray] = {}
+        at = _momenta(*np.array(points[start:start + CHUNK], dtype=float).T)
+        built: dict[tuple, tuple] = {}
 
-        def build(factor: tuple) -> np.ndarray:
+        def build(factor: tuple) -> tuple:
+            """The factor's block map, from one reader call on the chunk."""
             if factor not in built:
                 kind = factor[0]
                 if kind in ("S", "S21"):
-                    fn = S.eval if kind == "S" else S.eval_swapped
-                    built[factor] = np.stack([fn(m[factor[1]], m[factor[2]]) for m in at])
+                    a, b = at[factor[1]], at[factor[2]]
+                    blocks = S.blocks(a, b) if m == 2 else S.eval(a, b)[None]
+                    if kind == "S21":  # P S P on sector (x1, x2) is S on (x2, x1), legs swapped
+                        blocks = swap_legs(blocks[sectors.reshape(m, m).T.ravel()])
+                    built[factor] = sectors, blocks
                 else:
                     _, xi, leg, k = factor
                     data = D if xi is None else project(D, xi)
-                    read = data.R if kind == "R" else data.T
-                    stack = np.stack([read(m[k]) for m in at])
-                    built[factor] = kron(stack, eye) if leg == 1 else kron(eye, stack)
+                    read = data.blocks(kind, at[k]) if m == 2 else getattr(data, kind)(at[k])[None]
+                    x = sectors // m if leg == 1 else sectors % m  # the sector of its leg
+                    y = m - 1 - x if kind == "T" else x
+                    stack = kron(read[y], eye) if leg == 1 else kron(eye, read[y])
+                    built[factor] = sectors + (y - x) * (m if leg == 1 else 1), stack
             return built[factor]
 
-        diff = reduce(matmul, map(build, lhs)) - reduce(matmul, map(build, rhs))
-        out += np.abs(diff).max(axis=(1, 2)).tolist()
+        (row_l, left), (row_r, right) = (reduce(_times, map(build, side)) for side in word)
+        gap = np.abs(left - right)
+        apart = row_l != row_r  # the dense difference holds lhs and -rhs in two row sectors
+        gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))
+        out += gap.max(axis=(0, 2, 3)).tolist()
     return out
 
 
@@ -245,6 +300,9 @@ def relation_residual(S: BulkSMatrix, D: DefectPair, k1: float, k2: float, varia
     where r*t = 0: a nonconstant bulk allows reflection or transmission, not
     both (Delfino, Mussardo & Simonetti, Phys. Lett. B 328 (1994) 123).
     """
+    if np.ndim(k1) or np.ndim(k2):
+        raise ValueError(f"a relation residual takes one momentum k1 and one k2, "
+                         f"got shapes {np.shape(k1)} and {np.shape(k2)}")
     return chain_residual(RELATIONS[variant], S, D, [(k1, k2)])[0]
 
 

@@ -27,14 +27,10 @@ class DeltaModel:
             raise ValueError("only eta >= 0 is supported")
 
     def T(self, k: float) -> complex:
-        if k == 0:
-            raise ValueError("amplitude undefined at k = 0")
-        return k / (k + 1j * self.eta)
+        return complex(delta_defect(self.eta).T(k)[0, 0])
 
     def R(self, k: float) -> complex:
-        if k == 0:
-            raise ValueError("amplitude undefined at k = 0")
-        return -1j * self.eta / (k + 1j * self.eta)
+        return complex(delta_defect(self.eta).R(k)[0, 0])
 
     def doubled(self) -> DoubledModel:
         """The impurity algebra data: free bulk, doubled delta amplitudes."""
@@ -121,8 +117,6 @@ def schrodinger_residual(
 def in_out_overlap(model: DeltaModel, p: float, k: float, two_pi: bool = True):
     """The one-particle transition amplitude as (diag, flip) coefficients:
     coefficient of delta(p - k) and of delta(p + k)."""
-    if p == 0 or k == 0:
-        raise ValueError("amplitude undefined at zero momentum")
     c = TWO_PI if two_pi else 1.0
     diag = c * model.T(abs(p))
     flip = c * model.R(abs(p))

@@ -12,6 +12,12 @@ calT(k) = antidiag(tau(k), tau(-k)), calR(k) = diag(rho(k), rho(-k)).
 The sector order of the doubled S-matrix is (+,+), (+,-), (-,+), (-,-):
 same-side scattering far from the impurity keeps the translation-invariant
 argument k1 - k2, cross-side scattering picks up k1 + k2.
+
+Both doubled objects hand out these blocks at momentum arrays
+(BulkSMatrix.blocks, DefectPair.blocks), which the relation words multiply
+sector by sector; their dense matrices are assembled from the same reads
+for the readers that take them whole (Yang-Baxter, unitarity, the
+involution and the engine's leaves).
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ def double_defect(half: DefectPair) -> DefectPair:
     blocks evaluated at -k.  That makes the doubled pair Hermitian-analytic
     and unitary whenever the half-line data satisfies the symmetrized
     relations; for the delta impurity it reproduces the textbook 2x2 vacuum
-    matrices exactly.
+    matrices exactly.  Its blocks, by row sector (+, -), are the half-line
+    data at k and at -k: calR keeps the sector, calT flips it.
     """
     N = half.dim
     plus, minus = slice(None, N), slice(N, None)
@@ -76,7 +83,11 @@ def double_defect(half: DefectPair) -> DefectPair:
         out[minus, minus] = rho(-k)
         return out
 
-    return DefectPair(2 * N, calR, calT)
+    def blocks(kind: str, k: np.ndarray) -> np.ndarray:
+        read = half.R if kind == "R" else half.T
+        return np.stack([read(k), read(-k)])
+
+    return DefectPair(2 * N, calR, calT, blocks=blocks)
 
 
 def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
@@ -84,24 +95,29 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
     S-matrix on C^{2N}.
 
     The result is not translation invariant whenever s is nonconstant (the
-    cross-side blocks depend on k1 + k2).
+    cross-side blocks depend on k1 + k2).  Its blocks are s at the bulk
+    arguments of each sector, in SECTORS order; the dense matrix is
+    assembled from the same reads for the readers that take it whole.
     """
     if not s.translation_invariant:
         raise ValueError("double_S_bulk expects a translation-invariant bulk S-matrix")
     N = s.leg_dim
     n2 = 2 * N
-    blocks = []  # ([a1, a2, b1, b2] slices of one sector, its argument signs)
+    slices = []  # ([a1, a2, b1, b2] slices of one sector, its argument signs)
     for (x1, x2), signs in SECTORS.items():
         r1, r2 = slice(x1 * N, x1 * N + N), slice(x2 * N, x2 * N + N)
-        blocks.append(((r1, r2, r1, r2), signs))
+        slices.append(((r1, r2, r1, r2), signs))
 
     def fn(k1: float, k2: float) -> np.ndarray:
         out = np.zeros((n2, n2, n2, n2), dtype=complex)
-        for block, (s1, s2) in blocks:
+        for block, (s1, s2) in slices:
             out[block] = s.eval(s1 * k1, s2 * k2).reshape(N, N, N, N)
         return out.reshape(n2 * n2, n2 * n2)
 
-    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", sectors=2)
+    def blocks(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+        return np.stack([s.eval(s1 * k1, s2 * k2) for _, (s1, s2) in slices])
+
+    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", sectors=2, blocks=blocks)
 
 
 def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:

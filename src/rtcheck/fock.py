@@ -473,9 +473,9 @@ def scale(K: OneParticleKernel, c: complex) -> OneParticleKernel:
 
 def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p) -> float | np.ndarray:
     """max |A1 - A2| + max |B1 - B2| at p.  An array p gives one distance per
-    momentum only for kernels whose evaluators take arrays, such as the
-    hierarchy kernels; those built on defect data (involution_kernel,
-    one_particle_amplitude) take one momentum and reject an array."""
+    momentum for kernels whose evaluators take arrays: the hierarchy kernels,
+    and those built on defect data (involution_kernel, one_particle_amplitude),
+    whose DefectPair.R/.T take arrays."""
     return (np.abs(K1.A(p) - K2.A(p)).max(axis=(-2, -1))
             + np.abs(K1.B(p) - K2.B(p)).max(axis=(-2, -1)))
 

@@ -1,6 +1,7 @@
 """Momentum-dependent bulk S-matrices and their consistency residuals.
 
-A bulk S-matrix is an evaluator (k1, k2) -> operator on C^d (x) C^d.  The
+A bulk S-matrix is an evaluator (k1, k2) -> operator on C^d (x) C^d, or on
+two momentum arrays the stack of operators, one per point.  The
 catalog entries are all checked against the Yang-Baxter equation
 
     S12(k1,k2) S13(k1,k3) S23(k2,k3) = S23(k2,k3) S13(k1,k3) S12(k1,k2)
@@ -34,37 +35,56 @@ SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SC
 SAMPLE_TRIES = 10_000  # rejected draws in a row before an unsatisfiable exclusion gives up
 
 
+def read_points(fn: Callable, batched: bool, shape: tuple[int, ...], *ks: np.ndarray) -> np.ndarray:
+    """fn at the points of the 1-d momentum arrays ks, as one (P, *shape)
+    stack: one call on (P, 1, 1) arrays if fn is batched (a constant result
+    is broadcast, read-only), else one call per point, with Python floats."""
+    if batched:
+        out = np.asarray(fn(*(k[:, None, None] for k in ks)), dtype=complex)
+        return np.broadcast_to(out, (len(ks[0]), *shape))
+    points = [fn(*pt) for pt in zip(*(k.tolist() for k in ks))]
+    return np.array(points, dtype=complex).reshape(len(ks[0]), *shape)
+
+
 @dataclass(frozen=True)
 class BulkSMatrix:
+    """A two-leg S-matrix evaluator.  eval takes one momentum per slot, or
+    two 1-d arrays of P momenta for a (P, d*d, d*d) stack."""
+
     leg_dim: int
     fn: Callable[[float, float], np.ndarray]
     translation_invariant: bool
     name: str = ""
     sectors: int = 1  # blocks per leg; each evaluated matrix maps every pair of them to itself
+    batched: bool = False  # fn broadcasts over (P, 1, 1) momentum arrays, as the catalog's do
+    blocks: Callable | None = None  # a doubled matrix's blocks: see doubling.double_S_bulk
 
-    def eval(self, k1: float, k2: float) -> np.ndarray:
-        return self.fn(k1, k2)
+    def eval(self, k1, k2) -> np.ndarray:
+        if isinstance(k1, (int, float)) or np.ndim(k1) == 0:  # floats skip np.ndim
+            return self.fn(k1, k2)
+        return read_points(self.fn, self.batched, (self.leg_dim**2,) * 2, k1, k2)
 
-    def eval_swapped(self, k1: float, k2: float) -> np.ndarray:
+    def eval_swapped(self, k1, k2) -> np.ndarray:
         """S21(k1, k2): the evaluated matrix with both legs exchanged."""
         return swap_legs(self.eval(k1, k2))
 
 
 def identity_S(d: int) -> BulkSMatrix:
     eye = identity_two_leg(d)
-    return BulkSMatrix(d, lambda k1, k2: eye, True, name=f"identity({d})")
+    return BulkSMatrix(d, lambda k1, k2: eye, True, name=f"identity({d})", batched=True)
 
 
 def permutation_S(d: int) -> BulkSMatrix:
     p = permutation_operator(d)
-    return BulkSMatrix(d, lambda k1, k2: p, True, name=f"permutation({d})")
+    return BulkSMatrix(d, lambda k1, k2: p, True, name=f"permutation({d})", batched=True)
 
 
 def rational_S(N: int, c: float) -> BulkSMatrix:
     """s(k1 - k2) = (k I + i c P) / (k + i c) on C^N (x) C^N.
 
     For real c != 0 the denominator never vanishes on the real line, so the
-    evaluator is total there; the pole sits at k1 - k2 = -i c.  Like the
+    evaluator is total there; the pole sits at k1 - k2 = -i c.  It
+    broadcasts over momentum arrays with the bits of one-point calls.  Like the
     constant catalog entries, its Yang-Baxter and unitarity residuals are
     rounding-level (~1e-15), far below the default 1e-9 tolerance.
     """
@@ -77,7 +97,7 @@ def rational_S(N: int, c: float) -> BulkSMatrix:
         k = k1 - k2
         return (k * eye + 1j * c * p) / (k + 1j * c)
 
-    return BulkSMatrix(N, fn, True, name=f"rational({N},{c})")
+    return BulkSMatrix(N, fn, True, name=f"rational({N},{c})", batched=True)
 
 
 def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, float]:

@@ -22,8 +22,8 @@ def as_operator(x) -> np.ndarray:
 
 
 def leg_dim(x: np.ndarray) -> int:
-    """Leg dimension d of a two-leg operator (d*d x d*d matrix)."""
-    n = x.shape[0]
+    """Leg dimension d of a two-leg operator (d*d x d*d matrix), or of each in a stack."""
+    n = x.shape[-1]
     d = math.isqrt(n)
     if d * d != n:
         raise ValueError(f"matrix of size {n} is not a two-leg operator")
@@ -32,10 +32,10 @@ def leg_dim(x: np.ndarray) -> int:
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two d x d matrices.  Either may be a stack
-    (P, d, d), which gives the (P, d*d, d*d) stack of the products."""
+    (..., d, d), which gives the (..., d*d, d*d) stack of the products."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    d = a.shape[-1] if a.ndim in (2, 3) and b.ndim in (2, 3) else 0
+    d = a.shape[-1] if a.ndim >= 2 and b.ndim >= 2 else 0
     if d < 1 or a.shape[-2:] != (d, d) or b.shape[-2:] != (d, d):
         raise ValueError(f"expected d x d matrices or stacks of them, got {a.shape} and {b.shape}")
     out = a[..., :, None, :, None] * b[..., None, :, None, :]  # the products np.kron forms
@@ -58,11 +58,12 @@ def permutation_operator(d: int) -> np.ndarray:
 
 
 def swap_legs(x) -> np.ndarray:
-    """Conjugate by the permutation operator: P X P."""
-    x = as_operator(x)
+    """Conjugate by the permutation operator: P X P, or P X P for each X of
+    a stack (..., d*d, d*d)."""
+    x = as_operator(x) if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
     d = leg_dim(x)
-    t = x.reshape(d, d, d, d)
-    return np.ascontiguousarray(t.transpose(1, 0, 3, 2)).reshape(d * d, d * d)
+    t = x.reshape(*x.shape[:-2], d, d, d, d)
+    return np.ascontiguousarray(np.swapaxes(np.swapaxes(t, -4, -3), -2, -1)).reshape(x.shape)
 
 
 # einsum subscripts (x[a,b,c,d], eye[e,f]) -> three-leg operator, per leg pair

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 import re
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from rtcheck import fock
-from rtcheck.config import build_model, parse_config
+from rtcheck.config import build_model, parse_config, scalar_times_identity
 from rtcheck.defect import (
     CHUNK,
     CONSISTENCY_VARIANTS,
@@ -25,10 +27,12 @@ from rtcheck.defect import (
     mixed_relation_residual,
     project,
     pure_reflection_defect,
+    pure_transmission_defect,
     reflection_relation_residual,
     relation_residual,
     transmission_relation_residual,
 )
+from rtcheck.deltamodel import DeltaModel, in_out_overlap
 from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
@@ -36,8 +40,9 @@ from rtcheck.doubling import (
     involution_matrix,
     reduced_relation_residual,
 )
-from rtcheck.grammar import parse_expression
-from rtcheck.smatrix import BulkSMatrix, identity_S, rational_S, sample_momenta
+from rtcheck.grammar import ExpressionError, parse_expression
+from rtcheck.smatrix import BulkSMatrix, identity_S, permutation_S, rational_S, sample_momenta
+from rtcheck.suite import FIG_VARIANTS, run_suite
 from rtcheck.tensor import norm_inf
 
 ETA = 1.0
@@ -365,7 +370,7 @@ class TestRelationTable:
 
 
 class TestMomentumArgument:
-    """The readers take one momentum; an array is an error, not a batch."""
+    """The readers take one momentum or a 1-d array of them."""
 
     READERS = {
         "R": lambda d: d.R, "T": lambda d: d.T,
@@ -373,9 +378,9 @@ class TestMomentumArgument:
     }
 
     @pytest.mark.parametrize("reader", READERS)
-    @pytest.mark.parametrize("k", [np.array([0.7, -1.3]), np.array([0.7]), np.array([[0.7]])])
-    def test_array_momentum_is_rejected(self, reader, k):
-        with pytest.raises(ValueError, match="one momentum, got an array of shape"):
+    @pytest.mark.parametrize("k", [np.array([[0.7]]), np.ones((2, 1, 1))])
+    def test_arrays_of_other_ranks_are_rejected(self, reader, k):
+        with pytest.raises(ValueError, match="one momentum or a 1-d array, got shape"):
             self.READERS[reader](delta_defect(1.0))(k)
 
     @pytest.mark.parametrize("reader", READERS)
@@ -383,6 +388,88 @@ class TestMomentumArgument:
         read = self.READERS[reader](delta_defect(1.0))
         for k in (np.float64(-0.7), np.array(-0.7), np.int64(-2)):
             assert np.array_equal(read(k), read(float(k)))
+
+    @pytest.mark.parametrize("bulk", [identity_S(2), rational_S(2, 1.0)], ids=lambda S: S.name)
+    @pytest.mark.parametrize("k1, k2", [
+        (np.array([0.7, 0.2]), 0.3), (0.3, np.array([0.7, 0.2])), (np.array([0.7]), 0.3),
+    ])
+    def test_relation_residual_takes_one_point(self, bulk, k1, k2):
+        D = scalar_times_identity(delta_defect(1.0), 2)
+        with pytest.raises(ValueError, match="takes one momentum k1 and one k2, got shapes"):
+            relation_residual(bulk, D, k1, k2, "tt1")
+
+
+def _catalog_data(bulk, defect):
+    return build_model(parse_config(json.dumps({"bulk": bulk, "defect": defect})))
+
+
+CATALOG_BULKS = {
+    "identity": identity_S(2),
+    "permutation": permutation_S(3),
+    **{f"rational(N={n})": rational_S(n, 1.0) for n in (1, 2, 3)},
+}
+CATALOG_DEFECTS = {
+    "delta": delta_defect(1.0),
+    "pure-reflection": pure_reflection_defect(),
+    "pure-transmission": pure_transmission_defect(),
+    "custom": _catalog_data("identity", {
+        "name": "custom", "transmission": "k/(k+2i)", "reflection": "-2i/(k+2i)"}).half_line,
+    **{f"delta lifted to N={n}": _catalog_data(f"rational:N={n}", "delta").half_line
+       for n in (2, 3)},
+}
+ARRAY_KS = np.array(sample_momenta(2 * CHUNK + 1, seed=29))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestArrayReaders:
+    """One array read is the stack of the one-point reads, bit for bit."""
+
+    @pytest.mark.parametrize("name", CATALOG_BULKS)
+    def test_bulk(self, name):
+        S = CATALOG_BULKS[name]
+        k1, k2 = ARRAY_KS, np.roll(ARRAY_KS, 1)
+        for read in (S.eval, S.eval_swapped):
+            want = np.stack([read(a, b) for a, b in zip(k1.tolist(), k2.tolist())])
+            assert read(k1, k2).shape == want.shape
+            assert _bits(read(k1, k2)) == _bits(want)
+
+    @pytest.mark.parametrize("xi", [None, +1, -1])
+    @pytest.mark.parametrize("name", CATALOG_DEFECTS)
+    def test_defect(self, name, xi):
+        """Projected, the one-point reads of the data where theta is 1, zeros elsewhere."""
+        D = CATALOG_DEFECTS[name]
+        data = D if xi is None else project(D, xi)
+        for kind in ("R", "T"):
+            one = getattr(D, kind)
+            want = np.stack([one(k) if xi is None or xi * k > 0 else np.zeros_like(one(k))
+                             for k in ARRAY_KS.tolist()])
+            got = getattr(data, kind)(ARRAY_KS)
+            assert got.shape == want.shape
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("where", [0, CHUNK, -1])
+    @pytest.mark.parametrize("name", CATALOG_DEFECTS)
+    def test_zero_anywhere_raises(self, name, where):
+        ks = ARRAY_KS.copy()
+        ks[where] = 0.0
+        D = CATALOG_DEFECTS[name]
+        for read in (D.R, D.T, project(D, +1).R, project(D, -1).T):
+            with pytest.raises(ZeroMomentumError):
+                read(ks)
+
+    def test_a_pole_at_a_masked_momentum_is_not_read(self):
+        D = _catalog_data("identity", {
+            "name": "custom", "transmission": "1/(k+0.5)", "reflection": "0"}).half_line
+        ks = np.array([0.7, -0.5, 1.2])
+        got = project(D, +1).T(ks)
+        assert _bits(got[[0, 2]]) == _bits(np.stack([D.T(0.7), D.T(1.2)]))
+        assert np.all(got[1] == 0.0)
+        for read in (D.T, project(D, -1).T):
+            with pytest.raises(ExpressionError, match=re.escape("at k = -0.5")):
+                read(ks)
 
 
 ZERO_MOMENTUM_DEFECTS = {
@@ -399,7 +486,8 @@ def _physical_at_zero(model):
 
 
 # Every public entry point that reads defect data at a momentum, made to read
-# it at 0.  Each reaches DefectPair.R/.T, the one place that checks k = 0.
+# it at 0.  Each reaches DefectPair.R/.T, the one place that checks k = 0; the
+# delta model's readers read their own delta data.
 ZERO_MOMENTUM_READERS = {
     "DefectPair.R": lambda m: m.half_line.R(0.0),
     "DefectPair.T": lambda m: m.half_line.T(0.0),
@@ -417,6 +505,9 @@ ZERO_MOMENTUM_READERS = {
         lambda m: fock.hierarchy_relation_residuals(0, m.doubled, [0.0]),
     "opta_agreement_residual": lambda m: fock.opta_agreement_residual(m.doubled, 0.0),
     "physical_coefficients": lambda m: _physical_at_zero(m.doubled),
+    "DeltaModel.T": lambda m: DeltaModel(1.0).T(0.0),
+    "DeltaModel.R": lambda m: DeltaModel(1.0).R(0.0),
+    "in_out_overlap": lambda m: in_out_overlap(DeltaModel(1.0), 0.0, 0.0),
 }
 
 
@@ -537,29 +628,16 @@ def factor_mutants(factor):
     yield from ((kind, xi, leg, x) for x in OTHER_MOMENTA[k])
 
 
-def word_mutants(word):
-    """Every word with exactly one factor replaced."""
+def word_mutants(word, kinds=("S", "S21", "R", "T")):
+    """Every word with exactly one factor of one of the kinds replaced."""
     for side in (0, 1):
         for i, factor in enumerate(word[side]):
+            if factor[0] not in kinds:
+                continue
             for mutant in factor_mutants(factor):
                 sides = [list(word[0]), list(word[1])]
                 sides[side][i] = mutant
                 yield tuple(sides[0]), tuple(sides[1])
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_every_factor_shows_in_the_stacked_residual(variant):
-    """On structureless data, replacing any one factor's matrix, leg,
-    projection or momentum moves the residual at some sign pattern: the
-    evaluator cannot drop or misplace a factor unseen."""
-    word = RELATIONS[variant]
-    base = chain_residual(word, GENERIC_S, GENERIC_PAIR, SIGN_PATTERNS)
-    count = 0
-    for mutant in word_mutants(word):
-        got = chain_residual(mutant, GENERIC_S, GENERIC_PAIR, SIGN_PATTERNS)
-        assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
-        count += 1
-    assert count >= 3 * len(word[0] + word[1])
 
 
 GENERIC_DOUBLED = build_doubled_model(rational_S(2, 1.0), GENERIC_PAIR)
@@ -567,6 +645,115 @@ VIEW_DATA = {
     "half-line": (GENERIC_S, GENERIC_PAIR),
     "doubled": (GENERIC_DOUBLED.calS, GENERIC_DOUBLED.defect),
 }
+
+
+@pytest.mark.parametrize("data", VIEW_DATA)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_every_factor_shows_in_the_stacked_residual(variant, data):
+    """On structureless data, replacing any one factor's matrix, leg,
+    projection or momentum moves the residual at some sign pattern: the
+    evaluator cannot drop or misplace a factor unseen.  On doubled data the
+    R and T factors are structureless, and their replacements include a T
+    that keeps its sector (T -> R) and an R on the wrong leg; the doubled S
+    has the structure of its rational bulk, which is symmetric in its legs."""
+    S, D = VIEW_DATA[data]
+    word = RELATIONS[variant]
+    kinds = ("R", "T") if data == "doubled" else ("S", "S21", "R", "T")
+    base = chain_residual(word, S, D, SIGN_PATTERNS)
+    count = 0
+    for mutant in word_mutants(word, kinds):
+        got = chain_residual(mutant, S, D, SIGN_PATTERNS)
+        assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
+        count += 1
+    assert count >= 3 * sum(f[0] in kinds for f in word[0] + word[1])
+
+
+# the sector walk against the dense one-point chain: (doubled model, bit for bit)
+WALK_DATA = {
+    "generic": (GENERIC_DOUBLED, True),
+    **{f"rational(N={n})": (_catalog_data(f"rational:N={n}", "delta").doubled, n <= 2)
+       for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("data", WALK_DATA)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_the_sector_walk_gives_the_dense_one_point_values(variant, data):
+    """Each block product sums the nonzero terms of the dense product.  At
+    N <= 2 they come in the dense order, so the residual is the same bits;
+    at N = 3 the dense BLAS may sum them in another order (<= 3.3e-16 seen)."""
+    dm, exact = WALK_DATA[data]
+    points = SIGN_PATTERNS + STACK_POINTS
+    word = RELATIONS[variant]
+    got = chain_residual(word, dm.calS, dm.defect, points)
+    want = [loop_residual(word, dm.calS, dm.defect, a, b) for a, b in points]
+    if exact:
+        assert got == want
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS if any(
+    f[0] == "T" for f in RELATIONS[v][0])])
+def test_sides_that_end_in_different_sectors_give_the_dense_values(variant):
+    """With its first left-hand T read as R, a side keeps a sector that the
+    other side flips: the dense difference holds lhs and -rhs in two row
+    sectors, so the residual is the larger of the two sides there."""
+    lhs, rhs = RELATIONS[variant]
+    i = next(i for i, f in enumerate(lhs) if f[0] == "T")
+    word = (lhs[:i] + (("R", *lhs[i][1:]),) + lhs[i + 1:], rhs)
+    S, D = GENERIC_DOUBLED.calS, GENERIC_DOUBLED.defect
+    got = chain_residual(word, S, D, SIGN_PATTERNS)
+    assert got == [loop_residual(word, S, D, a, b) for a, b in SIGN_PATTERNS]
+
+
+def _counted(fn, calls, name):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_one_reader_call_per_distinct_factor_and_chunk(variant):
+    """Half-line data: one bulk call per S factor, one defect call per R or T
+    factor.  Doubled data: one block read per factor, which reads the bulk
+    at the four sectors and the half-line data at k and -k."""
+    calls = Counter()
+    bulk = rational_S(3, 1.0)
+    half = CATALOG_DEFECTS["delta lifted to N=3"]
+    bulk = dataclasses.replace(bulk, fn=_counted(bulk.fn, calls, "S"))
+    half = dataclasses.replace(half, reflection=_counted(half.reflection, calls, "R"),
+                               transmission=_counted(half.transmission, calls, "T"))
+    dm = build_doubled_model(bulk, half)
+    calS = dataclasses.replace(dm.calS, blocks=_counted(dm.calS.blocks, calls, "calS"))
+    pair = dataclasses.replace(dm.defect, blocks=_counted(dm.defect.blocks, calls, "blocks"))
+    word = RELATIONS[variant]
+    factors = Counter("S" if f[0] == "S21" else f[0] for f in set(word[0] + word[1]))
+    chunks = math.ceil(len(STACK_POINTS) / CHUNK)
+    assert chunks == 3
+    chain_residual(word, bulk, half, STACK_POINTS)
+    assert calls == {kind: chunks * n for kind, n in factors.items()}
+    calls.clear()
+    chain_residual(word, calS, pair, STACK_POINTS)
+    assert calls == {
+        "calS": chunks * factors["S"], "S": 4 * chunks * factors["S"],
+        "blocks": chunks * (factors["R"] + factors["T"]),
+        **{kind: 2 * chunks * factors[kind] for kind in "RT" if factors[kind]},
+    }
+
+
+def test_an_inf_in_tau_fails_every_doubled_row_that_reads_it():
+    rows = [v for v in FIG_VARIANTS + CONSISTENCY_VARIANTS
+            if any(f[0] == "T" for f in RELATIONS[v][0] + RELATIONS[v][1])]
+    checks = [v if v in CONSISTENCY_VARIANTS else f"{v}(doubled)" for v in rows]
+    model = build_model(parse_config(json.dumps({
+        "bulk": "rational:N=2", "samples": 5, "checks": checks,
+        "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"}})))
+    report = run_suite(model)
+    assert [c.check_id for c in report.checks] == checks
+    assert not any(c.passed or math.isfinite(c.max_residual) for c in report.checks)
 
 
 class TestRelationViews:

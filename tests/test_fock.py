@@ -313,15 +313,16 @@ class TestKernels:
         with pytest.raises(ValueError):
             compose(identity_kernel(2), identity_kernel(4))
 
-    def test_array_momentum_needs_evaluators_that_take_arrays(self):
+    def test_array_momentum_gives_one_distance_per_momentum(self):
         p = np.array([0.7, -1.3])
         H = hamiltonian_kernel(2, MODEL)
         got = kernel_distance(H, scale(H, 2.0), p)
         assert got == pytest.approx([kernel_distance(H, scale(H, 2.0), q) for q in p], rel=1e-15)
+        # kernels on defect data read it through DefectPair.R/.T, which take arrays
         J = involution_kernel(MODEL)
         for K in (compose(J, J), one_particle_amplitude(MODEL.half_line)):
-            with pytest.raises(ValueError, match="one momentum, got an array"):
-                kernel_distance(K, identity_kernel(K.dim), p)
+            got = kernel_distance(K, identity_kernel(K.dim), p)
+            assert list(got) == [kernel_distance(K, identity_kernel(K.dim), q) for q in p]
 
 
 class TestHamiltonianKernels:

@@ -1,6 +1,6 @@
 """Verify reports and the check catalog stay as recorded in tests/golden/.
 
-tests/golden/configs/ holds five configs; tests/golden/<name>.json and
+tests/golden/configs/ holds six configs; tests/golden/<name>.json and
 <name>.txt are the `rtcheck verify --format json` and `--format text` output
 recorded for each, and catalog.json is the output of `rtcheck catalog`.
 Exit codes, check ids and their order, verdicts, worst momenta and the
@@ -26,6 +26,7 @@ EXIT_CODES = {
     "rational_n3": 1,
     "permutation_transmission": 0,
     "custom_defect": 0,
+    "doubled_rows": 0,
 }
 RESIDUAL_ATOL = 1e-12
 
