@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -150,15 +150,16 @@ def pure_reflection_defect() -> DefectPair:
     return DefectPair(1, lambda k: minus_one, lambda k: zero, batched=True)
 
 
-def defect_unitarity_residual(D: DefectPair, k: float) -> float:
-    """|T(k)T(k) + R(k)R(-k) - I| + |T(k)R(k) + R(k)T(-k)|."""
+def defect_unitarity_residual(D: DefectPair, k) -> float | np.ndarray:
+    """|T(k)T(k) + R(k)R(-k) - I| + |T(k)R(k) + R(k)T(-k)|, at one momentum
+    or at each of a 1-d array."""
     eye = np.eye(D.dim, dtype=complex)
     t_k, t_mk, r_k, r_mk = D.T(k), D.T(-k), D.R(k), D.R(-k)
     return norm_inf(t_k @ t_k + r_k @ r_mk - eye) + norm_inf(t_k @ r_k + r_k @ t_mk)
 
 
-def hermitian_analyticity_residual(D: DefectPair, k: float) -> float:
-    """|T(k)^dag - T(k)| + |R(k)^dag - R(-k)|."""
+def hermitian_analyticity_residual(D: DefectPair, k) -> float | np.ndarray:
+    """|T(k)^dag - T(k)| + |R(k)^dag - R(-k)|, at one momentum or at each of a 1-d array."""
     t_k = D.T(k)
     return norm_inf(dagger(t_k) - t_k) + norm_inf(dagger(D.R(k)) - D.R(-k))
 
@@ -232,9 +233,10 @@ def _times(a: tuple, b: tuple) -> tuple:
 
 
 def chain_residual(
-    word: Word, S: BulkSMatrix, D: DefectPair, points: Sequence[tuple[float, float]]
+    word: Word, S: BulkSMatrix, D: DefectPair, k1: np.ndarray, k2: np.ndarray
 ) -> list[float]:
-    """Literal residual norm_inf(lhs - rhs) of one relation word at each point (k1, k2).
+    """Literal residual norm_inf(lhs - rhs) of one relation word at each point
+    (k1, k2) of two 1-d momentum arrays.
 
     S(a,b) and S21(a,b) are S and its leg swap; R and T factors come from D,
     put on their leg with the identity on the other.  Each factor maps each
@@ -252,8 +254,8 @@ def chain_residual(
     eye = np.eye(D.dim // m, dtype=complex)
     sectors = np.arange(m * m)  # sector (x1, x2) of the two legs is x1 * m + x2
     out: list[float] = []
-    for start in range(0, len(points), CHUNK):
-        at = _momenta(*np.array(points[start:start + CHUNK], dtype=float).T)
+    for start in range(0, len(k1), CHUNK):
+        at = _momenta(k1[start:start + CHUNK], k2[start:start + CHUNK])
         built: dict[tuple, tuple] = {}
 
         def build(factor: tuple) -> tuple:
@@ -303,7 +305,7 @@ def relation_residual(S: BulkSMatrix, D: DefectPair, k1: float, k2: float, varia
     if np.ndim(k1) or np.ndim(k2):
         raise ValueError(f"a relation residual takes one momentum k1 and one k2, "
                          f"got shapes {np.shape(k1)} and {np.shape(k2)}")
-    return chain_residual(RELATIONS[variant], S, D, [(k1, k2)])[0]
+    return chain_residual(RELATIONS[variant], S, D, *np.array([[k1], [k2]], dtype=float))[0]
 
 
 def reflection_relation_residual(

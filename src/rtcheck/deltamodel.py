@@ -9,10 +9,11 @@ eigenfunction formula reads its branch sign, T and R once, through _branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .defect import delta_defect
+from .defect import DefectPair, delta_defect
 from .doubling import DoubledModel, build_doubled_model
 from .fock import TWO_PI, validate_orderings
 from .smatrix import identity_S
@@ -26,15 +27,19 @@ class DeltaModel:
         if self.eta < 0:
             raise ValueError("only eta >= 0 is supported")
 
+    @cached_property  # the delta amplitudes, built once per model
+    def pair(self) -> DefectPair:
+        return delta_defect(self.eta)
+
     def T(self, k: float) -> complex:
-        return complex(delta_defect(self.eta).T(k)[0, 0])
+        return complex(self.pair.T(k)[0, 0])
 
     def R(self, k: float) -> complex:
-        return complex(delta_defect(self.eta).R(k)[0, 0])
+        return complex(self.pair.R(k)[0, 0])
 
     def doubled(self) -> DoubledModel:
         """The impurity algebra data: free bulk, doubled delta amplitudes."""
-        return build_doubled_model(identity_S(1), delta_defect(self.eta))
+        return build_doubled_model(identity_S(1), self.pair)
 
 
 def _branch(model: DeltaModel, k: float, branch: str) -> tuple[int, complex, complex] | None:

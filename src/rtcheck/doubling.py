@@ -28,7 +28,7 @@ import numpy as np
 
 from .defect import DefectPair, family_view
 from .smatrix import BulkSMatrix
-from .tensor import norm_inf
+from .tensor import dagger, norm_inf
 from .tensor import swap_legs  # not called here; bench/tracing.py still spans this name
 
 REDUCED_VARIANTS = ("tau-tau", "tau-rho", "rho-rho")
@@ -127,18 +127,20 @@ def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:
 reduced_relation_residual = family_view(REDUCED_VARIANTS, "reduced")
 
 
-def symmetrized_unitarity_residual(D: DefectPair, k: float) -> float:
+def symmetrized_unitarity_residual(D: DefectPair, k) -> float | np.ndarray:
     """|tau(k)tau(-k) + rho(k)rho(-k) - I| + |tau(k)rho(-k) + rho(k)tau(-k)|
-    plus the Hermitian-analyticity defects of tau and rho, D = (rho, tau)."""
+    plus the Hermitian-analyticity defects of tau and rho, D = (rho, tau),
+    at one momentum or at each of a 1-d array."""
     eye = np.eye(D.dim, dtype=complex)
     t_k, t_mk, r_k, r_mk = D.T(k), D.T(-k), D.R(k), D.R(-k)
     res = norm_inf(t_k @ t_mk + r_k @ r_mk - eye)
     res += norm_inf(t_k @ r_mk + r_k @ t_mk)
-    res += norm_inf(t_k.conj().T - t_mk)
-    res += norm_inf(r_k.conj().T - r_mk)
+    res += norm_inf(dagger(t_k) - t_mk)
+    res += norm_inf(dagger(r_k) - r_mk)
     return res
 
 
-def involution_matrix(D: DefectPair, k: float) -> np.ndarray:
-    """Block matrix U(k) = [[T(k), R(k)], [R(-k), T(-k)]] on the (k, -k) doublet."""
+def involution_matrix(D: DefectPair, k) -> np.ndarray:
+    """Block matrix U(k) = [[T(k), R(k)], [R(-k), T(-k)]] on the (k, -k) doublet,
+    or the (P, 2 dim, 2 dim) stack of them at a 1-d momentum array."""
     return np.block([[D.T(k), D.R(k)], [D.R(-k), D.T(-k)]])

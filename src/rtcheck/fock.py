@@ -748,16 +748,19 @@ def factorization_residual(
     return worst
 
 
-def opta_agreement_residual(model: DoubledModel, p: float) -> float:
+def opta_agreement_residual(model: DoubledModel, p) -> float | np.ndarray:
     """Engine one-particle kernel versus the projected-amplitude kernel, both
-    restricted to the physical component assignment (N = 1 models)."""
+    restricted to the physical component assignment (N = 1 models), at one
+    momentum or at each of a 1-d array: one batch of both terms at every p."""
     if model.bulk_dim != 1:
         raise ValueError("agreement check is defined for N = 1 models")
     expr = normal_order_vev([a("p"), ad("k")], model)
     opta = one_particle_amplitude(model.half_line, delta_2pi=False)
-    jobs = [(next(t for t in expr.terms if t.pairing[0][2] == rel), {"p": p, "k": p / rel})
-            for rel in (+1, -1)]
-    worst = 0.0
-    for coeff, ref in zip(physical_coefficients(expr, jobs, model), (opta.A(p), opta.B(p))):
-        worst = max(worst, abs(coeff - complex(ref[0, 0])))
-    return worst
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    terms = [(next(t for t in expr.terms if t.pairing[0][2] == rel), rel) for rel in (+1, -1)]
+    jobs = [(term, {"p": q, "k": q / rel}) for q in ps.tolist() for term, rel in terms]
+    got = physical_coefficients(expr, jobs, model)
+    want = np.stack([opta.A(ps), opta.B(ps)], axis=1)[:, :, 0, 0].ravel().tolist()
+    gaps = [abs(c - r) for c, r in zip(got, want)]  # Python's: np.abs can differ in the last bit
+    worst = np.maximum(gaps[::2], gaps[1::2])  # a nan gap stays, and fails the check
+    return worst if np.ndim(p) else float(worst[0])

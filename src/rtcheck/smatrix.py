@@ -7,7 +7,9 @@ catalog entries are all checked against the Yang-Baxter equation
     S12(k1,k2) S13(k1,k3) S23(k2,k3) = S23(k2,k3) S13(k1,k3) S12(k1,k2)
 
 and the unitarity relation S12(k1,k2) S21(k2,k1) = I (x) I, where S21 is
-obtained by swapping the legs of the evaluated matrix.
+obtained by swapping the legs of the evaluated matrix.  Each residual takes
+one momentum per slot, for a float, or 1-d momentum arrays, for one residual
+per point.
 
 The Yang-Baxter residual works on sectors.  An S-matrix with m blocks per
 leg (2 for the doubled S-matrix) maps each pair of blocks to itself, so the
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .tensor import embed_pair  # not called here; bench/tracing.py still spans this name
-from .tensor import as_operator, identity_two_leg, leg_dim, norm_inf, permutation_operator
+from .tensor import identity_two_leg, leg_dim, norm_inf, permutation_operator
 from .tensor import swap_legs
 
 DEFAULT_EXCLUSION_RADIUS = 1e-3
@@ -100,22 +103,56 @@ def rational_S(N: int, c: float) -> BulkSMatrix:
     return BulkSMatrix(N, fn, True, name=f"rational({N},{c})", batched=True)
 
 
-def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, float]:
-    """The diagonal blocks (K, m, m, n*n, n*n) of a stack x (K, d*d, d*d) of
-    two-leg operators whose legs have m = sectors blocks of size n, and the
-    stack's largest entry outside them.  Block (s1, s2) is the operator on
-    sector (s1, s2), the pair of leg blocks that it maps to itself."""
-    m = sectors
-    n = leg_dim(as_operator(x[0])) // m
+def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal blocks (..., m, m, n*n, n*n) of a stack x (..., d*d, d*d) of
+    two-leg operators whose legs have m = sectors blocks of size n, and each
+    operator's largest entry outside them (...).  Block (s1, s2) is the
+    operator on sector (s1, s2), the pair of leg blocks that it maps to itself."""
+    m, lead = sectors, x.shape[:-2]
+    n = leg_dim(x) // m
     # axes (operator, row s1, s2, column s1', s2', row i1, i2, column j1, j2)
     u = x.reshape(-1, m, n, m, n, m, n, m, n).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8)
-    u = u.reshape(len(x), m**4, n * n, n * n)
+    u = u.reshape(-1, m**4, n * n, n * n)
     sizes = np.abs(u).max(axis=(2, 3))
     sizes[:, ::m * m + 1] = 0.0  # row sectors equal to column sectors: the blocks
-    return u[:, ::m * m + 1].reshape(-1, m, m, n * n, n * n), float(sizes.max())
+    return u[:, ::m * m + 1].reshape(*lead, m, m, n * n, n * n), sizes.max(axis=1).reshape(lead)
 
 
-def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
+def _per_point(residual: Callable, entries: int, *ks) -> np.ndarray | float:
+    """residual at each point of the 1-d momentum arrays ks, over slices of
+    about 2**14 / entries points (entries: one point's operator size), so that
+    memory stays flat in the points; one momentum per slot gives one float."""
+    arrays = [np.atleast_1d(np.asarray(k, dtype=float)) for k in ks]
+    step = max(1, (1 << 14) // entries)
+    out = np.concatenate([residual(*(k[i:i + step] for k in arrays))
+                          for i in range(0, len(arrays[0]), step)])
+    return out if np.ndim(ks[0]) else float(out[0])
+
+
+def _ybe(S: BulkSMatrix, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> np.ndarray:
+    m, P, d = S.sectors, len(k1), S.leg_dim // S.sectors
+    factors = np.array([S.eval(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))], dtype=complex)
+    blocks, off_sector = sector_blocks(factors, m)
+    # leading axes (point, s1, s2, s3), each factor of size 1 on the sector it does not touch
+    s12 = blocks[0].reshape(P, m, m, 1, d * d, d * d)
+    s13 = blocks[1].reshape(P, m, 1, m, d, d, d, d)  # axes (a, c, a', c')
+    s23 = blocks[2].reshape(P, 1, m, m, d, d, d, d)  # axes (b, c, b', c')
+    # S13 S23, summed over leg 3 between them: axes (a, c, a', b, b', c')
+    lhs = (s13.reshape(P, m, 1, m, -1, d)
+           @ s23.transpose(0, 1, 2, 3, 5, 4, 6, 7).reshape(P, 1, m, m, d, -1))
+    lhs = lhs.reshape(P, m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 4, 7, 5, 6, 8, 9)
+    lhs = s12 @ lhs.reshape(P, m, m, m, d * d, -1)  # S12 on legs (1, 2)
+    # S13 S12, summed over leg 1 between them: axes (a, c, c', b, a', b')
+    rhs = (s13.transpose(0, 1, 2, 3, 4, 5, 7, 6).reshape(P, m, 1, m, -1, d)
+           @ s12.reshape(P, m, m, 1, d, -1))
+    rhs = rhs.reshape(P, m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 4, 7, 5, 8, 9, 6)
+    # S23 on legs (2, 3), batched over leg 1
+    rhs = s23.reshape(P, 1, m, m, 1, d * d, d * d) @ rhs.reshape(P, m, m, m, d, d * d, -1)
+    diff = np.abs(lhs.reshape(P, -1) - rhs.reshape(P, -1)).max(axis=1)
+    return np.maximum(diff, off_sector.max(axis=0))  # a nan in either stays
+
+
+def ybe_residual(S: BulkSMatrix, k1, k2, k3) -> np.ndarray | float:
     """norm_inf(S12 S13 S23 - S23 S13 S12), taken block by block in the sectors.
 
     Each factor maps every sector to itself, so each side is block-diagonal
@@ -126,33 +163,16 @@ def ybe_residual(S: BulkSMatrix, k1: float, k2: float, k3: float) -> float:
     operator, axes (a, b, c, a', b', c'), then applies its first factor to
     that operator's rows, for all sector triples at once.
     """
-    m = S.sectors
-    factors = np.array([S.eval(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))], dtype=complex)
-    blocks, off_sector = sector_blocks(factors, m)
-    d = leg_dim(blocks[0, 0, 0])
-    # leading axes (s1, s2, s3), each factor of size 1 on the sector it does not touch
-    s12 = blocks[0].reshape(m, m, 1, d * d, d * d)
-    s13 = blocks[1].reshape(m, 1, m, d, d, d, d)  # axes (a, c, a', c')
-    s23 = blocks[2].reshape(1, m, m, d, d, d, d)  # axes (b, c, b', c')
-    # S13 S23, summed over leg 3 between them: axes (a, c, a', b, b', c')
-    lhs = s13.reshape(m, 1, m, -1, d) @ s23.transpose(0, 1, 2, 4, 3, 5, 6).reshape(1, m, m, d, -1)
-    lhs = lhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 5, 7, 8)
-    lhs = s12 @ lhs.reshape(m, m, m, d * d, -1)  # S12 on legs (1, 2)
-    # S13 S12, summed over leg 1 between them: axes (a, c, c', b, a', b')
-    rhs = s13.transpose(0, 1, 2, 3, 4, 6, 5).reshape(m, 1, m, -1, d) @ s12.reshape(m, m, 1, d, -1)
-    rhs = rhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 7, 8, 5)
-    # S23 on legs (2, 3), batched over leg 1
-    rhs = s23.reshape(1, m, m, 1, d * d, d * d) @ rhs.reshape(m, m, m, d, d * d, -1)
-    diff = lhs.reshape(m**3, -1) - rhs.reshape(m**3, -1)
-    return float(np.maximum(np.abs(diff).max(), off_sector))  # a nan in either stays
+    return _per_point(partial(_ybe, S), S.leg_dim**6, k1, k2, k3)
 
 
-def unitarity_residual(S: BulkSMatrix, k1: float, k2: float) -> float:
+def unitarity_residual(S: BulkSMatrix, k1, k2) -> np.ndarray | float:
     eye = identity_two_leg(S.leg_dim)
-    return norm_inf(S.eval(k1, k2) @ S.eval_swapped(k2, k1) - eye)
+    return _per_point(lambda a, b: norm_inf(S.eval(a, b) @ S.eval_swapped(b, a) - eye),
+                      S.leg_dim**4, k1, k2)
 
 
-def shift_invariance_residual(S: BulkSMatrix, k1: float, k2: float, shift: float) -> float:
+def shift_invariance_residual(S: BulkSMatrix, k1, k2, shift: float) -> np.ndarray | float:
     return norm_inf(S.eval(k1, k2) - S.eval(k1 + shift, k2 + shift))
 
 

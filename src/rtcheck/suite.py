@@ -8,8 +8,9 @@ Each check is one CheckSpec row in CHECKS: its name, the points it samples
 (single momenta, cyclic pairs or triples, or the factorization set), whether
 it runs on the doubled data, what else it needs (N = 1, a translation-
 invariant bulk, a minimum sample count), when it is on by default, and its
-residual.  The registry, the default list, the requirement errors and
-`rtcheck catalog` are all derived from these rows.
+residual.  A residual takes the points as momentum arrays, one 1-d array per
+slot, and gives one value per point.  The registry, the default list, the
+requirement errors and `rtcheck catalog` are all derived from these rows.
 
 Projected (Heaviside) relations run on the model's half-line data, where
 they are stated; the vacuum-matrix relations (rr1/tt1/tr1), unitarity,
@@ -20,7 +21,6 @@ doubled data under names suffixed "(doubled)" for diagnostic runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import KW_ONLY, dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -57,17 +57,8 @@ def _factorization_set(n: int):
 def _max_over(points, residuals):
     """Largest residual and its point; the first NaN residual outranks every
     number, so a check with a non-finite residual reports it and fails."""
-    worst = -1.0
-    at: tuple[float, ...] = ()
-    for pt, r in zip(points, residuals):
-        if r > worst or (math.isnan(r) and not math.isnan(worst)):
-            worst, at = r, tuple(pt)
-    return worst, at
-
-
-def _pointwise(fn: Callable, *args) -> Callable:
-    """fn(*args, target, *point) -> float as a residual (target, points)."""
-    return lambda t, points: [fn(*args, t, *pt) for pt in points]
+    i = int(np.argmax(residuals))  # the first largest, or the first NaN
+    return residuals[i], tuple(points[i])
 
 
 class _Target(NamedTuple):
@@ -99,7 +90,7 @@ class CheckSpec:
 
     name: str
     points: Callable  # sampled momenta -> the points the residual is taken at
-    residual: Callable  # (_Target, points) -> one residual per point
+    residual: Callable  # (_Target, k1[, k2[, k3]]) -> one residual per point of the 1-d arrays
     _: KW_ONLY
     doubled: bool = False  # runs on the doubled data, so needs the doubled model
     scalar: bool = False  # needs scalar isotopic sectors (N = 1)
@@ -108,81 +99,49 @@ class CheckSpec:
     default_for: Callable[[AssembledModel], bool] = _always
 
 
-def _ybe(t, a, b, c):
-    return sm.ybe_residual(t.S, a, b, c)
+def _relation(variant, t, k1, k2):
+    return dft.chain_residual(dft.RELATIONS[variant], t.S, t.pair, k1, k2)
 
 
-def _unitarity(t, a, b):
-    return sm.unitarity_residual(t.S, a, b)
+def _reduced(variant, t, k1, k2):
+    return dft.chain_residual(dft.RELATIONS[variant], t.dm.bulk, t.dm.half_line, k1, k2)
 
 
-def _shift_invariance(t, a, b):
-    return sm.shift_invariance_residual(t.S, a, b, 0.5)
+def _commutator(m, n, t, k):
+    return fock.hierarchy_commutator_residuals(m, n, t.dm, k)
 
 
-def _relation(variant, t, points):
-    return dft.chain_residual(dft.RELATIONS[variant], t.S, t.pair, points)
-
-
-def _defect_unitarity(t, k):
-    return dft.defect_unitarity_residual(t.pair, k)
-
-
-def _hermitian_analyticity(t, k):
-    return dft.hermitian_analyticity_residual(t.pair, k)
-
-
-def _reduced(variant, t, points):
-    return dft.chain_residual(dft.RELATIONS[variant], t.dm.bulk, t.dm.half_line, points)
-
-
-def _symmetrized_unitarity(t, k):
-    return dbl.symmetrized_unitarity_residual(t.dm.half_line, k)
-
-
-def _j_squared(t, k):
-    J = fock.involution_kernel(t.dm)
-    return fock.kernel_distance(fock.compose(J, J), fock.identity_kernel(t.dm.doubled_dim), k)
-
-
-def _u_squared(t, k):
-    u = dbl.involution_matrix(t.pair, k)
-    return norm_inf(u @ u - np.eye(u.shape[0]))
-
-
-def _commutator(m, n, t, points):
-    return fock.hierarchy_commutator_residuals(m, n, t.dm, [k for k, in points])
-
-
-def _hierarchy_relation(n, t, points):
-    return fock.hierarchy_relation_residuals(n, t.dm, [k for k, in points])
-
-
-def _opta_agreement(t, k):
-    return fock.opta_agreement_residual(t.dm, k)
+def _hierarchy_relation(n, t, k):
+    return fock.hierarchy_relation_residuals(n, t.dm, k)
 
 
 def _factorization(t, *ks):
-    return fock.factorization_residual(len(ks), list(ks), sorted(ks, reverse=True), t.dm)
+    point = [k.item() for k in ks]  # the set's one point
+    return [fock.factorization_residual(len(point), point, sorted(point, reverse=True), t.dm)]
 
 
 FIG_VARIANTS = dft.REFLECTION_VARIANTS + dft.TRANSMISSION_VARIANTS + dft.MIXED_VARIANTS
 
 # Row order is the order of the default list.
 CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
-    CheckSpec("ybe", _TRIPLES, _pointwise(_ybe), min_samples=3),
-    CheckSpec("unitarity-S", _PAIRS, _pointwise(_unitarity)),
-    CheckSpec("shift-invariance", _PAIRS, _pointwise(_shift_invariance), invariant=True),
+    CheckSpec("ybe", _TRIPLES, lambda t, *ks: sm.ybe_residual(t.S, *ks), min_samples=3),
+    CheckSpec("unitarity-S", _PAIRS, lambda t, *ks: sm.unitarity_residual(t.S, *ks)),
+    CheckSpec("shift-invariance", _PAIRS,
+              lambda t, *ks: sm.shift_invariance_residual(t.S, *ks, 0.5), invariant=True),
     *(CheckSpec(v, _PAIRS, partial(_relation, v)) for v in FIG_VARIANTS),
     *(
         CheckSpec(f"{v}(doubled)", _PAIRS, partial(_relation, v), doubled=True,
                   default_for=_never)
         for v in FIG_VARIANTS
     ),
-    CheckSpec("ybe(doubled)", _TRIPLES, _pointwise(_ybe), doubled=True, min_samples=3),
-    CheckSpec("unitarity-S(doubled)", _PAIRS, _pointwise(_unitarity), doubled=True),
-    CheckSpec("defect-unitarity", _SINGLES, _pointwise(_defect_unitarity), doubled=True),
-    CheckSpec("hermitian-analyticity", _SINGLES, _pointwise(_hermitian_analyticity), doubled=True),
+    CheckSpec("ybe(doubled)", _TRIPLES, lambda t, *ks: sm.ybe_residual(t.S, *ks), doubled=True,
+              min_samples=3),
+    CheckSpec("unitarity-S(doubled)", _PAIRS, lambda t, *ks: sm.unitarity_residual(t.S, *ks),
+              doubled=True),
+    CheckSpec("defect-unitarity", _SINGLES,
+              lambda t, k: dft.defect_unitarity_residual(t.pair, k), doubled=True),
+    CheckSpec("hermitian-analyticity", _SINGLES,
+              lambda t, k: dft.hermitian_analyticity_residual(t.pair, k), doubled=True),
     *(
         CheckSpec(v, _PAIRS, partial(_relation, v), doubled=True)
         for v in dft.CONSISTENCY_VARIANTS
@@ -191,10 +150,15 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
         CheckSpec(f"reduced-{v}", _PAIRS, partial(_reduced, v), doubled=True, invariant=True)
         for v in dbl.REDUCED_VARIANTS
     ),
-    CheckSpec("symmetrized-unitarity", _SINGLES, _pointwise(_symmetrized_unitarity), doubled=True,
+    CheckSpec("symmetrized-unitarity", _SINGLES,
+              lambda t, k: dbl.symmetrized_unitarity_residual(t.dm.half_line, k), doubled=True,
               default_for=_invariant),
-    CheckSpec("J-squared", _SINGLES, _pointwise(_j_squared), doubled=True),
-    CheckSpec("involution-U-squared", _SINGLES, _pointwise(_u_squared), doubled=True),
+    CheckSpec("J-squared", _SINGLES, lambda t, k: fock.kernel_distance(
+        fock.compose(fock.involution_kernel(t.dm), fock.involution_kernel(t.dm)),
+        fock.identity_kernel(t.dm.doubled_dim), k), doubled=True),
+    CheckSpec("involution-U-squared", _SINGLES, lambda t, k: norm_inf(
+        np.linalg.matrix_power(dbl.involution_matrix(t.pair, k), 2) - np.eye(2 * t.pair.dim)),
+              doubled=True),
     *(
         CheckSpec(f"hierarchy-commutator({m},{n})", _SINGLES, partial(_commutator, m, n),
                   doubled=True, default_for=_never if (m, n) == (2, 4) else _always)
@@ -205,9 +169,10 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
                   doubled=True, default_for=_always if n == 2 else _never)
         for n in (0, 2)
     ),
-    CheckSpec("opta-agreement", _SINGLES, _pointwise(_opta_agreement), doubled=True, scalar=True),
+    CheckSpec("opta-agreement", _SINGLES, lambda t, k: fock.opta_agreement_residual(t.dm, k),
+              doubled=True, scalar=True),
     *(
-        CheckSpec(f"factorization({n})", _factorization_set(n), _pointwise(_factorization),
+        CheckSpec(f"factorization({n})", _factorization_set(n), _factorization,
                   doubled=True, scalar=True, min_samples=n,
                   default_for=_always if n < 4 else _never)
         for n in (1, 2, 3, 4)
@@ -222,7 +187,7 @@ def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
     else:
         target = _Target(model.bulk, model.half_line, dm)
     points = spec.points(momenta)
-    return _max_over(points, spec.residual(target, points))
+    return _max_over(points, spec.residual(target, *np.array(points, dtype=float).T))
 
 
 _REGISTRY: dict[str, Callable] = {name: partial(_run_check, spec) for name, spec in CHECKS.items()}

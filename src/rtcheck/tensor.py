@@ -88,12 +88,14 @@ def embed_pair(x, legs: tuple[int, int]) -> np.ndarray:
 
 
 def dagger(x) -> np.ndarray:
-    return np.conjugate(np.asarray(x, dtype=complex)).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., n, n)."""
+    return np.conjugate(np.swapaxes(np.asarray(x, dtype=complex), -2, -1))
 
 
-def norm_inf(x) -> float:
-    """Largest absolute entry (elementwise, not the operator norm)."""
-    a = np.asarray(x, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))
+def norm_inf(x) -> float | np.ndarray:
+    """Largest absolute entry (elementwise, not the operator norm) of a
+    matrix, as a float, or of each matrix of a stack (..., n, n)."""
+    a = np.abs(np.asarray(x, dtype=complex))
+    if a.ndim <= 2:
+        return float(a.max()) if a.size else 0.0
+    return a.max(axis=(-2, -1))

@@ -5,7 +5,8 @@ import importlib
 
 import pytest
 
-from rtcheck import defect, doubling
+from rtcheck import defect, doubling, suite
+from rtcheck.config import build_model, parse_config
 
 
 @pytest.fixture
@@ -36,3 +37,21 @@ def test_install_then_uninstall_restores_every_patched_name(tracing):
     assert patched
     for read_back, original in patched:
         assert read_back() is original
+
+
+def test_a_verify_pass_reaches_the_batched_residual_spans(tracing, request):
+    """The check rows look their residual functions up at call time, so the
+    tracer's replacements of these module names see every call, one per check."""
+    config = request.config.rootpath / "tests" / "golden" / "configs" / "rational_n2.json"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        suite.run_suite(build_model(parse_config(config.read_text())))
+    finally:
+        tracer.uninstall()
+    # one call per check: ybe and unitarity-S on the half line and doubled,
+    # defect-unitarity and hermitian-analyticity, involution-U-squared
+    calls = {span: tracer.stats.get(span, [0])[0] for span in (
+        "smatrix.ybe", "smatrix.unitarity", "defect.vacuum", "doubling.involution")}
+    assert calls == {"smatrix.ybe": 2, "smatrix.unitarity": 2, "defect.vacuum": 2,
+                     "doubling.involution": 1}

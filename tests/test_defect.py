@@ -555,6 +555,7 @@ def loop_residual(word, S, D, k1, k2):
 
 STACK_KS = sample_momenta(2 * CHUNK + 2, seed=23)
 STACK_POINTS = list(zip(STACK_KS, STACK_KS[1:]))  # 2 CHUNK + 1 points
+STACK_ARRAYS = np.array(STACK_POINTS).T  # (k1, k2)
 
 
 class TestStackedChains:
@@ -566,7 +567,7 @@ class TestStackedChains:
     def test_any_point_count_gives_the_one_point_values(self, variant, n):
         points = STACK_POINTS[:n]
         word = RELATIONS[variant]
-        got = chain_residual(word, GENERIC_S, GENERIC_PAIR, points)
+        got = chain_residual(word, GENERIC_S, GENERIC_PAIR, *np.array(points).T)
         assert got == [loop_residual(word, GENERIC_S, GENERIC_PAIR, a, b) for a, b in points]
 
     def test_doubled_data_gives_the_one_point_values(self):
@@ -577,7 +578,7 @@ class TestStackedChains:
         )
         for variant in ("rr1", "tr1", "SRSR+", "TSRS-"):
             word = RELATIONS[variant]
-            got = chain_residual(word, model.calS, model.defect, STACK_POINTS)
+            got = chain_residual(word, model.calS, model.defect, *STACK_ARRAYS)
             want = [loop_residual(word, model.calS, model.defect, a, b) for a, b in STACK_POINTS]
             assert got == want
 
@@ -587,7 +588,7 @@ class TestStackedChains:
         points = [list(p) for p in STACK_POINTS[:CHUNK + 2]]
         points[where][slot] = 0.0
         with pytest.raises(ZeroMomentumError):
-            chain_residual(RELATIONS["tt1"], GENERIC_S, GENERIC_PAIR, [tuple(p) for p in points])
+            chain_residual(RELATIONS["tt1"], GENERIC_S, GENERIC_PAIR, *np.array(points).T)
 
     def test_nonfinite_datum_shows_at_its_point_only(self):
         bad_k = STACK_POINTS[CHUNK][0]  # k1 of point CHUNK and k2 of point CHUNK - 1
@@ -598,8 +599,8 @@ class TestStackedChains:
         assert touched == {CHUNK - 1, CHUNK}  # one on each side of the chunk boundary
         for variant in ("tt1", "tau-tau"):  # both read T at k1 and at k2
             with np.errstate(all="ignore"):
-                got = chain_residual(RELATIONS[variant], GENERIC_S, broken, STACK_POINTS)
-            clean = chain_residual(RELATIONS[variant], GENERIC_S, GENERIC_PAIR, STACK_POINTS)
+                got = chain_residual(RELATIONS[variant], GENERIC_S, broken, *STACK_ARRAYS)
+            clean = chain_residual(RELATIONS[variant], GENERIC_S, GENERIC_PAIR, *STACK_ARRAYS)
             for i, (g, c) in enumerate(zip(got, clean)):
                 assert not math.isfinite(g) if i in touched else g == c
 
@@ -659,10 +660,10 @@ def test_every_factor_shows_in_the_stacked_residual(variant, data):
     S, D = VIEW_DATA[data]
     word = RELATIONS[variant]
     kinds = ("R", "T") if data == "doubled" else ("S", "S21", "R", "T")
-    base = chain_residual(word, S, D, SIGN_PATTERNS)
+    base = chain_residual(word, S, D, *np.array(SIGN_PATTERNS).T)
     count = 0
     for mutant in word_mutants(word, kinds):
-        got = chain_residual(mutant, S, D, SIGN_PATTERNS)
+        got = chain_residual(mutant, S, D, *np.array(SIGN_PATTERNS).T)
         assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
         count += 1
     assert count >= 3 * sum(f[0] in kinds for f in word[0] + word[1])
@@ -685,7 +686,7 @@ def test_the_sector_walk_gives_the_dense_one_point_values(variant, data):
     dm, exact = WALK_DATA[data]
     points = SIGN_PATTERNS + STACK_POINTS
     word = RELATIONS[variant]
-    got = chain_residual(word, dm.calS, dm.defect, points)
+    got = chain_residual(word, dm.calS, dm.defect, *np.array(points).T)
     want = [loop_residual(word, dm.calS, dm.defect, a, b) for a, b in points]
     if exact:
         assert got == want
@@ -703,7 +704,7 @@ def test_sides_that_end_in_different_sectors_give_the_dense_values(variant):
     i = next(i for i, f in enumerate(lhs) if f[0] == "T")
     word = (lhs[:i] + (("R", *lhs[i][1:]),) + lhs[i + 1:], rhs)
     S, D = GENERIC_DOUBLED.calS, GENERIC_DOUBLED.defect
-    got = chain_residual(word, S, D, SIGN_PATTERNS)
+    got = chain_residual(word, S, D, *np.array(SIGN_PATTERNS).T)
     assert got == [loop_residual(word, S, D, a, b) for a, b in SIGN_PATTERNS]
 
 
@@ -733,10 +734,10 @@ def test_one_reader_call_per_distinct_factor_and_chunk(variant):
     factors = Counter("S" if f[0] == "S21" else f[0] for f in set(word[0] + word[1]))
     chunks = math.ceil(len(STACK_POINTS) / CHUNK)
     assert chunks == 3
-    chain_residual(word, bulk, half, STACK_POINTS)
+    chain_residual(word, bulk, half, *STACK_ARRAYS)
     assert calls == {kind: chunks * n for kind, n in factors.items()}
     calls.clear()
-    chain_residual(word, calS, pair, STACK_POINTS)
+    chain_residual(word, calS, pair, *STACK_ARRAYS)
     assert calls == {
         "calS": chunks * factors["S"], "S": 4 * chunks * factors["S"],
         "blocks": chunks * (factors["R"] + factors["T"]),
@@ -765,7 +766,7 @@ class TestRelationViews:
     def test_views_equal_the_row(self, variant, data):
         S, D = VIEW_DATA[data]
         for k1, k2 in SIGN_PATTERNS:
-            want = chain_residual(RELATIONS[variant], S, D, [(k1, k2)])[0]
+            want = chain_residual(RELATIONS[variant], S, D, np.array([k1]), np.array([k2]))[0]
             assert relation_residual(S, D, k1, k2, variant) == want
             assert family_call(variant, S, D, k1, k2) == want
 

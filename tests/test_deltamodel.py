@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rtcheck import deltamodel
+from rtcheck.defect import delta_defect
 from rtcheck.deltamodel import (
     DeltaModel,
     boundary_condition_residual,
@@ -212,3 +214,23 @@ class TestCrossRepresentation:
     def test_ordering_validation(self):
         with pytest.raises(ValueError):
             n_particle_product(MODEL, [1.0, 2.0], [1.0, 2.0])
+
+
+def test_the_delta_pair_is_built_once_per_model(monkeypatch):
+    """T, R and doubled() read one pair, built on first use."""
+    built = []
+
+    def counted(eta):
+        built.append(eta)
+        return delta_defect(eta)
+
+    monkeypatch.setattr(deltamodel, "delta_defect", counted)
+    model = DeltaModel(0.7)
+    for k in KS[:10]:
+        assert model.T(k) == complex(delta_defect(0.7).T(k)[0, 0])
+        assert model.R(k) == complex(delta_defect(0.7).R(k)[0, 0])
+    dms = [model.doubled() for _ in range(3)]
+    assert built == [0.7]
+    assert all(dm.half_line is model.pair for dm in dms)
+    schrodinger_residual(model, -1.1, "+", h=0.05)
+    assert built == [0.7]

@@ -173,7 +173,7 @@ class TestSectorBlockedYangBaxter:
         assert dS.sectors == 2 and bulk.sectors == 1
         pairs = [(a, b) for a, b, _ in SIGNED_TRIPLES]
         blocks, off_sector = sector_blocks(np.stack([dS.eval(a, b) for a, b in pairs]), 2)
-        assert off_sector == 0.0
+        assert off_sector.tolist() == [0.0] * len(pairs)  # one size per operator
         for (a, b), block in zip(pairs, blocks):
             for (x1, x2), (s1, s2) in SECTORS.items():
                 assert np.array_equal(block[x1, x2], bulk.eval(s1 * a, s2 * b))
@@ -225,6 +225,20 @@ class TestSectorBlockedYangBaxter:
                 if wrong != sector:
                     (check,) = run_suite(self.misplaced(model, sector, wrong)).checks
                     assert not check.passed and check.max_residual >= 0.5
+
+    def test_an_off_sector_entry_counts_at_its_own_point_only(self):
+        """On momentum arrays each point's residual takes the off-sector
+        entries of its own factors: misplaced where k1 > 1, exact elsewhere."""
+        model = build_model(parse_config(json.dumps({"bulk": "rational:N=2"})))
+        good = model.doubled.calS
+        bad = self.misplaced(model, (0, 1), (1, 0)).doubled.calS
+        S = BulkSMatrix(4, lambda k1, k2: (bad if k1 > 1 else good).eval(k1, k2), False,
+                        sectors=2)
+        ks = sample_momenta(12, seed=8)
+        points = [(a, b, c) for a, b, c in zip(ks, ks[1:], ks[2:])]
+        got = ybe_residual(S, *np.array(points).T)
+        assert got.tolist() == [ybe_residual(S, *pt) for pt in points]
+        assert {r >= 0.5 for r in got} == {True, False}
 
 
 def reference_sample(n, radius, seed):

@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rtcheck import fock, suite
 from rtcheck.config import build_model, parse_config
 from rtcheck.defect import CHUNK, DefectPair
 from rtcheck.doubling import build_doubled_model
@@ -15,7 +19,8 @@ from rtcheck.report import (
     emit_report,
     parse_report,
 )
-from rtcheck.smatrix import sample_momenta
+from rtcheck.smatrix import BulkSMatrix, sample_momenta, sector_blocks, ybe_residual
+from rtcheck.tensor import identity_two_leg, leg_dim, norm_inf
 from rtcheck.suite import available_checks, default_checks, run_suite
 
 DELTA_CFG = json.dumps({
@@ -200,3 +205,203 @@ class TestSuite:
                 lambda _: emit_report(run_suite(model), "json"), range(4)
             ))
         assert all(r == sequential for r in reports)
+
+
+# --- the array contract: every check takes its points as momentum arrays ----
+
+GOLDEN_CONFIGS = sorted((Path(__file__).parent / "golden" / "configs").glob("*.json"))
+
+
+def _target(spec, model):
+    """What _run_check hands the residual."""
+    dm = model.doubled
+    if spec.doubled:
+        return suite._Target(dm.calS, dm.defect, dm)
+    return suite._Target(model.bulk, model.half_line, dm)
+
+
+def _one_point_ybe(S, k1, k2, k3):
+    """The sector-blocked Yang-Baxter kernel at one triple, written for one
+    point: the reference for the batched one."""
+    m = S.sectors
+    factors = np.array([S.eval(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))], dtype=complex)
+    blocks, off_sector = sector_blocks(factors, m)
+    d = leg_dim(blocks[0, 0, 0])
+    s12 = blocks[0].reshape(m, m, 1, d * d, d * d)
+    s13 = blocks[1].reshape(m, 1, m, d, d, d, d)
+    s23 = blocks[2].reshape(1, m, m, d, d, d, d)
+    lhs = s13.reshape(m, 1, m, -1, d) @ s23.transpose(0, 1, 2, 4, 3, 5, 6).reshape(1, m, m, d, -1)
+    lhs = lhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 5, 7, 8)
+    lhs = s12 @ lhs.reshape(m, m, m, d * d, -1)
+    rhs = s13.transpose(0, 1, 2, 3, 4, 6, 5).reshape(m, 1, m, -1, d) @ s12.reshape(m, m, 1, d, -1)
+    rhs = rhs.reshape(m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 6, 4, 7, 8, 5)
+    rhs = s23.reshape(1, m, m, 1, d * d, d * d) @ rhs.reshape(m, m, m, d, d * d, -1)
+    diff = lhs.reshape(m**3, -1) - rhs.reshape(m**3, -1)
+    return float(np.maximum(np.abs(diff).max(), off_sector.max()))
+
+
+def _one_point_vacuum(D, k):
+    eye = np.eye(D.dim, dtype=complex)
+    t_k, t_mk, r_k, r_mk = D.T(k), D.T(-k), D.R(k), D.R(-k)
+    return norm_inf(t_k @ t_k + r_k @ r_mk - eye) + norm_inf(t_k @ r_k + r_k @ t_mk)
+
+
+def _one_point_symmetrized(D, k):
+    eye = np.eye(D.dim, dtype=complex)
+    t_k, t_mk, r_k, r_mk = D.T(k), D.T(-k), D.R(k), D.R(-k)
+    res = norm_inf(t_k @ t_mk + r_k @ r_mk - eye)
+    res += norm_inf(t_k @ r_mk + r_k @ t_mk)
+    res += norm_inf(t_k.conj().T - t_mk)
+    return res + norm_inf(r_k.conj().T - r_mk)
+
+
+def _one_point_u_squared(D, k):
+    u = np.block([[D.T(k), D.R(k)], [D.R(-k), D.T(-k)]])
+    return norm_inf(u @ u - np.eye(u.shape[0]))
+
+
+def _one_point_j_squared(dm, k):
+    J = fock.involution_kernel(dm)
+    return fock.kernel_distance(fock.compose(J, J), fock.identity_kernel(dm.doubled_dim), k)
+
+
+def _one_point_opta(dm, p):
+    expr = fock.normal_order_vev([fock.a("p"), fock.ad("k")], dm)
+    opta = fock.one_particle_amplitude(dm.half_line)
+    jobs = [(next(t for t in expr.terms if t.pairing[0][2] == rel), {"p": p, "k": p / rel})
+            for rel in (+1, -1)]
+    worst = 0.0
+    for coeff, ref in zip(fock.physical_coefficients(expr, jobs, dm), (opta.A(p), opta.B(p))):
+        worst = max(worst, abs(coeff - complex(ref[0, 0])))
+    return worst
+
+
+# check -> its residual at one point of Python floats, 2-d matrices throughout
+ONE_POINT = {
+    "ybe": lambda t, *k: _one_point_ybe(t.S, *k),
+    "ybe(doubled)": lambda t, *k: _one_point_ybe(t.S, *k),
+    "unitarity-S": lambda t, a, b: norm_inf(
+        t.S.eval(a, b) @ t.S.eval_swapped(b, a) - identity_two_leg(t.S.leg_dim)),
+    "unitarity-S(doubled)": lambda t, a, b: norm_inf(
+        t.S.eval(a, b) @ t.S.eval_swapped(b, a) - identity_two_leg(t.S.leg_dim)),
+    "shift-invariance": lambda t, a, b: norm_inf(t.S.eval(a, b) - t.S.eval(a + 0.5, b + 0.5)),
+    "defect-unitarity": lambda t, k: _one_point_vacuum(t.pair, k),
+    "hermitian-analyticity": lambda t, k: (norm_inf(t.pair.T(k).conj().T - t.pair.T(k))
+                                          + norm_inf(t.pair.R(k).conj().T - t.pair.R(-k))),
+    "symmetrized-unitarity": lambda t, k: _one_point_symmetrized(t.dm.half_line, k),
+    "J-squared": lambda t, k: _one_point_j_squared(t.dm, k),
+    "involution-U-squared": lambda t, k: _one_point_u_squared(t.pair, k),
+    "opta-agreement": lambda t, k: _one_point_opta(t.dm, k),
+    **{f"factorization({n})": lambda t, *k: fock.factorization_residual(
+        len(k), list(k), sorted(k, reverse=True), t.dm) for n in (1, 2, 3, 4)},
+}
+
+
+def _golden_model(path, seed, samples=None):
+    raw = {**json.loads(path.read_text()), "seed": seed}
+    raw.pop("checks", None)
+    if samples is not None:
+        raw["samples"] = samples
+    return build_model(parse_config(json.dumps(raw)))
+
+
+class TestArrayResiduals:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda p: p.stem)
+    def test_array_residuals_equal_the_one_point_loop(self, path, seed):
+        """Each check's residuals at its momentum arrays are, bit for bit,
+        the residuals of a loop over its points with one point at a time."""
+        model = _golden_model(path, seed)
+        cfg = model.cfg
+        momenta = sample_momenta(cfg.samples, cfg.exclusion_radius, cfg.seed)
+        ran = 0
+        for name, one_point in ONE_POINT.items():
+            spec = suite.CHECKS[name]
+            if suite._unmet(spec, model, cfg.samples) is not None:
+                continue
+            t, points = _target(spec, model), spec.points(momenta)
+            got = spec.residual(t, *np.array(points, dtype=float).T)
+            assert [float(g) for g in got] == [float(one_point(t, *pt)) for pt in points], name
+            ran += 1
+        assert ran >= 10
+
+    # check -> (the reader it reads: target S, doubled pair or half-line pair, its calls)
+    READS = {
+        "ybe": ("S", 3), "ybe(doubled)": ("S", 3), "unitarity-S": ("S", 2),
+        "unitarity-S(doubled)": ("S", 2), "shift-invariance": ("S", 2),
+        "defect-unitarity": ("pair", 4), "hermitian-analyticity": ("pair", 3),
+        "involution-U-squared": ("pair", 4), "J-squared": ("pair", 8),
+        "symmetrized-unitarity": ("half", 4), "opta-agreement": ("half", 2),
+    }
+
+    @pytest.mark.parametrize("bulk", ["identity:dim=1", "rational:N=2"])
+    def test_one_reader_call_per_factor_not_per_point(self, bulk, monkeypatch):
+        """Each check reads each of its factors once, on the momentum arrays,
+        as a point count of 1 does.  Yang-Baxter and unitarity take 40 points
+        in one chunk at leg dimension <= 2, so they are counted there."""
+        calls = Counter()
+
+        def counted(cls, attr):
+            read = getattr(cls, attr)
+
+            def reader(self, *ks):
+                calls[id(self)] += 1
+                return read(self, *ks)
+
+            monkeypatch.setattr(cls, attr, reader)
+
+        counted(BulkSMatrix, "eval")
+        counted(DefectPair, "R")
+        counted(DefectPair, "T")
+        batches = []
+        physical = fock.physical_coefficients
+        monkeypatch.setattr(fock, "physical_coefficients",
+                            lambda expr, jobs, dm: batches.append(len(jobs)) or physical(
+                                expr, jobs, dm))
+        model = build_model(parse_config(json.dumps(
+            {"bulk": bulk, "defect": "delta", "doubled": True, "samples": 40})))
+        momenta = sample_momenta(40, seed=2)
+        ran = 0
+        for name, (reader, n) in self.READS.items():
+            spec = suite.CHECKS[name]
+            if suite._unmet(spec, model, 40) is not None:
+                continue
+            t = _target(spec, model)
+            if reader == "S" and t.S.leg_dim > 2:  # Yang-Baxter and unitarity go in chunks
+                continue
+            label = {"S": t.S, "pair": t.pair, "half": t.dm.half_line}[reader]
+            for count in (1, 40):
+                calls.clear()
+                batches.clear()
+                points = spec.points(momenta[:count])
+                spec.residual(t, *np.array(points, dtype=float).T)
+                assert calls[id(label)] == n, (name, count)
+                assert batches == ([2 * count] if name == "opta-agreement" else [])
+            ran += 1
+        assert ran == (11 if bulk.startswith("identity") else 8)
+
+    def test_doubled_yang_baxter_memory_stays_flat(self):
+        """200 doubled N = 3 triples, a few at a time: all at once added 78 MB
+        of peak memory, 24 at a time 9-12 MB."""
+        dm = build_model(parse_config(json.dumps(
+            {"bulk": "rational:N=3", "defect": "delta", "doubled": True}))).doubled
+        points = suite.CHECKS["ybe(doubled)"].points(sample_momenta(200, seed=4))
+        ks = np.array(points, dtype=float).T
+        ybe_residual(dm.calS, *ks[:, :2])  # first-call allocations
+        tracemalloc.start()
+        try:
+            got = ybe_residual(dm.calS, *ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 200 and max(got) < 1e-13
+        assert peak < 1.5e6, peak
+
+    def test_an_infinite_transmission_fails_opta_agreement(self):
+        """The engine and the projected kernel both read T = inf: their gap
+        is nan at every point, which fails the check instead of dropping out."""
+        model = build_model(parse_config(json.dumps({
+            "bulk": "identity:dim=1", "doubled": True, "samples": 5, "checks": ["opta-agreement"],
+            "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"}})))
+        (check,) = run_suite(model).checks
+        assert not check.passed and math.isnan(check.max_residual)

@@ -158,3 +158,18 @@ class TestNormDagger:
     def test_dagger_involution(self):
         x = random_matrix(4)
         assert norm_inf(dagger(dagger(x)) - x) == 0.0
+
+    def test_stack_dagger_is_each_matrix_dagger(self):
+        stack = RNG.standard_normal((5, 3, 3)) + 1j * RNG.standard_normal((5, 3, 3))
+        got = dagger(stack)
+        assert got.shape == (5, 3, 3)
+        for x, x_dag in zip(stack, got):
+            assert np.array_equal(x_dag, dagger(x))
+            assert np.array_equal(x_dag, x.conj().T)
+
+    def test_stack_norm_is_one_value_per_matrix(self):
+        stack = RNG.standard_normal((4, 2, 3, 3)) + 1j * RNG.standard_normal((4, 2, 3, 3))
+        got = norm_inf(stack)
+        assert got.shape == (4, 2)
+        assert all(got[i, j] == norm_inf(stack[i, j]) for i in range(4) for j in range(2))
+        assert isinstance(norm_inf(stack[0, 0]), float)
