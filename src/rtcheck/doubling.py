@@ -17,7 +17,10 @@ Both doubled objects hand out these blocks at momentum arrays
 (BulkSMatrix.blocks, DefectPair.blocks), which the relation words multiply
 sector by sector; their dense matrices are assembled from the same reads
 for the readers that take them whole (Yang-Baxter, unitarity, the
-involution and the engine's leaves).
+involution and the engine's leaves).  The doubled pair is batched when the
+half-line pair is: an array read is one call into the half-line data at k
+and one at -k, whose stacks fill the blocks of a (P, 2N, 2N) stack.  The
+doubled S-matrix is assembled one point at a time.
 """
 
 from __future__ import annotations
@@ -65,29 +68,34 @@ def double_defect(half: DefectPair) -> DefectPair:
     and unitary whenever the half-line data satisfies the symmetrized
     relations; for the delta impurity it reproduces the textbook 2x2 vacuum
     matrices exactly.  Its blocks, by row sector (+, -), are the half-line
-    data at k and at -k: calR keeps the sector, calT flips it.
+    data at k and at -k: calR keeps the sector, calT flips it.  calR and
+    calT broadcast over (P, 1, 1) momentum arrays when the half-line
+    evaluators do, and the pair inherits ``batched`` from the half line.
     """
     N = half.dim
     plus, minus = slice(None, N), slice(N, None)
     tau, rho = half.transmission, half.reflection
 
-    def calT(k: float) -> np.ndarray:
-        out = np.zeros((2 * N, 2 * N), dtype=complex)
-        out[plus, minus] = tau(k)
-        out[minus, plus] = tau(-k)
+    def assemble(upper, lower, flip: bool) -> np.ndarray:
+        """The xi = + row block `upper` and the xi = - row block `lower` (one
+        evaluator's, so both are stacks or neither), on the block diagonal
+        or, with flip, off it."""
+        out = np.zeros((*np.shape(upper)[:-2], 2 * N, 2 * N), dtype=complex)
+        out[..., plus, minus if flip else plus] = upper
+        out[..., minus, plus if flip else minus] = lower
         return out
 
-    def calR(k: float) -> np.ndarray:
-        out = np.zeros((2 * N, 2 * N), dtype=complex)
-        out[plus, plus] = rho(k)
-        out[minus, minus] = rho(-k)
-        return out
+    def calT(k) -> np.ndarray:
+        return assemble(tau(k), tau(-k), flip=True)
+
+    def calR(k) -> np.ndarray:
+        return assemble(rho(k), rho(-k), flip=False)
 
     def blocks(kind: str, k: np.ndarray) -> np.ndarray:
         read = half.R if kind == "R" else half.T
         return np.stack([read(k), read(-k)])
 
-    return DefectPair(2 * N, calR, calT, blocks=blocks)
+    return DefectPair(2 * N, calR, calT, batched=half.batched, blocks=blocks)
 
 
 def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:

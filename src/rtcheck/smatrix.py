@@ -44,7 +44,8 @@ def read_points(fn: Callable, batched: bool, shape: tuple[int, ...], *ks: np.nda
     is broadcast, read-only), else one call per point, with Python floats."""
     if batched:
         out = np.asarray(fn(*(k[:, None, None] for k in ks)), dtype=complex)
-        return np.broadcast_to(out, (len(ks[0]), *shape))
+        full = (len(ks[0]), *shape)
+        return out if out.shape == full else np.broadcast_to(out, full)
     points = [fn(*pt) for pt in zip(*(k.tolist() for k in ks))]
     return np.array(points, dtype=complex).reshape(len(ks[0]), *shape)
 

@@ -37,6 +37,7 @@ from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
     double_defect,
+    double_S_bulk,
     involution_matrix,
     reduced_relation_residual,
 )
@@ -448,6 +449,44 @@ class TestArrayReaders:
                              for k in ARRAY_KS.tolist()])
             got = getattr(data, kind)(ARRAY_KS)
             assert got.shape == want.shape
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("name", CATALOG_BULKS)
+    def test_doubled_bulk(self, name):
+        S = double_S_bulk(CATALOG_BULKS[name])
+        k1, k2 = ARRAY_KS, np.roll(ARRAY_KS, 1)
+        for read in (S.eval, S.eval_swapped):
+            want = np.stack([read(a, b) for a, b in zip(k1.tolist(), k2.tolist())])
+            assert read(k1, k2).shape == want.shape
+            assert _bits(read(k1, k2)) == _bits(want)
+
+    @pytest.mark.parametrize("name", CATALOG_DEFECTS)
+    def test_doubled_defect(self, name):
+        """The doubled pair of batched data is batched, and its array reads
+        have the bits of its one-point reads."""
+        half = CATALOG_DEFECTS[name]
+        D = double_defect(half)
+        assert D.batched == half.batched
+        self._reads_like_one_point(D)
+
+    def test_doubled_defect_of_unbatched_data(self):
+        """Half-line data of plain one-point lambdas gives an unbatched
+        doubled pair, read point by point, with the same values."""
+        T, R = delta_scalar_fns(ETA)
+        D = double_defect(DefectPair(1, R, T))
+        assert not D.batched
+        self._reads_like_one_point(D)
+        batched = double_defect(delta_defect(ETA))
+        for kind in ("R", "T"):
+            assert _bits(getattr(D, kind)(ARRAY_KS)) == _bits(getattr(batched, kind)(ARRAY_KS))
+
+    @staticmethod
+    def _reads_like_one_point(D):
+        for kind in ("R", "T"):
+            one = getattr(D, kind)
+            want = np.stack([one(k) for k in ARRAY_KS.tolist()])
+            got = one(ARRAY_KS)
+            assert got.shape == want.shape == (len(ARRAY_KS), D.dim, D.dim)
             assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize("where", [0, CHUNK, -1])

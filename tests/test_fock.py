@@ -398,6 +398,21 @@ class TestHierarchy:
             hierarchy_commutator_residual(0, 1, MODEL, 0.0)
 
 
+def _one_point_leaf(atom, env, model, word=()):
+    """An atom's tensor at one momentum assignment, read from the model one
+    point at a time: the reference for the engine's array reads of its leaves."""
+    d = model.doubled_dim
+    if atom[0] == "S":
+        (s1, l1), (s2, l2) = atom[2], atom[3]
+        return model.calS.eval(s1 * env[l1], s2 * env[l2]).reshape(d, d, d, d)
+    if atom[0] == "C":
+        sign, label = atom[3]
+        k = sign * env[label]
+        return np.eye(d) + model.defect.T(k) if atom[2] == "T" else model.defect.R(k)
+    symbol = word[atom[2]]  # a dress takes a momentum array
+    return np.asarray(symbol.dress(np.array([env[symbol.label]])), dtype=complex)[0]
+
+
 def _reference_coefficient(expr, term, env, model):
     """The coefficient by one unplanned np.einsum per network."""
     n_ext = len(expr.word)
@@ -408,7 +423,7 @@ def _reference_coefficient(expr, term, env, model):
             continue
         operands, seen = [], {}
         for atom in net:
-            tensor = fock._eval_atom(atom, env, model)
+            tensor = _one_point_leaf(atom, env, model)
             operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
         total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
     return total
@@ -556,7 +571,7 @@ class TestShapeCachedKernels:
         d = model.doubled_dim
         dresses = [
             lambda w: np.asarray(model.defect.R(w)),
-            lambda w: np.eye(d) + w * np.arange(d * d).reshape(d, d),
+            lambda w: np.eye(d) + np.multiply.outer(w, np.arange(d * d).reshape(d, d)),
         ]
 
         def word(dress):
@@ -583,6 +598,20 @@ class TestShapeCachedKernels:
                 got.append(coeff)
         half = len(got) // 2
         assert any(np.max(np.abs(x - y)) > 1e-3 for x, y in zip(got[:half], got[half:]))
+
+    def test_a_constant_dress_is_read_for_every_momentum(self):
+        """A dress takes a momentum array; one that returns one matrix for
+        all of them gives the coefficients of one that returns the stack."""
+        model = _rational_model()
+        d = model.doubled_dim
+        m = np.eye(d) + np.arange(d * d).reshape(d, d)
+        got = []
+        for dress in (lambda w: m, lambda w: np.broadcast_to(m, (len(w), d, d))):
+            expr = normal_order_vev([a("p"), ad("w"), a("w", sign=-1, dress=dress), ad("q")], model)
+            jobs = [(term, resolve_momenta(term, expr.word, {"p": p}), None)
+                    for term in expr.terms for p in (0.7, 0.7, -1.3)]
+            got.append(fock.evaluate_coefficients(expr, jobs, model))
+        assert len(got[0]) == 12 and all(np.array_equal(x, y) for x, y in zip(*got))
 
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_kernels_match_the_per_term_loop(self, model_name):
@@ -709,7 +738,7 @@ def _one_network_at_a_time(expr, term, env, at, model):
             total = total + 1.0
             continue
         tensors = [
-            fock._eval_atom(atom, env, model, expr.word)[None][
+            _one_point_leaf(atom, env, model, expr.word)[None][
                 (slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
             for atom in net]
         seen: dict = {}

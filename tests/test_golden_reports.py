@@ -1,6 +1,6 @@
 """Verify reports and the check catalog stay as recorded in tests/golden/.
 
-tests/golden/configs/ holds six configs; tests/golden/<name>.json and
+tests/golden/configs/ holds seven configs; tests/golden/<name>.json and
 <name>.txt are the `rtcheck verify --format json` and `--format text` output
 recorded for each, and catalog.json is the output of `rtcheck catalog`.
 Exit codes, check ids and their order, verdicts, worst momenta and the
@@ -27,6 +27,7 @@ EXIT_CODES = {
     "permutation_transmission": 0,
     "custom_defect": 0,
     "doubled_rows": 0,
+    "permutation3_reflection": 0,
 }
 RESIDUAL_ATOL = 1e-12
 

@@ -380,6 +380,38 @@ class TestArrayResiduals:
             ran += 1
         assert ran == (11 if bulk.startswith("identity") else 8)
 
+    @pytest.mark.parametrize("name", ["hierarchy-commutator(0,1)", "hierarchy-relation(2)"])
+    def test_engine_leaf_reads_do_not_grow_with_the_points(self, name, monkeypatch):
+        """The engine reads the leaves of each contraction with one call per
+        flavour on the array of their momenta, so the doubled S-matrix and
+        pairs are called as often at 50 momenta as at 1."""
+        calls = Counter()
+
+        def counted(cls, attr, doubled):
+            read = getattr(cls, attr)
+
+            def reader(self, *ks):
+                calls[attr] += doubled(self)
+                return read(self, *ks)
+
+            monkeypatch.setattr(cls, attr, reader)
+
+        counted(BulkSMatrix, "eval", lambda S: S.sectors == 2)
+        counted(DefectPair, "R", lambda D: D.blocks is not None)
+        counted(DefectPair, "T", lambda D: D.blocks is not None)
+        model = build_model(parse_config(json.dumps(
+            {"bulk": "rational:N=2", "defect": "delta", "doubled": True, "samples": 50})))
+        spec = suite.CHECKS[name]
+        t = _target(spec, model)
+        momenta = sample_momenta(50, seed=3)
+        counts = []
+        for count in (1, 50):
+            calls.clear()
+            spec.residual(t, *np.array(spec.points(momenta[:count]), dtype=float).T)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1], counts
+        assert counts[0]["R"] and counts[0]["T"], counts
+
     def test_doubled_yang_baxter_memory_stays_flat(self):
         """200 doubled N = 3 triples, a few at a time: all at once added 78 MB
         of peak memory, 24 at a time 9-12 MB."""
@@ -405,3 +437,14 @@ class TestArrayResiduals:
             "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"}})))
         (check,) = run_suite(model).checks
         assert not check.passed and math.isnan(check.max_residual)
+
+    def test_an_infinite_transmission_fails_factorization(self):
+        """The engine amplitude and the product of one-particle amplitudes
+        both read T = inf: a nan gap is kept by the max over sign patterns,
+        as by defect-unitarity and J-squared, instead of reading 0.0."""
+        checks = ["factorization(1)", "factorization(2)", "defect-unitarity", "J-squared"]
+        model = build_model(parse_config(json.dumps({
+            "bulk": "identity:dim=1", "doubled": True, "samples": 5, "checks": checks,
+            "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"}})))
+        for check in run_suite(model).checks:
+            assert not check.passed and math.isnan(check.max_residual), check.check_id
