@@ -93,8 +93,9 @@ def _expand_shorthand(entry) -> dict:
             key, sep, value = item.partition("=")
             if not sep or not key.strip():
                 raise ConfigError(f"bad catalog parameter {item!r} in {entry!r}")
-            try:
-                out[key.strip()] = float(value)
+            text = value.strip()
+            try:  # the number it spells, as JSON reads it: digits are an int
+                out[key.strip()] = int(text) if text.lstrip("-").isdigit() else float(text)
             except ValueError as exc:
                 raise ConfigError(f"bad catalog parameter {item!r}: {exc}") from exc
     return out
@@ -153,7 +154,7 @@ def _env_tolerance() -> float:
 def _parameter(entry: dict, key: str, default, integral: bool = False):
     """A catalog parameter: a JSON number within the float range, never a
     bool.  With ``integral`` it is a leg dimension, an integral number from
-    1 to MAX_LEG_DIM, returned as an int (shorthand gives floats like 2.0)."""
+    1 to MAX_LEG_DIM, returned as an int (a config may spell it 2.0)."""
     value = entry.get(key, default)
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and abs(value) <= sys.float_info.max:

@@ -34,12 +34,13 @@ position: every leaf tensor is then sliced on its external legs before
 contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
 never built.
 
-A contraction gathers the leaves of its rows from the caller's per-point
-cache.  When the cache lacks some, it collects the missing (flavour, signed
-momentum) leaves of all its rows and reads each flavour with one call on
-the array of their momenta: ``calS.eval``, ``I + calT``, ``calR`` or a
-dress.  Calls that share one cache evaluate each distinct leaf once, and
-the number of model calls does not grow with the rows.
+A contraction of networks at one point each (amplitudes, factorization)
+gathers the leaves of its rows from the caller's per-point cache.  When the
+cache lacks some, it collects the missing (flavour, signed momentum) leaves
+of all its rows and reads each flavour with one call on the array of their
+momenta: ``calS.eval``, ``I + calT``, ``calR`` or a dress.  Calls that
+share one cache evaluate each distinct leaf once, and the number of model
+calls does not grow with the rows.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and whether it is dressed.  It never depends on the
@@ -51,10 +52,14 @@ one shape share an expansion but keep their own dressings.
 
 The one-particle kernels of the Hamiltonian hierarchy come from the
 four-symbol word <a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q
-as +p or -p.  Those signs are read once per kernel.  A residual takes all
-its momenta in one pass: each term is one batched contraction whose plan
-also takes the trace over the two middle legs, and each distinct leaf
-(kind, signed momentum) is evaluated once per residual call.
+as +p or -p.  Those signs are read once per kernel.  Its networks have 2-4
+atoms, contraction and dressing leaves but no S leaf, each at +-p on every
+row.  A residual takes all its momenta in one pass, with no per-row keys:
+each network is one contraction whose momenta are arrays, so each leaf is
+read with one call on its signed momentum array and kept in the residual's
+cache under its flavour and the array's bytes, where the passes at p and
+at -p and the reflection moment find it.  The plan also takes the trace
+over the two middle legs.
 ``hierarchy_commutator_residuals`` takes H^(m) and H^(n) as two moments of
 one such pass.
 
@@ -240,8 +245,8 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
 
 
 def _leaf(atom: tuple, env: dict[str, float], word: tuple[WordSymbol, ...]) -> tuple:
-    """The cache key of an atom's tensor at one momentum assignment: its
-    flavour ("S", "T", "R" or the dress function) and its momenta."""
+    """An atom's leaf at a momentum assignment: its flavour ("S", "T", "R"
+    or the dress function) and its momenta, floats or arrays as in ``env``."""
     kind = atom[0]
     if kind == "S":
         return "S", atom[2][0] * env[atom[2][1]], atom[3][0] * env[atom[3][1]]
@@ -259,22 +264,28 @@ def _read_leaves(keys, model: DoubledModel, cache: dict) -> None:
     for key in keys:
         if key not in cache:
             missing.setdefault(key[0], {})[key] = None
-    d = model.doubled_dim
     for flavour, wanted in missing.items():
         if len(wanted) == 1:
             ks = next(iter(wanted))[1:]
         else:
             ks = np.array([key[1:] for key in wanted], dtype=float).T
-        if flavour == "S":
-            got = model.calS.eval(*ks).reshape(-1, d, d, d, d)
-        elif flavour == "T":
-            got = (np.eye(d) + model.defect.T(ks[0])).reshape(-1, d, d)
-        elif flavour == "R":
-            got = model.defect.R(ks[0]).reshape(-1, d, d)
-        else:  # a dress takes an array; a constant one gives one matrix
-            got = np.asarray(flavour(np.atleast_1d(ks[0])), dtype=complex)
-            got = np.broadcast_to(got, (len(wanted), d, d))
-        cache.update(zip(wanted, got))
+        cache.update(zip(wanted, _read(flavour, ks, model)))
+
+
+def _read(flavour, ks, model: DoubledModel) -> np.ndarray:
+    """The stack of a leaf flavour's tensors at its momenta ``ks`` (one
+    float, or one 1-d array, per momentum slot), by one reader call:
+    ``calS.eval``, ``I + calT``, ``calR`` or the dress function."""
+    d = model.doubled_dim
+    if flavour == "S":
+        return model.calS.eval(*ks).reshape(-1, d, d, d, d)
+    if flavour == "T":
+        return (np.eye(d) + model.defect.T(ks[0])).reshape(-1, d, d)
+    if flavour == "R":
+        return model.defect.R(ks[0]).reshape(-1, d, d)
+    # a dress takes an array; a constant one gives one matrix
+    got = np.asarray(flavour(np.atleast_1d(ks[0])), dtype=complex)
+    return np.broadcast_to(got, (np.size(ks[0]), d, d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,9 +338,11 @@ def _contract(
     """Contract networks of one topology, job j = (network, momentum
     assignment, at) on row j of a leading batch axis.  With ``at`` (one
     component index per word position, or None for every job) each leaf is
-    sliced on its external legs and row j is a scalar.  With ``trace`` the
-    plan takes the trace over word legs 1 and 2 and the result keeps legs 0
-    and 3."""
+    sliced on its external legs and row j is a scalar.  With ``trace`` there
+    is one job, whose momenta are equal-length arrays with one row per
+    entry; each leaf is read on its whole momentum array, from ``cache``
+    under its flavour and the arrays' bytes, and the plan takes the trace
+    over word legs 1 and 2, so the result keeps legs 0 and 3."""
     n_ext = len(word)
     same = {2: 1} if trace else {}
     seen: dict[int, int] = {}  # leg id -> compacted id
@@ -340,17 +353,25 @@ def _contract(
     output = tuple(seen.get(l, -1) for l in ((0, 3) if trace else range(n_ext)))
     if -1 in output:
         raise ValueError("network does not cover all word positions")
+    if trace:
+        (net, env, _), = jobs
+        tensors = []
+        for flavour, *ks in (_leaf(atom, env, word) for atom in net):
+            key = (flavour, *(k.tobytes() for k in ks))
+            if key not in cache:
+                cache[key] = _read(flavour, ks, model)
+            tensors.append(cache[key])
+    else:
+        keys = [[_leaf(atom, env, word) for atom in net] for net, env, _ in jobs]
+        try:
+            tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
+        except KeyError:  # read the leaves the cache lacks, then gather again
+            _read_leaves(itertools.chain.from_iterable(keys), model, cache)
+            tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
     sliced = jobs[0][2] is not None
-    if sliced:  # row j of the batch takes its own entry
-        rows = np.arange(len(jobs))
-        ats = np.array([at for *_, at in jobs]).T
-    keys = [[_leaf(atom, env, word) for atom in net] for net, env, _ in jobs]
-    try:
-        tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
-    except KeyError:  # read the leaves the cache lacks, then gather again
-        _read_leaves(itertools.chain.from_iterable(keys), model, cache)
-        tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
-    if sliced:  # the same legs are external in every network of one topology
+    if sliced:  # row j of the batch takes its own entry; the same legs are
+        # external in every network of one topology
+        rows, ats = np.arange(len(jobs)), np.array([at for *_, at in jobs]).T
         tensors = [tensor[(rows, *(ats[l] if l < n_ext else slice(None) for l in atom[1]))]
                    for tensor, atom in zip(tensors, jobs[0][0])]
     for positions, subscripts in _plan(inputs, output, model.doubled_dim, sliced):
@@ -527,17 +548,17 @@ HAMILTONIAN_PREFACTOR = 0.5  # the 1/2 in front of the Hamiltonian integral
 
 def _traced_four_word(
     model: DoubledModel, mid_creator: WordSymbol, mid_annihilator: WordSymbol, cache: dict
-) -> Callable[[tuple[float, ...]], tuple[tuple, tuple]]:
-    """Traced coefficients of <a(p) M†(w) M(w) ad(q)> over a tuple of momenta.
+) -> Callable[[np.ndarray], tuple[tuple, tuple]]:
+    """Traced coefficients of <a(p) M†(w) M(w) ad(q)> over an array of momenta.
 
     The middle symbols share the integration label; their component legs are
     traced.  Each surviving term fixes w = +-p and q = +-p through its
     pairing; the signs are read once, by resolving the pairing at p = 1.  The
-    returned function maps momenta p_1..p_P to two tuples of (w per momentum,
-    (P, 2N, 2N) traced coeff) in term order: the terms with q = p (the
-    delta(p - k) part) and those with q = -p (the delta(p + k) part).  Each
-    term is one batched contraction per tuple of momenta, with its leaves
-    from ``cache``, kept for the function's lifetime.
+    returned function maps a 1-d array of momenta p_1..p_P to two tuples of
+    (w per momentum, (P, 2N, 2N) traced coeff) in term order: the terms with
+    q = p (the delta(p - k) part) and those with q = -p (the delta(p + k)
+    part).  Each network of a term is one contraction over the whole array,
+    with its leaves from ``cache``, kept for the function's lifetime.
     """
     expr = normal_order_vev([a("p"), mid_creator, mid_annihilator, ad("q")], model)
     signs = []
@@ -545,26 +566,25 @@ def _traced_four_word(
         env = resolve_momenta(term, expr.word, {"p": 1.0})
         if "w" in env and "q" in env:
             signs.append((term, env["w"], env["q"]))
-    passes: dict[tuple[float, ...], tuple[tuple, tuple]] = {}
+    passes: dict[bytes, tuple[tuple, tuple]] = {}
 
-    def traced(ps: tuple[float, ...]) -> tuple[tuple, tuple]:
-        got = passes.get(ps)
+    def traced(ps: np.ndarray) -> tuple[tuple, tuple]:
+        got = passes.get(ps.tobytes())
         if got is None:
             parts: tuple[list, list] = ([], [])
             for term, sw, sq in signs:
-                envs = [{"p": p, "w": sw * p, "q": sq * p} for p in ps]
-                tr = sum(_contract(expr.word, [(net, env, None) for env in envs], model, cache,
-                                   trace=True)
+                env = {"p": ps, "w": sw * ps, "q": sq * ps}
+                tr = sum(_contract(expr.word, [(net, env, None)], model, cache, trace=True)
                          for net in term.networks)
-                parts[sq < 0].append(([env["w"] for env in envs], tr))
-            got = passes[ps] = (tuple(parts[0]), tuple(parts[1]))
+                parts[sq < 0].append((env["w"].tolist(), tr))
+            got = passes[ps.tobytes()] = (tuple(parts[0]), tuple(parts[1]))
         return got
 
     return traced
 
 
 def _moment_kernel(
-    traced: Callable[[tuple], tuple[tuple, tuple]], power: int, prefactor: float, dim: int
+    traced: Callable[[np.ndarray], tuple[tuple, tuple]], power: int, prefactor: float, dim: int
 ) -> OneParticleKernel:
     """The w^power moment of traced four-word coefficients, as a kernel: the
     delta calculus reduces the integral over w to the substitution.  Its A
@@ -572,9 +592,9 @@ def _moment_kernel(
     zero = np.zeros((dim, dim), dtype=complex)
 
     def moment(part: int, p: float | np.ndarray) -> np.ndarray:
-        ps = tuple(np.atleast_1d(p).tolist())  # the model gets Python floats
         total = zero
-        for ws, tr in traced(ps)[part]:
+        for ws, tr in traced(np.atleast_1d(np.asarray(p, dtype=float)))[part]:
+            # Python's power: numpy's differs in the last bit at some points
             total = total + np.array([w ** power for w in ws])[:, None, None] * tr
         total = prefactor * total
         return total if np.ndim(p) else total[0]

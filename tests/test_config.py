@@ -149,6 +149,16 @@ class TestParseConfig:
         model = build_model(cfg)
         assert model.half_line.dim == 2
 
+    def test_shorthand_values_are_the_json_numbers_they_spell(self):
+        """Digits, with an optional minus sign, are an int, as in a config
+        object; anything else float() reads is a float."""
+        cfg = parse_config(json.dumps({"bulk": "rational:N=2,c=1", "defect": "delta:eta=1.0"}))
+        assert [type(v) for v in (cfg.bulk["N"], cfg.bulk["c"], cfg.defect["eta"])] == [
+            int, int, float]
+        for text, want in (("-0", 0), (" 3 ", 3), ("1e0", 1.0), ("2.", 2.0), (".5", 0.5)):
+            got = parse_config(json.dumps({"defect": f"delta:eta={text}"})).defect["eta"]
+            assert (got, type(got)) == (want, type(want)), text
+
     def test_parameterless_shorthand(self):
         cfg = parse_config(json.dumps({"defect": "pure-reflection"}))
         assert build_model(cfg).half_line.R(1.0)[0, 0] == -1.0

@@ -631,13 +631,14 @@ class TestShapeCachedKernels:
     @pytest.mark.parametrize("count", [1, 50])
     def test_commutator_contracts_each_term_once_per_batch(self, monkeypatch, count):
         # 4 terms of H at p and at -p, 4 of the reflection moment at p,
-        # however many momenta share the batch
+        # however many momenta share the batch: each call covers them all,
+        # as rows of its jobs or as the entries of a job's momentum arrays
         calls = []
         original = fock._contract
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[1]))
-            return original(*args, **kwargs)
+        def counting(word, jobs, *args, **kwargs):
+            calls.append(sum(np.size(env["p"]) for _, env, _ in jobs))
+            return original(word, jobs, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_contract", counting)
         momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
@@ -645,6 +646,28 @@ class TestShapeCachedKernels:
         assert len(residuals) == count
         assert 0 < len(calls) <= 12
         assert set(calls) == {count}
+
+    @pytest.mark.parametrize("flavour", ["T", "R"])
+    def test_a_leaf_read_at_the_negated_momenta_fails_the_odd_commutators(
+            self, monkeypatch, flavour):
+        """Mutation check of the hierarchy pass's leaf reads: read every
+        contraction leaf of one flavour (I + calT, or calR) at the negated
+        momentum array.  The mixed-parity commutators (0,1) and (1,2), whose
+        right side is the engine's reflection moment, then fail by O(1).
+        hierarchy-relation(0) and (2) and the same-parity commutators stay at
+        rounding level under this mutation, because both of their sides read
+        the same leaves."""
+        read = fock._read
+        monkeypatch.setattr(fock, "_read", lambda kind, ks, model: read(
+            kind, tuple(-k for k in ks) if kind == flavour else ks, model))
+        model = _rational_model()
+        momenta = [0.7, -1.3, 2.2, -0.4]
+        for m, n in ((0, 1), (1, 2)):
+            assert max(fock.hierarchy_commutator_residuals(m, n, model, momenta)) > 1.0
+        for m, n in ((0, 2), (1, 3), (2, 4)):
+            assert max(fock.hierarchy_commutator_residuals(m, n, model, momenta)) < 1e-12
+        for n in (0, 2):
+            assert max(fock.hierarchy_relation_residuals(n, model, momenta)) < 1e-12
 
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_batch_equals_one_momentum_at_a_time(self, model_name):

@@ -3,6 +3,8 @@
 tests/golden/configs/ holds seven configs; tests/golden/<name>.json and
 <name>.txt are the `rtcheck verify --format json` and `--format text` output
 recorded for each, and catalog.json is the output of `rtcheck catalog`.
+tests/golden/shorthand/ holds configs that spell a golden config's catalog
+entries in the "name:key=value" shorthand; they give its report byte for byte.
 Exit codes, check ids and their order, verdicts, worst momenta and the
 catalog must match exactly.  A max_residual must match within an absolute
 1e-12, so that another BLAS cannot turn a rounding-level difference into a
@@ -73,3 +75,15 @@ def test_text_report_matches_golden(name, capsys):
 def test_catalog_matches_golden(capsys):
     assert main(["catalog"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "catalog.json").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_shorthand_config_gives_the_report_of_its_object_form(fmt, capsys):
+    """The shorthand "identity:dim=1" echoes "dim": 1, as the object
+    {"name": "identity", "dim": 1} does: one model, one report."""
+    reports = []
+    for folder in ("configs", "shorthand"):
+        assert main(["verify", "--config", str(GOLDEN / folder / "delta_n1.json"),
+                     "--format", fmt]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]

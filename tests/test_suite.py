@@ -294,6 +294,10 @@ ONE_POINT = {
     "opta-agreement": lambda t, k: _one_point_opta(t.dm, k),
     **{f"factorization({n})": lambda t, *k: fock.factorization_residual(
         len(k), list(k), sorted(k, reverse=True), t.dm) for n in (1, 2, 3, 4)},
+    **{f"hierarchy-commutator({m},{n})": lambda t, k, m=m, n=n: fock.hierarchy_commutator_residual(
+        m, n, t.dm, k) for m, n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2))},
+    **{f"hierarchy-relation({n})": lambda t, k, n=n: fock.hierarchy_relation_residual(n, t.dm, k)
+       for n in (0, 2)},
 }
 
 
@@ -411,6 +415,44 @@ class TestArrayResiduals:
             counts.append(dict(calls))
         assert counts[0] == counts[1], counts
         assert counts[0]["R"] and counts[0]["T"], counts
+
+    # check -> its calls of the doubled pair's R and T, at 1 and at 50 momenta
+    ENGINE_READS = {
+        # C-R, C-T and the reflection moment's dress calR, each at ps and -ps
+        "hierarchy-commutator(0,1)": {"R": 4, "T": 2},
+        # on the trivial pair C-R and C-T, and the dresses I + calT (two
+        # closures), calT, calR(-w) and calR, each at ps and -ps
+        "hierarchy-relation(2)": {"R": 6, "T": 8},
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_READS))
+    def test_engine_reads_each_leaf_once_per_momentum_array(self, name, monkeypatch):
+        """A hierarchy pass reads each leaf (a flavour at a signed momentum
+        array) with one call, and its four-word networks have no S leaf: no
+        doubled S-matrix call, and exactly these pair calls at any count."""
+        calls = Counter()
+
+        def counted(cls, attr, doubled):
+            read = getattr(cls, attr)
+
+            def reader(self, *ks):
+                calls[attr] += doubled(self)
+                return read(self, *ks)
+
+            monkeypatch.setattr(cls, attr, reader)
+
+        counted(BulkSMatrix, "eval", lambda S: S.sectors == 2)
+        counted(DefectPair, "R", lambda D: D.blocks is not None)
+        counted(DefectPair, "T", lambda D: D.blocks is not None)
+        model = build_model(parse_config(json.dumps(
+            {"bulk": "rational:N=2", "defect": "delta", "doubled": True, "samples": 50})))
+        spec = suite.CHECKS[name]
+        t = _target(spec, model)
+        momenta = sample_momenta(50, seed=3)
+        for count in (1, 50):
+            calls.clear()
+            spec.residual(t, *np.array(spec.points(momenta[:count]), dtype=float).T)
+            assert dict(calls) == self.ENGINE_READS[name], count
 
     def test_doubled_yang_baxter_memory_stays_flat(self):
         """200 doubled N = 3 triples, a few at a time: all at once added 78 MB
