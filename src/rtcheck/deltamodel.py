@@ -1,9 +1,9 @@
 """The exactly solvable delta-impurity model on the line.
 
-Scattering eigenfunctions, the matching condition at the origin, and the
-transition amplitudes they generate: the analytic cross-check for the
-algebraic machinery.  Only eta >= 0 is supported (no bound state).  Each
-eigenfunction formula reads its branch sign, T and R once, through _branch.
+Scattering eigenfunctions and the matching condition at the origin: the
+analytic cross-check for the algebraic machinery.  Only eta >= 0 is supported
+(no bound state).  Each eigenfunction formula reads T and R once, via _branch.
+Its transition amplitudes are fock.one_particle_amplitude on the model's pair.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .defect import DefectPair, delta_defect
 from .doubling import DoubledModel, build_doubled_model
-from .fock import TWO_PI, validate_orderings
 from .smatrix import identity_S
 
 
@@ -117,36 +116,3 @@ def schrodinger_residual(
         second = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / (h * h)
         worst = np.abs(-0.5 * second - e * vals[1:-1]).max(initial=worst)
     return worst
-
-
-def in_out_overlap(model: DeltaModel, p: float, k: float, two_pi: bool = True):
-    """The one-particle transition amplitude as (diag, flip) coefficients:
-    coefficient of delta(p - k) and of delta(p + k)."""
-    c = TWO_PI if two_pi else 1.0
-    diag = c * model.T(abs(p))
-    flip = c * model.R(abs(p))
-    return diag, flip
-
-
-def n_particle_product(
-    model: DeltaModel, p_list: list[float], k_list: list[float], two_pi: bool = True
-) -> dict[tuple[int, ...], complex]:
-    """Coefficients of the factorized product, indexed by the sign pattern
-    sigma (sigma_i = +1 for the delta(p_i - k_i) branch of factor i).
-
-    Requires nonzero momenta, k_1 < ... < k_n and p_1 > ... > p_n.
-    """
-    n = len(k_list)
-    if len(p_list) != n:
-        raise ValueError("momentum lists must have equal length")
-    validate_orderings(k_list, p_list)
-    out: dict[tuple[int, ...], complex] = {}
-    for bits in range(2**n):
-        sigma = tuple(1 - 2 * ((bits >> i) & 1) for i in range(n))
-        coeff = 1.0 + 0.0j
-        for i in range(n):
-            p_i = sigma[i] * k_list[i]
-            diag, flip = in_out_overlap(model, p_i, k_list[i], two_pi=two_pi)
-            coeff *= diag if sigma[i] == +1 else flip
-        out[sigma] = coeff
-    return out

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -688,12 +689,15 @@ def hierarchy_relation_residuals(
     eye = np.eye(model.doubled_dim, dtype=complex)
     calT, calR = model.defect.T, model.defect.R
 
+    def eye_plus_t(w):  # one dress for both sides: the leaf cache keys a dress by its object
+        return eye + calT(w)
+
     creators = [
-        ad("w", dress=lambda w: eye + calT(w)),
+        ad("w", dress=eye_plus_t),
         ad("w", sign=-1, dress=lambda w: calR(-w)),
     ]
     annihilators = [
-        a("w", dress=lambda w: eye + calT(w)),
+        a("w", dress=eye_plus_t),
         a("w", sign=-1, dress=calR),
     ]
     k_rt = None
@@ -741,19 +745,43 @@ def n_particle_expression(
     return normal_order_vev(word, model)
 
 
+def _product_gaps(model: DoubledModel, cases: list[tuple[list, tuple]]) -> list[float]:
+    """|engine - product| per case (in-momenta k_1..k_n, sign pattern sigma).
+
+    The product pairs out-slot i with in-slot i at p_i = sigma_i k_i: a product
+    of projected transmission (sigma_i = +1) or reflection brackets, read on
+    the array of all p_i.  The engine coefficient of that pairing, at the
+    physical component assignment, is 0 if the expansion lacks the pairing;
+    every case's coefficient is contracted in one batch.
+    """
+    n = len(cases[0][1]) if cases else 0
+    labels = [f"k{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    expr = n_particle_expression(n, labels[:n], labels[n:], model)
+    by_pairing = {t.pairing: t for t in expr.terms}
+    # out slot i is word position n - 1 - i, in slot i is position n + i
+    terms = {sigma: by_pairing.get(tuple(sorted((n - 1 - i, n + i, s)
+                                                for i, s in enumerate(sigma))))
+             for sigma in {sigma for _, sigma in cases}}
+    sigmas = np.array([sigma for _, sigma in cases])
+    ps = sigmas * np.array([ks for ks, _ in cases], dtype=float)
+    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
+    flat = ps.ravel()
+    brackets = np.where(sigmas.ravel() > 0, opta.A(flat)[:, 0, 0], opta.B(flat)[:, 0, 0])
+    # Python complex products in factor order (numpy's may differ in the last bit)
+    products = [math.prod(row, start=1.0 + 0.0j) for row in brackets.reshape(ps.shape).tolist()]
+    jobs = [(terms[sigma], dict(zip(labels, [*ks, *p_case])))
+            for (ks, sigma), p_case in zip(cases, ps.tolist()) if terms[sigma] is not None]
+    engine = iter(physical_coefficients(expr, jobs, model))
+    # Python's abs: np.abs can differ in the last bit
+    return [abs((next(engine) if terms[sigma] is not None else 0j) - prod)
+            for (_, sigma), prod in zip(cases, products)]
+
+
 def factorization_residual(
     n: int, in_momenta: list[float], out_momenta: list[float], model: DoubledModel
 ) -> float:
     """Engine amplitude versus the factorized product of one-particle
-    amplitudes, compared coefficient-wise over the product's pairings.
-
-    The product side pairs out-slot i with in-slot i; for each of the 2^n
-    sign patterns its coefficient is the product of projected transmission
-    or reflection brackets.  The engine coefficient for the same pairing is
-    evaluated at the pairing-consistent substitution p_i = sigma_i k_i with
-    the physical component assignment, and the maximal discrepancy over all
-    patterns is returned.
-    """
+    amplitudes, the maximal gap over all 2^n sign patterns (``_product_gaps``)."""
     if model.bulk_dim != 1:
         raise ValueError("factorization comparison is defined for N = 1 models")
     if len(in_momenta) != n or len(out_momenta) != n:
@@ -761,44 +789,19 @@ def factorization_residual(
     validate_orderings(in_momenta, out_momenta)
     if n == 0:
         return 0.0
-
-    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
-    in_labels = [f"k{i+1}" for i in range(n)]
-    out_labels = [f"p{i+1}" for i in range(n)]
-    expr = n_particle_expression(n, in_labels, out_labels, model)
-    by_pairing = {t.pairing: t for t in expr.terms}
-
-    products, jobs = [], []
-    for sigma in itertools.product((+1, -1), repeat=n):
-        p_sub = [s * k for s, k in zip(sigma, in_momenta)]
-        # out slot i is word position n - 1 - i, in slot i is position n + i
-        pairing = tuple(sorted((n - 1 - i, n + i, sigma[i]) for i in range(n)))
-        env = dict(zip(in_labels + out_labels, list(in_momenta) + p_sub))
-        prod = 1.0 + 0.0j
-        for s, p in zip(sigma, p_sub):
-            prod *= complex((opta.A(p) if s == +1 else opta.B(p))[0, 0])
-        products.append((prod, pairing in by_pairing))
-        if pairing in by_pairing:
-            jobs.append((by_pairing[pairing], env))
-    # all sign patterns in one batch
-    engine = iter(physical_coefficients(expr, jobs, model))
-    gaps = [abs((next(engine) if found else 0j) - prod) for prod, found in products]
+    gaps = _product_gaps(model, [(in_momenta, sigma)
+                                 for sigma in itertools.product((+1, -1), repeat=n)])
     return float(np.max(gaps))  # a nan gap stays, and fails the check
 
 
 def opta_agreement_residual(model: DoubledModel, p) -> float | np.ndarray:
     """Engine one-particle kernel versus the projected-amplitude kernel, both
     restricted to the physical component assignment (N = 1 models), at one
-    momentum or at each of a 1-d array: one batch of both terms at every p."""
+    momentum or at each of a 1-d array: the transmission case (q, +1) and
+    the reflection case (-q, -1) at every momentum q, in one batch."""
     if model.bulk_dim != 1:
         raise ValueError("agreement check is defined for N = 1 models")
-    expr = normal_order_vev([a("p"), ad("k")], model)
-    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
-    ps = np.atleast_1d(np.asarray(p, dtype=float))
-    terms = [(next(t for t in expr.terms if t.pairing[0][2] == rel), rel) for rel in (+1, -1)]
-    jobs = [(term, {"p": q, "k": q / rel}) for q in ps.tolist() for term, rel in terms]
-    got = physical_coefficients(expr, jobs, model)
-    want = np.stack([opta.A(ps), opta.B(ps)], axis=1)[:, :, 0, 0].ravel().tolist()
-    gaps = [abs(c - r) for c, r in zip(got, want)]  # Python's: np.abs can differ in the last bit
+    qs = np.atleast_1d(np.asarray(p, dtype=float)).tolist()
+    gaps = _product_gaps(model, [case for q in qs for case in (([q], (+1,)), ([-q], (-1,)))])
     worst = np.maximum(gaps[::2], gaps[1::2])  # a nan gap stays, and fails the check
     return worst if np.ndim(p) else float(worst[0])

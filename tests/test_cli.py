@@ -23,6 +23,9 @@ def run_cli(*args):
     )
 
 
+VERIFY = ["verify"]
+
+
 @pytest.fixture
 def delta_config(tmp_path):
     path = tmp_path / "delta.json"
@@ -77,18 +80,26 @@ class TestVerify:
         assert main(["verify", "--config", delta_config, "--seed", "-5"]) == 2
         assert capsys.readouterr().err == "rtcheck: error: seed must be >= 0, got -5\n"
 
-    @pytest.mark.parametrize("fields, message", [
-        ({"seed": -1}, "seed must be >= 0, got -1"),
+    @pytest.mark.parametrize("fields, message, command", [
+        ({"seed": -1}, "seed must be >= 0, got -1", VERIFY),
         # an infinite tolerance would pass the failing mixed relation SRST+
         ({"tolerance": float("inf"), "bulk": "rational:N=2", "checks": ["SRST+"]},
-         "tolerance must be finite, got inf"),
-        ({"tolerance": float("nan")}, "tolerance must be finite, got nan"),
-        ({"exclusion_radius": float("nan")}, "exclusion_radius must be finite, got nan"),
-    ], ids=["seed", "tolerance-inf", "tolerance-nan", "radius-nan"])
-    def test_out_of_range_config_value_exit_two(self, fields, message, tmp_path, capsys):
+         "tolerance must be finite, got inf", VERIFY),
+        ({"tolerance": float("nan")}, "tolerance must be finite, got nan", VERIFY),
+        ({"exclusion_radius": float("nan")}, "exclusion_radius must be finite, got nan", VERIFY),
+        ({"samples": 0}, "samples must be >= 1", VERIFY),
+        ({"exclusion_radius": 0}, "exclusion_radius must be > 0", VERIFY),
+        ([], "config must be a JSON object", VERIFY),
+        ({"bulk": 5}, "catalog entry must be an object or string, got 5", VERIFY),
+        ({"bulk": {"dim": 2}}, "bulk section must be an object with a 'name'", VERIFY),
+        ({"doubled": False}, "amplitude queries need a doubled model (doubled: true)",
+         ["amplitude", "--n", "0"]),
+    ], ids=["seed", "tolerance-inf", "tolerance-nan", "radius-nan", "samples-0", "radius-0",
+            "config-list", "bulk-number", "bulk-nameless", "amplitude-undoubled"])
+    def test_out_of_range_config_value_exit_two(self, fields, message, command, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(fields))
-        assert main(["verify", "--config", str(cfg)]) == 2
+        assert main([*command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"rtcheck: error: {message}\n"
 
     def test_config_error_exit_two(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ from rtcheck.defect import (
     relation_residual,
     transmission_relation_residual,
 )
-from rtcheck.deltamodel import DeltaModel, in_out_overlap
+from rtcheck.deltamodel import DeltaModel
 from rtcheck.doubling import (
     REDUCED_VARIANTS,
     build_doubled_model,
@@ -546,7 +546,7 @@ ZERO_MOMENTUM_READERS = {
     "physical_coefficients": lambda m: _physical_at_zero(m.doubled),
     "DeltaModel.T": lambda m: DeltaModel(1.0).T(0.0),
     "DeltaModel.R": lambda m: DeltaModel(1.0).R(0.0),
-    "in_out_overlap": lambda m: in_out_overlap(DeltaModel(1.0), 0.0, 0.0),
+    "one_particle_amplitude.A": lambda m: fock.one_particle_amplitude(m.half_line).A(0.0),
 }
 
 

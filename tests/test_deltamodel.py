@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ from rtcheck.defect import delta_defect
 from rtcheck.deltamodel import (
     DeltaModel,
     boundary_condition_residual,
-    in_out_overlap,
-    n_particle_product,
     plane_wave_bc_residual,
     psi,
     psi_prime,
@@ -17,6 +17,7 @@ from rtcheck.fock import (
     TWO_PI,
     evaluate_coefficient,
     n_particle_expression,
+    one_particle_amplitude,
     resolve_momenta,
 )
 from rtcheck.smatrix import sample_momenta
@@ -155,24 +156,26 @@ class TestSchrodingerResidual:
 
 
 class TestOverlap:
+    """The one-particle transition amplitude of the delta model is fock's
+    projected-amplitude kernel on its pair: T(|p|) and R(|p|), times 2 pi."""
+
     def test_transmission_coefficient(self):
-        diag, _ = in_out_overlap(MODEL, 2.0, 2.0)
+        diag = one_particle_amplitude(MODEL.pair, delta_2pi=True).A(2.0)[0, 0]
         assert abs(diag - TWO_PI * MODEL.T(2.0)) < 1e-13
 
     def test_reflection_coefficient(self):
-        _, flip = in_out_overlap(MODEL, 2.0, -2.0)
-        assert abs(flip - TWO_PI * MODEL.R(2.0)) < 1e-13
-        _, flip_neg = in_out_overlap(MODEL, -2.0, 2.0)
-        assert abs(flip_neg - TWO_PI * MODEL.R(2.0)) < 1e-13
+        K = one_particle_amplitude(MODEL.pair, delta_2pi=True)
+        assert abs(K.B(2.0)[0, 0] - TWO_PI * MODEL.R(2.0)) < 1e-13
+        assert abs(K.B(-2.0)[0, 0] - TWO_PI * MODEL.R(2.0)) < 1e-13
 
     def test_free_is_pure_transmission(self):
-        diag, flip = in_out_overlap(FREE, 1.1, 1.1)
-        assert abs(diag - TWO_PI) < 1e-15
-        assert flip == 0.0
+        K = one_particle_amplitude(FREE.pair, delta_2pi=True)
+        assert abs(K.A(1.1)[0, 0] - TWO_PI) < 1e-15
+        assert K.B(1.1)[0, 0] == 0.0
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(ValueError):
-            in_out_overlap(MODEL, 0.0, 1.0)
+            one_particle_amplitude(MODEL.pair).A(0.0)
 
 
 class TestCrossRepresentation:
@@ -184,14 +187,16 @@ class TestCrossRepresentation:
     def test_product_matches_engine(self, ks):
         n = len(ks)
         dm = MODEL.doubled()
-        product = n_particle_product(MODEL, sorted(ks, reverse=True), ks, two_pi=False)
         in_labels = [f"k{i+1}" for i in range(n)]
         out_labels = [f"p{i+1}" for i in range(n)]
         expr = n_particle_expression(n, in_labels, out_labels, dm)
         pos_out = {i: n - 1 - i for i in range(n)}
         pos_in = {i: n + i for i in range(n)}
         by_pairing = {t.pairing: t for t in expr.terms}
-        for sigma, coeff in product.items():
+        for sigma in itertools.product((+1, -1), repeat=n):
+            # out slot i carries p_i = sigma_i k_i: T(|k_i|) if sigma_i = +1, else R(|k_i|)
+            coeff = np.prod([MODEL.T(abs(k)) if s == +1 else MODEL.R(abs(k))
+                             for s, k in zip(sigma, ks)])
             pairing = tuple(
                 sorted((pos_out[i], pos_in[i], sigma[i]) for i in range(n))
             )
@@ -205,15 +210,6 @@ class TestCrossRepresentation:
             xi = [0 if k < 0 else 1 for k in ks]
             idx = tuple(reversed(eps)) + tuple(xi)
             assert abs(complex(tensor[idx]) - coeff) <= 1e-11
-
-    def test_single_particle_reduces_to_overlap(self):
-        prod = n_particle_product(MODEL, [1.3], [1.3], two_pi=True)
-        diag, _ = in_out_overlap(MODEL, 1.3, 1.3)
-        assert prod[(1,)] == diag
-
-    def test_ordering_validation(self):
-        with pytest.raises(ValueError):
-            n_particle_product(MODEL, [1.0, 2.0], [1.0, 2.0])
 
 
 def test_the_delta_pair_is_built_once_per_model(monkeypatch):

@@ -336,12 +336,17 @@ class TestArrayResiduals:
         "defect-unitarity": ("pair", 4), "hermitian-analyticity": ("pair", 3),
         "involution-U-squared": ("pair", 4), "J-squared": ("pair", 8),
         "symmetrized-unitarity": ("half", 4), "opta-agreement": ("half", 2),
+        **{f"factorization({n})": ("half", 2) for n in (1, 2, 3, 4)},
     }
+    # check -> the jobs of its one engine batch at a point count: two cases per
+    # momentum, or the 2^n sign patterns of factorization(n)'s one point
+    BATCHES = {"opta-agreement": lambda count: 2 * count,
+               **{f"factorization({n})": lambda count, n=n: 2 ** n for n in (1, 2, 3, 4)}}
 
     @pytest.mark.parametrize("bulk", ["identity:dim=1", "rational:N=2"])
     def test_one_reader_call_per_factor_not_per_point(self, bulk, monkeypatch):
         """Each check reads each of its factors once, on the momentum arrays,
-        as a point count of 1 does.  Yang-Baxter and unitarity take 40 points
+        as its smallest point count does.  Yang-Baxter and unitarity take 40 points
         in one chunk at leg dimension <= 2, so they are counted there."""
         calls = Counter()
 
@@ -374,15 +379,15 @@ class TestArrayResiduals:
             if reader == "S" and t.S.leg_dim > 2:  # Yang-Baxter and unitarity go in chunks
                 continue
             label = {"S": t.S, "pair": t.pair, "half": t.dm.half_line}[reader]
-            for count in (1, 40):
+            for count in (spec.min_samples, 40):
                 calls.clear()
                 batches.clear()
                 points = spec.points(momenta[:count])
                 spec.residual(t, *np.array(points, dtype=float).T)
                 assert calls[id(label)] == n, (name, count)
-                assert batches == ([2 * count] if name == "opta-agreement" else [])
+                assert batches == ([self.BATCHES[name](count)] if name in self.BATCHES else [])
             ran += 1
-        assert ran == (11 if bulk.startswith("identity") else 8)
+        assert ran == (15 if bulk.startswith("identity") else 8)
 
     @pytest.mark.parametrize("name", ["hierarchy-commutator(0,1)", "hierarchy-relation(2)"])
     def test_engine_leaf_reads_do_not_grow_with_the_points(self, name, monkeypatch):
@@ -420,9 +425,9 @@ class TestArrayResiduals:
     ENGINE_READS = {
         # C-R, C-T and the reflection moment's dress calR, each at ps and -ps
         "hierarchy-commutator(0,1)": {"R": 4, "T": 2},
-        # on the trivial pair C-R and C-T, and the dresses I + calT (two
-        # closures), calT, calR(-w) and calR, each at ps and -ps
-        "hierarchy-relation(2)": {"R": 6, "T": 8},
+        # on the trivial pair C-R and C-T, and the dresses I + calT (one
+        # function on both sides), calT, calR(-w) and calR, each at ps and -ps
+        "hierarchy-relation(2)": {"R": 6, "T": 6},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
