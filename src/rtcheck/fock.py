@@ -35,12 +35,12 @@ contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
 never built.
 
 A contraction of networks at one point each (amplitudes, factorization)
-gathers the leaves of its rows from the caller's per-point cache.  When the
-cache lacks some, it collects the missing (flavour, signed momentum) leaves
-of all its rows and reads each flavour with one call on the array of their
-momenta: ``calS.eval``, ``I + calT``, ``calR`` or a dress.  Calls that
-share one cache evaluate each distinct leaf once, and the number of model
-calls does not grow with the rows.
+first reads the (flavour, signed momentum) leaves of its rows that its
+call's leaf cache lacks, each flavour with one call on the array of their
+momenta: ``calS.eval``, ``I + calT``, ``calR`` or a dress.  It then
+gathers each atom slot from the cache once.  Each ``evaluate_coefficients``
+call keeps its own cache, so it evaluates each distinct leaf once, and the
+number of model calls does not grow with the rows.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and whether it is dressed.  It never depends on the
@@ -257,10 +257,10 @@ def _leaf(atom: tuple, env: dict[str, float], word: tuple[WordSymbol, ...]) -> t
 
 
 def _read_leaves(keys, model: DoubledModel, cache: dict) -> None:
-    """Put the tensor of every leaf key that ``cache`` lacks into it, with
-    one reader call per flavour on the array of its momenta.  A flavour
-    that lacks one point is read there, at a float (a dress at a one-point
-    array): that skips the array set-up, with the bits of an array read."""
+    """Put the leaves of ``keys`` that ``cache`` lacks into it, before the
+    caller gathers them, with one reader call per flavour on the array of
+    its momenta.  A flavour that lacks one point is read there, at a float
+    (a dress at a one-point array): no array set-up, the bits of an array."""
     missing: dict = {}  # flavour -> its missing keys, in first-use order
     for key in keys:
         if key not in cache:
@@ -364,11 +364,8 @@ def _contract(
             tensors.append(cache[key])
     else:
         keys = [[_leaf(atom, env, word) for atom in net] for net, env, _ in jobs]
-        try:
-            tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
-        except KeyError:  # read the leaves the cache lacks, then gather again
-            _read_leaves(itertools.chain.from_iterable(keys), model, cache)
-            tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
+        _read_leaves(itertools.chain.from_iterable(keys), model, cache)
+        tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
     sliced = jobs[0][2] is not None
     if sliced:  # row j of the batch takes its own entry; the same legs are
         # external in every network of one topology
@@ -381,8 +378,7 @@ def _contract(
 
 
 def evaluate_coefficients(
-    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel,
-    cache: Optional[dict] = None,
+    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel
 ) -> list[np.ndarray]:
     """Coefficient tensors of terms of one expression, one per job (term,
     momentum assignment, at).
@@ -393,11 +389,11 @@ def evaluate_coefficients(
     for supplying assignments consistent with the terms' pairings.  The
     networks of all jobs are grouped by topology and each group is one
     batched contraction; each term then sums its networks' values in
-    network order.  Calls that pass one ``cache`` (one model) evaluate each
-    distinct leaf once.
+    network order.  The call keeps one leaf cache over all its groups, so it
+    evaluates each distinct leaf once.
     """
     n_ext = len(expr.word)
-    cache = {} if cache is None else cache
+    cache: dict = {}
     values: list[list] = []  # per job, its networks' values in network order
     groups: dict[tuple, list] = {}
     for term, env, at in jobs:
@@ -425,16 +421,16 @@ def evaluate_coefficients(
 
 def evaluate_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel, at: Optional[tuple[int, ...]] = None, cache: Optional[dict] = None,
+    model: DoubledModel, at: Optional[tuple[int, ...]] = None,
 ) -> np.ndarray:
     """One term's coefficient tensor at a momentum assignment (see
     ``evaluate_coefficients``)."""
-    return evaluate_coefficients(expr, [(term, env, at)], model, cache)[0]
+    return evaluate_coefficients(expr, [(term, env, at)], model)[0]
 
 
 def physical_coefficients(
     expr: AmplitudeExpression, jobs: list[tuple[ContractionTerm, dict[str, float]]],
-    model: DoubledModel, cache: Optional[dict] = None,
+    model: DoubledModel,
 ) -> list[complex]:
     """Coefficients of terms (term, momentum assignment) at the physical
     component assignment, evaluated as one batch.
@@ -446,27 +442,24 @@ def physical_coefficients(
     sides = [(s.sign if s.kind == "a" else -s.sign, s.label) for s in expr.word]  # eps or xi
     got = evaluate_coefficients(expr, [
         (term, env, tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides))
-        for term, env in jobs], model, cache)
+        for term, env in jobs], model)
     return [complex(value[()]) for value in got]
 
 
 def resolve_momenta(
     term: ContractionTerm, word: tuple[WordSymbol, ...], seeds: dict[str, float]
 ) -> dict[str, float]:
-    """Propagate pairing constraints value[a] = rel * value[ad] from seeds."""
+    """Propagate pairing constraints value[a] = rel * value[ad] from seeds in
+    one pass, in ``term.pairing`` order (by annihilator position), where each
+    pair meets a known label: an n-particle word seeded at its creators, and
+    <a(p) M†(w) M(w) ad(q)> seeded at p, whose terms pair (0, 1), (2, 3)."""
     env = dict(seeds)
-    by_pos = {i: s.label for i, s in enumerate(word)}
-    changed = True
-    while changed:
-        changed = False
-        for a_pos, c_pos, rel in term.pairing:
-            la, lc = by_pos[a_pos], by_pos[c_pos]
-            if la in env and lc not in env:
-                env[lc] = env[la] / rel
-                changed = True
-            elif lc in env and la not in env:
-                env[la] = rel * env[lc]
-                changed = True
+    for a_pos, c_pos, rel in term.pairing:
+        la, lc = word[a_pos].label, word[c_pos].label
+        if la in env and lc not in env:
+            env[lc] = env[la] / rel
+        elif lc in env and la not in env:
+            env[la] = rel * env[lc]
     return env
 
 
@@ -563,10 +556,9 @@ def _traced_four_word(
     """
     expr = normal_order_vev([a("p"), mid_creator, mid_annihilator, ad("q")], model)
     signs = []
-    for term in expr.terms:
+    for term in expr.terms:  # every term resolves w and q (see resolve_momenta)
         env = resolve_momenta(term, expr.word, {"p": 1.0})
-        if "w" in env and "q" in env:
-            signs.append((term, env["w"], env["q"]))
+        signs.append((term, env["w"], env["q"]))
     passes: dict[bytes, tuple[tuple, tuple]] = {}
 
     def traced(ps: np.ndarray) -> tuple[tuple, tuple]:

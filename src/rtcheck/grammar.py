@@ -29,7 +29,7 @@ MAX_NESTING = 100  # parentheses plus unary minus; keeps parsing well inside the
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[ij]?)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[()+\-*/]))"
+    r"|(?P<op>[()+\-*/])|$)"
 )
 
 

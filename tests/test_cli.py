@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import rtcheck
 from rtcheck.cli import amplitude_json, main
+from rtcheck.grammar import ExpressionError, parse_expression
 
 
 def run_cli(*args):
@@ -360,3 +364,46 @@ def test_config_directory_exit_two(command, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("rtcheck: error:")
     assert "Traceback" not in proc.stderr
+
+
+# random text over the grammar's alphabet, with blanks and stray letters; the
+# token lists make well-formed expressions common enough to reach the checks
+EXPRESSION_ALPHABET = "0123456789.eEij" + "k()+-*/" + " \t\n" + "xqK_$"
+expression_texts = st.one_of(
+    st.text(EXPRESSION_ALPHABET, max_size=16),
+    st.lists(st.sampled_from(["k", "1", "2.5", "1e3", "3i", "1j", "0", "(", ")", "+", "-",
+                              "*", "/", " ", "\t", "\n", "x"]), max_size=10).map("".join),
+)
+
+
+class TestNoTraceback:
+    @settings(max_examples=300, deadline=None)
+    @given(expression_texts)
+    def test_expressions_raise_only_expression_errors(self, text):
+        try:
+            fn = parse_expression(text)
+        except ExpressionError:
+            return
+        for k in (0.0, 1.5, -2.0):
+            try:
+                value = fn(k)
+            except ExpressionError:
+                continue
+            assert isinstance(value, complex)
+
+    @settings(max_examples=40, deadline=None)
+    @given(expression_texts, expression_texts)
+    def test_custom_defect_verify_exits_with_a_code(self, transmission, reflection):
+        config = json.dumps({
+            "bulk": {"name": "identity", "dim": 1},
+            "defect": {"name": "custom", "transmission": transmission, "reflection": reflection},
+            "samples": 3,
+            "checks": ["defect-unitarity", "TST", "factorization(1)"],
+        })
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "custom.json"
+            path.write_text(config)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["verify", "--config", str(path)])
+        assert code in (0, 1, 2)

@@ -52,7 +52,13 @@ class TestGrammar:
         assert abs(f(k) - (1 - 2j * k / (k * k + 4))) < 1e-15
 
     @pytest.mark.parametrize(
-        "bad", ["k +", "q + 1", "((k)", "k $ 2", "1..2", ""]
+        "text,k,value", [("k ", 2.0, 2), ("1 + k\n", 0.5, 1.5), ("(k)\t", -3.0, -3)]
+    )
+    def test_trailing_whitespace_is_allowed(self, text, k, value):
+        assert parse_expression(text)(k) == value
+
+    @pytest.mark.parametrize(
+        "bad", ["k +", "q + 1", "((k)", "k $ 2", "1..2", "", "k  x", "k $"]
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises((ExpressionError, IndexError, ValueError)):

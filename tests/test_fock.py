@@ -102,6 +102,55 @@ class TestNormalOrdering:
         env = resolve_momenta(term, expr.word, {"q": 1.5})
         assert env["p"] == -1.5
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_one_pass_resolves_amplitude_words_like_the_fixed_point(self, n):
+        in_labels = [f"k{i+1}" for i in range(n)]
+        expr = fock.n_particle_expression(n, in_labels, [f"p{i+1}" for i in range(n)], MODEL)
+        seeds = dict(zip(in_labels, [-2.2, -0.9, 1.3, 1.7][:n]))
+        for term in expr.terms:
+            env = resolve_momenta(term, expr.word, seeds)
+            assert env == _fixed_point_momenta(term, expr.word, seeds)
+            assert len(env) == 2 * n
+
+    def test_one_pass_resolves_hierarchy_words_like_the_fixed_point(self, monkeypatch):
+        words = {}
+        original = fock.normal_order_vev
+
+        def recording(word, model):
+            expr = original(word, model)
+            words[tuple((s.kind, s.sign, s.dress is not None) for s in word)] = expr
+            return expr
+
+        monkeypatch.setattr(fock, "normal_order_vev", recording)
+        fock.hierarchy_commutator_residuals(0, 1, MODEL, [0.7])
+        fock.hierarchy_relation_residuals(2, MODEL, [0.7])
+        assert len(words) == 7  # every four-word the hierarchy checks build
+        for expr in words.values():
+            assert expr.terms
+            for term in expr.terms:
+                for p in (1.0, -0.7):
+                    env = resolve_momenta(term, expr.word, {"p": p})
+                    assert env == _fixed_point_momenta(term, expr.word, {"p": p})
+                    assert set(env) == {"p", "w", "q"}
+
+
+def _fixed_point_momenta(term, word, seeds):
+    """The reference for resolve_momenta: sweep the pairing until a sweep
+    sets no label."""
+    env = dict(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for a_pos, c_pos, rel in term.pairing:
+            la, lc = word[a_pos].label, word[c_pos].label
+            if la in env and lc not in env:
+                env[lc] = env[la] / rel
+                changed = True
+            elif lc in env and la not in env:
+                env[la] = rel * env[lc]
+                changed = True
+    return env
+
 
 class TestOneParticleAmplitude:
     def test_frozen_values_eta1(self):
@@ -489,10 +538,10 @@ class TestPlannedContraction:
         alone = [evaluate_coefficient(e, t, env, counting) for e, t, env in jobs]
         assert len(calls) > len(set(calls))  # each call evaluates its own leaves
         calls.clear()
-        cache: dict = {}
-        shared = [evaluate_coefficient(e, t, env, counting, cache=cache) for e, t, env in jobs]
+        together = fock.evaluate_coefficients(
+            jobs[0][0], [(t, env, None) for _, t, env in jobs], counting)
         assert len(calls) == len(set(calls))
-        assert all(np.array_equal(x, y) for x, y in zip(alone, shared))
+        assert all(np.array_equal(x, y) for x, y in zip(alone, together))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_every_plan_step_stays_pairwise(self, n):
@@ -846,31 +895,6 @@ class TestTopologyBatches:
         expr, jobs = _physical_jobs(0, MODEL, 0)
         assert fock.physical_coefficients(expr, jobs, MODEL) == [1 + 0j]
         assert fock.physical_coefficients(expr, [], MODEL) == []
-
-    def test_a_shared_leaf_cache_gives_the_results_of_separate_ones(self):
-        model = _rational_model()
-        calls = []
-
-        def counted(flavour, fn):
-            def evaluate(k):
-                calls.append((flavour, k))
-                return fn(k)
-            return evaluate
-
-        counting = replace(model, defect=DefectPair(
-            model.doubled_dim, counted("R", model.defect.reflection),
-            counted("T", model.defect.transmission)))
-        draws = [_physical_jobs(3, counting, seed) for seed in range(3)]
-        separate = [fock.physical_coefficients(expr, jobs, counting) for expr, jobs in draws]
-        cache: dict = {}
-        calls.clear()
-        shared = [fock.physical_coefficients(expr, jobs, counting, cache) for expr, jobs in draws]
-        assert len(calls) == len(set(calls))  # each distinct leaf once over all draws
-        assert shared == separate
-        calls.clear()
-        assert [fock.physical_coefficients(expr, jobs, counting, cache)
-                for expr, jobs in draws] == separate
-        assert not calls  # every leaf already in the cache
 
     def test_threads_get_the_serial_results(self):
         import sys
