@@ -1,7 +1,7 @@
 """Command-line interface: verify a model, query amplitudes, list catalogs.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
-or domain error.
+or domain error; a reader that closes early (`| head`) changes none of them.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -34,12 +35,11 @@ def _load_config(path: str, seed_override=None):
     return cfg
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     cfg = _load_config(args.config, args.seed)
     model = build_model(cfg)
     report = run_suite(model)
-    sys.stdout.write(emit_report(report, args.format))
-    return 0 if report.all_pass else 1
+    return 0 if report.all_pass else 1, [emit_report(report, args.format)]
 
 
 def _parse_momenta(text: str) -> list[float]:
@@ -52,7 +52,7 @@ def _parse_momenta(text: str) -> list[float]:
     return momenta
 
 
-def _cmd_amplitude(args) -> int:
+def _cmd_amplitude(args):
     model = build_model(_load_config(args.config))
     if model.doubled is None:
         raise ConfigError("amplitude queries need a doubled model (doubled: true)")
@@ -83,9 +83,7 @@ def _cmd_amplitude(args) -> int:
         expr, [(term, fock.resolve_momenta(term, expr.word, seeds)) for term in expr.terms], dm)
     pairings = ([(expr.word[a_pos].label, expr.word[c_pos].label, rel)
                  for a_pos, c_pos, rel in term.pairing] for term in expr.terms)
-    for chunk in amplitude_json(n, ks, ps, nonphysical, zip(pairings, values)):
-        sys.stdout.write(chunk)
-    return 0
+    return 0, amplitude_json(n, ks, ps, nonphysical, zip(pairings, values))
 
 
 def _number(x: float) -> str:
@@ -138,14 +136,13 @@ def amplitude_json(n: int, ks: list[float], ps: list[float], nonphysical: bool, 
     yield "[]\n}\n" if sep[0] == "[" else "\n  ]\n}\n"
 
 
-def _cmd_catalog(_args) -> int:
+def _cmd_catalog(_args):
     out = {
         "bulk": list(BULK_CATALOG),
         "defect": list(DEFECT_CATALOG),
         "checks": list(available_checks()),
     }
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
-    return 0
+    return 0, [json.dumps(out, sort_keys=True, indent=2) + "\n"]
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -178,10 +175,16 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, chunks = args.fn(args)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()  # so that a closed reader shows here, not at exit
+    except BrokenPipeError:  # the reader has what it wanted; the exit flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"rtcheck: error: {exc}\n")
         return 2
+    return code
 
 
 if __name__ == "__main__":

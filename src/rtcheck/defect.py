@@ -23,18 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .smatrix import BulkSMatrix, read_points
+from .smatrix import CHUNK, BulkSMatrix, read_points
 from .tensor import dagger, kron, norm_inf, swap_legs
 
 REFLECTION_VARIANTS = ("SRSR+", "SRSR-")
 TRANSMISSION_VARIANTS = ("TST", "STT-", "STT+")
 MIXED_VARIANTS = ("TSRS+", "TSRS-", "SRST+", "SRST-", "TSR+", "TSR-", "RST+", "RST-")
 CONSISTENCY_VARIANTS = ("rr1", "tt1", "tr1")
-# Points per reader call and block product.  On the relations benchmark (rational
-# N = 3, 200 points per check, 2-core x86-64) 24 to 64 were about equally fast,
-# 16 about 10% and 8 about 35% slower; peak RSS rose with the chunk, by under 1%
-# at 24, 2% at 32 and 7.5% at 64.
-CHUNK = 24
 
 
 class ZeroMomentumError(ValueError):

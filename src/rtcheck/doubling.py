@@ -14,13 +14,11 @@ same-side scattering far from the impurity keeps the translation-invariant
 argument k1 - k2, cross-side scattering picks up k1 + k2.
 
 Both doubled objects hand out these blocks at momentum arrays
-(BulkSMatrix.blocks, DefectPair.blocks), which the relation words multiply
-sector by sector; their dense matrices are assembled from the same reads
-for the readers that take them whole (Yang-Baxter, unitarity, the
-involution and the engine's leaves).  The doubled pair is batched when the
-half-line pair is: an array read is one call into the half-line data at k
-and one at -k, whose stacks fill the blocks of a (P, 2N, 2N) stack.  The
-doubled S-matrix is assembled one point at a time.
+(BulkSMatrix.blocks, DefectPair.blocks); the relation words, Yang-Baxter
+and unitarity multiply them sector by sector.  The dense matrices, from
+the same reads, serve the involution and the engine's leaves: the doubled
+pair (batched when the half-line pair is) from one half-line call at k and
+one at -k, the doubled S-matrix one point at a time.
 """
 
 from __future__ import annotations
@@ -103,18 +101,17 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
     S-matrix on C^{2N}.
 
     The result is not translation invariant whenever s is nonconstant (the
-    cross-side blocks depend on k1 + k2).  Its blocks are s at the bulk
-    arguments of each sector, in SECTORS order; the dense matrix is
-    assembled from the same reads for the readers that take it whole.
+    cross-side blocks depend on k1 + k2).  Its blocks, which every check
+    reads, are s at the bulk arguments of each sector, in SECTORS order; the
+    dense matrix of eval and the engine's leaves is assembled from the same reads.
     """
     if not s.translation_invariant:
         raise ValueError("double_S_bulk expects a translation-invariant bulk S-matrix")
     N = s.leg_dim
     n2 = 2 * N
-    slices = []  # ([a1, a2, b1, b2] slices of one sector, its argument signs)
-    for (x1, x2), signs in SECTORS.items():
-        r1, r2 = slice(x1 * N, x1 * N + N), slice(x2 * N, x2 * N + N)
-        slices.append(((r1, r2, r1, r2), signs))
+    rows = [slice(0, N), slice(N, n2)]  # the xi = + and xi = - block of a leg
+    # ([a1, a2, b1, b2] slices of one sector, its argument signs)
+    slices = [((rows[x1], rows[x2]) * 2, signs) for (x1, x2), signs in SECTORS.items()]
 
     def fn(k1: float, k2: float) -> np.ndarray:
         out = np.zeros((n2, n2, n2, n2), dtype=complex)
@@ -125,7 +122,7 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
     def blocks(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         return np.stack([s.eval(s1 * k1, s2 * k2) for _, (s1, s2) in slices])
 
-    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", sectors=2, blocks=blocks)
+    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", blocks=blocks)
 
 
 def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:

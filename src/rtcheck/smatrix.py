@@ -11,31 +11,34 @@ obtained by swapping the legs of the evaluated matrix.  Each residual takes
 one momentum per slot, for a float, or 1-d momentum arrays, for one residual
 per point.
 
-The Yang-Baxter residual works on sectors.  An S-matrix with m blocks per
-leg (2 for the doubled S-matrix) maps each pair of blocks to itself, so the
+Both residuals read S as sector blocks.  An S-matrix with m blocks per leg
+(2 for the doubled S-matrix) maps each pair of blocks to itself, so the
 three-leg difference is m^3 diagonal blocks of leg dimension n = d / m, and
 each factor is applied to its own two legs of each block: m^3 (n^7 + n^8)
-multiply-adds per side instead of 2 d^9 for dense d^3 x d^3 products.  On
-the doubled rational N = 3 model that took ybe(doubled) from 39% of the
-default check time to 8% (156 to 20 ms for 50 triples).
+multiply-adds per side instead of 2 d^9 for dense d^3 x d^3 products.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .tensor import embed_pair  # not called here; bench/tracing.py still spans this name
-from .tensor import identity_two_leg, leg_dim, norm_inf, permutation_operator
-from .tensor import swap_legs
+from .tensor import identity_two_leg, leg_dim, norm_inf, permutation_operator, swap_legs
 
 DEFAULT_EXCLUSION_RADIUS = 1e-3
 SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SCALE]
 SAMPLE_TRIES = 10_000  # rejected draws in a row before an unsatisfiable exclusion gives up
+# Points per reader call of the relation words and Yang-Baxter.  On the relations benchmark
+# (rational N = 3, 200 points per check, 2-core x86-64) 24 to 64 were about equally fast for
+# the words, 16 about 10% and 8 35% slower; peak RSS rose by under 1% at 24, 7.5% at 64.
+CHUNK = 24
+# Entries per product slice (128 KiB of complex): doubled N = 3 Yang-Baxter took 7 ms
+# for 50 triples in slices of one triple (5,832 entries), 11 ms in slices of two.
+SLICE = 1 << 13
 
 
 def read_points(fn: Callable, batched: bool, shape: tuple[int, ...], *ks: np.ndarray) -> np.ndarray:
@@ -59,18 +62,23 @@ class BulkSMatrix:
     fn: Callable[[float, float], np.ndarray]
     translation_invariant: bool
     name: str = ""
-    sectors: int = 1  # blocks per leg; each evaluated matrix maps every pair of them to itself
     batched: bool = False  # fn broadcasts over (P, 1, 1) momentum arrays, as the catalog's do
     blocks: Callable | None = None  # a doubled matrix's blocks: see doubling.double_S_bulk
+
+    @property
+    def sectors(self) -> int:
+        """Blocks per leg; each evaluated matrix maps every pair of them to itself."""
+        return 1 if self.blocks is None else 2
 
     def eval(self, k1, k2) -> np.ndarray:
         if isinstance(k1, (int, float)) or np.ndim(k1) == 0:  # floats skip np.ndim
             return self.fn(k1, k2)
         return read_points(self.fn, self.batched, (self.leg_dim**2,) * 2, k1, k2)
 
-    def eval_swapped(self, k1, k2) -> np.ndarray:
-        """S21(k1, k2): the evaluated matrix with both legs exchanged."""
-        return swap_legs(self.eval(k1, k2))
+    def sector_blocks(self, k1, k2) -> np.ndarray:
+        """The (m*m, P, n*n, n*n) blocks on the sectors (x1, x2), at x1 * m + x2,
+        m = sectors, n = leg_dim / m: blocks for a doubled matrix, else eval[None]."""
+        return self.eval(k1, k2)[None] if self.blocks is None else self.blocks(k1, k2)
 
 
 def identity_S(d: int) -> BulkSMatrix:
@@ -104,40 +112,22 @@ def rational_S(N: int, c: float) -> BulkSMatrix:
     return BulkSMatrix(N, fn, True, name=f"rational({N},{c})", batched=True)
 
 
-def sector_blocks(x: np.ndarray, sectors: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal blocks (..., m, m, n*n, n*n) of a stack x (..., d*d, d*d) of
-    two-leg operators whose legs have m = sectors blocks of size n, and each
-    operator's largest entry outside them (...).  Block (s1, s2) is the
-    operator on sector (s1, s2), the pair of leg blocks that it maps to itself."""
-    m, lead = sectors, x.shape[:-2]
-    n = leg_dim(x) // m
-    # axes (operator, row s1, s2, column s1', s2', row i1, i2, column j1, j2)
-    u = x.reshape(-1, m, n, m, n, m, n, m, n).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8)
-    u = u.reshape(-1, m**4, n * n, n * n)
-    sizes = np.abs(u).max(axis=(2, 3))
-    sizes[:, ::m * m + 1] = 0.0  # row sectors equal to column sectors: the blocks
-    return u[:, ::m * m + 1].reshape(*lead, m, m, n * n, n * n), sizes.max(axis=1).reshape(lead)
-
-
-def _per_point(residual: Callable, entries: int, *ks) -> np.ndarray | float:
-    """residual at each point of the 1-d momentum arrays ks, over slices of
-    about 2**14 / entries points (entries: one point's operator size), so that
-    memory stays flat in the points; one momentum per slot gives one float."""
-    arrays = [np.atleast_1d(np.asarray(k, dtype=float)) for k in ks]
-    step = max(1, (1 << 14) // entries)
+def _per_point(residual: Callable, step: int, *ks) -> np.ndarray | float:
+    """residual at each point of the arrays ks (1-d momenta, or stacks over points),
+    step points at a time, so memory stays flat; one momentum per slot gives a float."""
+    arrays = [np.atleast_1d(k) for k in ks]
     out = np.concatenate([residual(*(k[i:i + step] for k in arrays))
                           for i in range(0, len(arrays[0]), step)])
     return out if np.ndim(ks[0]) else float(out[0])
 
 
-def _ybe(S: BulkSMatrix, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> np.ndarray:
-    m, P, d = S.sectors, len(k1), S.leg_dim // S.sectors
-    factors = np.array([S.eval(a, b) for a, b in ((k1, k2), (k1, k3), (k2, k3))], dtype=complex)
-    blocks, off_sector = sector_blocks(factors, m)
+def _ybe(m: int, s12: np.ndarray, s13: np.ndarray, s23: np.ndarray) -> np.ndarray:
+    """The residual at each point of the (P, m*m, d*d, d*d) factor blocks."""
+    P, d = len(s12), leg_dim(s12)
     # leading axes (point, s1, s2, s3), each factor of size 1 on the sector it does not touch
-    s12 = blocks[0].reshape(P, m, m, 1, d * d, d * d)
-    s13 = blocks[1].reshape(P, m, 1, m, d, d, d, d)  # axes (a, c, a', c')
-    s23 = blocks[2].reshape(P, 1, m, m, d, d, d, d)  # axes (b, c, b', c')
+    s12 = s12.reshape(P, m, m, 1, d * d, d * d)
+    s13 = s13.reshape(P, m, 1, m, d, d, d, d)  # axes (a, c, a', c')
+    s23 = s23.reshape(P, 1, m, m, d, d, d, d)  # axes (b, c, b', c')
     # S13 S23, summed over leg 3 between them: axes (a, c, a', b, b', c')
     lhs = (s13.reshape(P, m, 1, m, -1, d)
            @ s23.transpose(0, 1, 2, 3, 5, 4, 6, 7).reshape(P, 1, m, m, d, -1))
@@ -149,8 +139,7 @@ def _ybe(S: BulkSMatrix, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> np.n
     rhs = rhs.reshape(P, m, m, m, d, d, d, d, d, d).transpose(0, 1, 2, 3, 4, 7, 5, 8, 9, 6)
     # S23 on legs (2, 3), batched over leg 1
     rhs = s23.reshape(P, 1, m, m, 1, d * d, d * d) @ rhs.reshape(P, m, m, m, d, d * d, -1)
-    diff = np.abs(lhs.reshape(P, -1) - rhs.reshape(P, -1)).max(axis=1)
-    return np.maximum(diff, off_sector.max(axis=0))  # a nan in either stays
+    return np.abs(lhs.reshape(P, -1) - rhs.reshape(P, -1)).max(axis=1)
 
 
 def ybe_residual(S: BulkSMatrix, k1, k2, k3) -> np.ndarray | float:
@@ -158,19 +147,35 @@ def ybe_residual(S: BulkSMatrix, k1, k2, k3) -> np.ndarray | float:
 
     Each factor maps every sector to itself, so each side is block-diagonal
     in the sectors (s1, s2, s3) of the three legs, with blocks that are
-    products of the factors' blocks (s1, s2), (s1, s3), (s2, s3).  A block
-    written into the wrong sector shows as an off-sector entry, which counts
-    in the residual.  Each side forms its last two factors as one three-leg
-    operator, axes (a, b, c, a', b', c'), then applies its first factor to
-    that operator's rows, for all sector triples at once.
+    products of the factors' blocks (s1, s2), (s1, s3), (s2, s3).  Each side
+    forms its last two factors as one three-leg operator, axes (a, b, c, a',
+    b', c'), then applies its first factor to that operator's rows, for all
+    sector triples at once, SLICE entries at a time.  Each factor's blocks
+    are read once per CHUNK points, or per slice if that is longer.
     """
-    return _per_point(partial(_ybe, S), S.leg_dim**6, k1, k2, k3)
+    m = S.sectors
+    step = max(1, SLICE // (m**3 * (S.leg_dim // m) ** 6))
+
+    def chunk(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> np.ndarray:
+        blocks = [np.ascontiguousarray(S.sector_blocks(a, b).swapaxes(0, 1))
+                  for a, b in ((k1, k2), (k1, k3), (k2, k3))]
+        return _per_point(lambda *f: _ybe(m, *f), step, *blocks)
+
+    return _per_point(chunk, max(CHUNK, step), k1, k2, k3)
 
 
 def unitarity_residual(S: BulkSMatrix, k1, k2) -> np.ndarray | float:
-    eye = identity_two_leg(S.leg_dim)
-    return _per_point(lambda a, b: norm_inf(S.eval(a, b) @ S.eval_swapped(b, a) - eye),
-                      S.leg_dim**4, k1, k2)
+    """norm_inf(S12(k1, k2) S21(k2, k1) - I), sector by sector: S21 on sector
+    (x1, x2) is S's block on the mirrored sector (x2, x1), legs swapped."""
+    m = S.sectors
+    mirror = np.arange(m * m).reshape(m, m).T.ravel()
+    eye = identity_two_leg(S.leg_dim // m)
+
+    def residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        s21 = swap_legs(S.sector_blocks(b, a)[mirror])
+        return norm_inf(S.sector_blocks(a, b) @ s21 - eye).max(axis=0)
+
+    return _per_point(residual, max(1, SLICE // (m * m * (S.leg_dim // m) ** 4)), k1, k2)
 
 
 def shift_invariance_residual(S: BulkSMatrix, k1, k2, shift: float) -> np.ndarray | float:

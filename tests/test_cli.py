@@ -16,15 +16,24 @@ from rtcheck.cli import amplitude_json, main
 from rtcheck.grammar import ExpressionError, parse_expression
 
 
+def _cli_env():
+    src = Path(rtcheck.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_cli(*args):
     """rtcheck in a fresh interpreter, so stderr shows everything it prints."""
-    src = Path(rtcheck.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
         [sys.executable, "-m", "rtcheck.cli", *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_cli_env(), capture_output=True, text=True, timeout=60,
     )
+
+
+def start_cli(*args):
+    """rtcheck in a fresh interpreter, its stdout and stderr pipes open."""
+    return subprocess.Popen([sys.executable, "-m", "rtcheck.cli", *args], env=_cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 VERIFY = ["verify"]
@@ -328,7 +337,8 @@ class TestAmplitudeEmitter:
 
     def test_streams_one_write_per_term(self, monkeypatch, tmp_path):
         writes = []
-        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+        out = type("Out", (), {"write": writes.append, "flush": lambda self: None})
+        monkeypatch.setattr(sys, "stdout", out())
         config = GOLDEN_AMPLITUDE / "pure_reflection_n1.json"
         assert main(["amplitude", "--config", str(config), "--n", "2",
                      "--in=0.5,-1.5", "--out=2.5,1", "--allow-nonphysical"]) == 0
@@ -345,6 +355,34 @@ class TestAmplitudeEmitter:
                      "--in=-1.5,0.5,2", "--out=2.5,1,-0.5"]) == 0
         golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n3.json"
         assert capsys.readouterr().out == golden.read_text()
+
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
+
+
+class TestClosedReader:
+    """A reader that stops early, as `| head` does, is no error: the command
+    exits with its own code and writes nothing to stderr."""
+
+    def test_amplitude_reader_closes_after_the_first_line(self):
+        # about 200 kB of terms: more than the pipe holds, so a write meets the closed end
+        with start_cli("amplitude", "--config", str(GOLDEN_CONFIGS / "delta_n1.json"),
+                       "--n", "4", "--in=-1.5,0.5,1,2", "--out=2.5,1.2,-0.5,-1") as proc:
+            assert proc.stdout.readline() == "{\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == ""
+            assert proc.wait(timeout=60) == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "--config", str(GOLDEN_CONFIGS / "delta_n1.json")], 0),
+        (["verify", "--config", str(GOLDEN_CONFIGS / "rational_n2.json")], 1),
+        (["catalog"], 0),
+    ], ids=["verify-pass", "verify-fail", "catalog"])
+    def test_a_reader_that_reads_nothing_keeps_the_exit_code(self, argv, code):
+        with start_cli(*argv) as proc:
+            proc.stdout.close()  # before the command writes its first byte
+            assert proc.stderr.read() == ""
+            assert proc.wait(timeout=60) == code
 
 
 class TestCatalog:

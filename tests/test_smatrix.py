@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -13,7 +14,6 @@ from rtcheck.smatrix import (
     permutation_S,
     rational_S,
     sample_momenta,
-    sector_blocks,
     shift_invariance_residual,
     unitarity_residual,
     ybe_residual,
@@ -164,19 +164,47 @@ SIGNED_TRIPLES = TRIPLES + [(-0.7, -0.4, 1.9), (0.3, 1.1, 2.2), (-1.3, -2.1, -0.
 
 
 class TestSectorBlockedYangBaxter:
-    """A doubled S-matrix has two blocks per leg; ybe_residual reads the
-    sector blocks out of each evaluated factor."""
+    """A doubled S-matrix has two blocks per leg; ybe_residual and
+    unitarity_residual read them through S.sector_blocks."""
 
     @pytest.mark.parametrize("bulk", CATALOG_BULKS, ids=lambda s: s.name)
     def test_doubled_catalog_bulks_are_exactly_sector_diagonal(self, bulk):
-        dS = double_S_bulk(bulk)
+        dS, n = double_S_bulk(bulk), bulk.leg_dim
         assert dS.sectors == 2 and bulk.sectors == 1
-        pairs = [(a, b) for a, b, _ in SIGNED_TRIPLES]
-        blocks, off_sector = sector_blocks(np.stack([dS.eval(a, b) for a, b in pairs]), 2)
-        assert off_sector.tolist() == [0.0] * len(pairs)  # one size per operator
-        for (a, b), block in zip(pairs, blocks):
-            for (x1, x2), (s1, s2) in SECTORS.items():
-                assert np.array_equal(block[x1, x2], bulk.eval(s1 * a, s2 * b))
+        for a, b, _ in SIGNED_TRIPLES:
+            # axes (row x1, x2, column y1, y2, row i1, i2, column j1, j2)
+            u = dS.eval(a, b).reshape(2, n, 2, n, 2, n, 2, n).transpose(0, 2, 4, 6, 1, 3, 5, 7)
+            for x, y in itertools.product(SECTORS, repeat=2):
+                block = u[(*x, *y)].reshape(n * n, n * n)
+                if x == y:
+                    s1, s2 = SECTORS[x]
+                    assert np.array_equal(block, bulk.eval(s1 * a, s2 * b))
+                else:
+                    assert not block.any()
+
+    @pytest.mark.parametrize("bulk", CATALOG_BULKS, ids=lambda s: s.name)
+    def test_the_dense_matrix_is_the_scatter_of_the_blocks(self, bulk):
+        """The engine reads the doubled S-matrix dense and the checks read its
+        blocks: at signed momenta, as floats and as arrays, the dense matrix
+        holds the blocks bit for bit in the SECTORS slices, and +0.0 elsewhere."""
+        dS, n = double_S_bulk(bulk), bulk.leg_dim
+        k1, k2 = (np.array(k) for k in list(zip(*SIGNED_TRIPLES))[:2])
+        for a, b in [(k1, k2), *zip(k1.tolist(), k2.tolist())]:
+            blocks, lead = dS.sector_blocks(a, b), np.shape(a)
+            scatter = np.zeros((*lead, 2 * n, 2 * n, 2 * n, 2 * n), dtype=complex)
+            for block, (x1, x2) in zip(blocks, SECTORS):
+                r1, r2 = slice(x1 * n, x1 * n + n), slice(x2 * n, x2 * n + n)
+                scatter[..., r1, r2, r1, r2] = block.reshape(*lead, n, n, n, n)
+            dense = dS.eval(a, b)
+            assert dense.shape == (*lead, 4 * n * n, 4 * n * n)
+            assert np.ascontiguousarray(dense).tobytes() == scatter.tobytes()
+
+    def test_sectors_follow_the_blocks(self):
+        with pytest.raises(TypeError):
+            BulkSMatrix(2, lambda k1, k2: np.eye(4), True, sectors=2)
+        S = rational_S(2, 1.0)
+        ks = np.array([0.3, -1.2])
+        assert np.array_equal(S.sector_blocks(ks, -ks), S.eval(ks, -ks)[None])
 
     @pytest.mark.parametrize("bulk", CATALOG_BULKS, ids=lambda s: s.name)
     def test_blocked_residual_matches_the_dense_products(self, bulk):
@@ -197,48 +225,58 @@ class TestSectorBlockedYangBaxter:
             assert abs(ybe_residual(dS, *k) - want) <= 1e-12 * want
 
     @staticmethod
-    def misplaced(model, sector, wrong):
-        """The doubled S-matrix with the block of `sector` (xi1, xi2) written
-        into the columns of sector `wrong`, through the public constructor."""
+    def reordered(model, order):
+        """The model with the doubled S-matrix's sector blocks read in `order`
+        (block i of the result is block order[i]), through dataclasses.replace."""
         good = model.doubled.calS
-        n = model.bulk.leg_dim
-        x1, x2 = (slice(x * n, x * n + n) for x in sector)
-        y1, y2 = (slice(x * n, x * n + n) for x in wrong)
-
-        def fn(k1, k2):
-            out = good.eval(k1, k2).reshape((2 * n,) * 4).copy()
-            out[x1, x2, y1, y2] = out[x1, x2, x1, x2]
-            out[x1, x2, x1, x2] = 0.0
-            return out.reshape(4 * n * n, 4 * n * n)
-
-        bad = BulkSMatrix(2 * n, fn, False, name="misplaced", sectors=2)
+        bad = dataclasses.replace(good, blocks=lambda k1, k2: good.blocks(k1, k2)[list(order)])
         return dataclasses.replace(model, doubled=dataclasses.replace(model.doubled, calS=bad))
 
-    @pytest.mark.parametrize("bulk", ["identity:dim=1", "rational:N=2", "rational:N=3"])
-    def test_a_block_in_the_wrong_sector_fails_ybe_doubled(self, bulk):
+    @staticmethod
+    def one_check(bulk, check):
         model = build_model(parse_config(json.dumps({
-            "bulk": bulk, "samples": 3, "checks": ["ybe(doubled)"]})))
+            "bulk": bulk, "samples": 3, "checks": [check]})))
         assert model.cfg.tolerance == DEFAULT_TOLERANCE
         assert run_suite(model).all_pass
-        for sector in SECTORS:
-            for wrong in SECTORS:
-                if wrong != sector:
-                    (check,) = run_suite(self.misplaced(model, sector, wrong)).checks
-                    assert not check.passed and check.max_residual >= 0.5
+        return model
 
-    def test_an_off_sector_entry_counts_at_its_own_point_only(self):
-        """On momentum arrays each point's residual takes the off-sector
-        entries of its own factors: misplaced where k1 > 1, exact elsewhere."""
-        model = build_model(parse_config(json.dumps({"bulk": "rational:N=2"})))
-        good = model.doubled.calS
-        bad = self.misplaced(model, (0, 1), (1, 0)).doubled.calS
-        S = BulkSMatrix(4, lambda k1, k2: (bad if k1 > 1 else good).eval(k1, k2), False,
-                        sectors=2)
+    # No N = 1 row: there every block is 1 x 1, so any block data commutes and
+    # solves Yang-Baxter.
+    @pytest.mark.parametrize("order", [(0, 2, 1, 3), (3, 1, 2, 0), (1, 0, 2, 3)])
+    @pytest.mark.parametrize("bulk", ["rational:N=2", "rational:N=3"])
+    def test_blocks_in_the_wrong_sectors_fail_ybe_doubled(self, bulk, order):
+        model = self.one_check(bulk, "ybe(doubled)")
+        (check,) = run_suite(self.reordered(model, order)).checks
+        assert not check.passed and check.max_residual >= 0.5
+
+    @pytest.mark.parametrize("bulk", ["rational:N=2", "rational:N=3"])
+    def test_swapped_same_side_blocks_fail_unitarity_doubled(self, bulk):
+        """Sector (+,+) reads s(k1 + k2) and (+,-) reads s(k1 - k2): S21(k2, k1)
+        then no longer inverts S(k1, k2)."""
+        model = self.one_check(bulk, "unitarity-S(doubled)")
+        (check,) = run_suite(self.reordered(model, (1, 0, 2, 3))).checks
+        assert not check.passed and check.max_residual >= 0.5
+
+    def test_a_break_counts_at_its_own_points_only(self):
+        """On momentum arrays each point's residual reads its own blocks: with
+        the first two blocks swapped where a factor's first momentum is above
+        1, exactly the triples with k1 > 1 or k2 > 1 fail, and the others stay
+        at rounding level."""
+        good = build_model(parse_config(json.dumps({"bulk": "rational:N=2"}))).doubled.calS
+
+        def blocks(k1, k2):
+            read = good.blocks(k1, k2)
+            return np.where((k1 > 1)[:, None, None], read[[1, 0, 2, 3]], read)
+
+        S = dataclasses.replace(good, blocks=blocks)
         ks = sample_momenta(12, seed=8)
-        points = [(a, b, c) for a, b, c in zip(ks, ks[1:], ks[2:])]
-        got = ybe_residual(S, *np.array(points).T)
-        assert got.tolist() == [ybe_residual(S, *pt) for pt in points]
-        assert {r >= 0.5 for r in got} == {True, False}
+        points = np.array(list(zip(ks, ks[1:], ks[2:]))).T
+        got = ybe_residual(S, *points)
+        broken = np.maximum(points[0], points[1]) > 1
+        assert got.tolist() == [ybe_residual(S, *pt[:, None])[0] for pt in points.T]
+        assert set(broken) == {True, False}
+        assert (got > DEFAULT_TOLERANCE).tolist() == broken.tolist()
+        assert max(got[~broken]) <= 1e-15
 
 
 def reference_sample(n, radius, seed):
