@@ -2,13 +2,14 @@
 
 Every impurity relation is a word in S, R and T: the pure reflection,
 pure transmission, mixed, vacuum-matrix (rr1/tt1/tr1) and reduced relations
-are rows of one table, RELATIONS, and one evaluator, chain_residual, computes
-the literal left-minus-right infinity norm of any row at a list of points,
+are rows of one table, RELATIONS, and one evaluator, chain_residuals, computes
+the literal left-minus-right infinity norm of any rows at a list of points,
 with no algebraic simplification, so a defective input (or a defective
-equation) shows up as a reproducible residual.  It reads each factor once
-per CHUNK points, with one model call on the momentum arrays, and walks
-both sides sector by sector; on the doubled data that works on
-(P, N*N, N*N) blocks instead of dense (P, 4N*N, 4N*N) stacks.
+equation) shows up as a reproducible residual.  It reads each distinct
+factor of its rows once per CHUNK points, with one model call on the
+momentum arrays, and walks both sides of each row sector by sector; on the
+doubled data that works on (P, N*N, N*N) blocks instead of dense
+(P, 4N*N, 4N*N) stacks.
 relation_residual is its one-point view of any row, and each family name is
 that view on one variant tuple.  Heaviside projections are exact:
 theta(xi*k) is 0 or 1 for the whole matrix, data is read only where it is 1,
@@ -227,28 +228,30 @@ def _times(a: tuple, b: tuple) -> tuple:
     return row_a[row_b], blocks_a[row_b] @ blocks_b
 
 
-def chain_residual(
-    word: Word, S: BulkSMatrix, D: DefectPair, k1: np.ndarray, k2: np.ndarray
-) -> list[float]:
-    """Literal residual norm_inf(lhs - rhs) of one relation word at each point
-    (k1, k2) of two 1-d momentum arrays.
+def chain_residuals(
+    words: list[Word], S: BulkSMatrix, D: DefectPair, k1: np.ndarray, k2: np.ndarray
+) -> list[list[float]]:
+    """Literal residual norm_inf(lhs - rhs) of each relation word at each
+    point (k1, k2) of two 1-d momentum arrays: one list per word.
 
     S(a,b) and S21(a,b) are S and its leg swap; R and T factors come from D,
     put on their leg with the identity on the other.  Each factor maps each
     column sector to one row sector through one block: on doubled data (S
     and D hand out blocks) a leg has m = 2 sectors, S keeps the sector
     (x1, x2), R on leg j keeps x_j and T on leg j flips it; other data is the
-    one-sector case.  Each side is the product of its block maps, taken
-    strictly left to right.  Where both sides end in one row sector the
-    residual takes |lhs - rhs| there, else max(|lhs|, |rhs|): the dense
-    one-point chain's value, up to the order in which it sums zero terms.
+    one-sector case.  Each distinct factor of the words is built once per
+    chunk and shared by every word that has it.  Each side is the product of
+    its block maps, taken strictly left to right.  Where both sides end in
+    one row sector the residual takes |lhs - rhs| there, else
+    max(|lhs|, |rhs|): the dense one-point chain's value, up to the order in
+    which it sums zero terms.
     """
     if D.dim != S.leg_dim:
         raise ValueError(f"defect dim {D.dim} does not match S leg dim {S.leg_dim}")
     m = 2 if S.blocks is not None and D.blocks is not None else 1
     eye = np.eye(D.dim // m, dtype=complex)
     sectors = np.arange(m * m)  # sector (x1, x2) of the two legs is x1 * m + x2
-    out: list[float] = []
+    out: list[list[float]] = [[] for _ in words]
     for start in range(0, len(k1), CHUNK):
         at = _momenta(k1[start:start + CHUNK], k2[start:start + CHUNK])
         built: dict[tuple, tuple] = {}
@@ -273,11 +276,12 @@ def chain_residual(
                     built[factor] = sectors + (y - x) * (m if leg == 1 else 1), stack
             return built[factor]
 
-        (row_l, left), (row_r, right) = (reduce(_times, map(build, side)) for side in word)
-        gap = np.abs(left - right)
-        apart = row_l != row_r  # the dense difference holds lhs and -rhs in two row sectors
-        gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))
-        out += gap.max(axis=(0, 2, 3)).tolist()
+        for word, residuals in zip(words, out):
+            (row_l, left), (row_r, right) = (reduce(_times, map(build, side)) for side in word)
+            gap = np.abs(left - right)
+            apart = row_l != row_r  # the dense difference holds lhs and -rhs in two row sectors
+            gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))
+            residuals += gap.max(axis=(0, 2, 3)).tolist()
     return out
 
 
@@ -300,7 +304,7 @@ def relation_residual(S: BulkSMatrix, D: DefectPair, k1: float, k2: float, varia
     if np.ndim(k1) or np.ndim(k2):
         raise ValueError(f"a relation residual takes one momentum k1 and one k2, "
                          f"got shapes {np.shape(k1)} and {np.shape(k2)}")
-    return chain_residual(RELATIONS[variant], S, D, *np.array([[k1], [k2]], dtype=float))[0]
+    return chain_residuals([RELATIONS[variant]], S, D, *np.array([[k1], [k2]], dtype=float))[0][0]
 
 
 def reflection_relation_residual(

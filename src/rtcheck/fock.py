@@ -60,8 +60,9 @@ read with one call on its signed momentum array and kept in the residual's
 cache under its flavour and the array's bytes, where the passes at p and
 at -p and the reflection moment find it.  The plan also takes the trace
 over the two middle legs.
-``hierarchy_commutator_residuals`` takes H^(m) and H^(n) as two moments of
-one such pass.
+``hierarchy_commutator_residuals`` traces the Hamiltonian word and the
+reflection-moment word once for all its (m, n) pairs, and takes H^(m), H^(n)
+and the reflection moment of order m + n as moments of those two passes.
 
 Coefficients are taken against the bare delta: no layer multiplies by
 2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
@@ -616,19 +617,17 @@ def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
     return _kernel_from_four_word(model, n, ad("w"), a("w"), HAMILTONIAN_PREFACTOR)
 
 
-def reflection_moment_kernel(
-    power: int, model: DoubledModel, cache: Optional[dict] = None
-) -> OneParticleKernel:
+def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
     mid = a("w", sign=-1, dress=model.defect.R)
-    return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR, cache)
+    return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR)
 
 
 def hierarchy_commutator_residuals(
-    m: int, n: int, model: DoubledModel, momenta: list[float]
-) -> list[float]:
-    """Residuals of the hierarchy commutator identity at one-particle level,
-    one per momentum.
+    pairs: list[tuple[int, int]], model: DoubledModel, momenta: list[float]
+) -> list[list[float]]:
+    """Residuals of the hierarchy commutator identity at one-particle level:
+    one list per (m, n) of ``pairs``, one residual per momentum.
 
     [H^(m), H^(n)] must equal [(-1)^m - (-1)^n] times the reflection-moment
     kernel of order m + n; both sides are built independently (the
@@ -636,22 +635,27 @@ def hierarchy_commutator_residuals(
     expansion of the dressed reflection-moment word), and each is evaluated
     at all momenta in one batched pass per term.
     """
-    if m < 0 or n < 0:
+    if any(m < 0 or n < 0 for m, n in pairs):
         raise ValueError("hierarchy index must be >= 0")
-    # H^(m) and H^(n) are two moments of one word: trace its terms once
+    # every H^(m) is a moment of one word and every right-hand side one of
+    # the reflection-moment word: each word is traced once for all pairs
     cache: dict = {}
-    traced = _traced_four_word(model, ad("w"), a("w"), cache)
-    Km = _moment_kernel(traced, m, HAMILTONIAN_PREFACTOR, model.doubled_dim)
-    Kn = _moment_kernel(traced, n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
-    lhs = add(compose(Km, Kn), scale(compose(Kn, Km), -1.0))
-    pref = (-1.0) ** m - (-1.0) ** n
-    rhs = scale(reflection_moment_kernel(m + n, model, cache), pref)
-    return kernel_distance(lhs, rhs, np.array(momenta, dtype=float)).tolist()
+    hamiltonian = _traced_four_word(model, ad("w"), a("w"), cache)
+    reflection = _traced_four_word(model, ad("w"), a("w", sign=-1, dress=model.defect.R), cache)
+    out = []
+    for m, n in pairs:
+        Km = _moment_kernel(hamiltonian, m, HAMILTONIAN_PREFACTOR, model.doubled_dim)
+        Kn = _moment_kernel(hamiltonian, n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
+        lhs = add(compose(Km, Kn), scale(compose(Kn, Km), -1.0))
+        Kr = _moment_kernel(reflection, m + n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
+        rhs = scale(Kr, (-1.0) ** m - (-1.0) ** n)
+        out.append(kernel_distance(lhs, rhs, np.array(momenta, dtype=float)).tolist())
+    return out
 
 
 def hierarchy_commutator_residual(m: int, n: int, model: DoubledModel, p: float) -> float:
     """The hierarchy commutator residual at one momentum."""
-    return hierarchy_commutator_residuals(m, n, model, [p])[0]
+    return hierarchy_commutator_residuals([(m, n)], model, [p])[0][0]
 
 
 def _zf_view(model: DoubledModel) -> DoubledModel:

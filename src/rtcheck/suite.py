@@ -11,6 +11,10 @@ invariant bulk, a minimum sample count), when it is on by default, and its
 residual.  A residual takes the points as momentum arrays, one 1-d array per
 slot, and gives one value per point.  The registry, the default list, the
 requirement errors and `rtcheck catalog` are all derived from these rows.
+The relation rows and the hierarchy commutators also name a shared evaluator
+and their key to it: run_suite calls each evaluator once over the keys of
+the requested rows on one target, and a row alone in its group runs by
+itself.  Either way each row gives the bits of a run of that row alone.
 
 Projected (Heaviside) relations run on the model's half-line data, where
 they are stated; the vacuum-matrix relations (rr1/tt1/tr1), unitarity,
@@ -97,18 +101,28 @@ class CheckSpec:
     invariant: bool = False  # needs a translation-invariant bulk
     min_samples: int = 1
     default_for: Callable[[AssembledModel], bool] = _always
+    shared: Callable | None = None  # (_Target, keys, *ks) -> one residual list per key
+    key: object = None  # this row's key to `shared`
 
 
-def _relation(variant, t, k1, k2):
-    return dft.chain_residual(dft.RELATIONS[variant], t.S, t.pair, k1, k2)
+def _shared(name: str, points, shared: Callable, key, **needs) -> CheckSpec:
+    """A row that `shared` evaluates together with the other rows of its
+    target; alone, it is `shared` on its one key."""
+    return CheckSpec(name, points, lambda t, *ks: shared(t, [key], *ks)[0], shared=shared,
+                     key=key, **needs)
 
 
-def _reduced(variant, t, k1, k2):
-    return dft.chain_residual(dft.RELATIONS[variant], t.dm.bulk, t.dm.half_line, k1, k2)
+def _relations(t, variants, k1, k2):
+    return dft.chain_residuals([dft.RELATIONS[v] for v in variants], t.S, t.pair, k1, k2)
 
 
-def _commutator(m, n, t, k):
-    return fock.hierarchy_commutator_residuals(m, n, t.dm, k)
+def _reduced(t, variants, k1, k2):
+    words = [dft.RELATIONS[v] for v in variants]
+    return dft.chain_residuals(words, t.dm.bulk, t.dm.half_line, k1, k2)
+
+
+def _commutators(t, pairs, k):
+    return fock.hierarchy_commutator_residuals(pairs, t.dm, k)
 
 
 def _hierarchy_relation(n, t, k):
@@ -128,10 +142,9 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("unitarity-S", _PAIRS, lambda t, *ks: sm.unitarity_residual(t.S, *ks)),
     CheckSpec("shift-invariance", _PAIRS,
               lambda t, *ks: sm.shift_invariance_residual(t.S, *ks, 0.5), invariant=True),
-    *(CheckSpec(v, _PAIRS, partial(_relation, v)) for v in FIG_VARIANTS),
+    *(_shared(v, _PAIRS, _relations, v) for v in FIG_VARIANTS),
     *(
-        CheckSpec(f"{v}(doubled)", _PAIRS, partial(_relation, v), doubled=True,
-                  default_for=_never)
+        _shared(f"{v}(doubled)", _PAIRS, _relations, v, doubled=True, default_for=_never)
         for v in FIG_VARIANTS
     ),
     CheckSpec("ybe(doubled)", _TRIPLES, lambda t, *ks: sm.ybe_residual(t.S, *ks), doubled=True,
@@ -142,12 +155,9 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
               lambda t, k: dft.defect_unitarity_residual(t.pair, k), doubled=True),
     CheckSpec("hermitian-analyticity", _SINGLES,
               lambda t, k: dft.hermitian_analyticity_residual(t.pair, k), doubled=True),
+    *(_shared(v, _PAIRS, _relations, v, doubled=True) for v in dft.CONSISTENCY_VARIANTS),
     *(
-        CheckSpec(v, _PAIRS, partial(_relation, v), doubled=True)
-        for v in dft.CONSISTENCY_VARIANTS
-    ),
-    *(
-        CheckSpec(f"reduced-{v}", _PAIRS, partial(_reduced, v), doubled=True, invariant=True)
+        _shared(f"reduced-{v}", _PAIRS, _reduced, v, doubled=True, invariant=True)
         for v in dbl.REDUCED_VARIANTS
     ),
     CheckSpec("symmetrized-unitarity", _SINGLES,
@@ -160,8 +170,8 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
         np.linalg.matrix_power(dbl.involution_matrix(t.pair, k), 2) - np.eye(2 * t.pair.dim)),
               doubled=True),
     *(
-        CheckSpec(f"hierarchy-commutator({m},{n})", _SINGLES, partial(_commutator, m, n),
-                  doubled=True, default_for=_never if (m, n) == (2, 4) else _always)
+        _shared(f"hierarchy-commutator({m},{n})", _SINGLES, _commutators, (m, n),
+                doubled=True, default_for=_never if (m, n) == (2, 4) else _always)
         for m, n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2))
     ),
     *(
@@ -180,14 +190,16 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
 )}
 
 
-def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
+def _target(spec: CheckSpec, model: AssembledModel) -> _Target:
     dm = model.doubled
     if spec.doubled:
-        target = _Target(dm.calS, dm.defect, dm)
-    else:
-        target = _Target(model.bulk, model.half_line, dm)
+        return _Target(dm.calS, dm.defect, dm)
+    return _Target(model.bulk, model.half_line, dm)
+
+
+def _run_check(spec: CheckSpec, model: AssembledModel, momenta):
     points = spec.points(momenta)
-    return _max_over(points, spec.residual(target, *np.array(points, dtype=float).T))
+    return _max_over(points, spec.residual(_target(spec, model), *np.array(points, dtype=float).T))
 
 
 _REGISTRY: dict[str, Callable] = {name: partial(_run_check, spec) for name, spec in CHECKS.items()}
@@ -218,6 +230,25 @@ def default_checks(model: AssembledModel) -> tuple[str, ...]:
     )
 
 
+def _shared_runs(names, model: AssembledModel, momenta) -> dict[str, tuple]:
+    """(points, residuals) of each requested row whose evaluator and target
+    another requested row shares: one evaluator call per such group."""
+    groups: dict[tuple, dict[str, object]] = {}  # (evaluator, doubled) -> {row: key}
+    for name in names:
+        spec = CHECKS[name]
+        if spec.shared is not None:
+            groups.setdefault((spec.shared, spec.doubled), {})[name] = spec.key
+    runs = {}
+    for rows in groups.values():
+        if len(rows) > 1:
+            spec = CHECKS[next(iter(rows))]
+            points = spec.points(momenta)
+            ks = np.array(points, dtype=float).T
+            got = spec.shared(_target(spec, model), list(rows.values()), *ks)
+            runs.update((name, (points, residuals)) for name, residuals in zip(rows, got))
+    return runs
+
+
 def run_suite(model: AssembledModel) -> VerificationReport:
     """Execute the configured checks; complete report even on failures."""
     cfg = model.cfg
@@ -233,8 +264,10 @@ def run_suite(model: AssembledModel) -> VerificationReport:
     results = []
     # non-finite data gives a nan or inf residual, which fails its check
     with np.errstate(all="ignore"):
+        shared = _shared_runs(names, model, momenta)
         for name in names:
-            residual, worst = _REGISTRY[name](model, momenta)
+            got = shared.get(name)
+            residual, worst = _max_over(*got) if got else _REGISTRY[name](model, momenta)
             results.append(
                 CheckResult(
                     check_id=name,

@@ -19,7 +19,7 @@ from rtcheck.defect import (
     TRANSMISSION_VARIANTS,
     DefectPair,
     ZeroMomentumError,
-    chain_residual,
+    chain_residuals,
     consistency_relation_residual,
     defect_unitarity_residual,
     delta_defect,
@@ -539,7 +539,7 @@ ZERO_MOMENTUM_READERS = {
     "involution_kernel.B": lambda m: fock.involution_kernel(m.doubled).B(0.0),
     "hamiltonian_kernel.A": lambda m: fock.hamiltonian_kernel(1, m.doubled).A(0.0),
     "hierarchy_commutator_residuals":
-        lambda m: fock.hierarchy_commutator_residuals(0, 1, m.doubled, [0.7, 0.0]),
+        lambda m: fock.hierarchy_commutator_residuals([(0, 1)], m.doubled, [0.7, 0.0]),
     "hierarchy_relation_residuals":
         lambda m: fock.hierarchy_relation_residuals(0, m.doubled, [0.0]),
     "opta_agreement_residual": lambda m: fock.opta_agreement_residual(m.doubled, 0.0),
@@ -598,7 +598,7 @@ STACK_ARRAYS = np.array(STACK_POINTS).T  # (k1, k2)
 
 
 class TestStackedChains:
-    """chain_residual takes its points CHUNK at a time; each point's residual
+    """chain_residuals takes its points CHUNK at a time; each point's residual
     is the one-point loop's, bit for bit, whatever the chunking."""
 
     @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
@@ -606,7 +606,7 @@ class TestStackedChains:
     def test_any_point_count_gives_the_one_point_values(self, variant, n):
         points = STACK_POINTS[:n]
         word = RELATIONS[variant]
-        got = chain_residual(word, GENERIC_S, GENERIC_PAIR, *np.array(points).T)
+        (got,) = chain_residuals([word], GENERIC_S, GENERIC_PAIR, *np.array(points).T)
         assert got == [loop_residual(word, GENERIC_S, GENERIC_PAIR, a, b) for a, b in points]
 
     def test_doubled_data_gives_the_one_point_values(self):
@@ -617,7 +617,7 @@ class TestStackedChains:
         )
         for variant in ("rr1", "tr1", "SRSR+", "TSRS-"):
             word = RELATIONS[variant]
-            got = chain_residual(word, model.calS, model.defect, *STACK_ARRAYS)
+            (got,) = chain_residuals([word], model.calS, model.defect, *STACK_ARRAYS)
             want = [loop_residual(word, model.calS, model.defect, a, b) for a, b in STACK_POINTS]
             assert got == want
 
@@ -627,7 +627,7 @@ class TestStackedChains:
         points = [list(p) for p in STACK_POINTS[:CHUNK + 2]]
         points[where][slot] = 0.0
         with pytest.raises(ZeroMomentumError):
-            chain_residual(RELATIONS["tt1"], GENERIC_S, GENERIC_PAIR, *np.array(points).T)
+            chain_residuals([RELATIONS["tt1"]], GENERIC_S, GENERIC_PAIR, *np.array(points).T)
 
     def test_nonfinite_datum_shows_at_its_point_only(self):
         bad_k = STACK_POINTS[CHUNK][0]  # k1 of point CHUNK and k2 of point CHUNK - 1
@@ -638,8 +638,8 @@ class TestStackedChains:
         assert touched == {CHUNK - 1, CHUNK}  # one on each side of the chunk boundary
         for variant in ("tt1", "tau-tau"):  # both read T at k1 and at k2
             with np.errstate(all="ignore"):
-                got = chain_residual(RELATIONS[variant], GENERIC_S, broken, *STACK_ARRAYS)
-            clean = chain_residual(RELATIONS[variant], GENERIC_S, GENERIC_PAIR, *STACK_ARRAYS)
+                (got,) = chain_residuals([RELATIONS[variant]], GENERIC_S, broken, *STACK_ARRAYS)
+            (clean,) = chain_residuals([RELATIONS[variant]], GENERIC_S, GENERIC_PAIR, *STACK_ARRAYS)
             for i, (g, c) in enumerate(zip(got, clean)):
                 assert not math.isfinite(g) if i in touched else g == c
 
@@ -699,10 +699,10 @@ def test_every_factor_shows_in_the_stacked_residual(variant, data):
     S, D = VIEW_DATA[data]
     word = RELATIONS[variant]
     kinds = ("R", "T") if data == "doubled" else ("S", "S21", "R", "T")
-    base = chain_residual(word, S, D, *np.array(SIGN_PATTERNS).T)
+    (base,) = chain_residuals([word], S, D, *np.array(SIGN_PATTERNS).T)
     count = 0
     for mutant in word_mutants(word, kinds):
-        got = chain_residual(mutant, S, D, *np.array(SIGN_PATTERNS).T)
+        (got,) = chain_residuals([mutant], S, D, *np.array(SIGN_PATTERNS).T)
         assert max(abs(g - b) for g, b in zip(got, base)) > 1e-6, mutant
         count += 1
     assert count >= 3 * sum(f[0] in kinds for f in word[0] + word[1])
@@ -725,7 +725,7 @@ def test_the_sector_walk_gives_the_dense_one_point_values(variant, data):
     dm, exact = WALK_DATA[data]
     points = SIGN_PATTERNS + STACK_POINTS
     word = RELATIONS[variant]
-    got = chain_residual(word, dm.calS, dm.defect, *np.array(points).T)
+    (got,) = chain_residuals([word], dm.calS, dm.defect, *np.array(points).T)
     want = [loop_residual(word, dm.calS, dm.defect, a, b) for a, b in points]
     if exact:
         assert got == want
@@ -743,7 +743,7 @@ def test_sides_that_end_in_different_sectors_give_the_dense_values(variant):
     i = next(i for i, f in enumerate(lhs) if f[0] == "T")
     word = (lhs[:i] + (("R", *lhs[i][1:]),) + lhs[i + 1:], rhs)
     S, D = GENERIC_DOUBLED.calS, GENERIC_DOUBLED.defect
-    got = chain_residual(word, S, D, *np.array(SIGN_PATTERNS).T)
+    (got,) = chain_residuals([word], S, D, *np.array(SIGN_PATTERNS).T)
     assert got == [loop_residual(word, S, D, a, b) for a, b in SIGN_PATTERNS]
 
 
@@ -773,15 +773,34 @@ def test_one_reader_call_per_distinct_factor_and_chunk(variant):
     factors = Counter("S" if f[0] == "S21" else f[0] for f in set(word[0] + word[1]))
     chunks = math.ceil(len(STACK_POINTS) / CHUNK)
     assert chunks == 3
-    chain_residual(word, bulk, half, *STACK_ARRAYS)
+    chain_residuals([word], bulk, half, *STACK_ARRAYS)
     assert calls == {kind: chunks * n for kind, n in factors.items()}
     calls.clear()
-    chain_residual(word, calS, pair, *STACK_ARRAYS)
+    chain_residuals([word], calS, pair, *STACK_ARRAYS)
     assert calls == {
         "calS": chunks * factors["S"], "S": 4 * chunks * factors["S"],
         "blocks": chunks * (factors["R"] + factors["T"]),
         **{kind: 2 * chunks * factors[kind] for kind in "RT" if factors[kind]},
     }
+
+
+def test_words_in_one_call_share_their_factors_and_keep_their_bits():
+    """Words taken together, a repeat included, give each word's residuals
+    alone, bit for bit, and read each factor that any of them has once per
+    chunk: one bulk call per S, one defect call per R or T factor."""
+    calls = Counter()
+    bulk = rational_S(3, 1.0)
+    half = CATALOG_DEFECTS["delta lifted to N=3"]
+    counted_bulk = dataclasses.replace(bulk, fn=_counted(bulk.fn, calls, "S"))
+    counted_half = dataclasses.replace(
+        half, reflection=_counted(half.reflection, calls, "R"),
+        transmission=_counted(half.transmission, calls, "T"))
+    words = [RELATIONS[v] for v in ALL_VARIANTS + ("tt1",)]
+    got = chain_residuals(words, counted_bulk, counted_half, *STACK_ARRAYS)
+    distinct = {f for word in words for f in word[0] + word[1]}
+    factors = Counter("S" if f[0] == "S21" else f[0] for f in distinct)
+    assert calls == {kind: 3 * n for kind, n in factors.items()}
+    assert got == [chain_residuals([word], bulk, half, *STACK_ARRAYS)[0] for word in words]
 
 
 def test_an_inf_in_tau_fails_every_doubled_row_that_reads_it():
@@ -798,14 +817,14 @@ def test_an_inf_in_tau_fails_every_doubled_row_that_reads_it():
 
 class TestRelationViews:
     """relation_residual and the family names are one-point lookups of the
-    table row: the same bits as chain_residual at that point."""
+    table row: the same bits as chain_residuals at that point."""
 
     @pytest.mark.parametrize("data", VIEW_DATA)
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_views_equal_the_row(self, variant, data):
         S, D = VIEW_DATA[data]
         for k1, k2 in SIGN_PATTERNS:
-            want = chain_residual(RELATIONS[variant], S, D, np.array([k1]), np.array([k2]))[0]
+            ((want,),) = chain_residuals([RELATIONS[variant]], S, D, *np.array([[k1], [k2]]))
             assert relation_residual(S, D, k1, k2, variant) == want
             assert family_call(variant, S, D, k1, k2) == want
 

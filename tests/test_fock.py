@@ -122,7 +122,7 @@ class TestNormalOrdering:
             return expr
 
         monkeypatch.setattr(fock, "normal_order_vev", recording)
-        fock.hierarchy_commutator_residuals(0, 1, MODEL, [0.7])
+        fock.hierarchy_commutator_residuals([(0, 1)], MODEL, [0.7])
         fock.hierarchy_relation_residuals(2, MODEL, [0.7])
         assert len(words) == 7  # every four-word the hierarchy checks build
         for expr in words.values():
@@ -691,7 +691,7 @@ class TestShapeCachedKernels:
 
         monkeypatch.setattr(fock, "_contract", counting)
         momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
-        residuals = fock.hierarchy_commutator_residuals(0, 1, _rational_model(), momenta)
+        (residuals,) = fock.hierarchy_commutator_residuals([(0, 1)], _rational_model(), momenta)
         assert len(residuals) == count
         assert 0 < len(calls) <= 12
         assert set(calls) == {count}
@@ -712,9 +712,11 @@ class TestShapeCachedKernels:
         model = _rational_model()
         momenta = [0.7, -1.3, 2.2, -0.4]
         for m, n in ((0, 1), (1, 2)):
-            assert max(fock.hierarchy_commutator_residuals(m, n, model, momenta)) > 1.0
+            (residuals,) = fock.hierarchy_commutator_residuals([(m, n)], model, momenta)
+            assert max(residuals) > 1.0
         for m, n in ((0, 2), (1, 3), (2, 4)):
-            assert max(fock.hierarchy_commutator_residuals(m, n, model, momenta)) < 1e-12
+            (residuals,) = fock.hierarchy_commutator_residuals([(m, n)], model, momenta)
+            assert max(residuals) < 1e-12
         for n in (0, 2):
             assert max(fock.hierarchy_relation_residuals(n, model, momenta)) < 1e-12
 
@@ -724,15 +726,32 @@ class TestShapeCachedKernels:
         rng = np.random.default_rng(11)
         momenta = [float(k) for k in rng.uniform(0.05, 3.0, 20) * np.repeat([1, -1], 10)]
         for m, n in ((0, 2), (1, 3), (2, 4), (0, 1), (1, 2)):
-            batch = fock.hierarchy_commutator_residuals(m, n, model, momenta)
+            (batch,) = fock.hierarchy_commutator_residuals([(m, n)], model, momenta)
             assert batch == [hierarchy_commutator_residual(m, n, model, p) for p in momenta]
         for n in (0, 2):
             batch = fock.hierarchy_relation_residuals(n, model, momenta)
             assert batch == [hierarchy_relation_residual(n, model, p) for p in momenta]
 
+    @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
+    def test_pairs_in_one_call_equal_each_pair_alone(self, model_name, monkeypatch):
+        """Commutators taken together, a repeat included, give each one's
+        residuals alone, bit for bit, from one expansion each of the
+        Hamiltonian word and the reflection-moment word."""
+        model = MODEL if model_name == "delta N=1" else _rational_model()
+        momenta = [0.7, -1.3, 2.2, -0.4]
+        pairs = [(0, 2), (1, 3), (2, 4), (0, 1), (1, 2), (0, 2)]
+        alone = [fock.hierarchy_commutator_residuals([mn], model, momenta)[0] for mn in pairs]
+        words = []
+        original = fock.normal_order_vev
+        monkeypatch.setattr(fock, "normal_order_vev",
+                            lambda word, dm: words.append(word) or original(word, dm))
+        assert fock.hierarchy_commutator_residuals(pairs, model, momenta) == alone
+        assert [[s.dress is not None for s in word] for word in words] == [
+            [False] * 4, [False, False, True, False]]
+
     def test_batched_forms_keep_the_one_momentum_errors(self):
         with pytest.raises(ZeroMomentumError):
-            fock.hierarchy_commutator_residuals(0, 1, MODEL, [0.7, 0.0])
+            fock.hierarchy_commutator_residuals([(0, 1)], MODEL, [0.7, 0.0])
         with pytest.raises(ValueError, match="even orders"):
             fock.hierarchy_relation_residuals(1, MODEL, [0.7])
 

@@ -10,7 +10,7 @@ import pytest
 
 from rtcheck import fock, suite
 from rtcheck.config import build_model, parse_config
-from rtcheck.defect import CHUNK, DefectPair
+from rtcheck.defect import CHUNK, RELATIONS, DefectPair
 from rtcheck.doubling import build_doubled_model
 from rtcheck.grammar import parse_expression
 from rtcheck.report import (
@@ -212,14 +212,6 @@ class TestSuite:
 GOLDEN_CONFIGS = sorted((Path(__file__).parent / "golden" / "configs").glob("*.json"))
 
 
-def _target(spec, model):
-    """What _run_check hands the residual."""
-    dm = model.doubled
-    if spec.doubled:
-        return suite._Target(dm.calS, dm.defect, dm)
-    return suite._Target(model.bulk, model.half_line, dm)
-
-
 def _one_point_ybe(S, k1, k2, k3):
     """The sector-blocked Yang-Baxter kernel at one triple, written for one
     point on the blocks read out of the dense matrices: the reference for the
@@ -326,7 +318,7 @@ class TestArrayResiduals:
             spec = suite.CHECKS[name]
             if suite._unmet(spec, model, cfg.samples) is not None:
                 continue
-            t, points = _target(spec, model), spec.points(momenta)
+            t, points = suite._target(spec, model), spec.points(momenta)
             got = spec.residual(t, *np.array(points, dtype=float).T)
             assert [float(g) for g in got] == [float(one_point(t, *pt)) for pt in points], name
             ran += 1
@@ -381,7 +373,7 @@ class TestArrayResiduals:
             spec = suite.CHECKS[name]
             if suite._unmet(spec, model, 40) is not None:
                 continue
-            t = _target(spec, model)
+            t = suite._target(spec, model)
             if reader == "S" and t.S.leg_dim > 2:  # Yang-Baxter and unitarity go in chunks
                 continue
             label = {"S": t.S, "pair": t.pair, "half": t.dm.half_line}[reader]
@@ -417,7 +409,7 @@ class TestArrayResiduals:
         model = build_model(parse_config(json.dumps(
             {"bulk": "rational:N=2", "defect": "delta", "doubled": True, "samples": 50})))
         spec = suite.CHECKS[name]
-        t = _target(spec, model)
+        t = suite._target(spec, model)
         momenta = sample_momenta(50, seed=3)
         counts = []
         for count in (1, 50):
@@ -458,7 +450,7 @@ class TestArrayResiduals:
         model = build_model(parse_config(json.dumps(
             {"bulk": "rational:N=2", "defect": "delta", "doubled": True, "samples": 50})))
         spec = suite.CHECKS[name]
-        t = _target(spec, model)
+        t = suite._target(spec, model)
         momenta = sample_momenta(50, seed=3)
         for count in (1, 50):
             calls.clear()
@@ -501,3 +493,101 @@ class TestArrayResiduals:
             "defect": {"name": "custom", "transmission": "1e308*1e308*k", "reflection": "0"}})))
         for check in run_suite(model).checks:
             assert not check.passed and math.isnan(check.max_residual), check.check_id
+
+
+# --- rows that share an evaluator and a target run in one call --------------
+
+GROUPED_ROWS = ["tt1", "TST", "tt1", "reduced-tau-tau", "TST(doubled)",
+                "hierarchy-commutator(1,2)", "ybe", "hierarchy-commutator(0,2)",
+                "hierarchy-commutator(1,2)"]
+
+
+def _row_by_row(model):
+    """The report of one run_suite per requested row, in the requested order."""
+    cfg = model.cfg
+    rows = [run_suite(replace(model, cfg=replace(cfg, checks=(name,)))).checks[0]
+            for name in cfg.checks or default_checks(model)]
+    return VerificationReport(config=cfg.echo(), checks=tuple(rows), tolerance=cfg.tolerance)
+
+
+def _counted(fn, calls, name):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+class TestSharedRows:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("path", GOLDEN_CONFIGS, ids=lambda p: p.stem)
+    def test_a_run_equals_one_run_per_row(self, path, seed):
+        """Rows evaluated together give the bytes of each row run alone."""
+        raw = {**json.loads(path.read_text()), "seed": seed}
+        model = build_model(parse_config(json.dumps(raw)))
+        assert emit_report(run_suite(model), "json") == emit_report(_row_by_row(model), "json")
+
+    @pytest.mark.parametrize("cfg", [DELTA_CFG, RATIONAL_CFG], ids=["delta", "rational"])
+    def test_interleaved_and_repeated_rows_keep_their_order(self, cfg):
+        raw = {**json.loads(cfg), "doubled": True, "checks": GROUPED_ROWS}
+        model = build_model(parse_config(json.dumps(raw)))
+        report = run_suite(model)
+        assert [c.check_id for c in report.checks] == GROUPED_ROWS
+        assert report.checks[0] == report.checks[2] and report.checks[5] == report.checks[8]
+        assert emit_report(report, "json") == emit_report(_row_by_row(model), "json")
+
+    def test_one_read_per_distinct_factor_chunk_and_target_in_a_whole_run(self, monkeypatch):
+        """In a default run each target reads each distinct relation factor
+        once per chunk across all its rows, and the four commutator rows
+        normal-order the Hamiltonian word and the reflection-moment word once
+        each.  Half-line data: one bulk call per S factor, one defect call per
+        R or T factor.  Doubled data: one block read per factor, which reads
+        the bulk at the four sectors and the half-line data at k and -k."""
+        calls = Counter()
+        model = build_model(parse_config(json.dumps(
+            {"bulk": "rational:N=2", "defect": "delta", "doubled": True, "samples": 40})))
+        bulk = replace(model.bulk, fn=_counted(model.bulk.fn, calls, "S"))
+        half = replace(model.half_line, reflection=_counted(model.half_line.reflection, calls, "R"),
+                       transmission=_counted(model.half_line.transmission, calls, "T"))
+        dm = build_doubled_model(bulk, half)
+        dm = replace(dm, calS=replace(dm.calS, blocks=_counted(dm.calS.blocks, calls, "calS")),
+                     defect=replace(dm.defect, blocks=_counted(dm.defect.blocks, calls, "blocks")))
+        model = replace(model, bulk=bulk, half_line=half, doubled=dm)
+        chunks = 2  # 40 pairs, CHUNK at a time
+        assert math.ceil(40 / CHUNK) == chunks
+
+        def factors(rows):
+            words = [RELATIONS[suite.CHECKS[row].key] for row in rows]
+            distinct = {f for word in words for f in word[0] + word[1]}
+            return Counter("S" if f[0] == "S21" else f[0] for f in distinct)
+
+        names = default_checks(model)
+        relation_rows = [n for n in names if suite.CHECKS[n].points is suite._PAIRS
+                         and suite.CHECKS[n].shared is not None]
+        half_line = factors(n for n in relation_rows if not suite.CHECKS[n].doubled)
+        doubled = factors(n for n in relation_rows
+                          if suite.CHECKS[n].shared is suite._relations and suite.CHECKS[n].doubled)
+        reduced = factors(n for n in relation_rows if suite.CHECKS[n].shared is suite._reduced)
+        assert len(relation_rows) == 19 and sum(half_line.values()) == 21
+        assert (sum(doubled.values()), sum(reduced.values())) == (9, 10)
+        run_suite(replace(model, cfg=replace(model.cfg, checks=tuple(relation_rows))))
+        assert calls == {
+            "S": chunks * (half_line["S"] + 4 * doubled["S"] + reduced["S"]),
+            "calS": chunks * doubled["S"],
+            "blocks": chunks * (doubled["R"] + doubled["T"]),
+            **{kind: chunks * (half_line[kind] + 2 * doubled[kind] + reduced[kind])
+               for kind in "RT"},
+        }
+
+        expanded = Counter()
+        normal_order = fock.normal_order_vev
+        monkeypatch.setattr(fock, "normal_order_vev", lambda word, m: expanded.update(
+            [(tuple(s.dress is not None for s in word), m is dm)]) or normal_order(word, m))
+        calls.clear()
+        run_suite(model)
+        # with each row reading on its own: S 177, R 120, T 102, calS 24, blocks 12
+        assert dict(calls) == {"S": 105, "R": 62, "T": 60, "calS": 18, "blocks": 8}
+        # the commutators' Hamiltonian and reflection-moment words, once each
+        # (with each row on its own, four times each)
+        assert {shape: n for (shape, on_dm), n in expanded.items() if on_dm} == {
+            (False, False, False, False): 1, (False, False, True, False): 1}
