@@ -18,7 +18,8 @@ Both doubled objects hand out these blocks at momentum arrays
 and unitarity multiply them sector by sector.  The dense matrices, from
 the same reads, serve the involution and the engine's leaves: the doubled
 pair (batched when the half-line pair is) from one half-line call at k and
-one at -k, the doubled S-matrix one point at a time.
+one at -k, the doubled S-matrix (batched when the bulk is) from one bulk call
+per sector.
 """
 
 from __future__ import annotations
@@ -113,16 +114,18 @@ def double_S_bulk(s: BulkSMatrix) -> BulkSMatrix:
     # ([a1, a2, b1, b2] slices of one sector, its argument signs)
     slices = [((rows[x1], rows[x2]) * 2, signs) for (x1, x2), signs in SECTORS.items()]
 
-    def fn(k1: float, k2: float) -> np.ndarray:
-        out = np.zeros((n2, n2, n2, n2), dtype=complex)
+    def fn(k1, k2) -> np.ndarray:  # floats, or (P, 1, 1) arrays when s is batched
+        lead = np.shape(k1)[:-2]
+        out = np.zeros((*lead, n2, n2, n2, n2), dtype=complex)
         for block, (s1, s2) in slices:
-            out[block] = s.eval(s1 * k1, s2 * k2).reshape(N, N, N, N)
-        return out.reshape(n2 * n2, n2 * n2)
+            got = s.fn(s1 * k1, s2 * k2)  # a constant s gives one matrix for every point
+            out[(..., *block)] = got.reshape(*got.shape[:-2], N, N, N, N)
+        return out.reshape(*lead, n2 * n2, n2 * n2)
 
     def blocks(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
         return np.stack([s.eval(s1 * k1, s2 * k2) for _, (s1, s2) in slices])
 
-    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", blocks=blocks)
+    return BulkSMatrix(n2, fn, False, name=f"doubled[{s.name}]", batched=s.batched, blocks=blocks)
 
 
 def build_doubled_model(s: BulkSMatrix, half_line: DefectPair) -> DoubledModel:

@@ -34,13 +34,18 @@ position: every leaf tensor is then sliced on its external legs before
 contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
 never built.
 
-A contraction of networks at one point each (amplitudes, factorization)
-first reads the (flavour, signed momentum) leaves of its rows that its
-call's leaf cache lacks, each flavour with one call on the array of their
-momenta: ``calS.eval``, ``I + calT``, ``calR`` or a dress.  It then
-gathers each atom slot from the cache once.  Each ``evaluate_coefficients``
-call keeps its own cache, so it evaluates each distinct leaf once, and the
-number of model calls does not grow with the rows.
+Networks at one point each (amplitudes, factorization) are contracted in
+whole arrays.  Every atom records at expansion the datum it reads (S, T, R or
+a dressed word position) and the (sign, label) of each momentum it reads it
+at.  A query's rows, one per network of its terms, are encoded once per
+selection of terms (``_rows``): each slot's flavour code, signs and label
+columns, and the rows of each topology.  A query then makes one (job, label)
+array of its momenta, forms every slot's momenta from it in one expression,
+reads each distinct (flavour, momenta) leaf once, each flavour with one call
+on the array of its momenta (``calS.eval``, ``I + calT``, ``calR`` or a
+dress), and gives each slot of a topology its leaves, sliced at each row's
+``at``, with one gather.  Its model calls do not grow with its rows, and its
+Python steps grow only with its jobs and topologies.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and whether it is dressed.  It never depends on the
@@ -74,6 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -121,17 +127,19 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 # --- coefficient networks ---------------------------------------------------
 #
 # Atoms reference integer leg ids; the external leg of word position i is i.
+# An atom is (flavour, legs, *momenta): the model datum it reads, its leg list
+# and the (sign, label) of each momentum that datum is read at.
 # ("S", (a_old, ad_new, a_new, ad_old), q_expr, p_expr)   4-leg braid tensor
-# ("C", (a_leg, ad_leg), "T"|"R", q_expr)                 contraction matrix
-# ("D", (row, col), position)                             dressing matrix
-# where an expr is (sign, label).  A dressing atom names the word position
-# whose symbol carries the dress function, so an expansion holds no model
-# closure and can be shared by every word of the same shape.
+# ("T"|"R", (a_leg, ad_leg), q_expr)                      contraction matrix
+# (position, (row, col), (+1, label))                     dressing matrix
+# A dressing atom names the word position whose symbol carries the dress
+# function, so an expansion holds no model closure and can be shared by
+# every word of the same shape.
 
 Expr = tuple[int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: queries cache per selection of terms
 class ContractionTerm:
     """One decorated matching: pairing plus a sum of coefficient networks.
 
@@ -144,6 +152,9 @@ class ContractionTerm:
     pairing: tuple[tuple[int, int, int], ...]
     networks: tuple[tuple, ...]
     legs: tuple[tuple, ...]  # per network its atoms' leg lists: equal ones share a topology
+
+
+FLAVOURS = ("S", "T", "R")  # leaf flavour codes 0-2; code 3 + p is the dress of position p
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,7 @@ def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeEx
     The term list depends only on the word's shape, not on the model or on
     the dress functions, so it is expanded once per shape (see ``_expand``);
     the returned expression holds the caller's word, whose dressings the
-    ``"D"`` atoms reference by position.
+    dressing atoms reference by position.
     """
     word = tuple(word)
     shape = tuple((s.kind, s.label, s.sign, s.dress is not None) for s in word)
@@ -188,10 +199,10 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
             inner, free = free, free + 1
             if kind == "ad":
                 # [ad^b X]^ext: X rows contract the creator component
-                init_atoms.append(("D", (inner, pos), pos))
+                init_atoms.append((pos, (inner, pos), (1, label)))
             else:
                 # [X a]_ext: X columns contract the annihilator component
-                init_atoms.append(("D", (pos, inner), pos))
+                init_atoms.append((pos, (pos, inner), (1, label)))
             leg = inner
         init_word.append((pos, kind, (sign, label), leg))
 
@@ -215,11 +226,11 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
         sc, lc = c_expr
         # transmission contraction: delta(q - p) (I + calT(q))
         pair_t = pairs + (((a_pos, c_pos, sa * sc)),)
-        atoms_t = atoms + (("C", (a_leg, c_leg), "T", a_expr),)
+        atoms_t = atoms + (("T", (a_leg, c_leg), a_expr),)
         stack.append((atoms_t, pair_t, live[:idx] + live[idx + 2 :], free))
         # reflection contraction: delta(q + p) calR(q)
         pair_r = pairs + (((a_pos, c_pos, -sa * sc)),)
-        atoms_r = atoms + (("C", (a_leg, c_leg), "R", a_expr),)
+        atoms_r = atoms + (("R", (a_leg, c_leg), a_expr),)
         stack.append((atoms_r, pair_r, live[:idx] + live[idx + 2 :], free))
         # braided continuation: ad(p) S12(q, p) a(q)
         new_c, new_a = free, free + 1
@@ -246,32 +257,18 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
     )
 
 
-def _leaf(atom: tuple, env: dict[str, float], word: tuple[WordSymbol, ...]) -> tuple:
-    """An atom's leaf at a momentum assignment: its flavour ("S", "T", "R"
-    or the dress function) and its momenta, floats or arrays as in ``env``."""
-    kind = atom[0]
-    if kind == "S":
-        return "S", atom[2][0] * env[atom[2][1]], atom[3][0] * env[atom[3][1]]
-    if kind == "C":
-        return atom[2], atom[3][0] * env[atom[3][1]]
-    return word[atom[2]].dress, env[word[atom[2]].label]
-
-
-def _read_leaves(keys, model: DoubledModel, cache: dict) -> None:
-    """Put the leaves of ``keys`` that ``cache`` lacks into it, before the
-    caller gathers them, with one reader call per flavour on the array of
-    its momenta.  A flavour that lacks one point is read there, at a float
-    (a dress at a one-point array): no array set-up, the bits of an array."""
-    missing: dict = {}  # flavour -> its missing keys, in first-use order
-    for key in keys:
-        if key not in cache:
-            missing.setdefault(key[0], {})[key] = None
-    for flavour, wanted in missing.items():
-        if len(wanted) == 1:
-            ks = next(iter(wanted))[1:]
-        else:
-            ks = np.array([key[1:] for key in wanted], dtype=float).T
-        cache.update(zip(wanted, _read(flavour, ks, model)))
+def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
+    """A network's leg lists and the legs its result keeps, renumbered in
+    order of first use, a leg of ``same`` as its image."""
+    seen: dict[int, int] = {}  # leg id -> compacted id
+    inputs = tuple(tuple(seen.setdefault(same.get(l, l), len(seen)) for l in atom)
+                   for atom in legs)
+    # positions never touched by any atom keep an implicit identity;
+    # that cannot happen for vacuum-surviving terms of balanced words
+    output = tuple(seen.get(l, -1) for l in kept)
+    if -1 in output:
+        raise ValueError("network does not cover all word positions")
+    return inputs, output
 
 
 def _read(flavour, ks, model: DoubledModel) -> np.ndarray:
@@ -288,6 +285,32 @@ def _read(flavour, ks, model: DoubledModel) -> np.ndarray:
     # a dress takes an array; a constant one gives one matrix
     got = np.asarray(flavour(np.atleast_1d(ks[0])), dtype=complex)
     return np.broadcast_to(got, (np.size(ks[0]), d, d))
+
+
+def _leaf_tables(codes: np.ndarray, ks: np.ndarray, word: tuple[WordSymbol, ...],
+                 model: DoubledModel) -> tuple[list, np.ndarray]:
+    """Every distinct leaf of a query read once: per flavour, one ``_read``
+    on the array of its distinct momenta, at floats if it has one.  Numbers
+    the distinct (code, momenta) of the slots (``codes`` and ``ks``) in
+    sorted order and gives the braid and the matrix table (T, R and dress
+    leaves), each indexed by that number, and each slot's number."""
+    order = np.lexsort((ks[:, 1], ks[:, 0], codes))  # by flavour, then momenta
+    codes, points = codes[order], ks[order]
+    first = np.ones(len(codes), dtype=bool)  # the first slot of each distinct leaf
+    first[1:] = (codes[1:] != codes[:-1]) | (points[1:] != points[:-1]).any(axis=1)
+    index = np.empty(len(codes), dtype=np.intp)
+    index[order] = first.cumsum() - 1
+    codes, points = codes[first].tolist(), points[first]
+    cuts = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1]]
+    tables: tuple[list, list] = ([], [])  # braid tensors, matrices
+    for i, j in zip([0, *cuts], [*cuts, len(codes)]) if codes else ():
+        code = codes[i]  # one point is read at floats: no array set-up, an array's bits
+        pair = points[i:j].T if j - i > 1 else points[i].tolist()
+        reader = FLAVOURS[code] if code < 3 else word[code - 3].dress
+        if code and not tables[1]:  # S sorts first: rows for the braids, never read
+            tables[1].append(np.zeros((i, model.doubled_dim, model.doubled_dim)))
+        tables[code > 0].append(_read(reader, pair[:1 if code else 2], model))
+    return [np.concatenate(part) if part else None for part in tables], index
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,48 +357,101 @@ def _letters(legs: tuple[int, ...]) -> str:
 
 
 def _contract(
-    word: tuple[WordSymbol, ...], jobs: list[tuple], model: DoubledModel, cache: dict,
-    trace: bool = False,
+    word: tuple[WordSymbol, ...], net: tuple, env: dict, model: DoubledModel, cache: dict
 ) -> np.ndarray:
-    """Contract networks of one topology, job j = (network, momentum
-    assignment, at) on row j of a leading batch axis.  With ``at`` (one
-    component index per word position, or None for every job) each leaf is
-    sliced on its external legs and row j is a scalar.  With ``trace`` there
-    is one job, whose momenta are equal-length arrays with one row per
-    entry; each leaf is read on its whole momentum array, from ``cache``
-    under its flavour and the arrays' bytes, and the plan takes the trace
-    over word legs 1 and 2, so the result keeps legs 0 and 3."""
-    n_ext = len(word)
-    same = {2: 1} if trace else {}
-    seen: dict[int, int] = {}  # leg id -> compacted id
-    inputs = tuple(tuple(seen.setdefault(same.get(l, l), len(seen)) for l in atom[1])
-                   for atom in jobs[0][0])
-    # positions never touched by any atom keep an implicit identity;
-    # that cannot happen for vacuum-surviving terms of balanced words
-    output = tuple(seen.get(l, -1) for l in ((0, 3) if trace else range(n_ext)))
-    if -1 in output:
-        raise ValueError("network does not cover all word positions")
-    if trace:
-        (net, env, _), = jobs
-        tensors = []
-        for flavour, *ks in (_leaf(atom, env, word) for atom in net):
-            key = (flavour, *(k.tobytes() for k in ks))
-            if key not in cache:
-                cache[key] = _read(flavour, ks, model)
-            tensors.append(cache[key])
-    else:
-        keys = [[_leaf(atom, env, word) for atom in net] for net, env, _ in jobs]
-        _read_leaves(itertools.chain.from_iterable(keys), model, cache)
-        tensors = [np.array([cache[row[i]] for row in keys]) for i in range(len(inputs))]
-    sliced = jobs[0][2] is not None
-    if sliced:  # row j of the batch takes its own entry; the same legs are
-        # external in every network of one topology
-        rows, ats = np.arange(len(jobs)), np.array([at for *_, at in jobs]).T
-        tensors = [tensor[(rows, *(ats[l] if l < n_ext else slice(None) for l in atom[1]))]
-                   for tensor, atom in zip(tensors, jobs[0][0])]
-    for positions, subscripts in _plan(inputs, output, model.doubled_dim, sliced):
+    """Contract one network whose momenta ``env`` are equal-length arrays,
+    one row per entry, traced over word legs 1 and 2: the result keeps legs
+    0 and 3.  Each leaf is read on its whole momentum array, from ``cache``
+    under its reader (a dress by its function) and the arrays' bytes."""
+    inputs, output = _compact([atom[1] for atom in net], (0, 3), {2: 1})
+    tensors = []
+    for flavour, _, *momenta in net:
+        reader = word[flavour].dress if isinstance(flavour, int) else flavour
+        ks = [sign * env[label] for sign, label in momenta]
+        key = (reader, *(k.tobytes() for k in ks))
+        if key not in cache:
+            cache[key] = _read(reader, ks, model)
+        tensors.append(cache[key])
+    for positions, subscripts in _plan(inputs, output, model.doubled_dim, False):
         tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
     return tensors[0]
+
+
+def _labels(word: tuple[WordSymbol, ...]) -> tuple[str, ...]:
+    """A word's labels, the columns of its momentum assignments."""
+    return tuple(dict.fromkeys(s.label for s in word))
+
+
+def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
+    """The momentum assignments as one (assignment, label) array."""
+    columns = [list(map(operator.itemgetter(label), envs)) for label in labels]
+    return np.array(columns, dtype=float).reshape(len(labels), len(envs)).T
+
+
+@functools.lru_cache(maxsize=64)
+def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...]) -> tuple:
+    """The structure of a query of ``terms`` (of one expansion, with
+    ``labels`` and ``n_ext`` word positions), which depends on the terms
+    only, so a repeated query reuses it.  Each network is a row, term by
+    term in network order, and each atom a slot, row by row.  Gives each
+    slot's (flavour code, sign, label column, sign, label column), sign 0 for
+    a momentum it lacks, and term; each term's first row and network count;
+    and per topology its rows, their terms, their slots and its plan inputs.
+    An atom that networks share is one object (a branch extends its
+    parent's), as are a topology's leg lists, so each is encoded once."""
+    code = {**{f: i for i, f in enumerate(FLAVOURS)}, **{p: 3 + p for p in range(n_ext)}}
+    nets = [net for term in terms for net in term.networks]
+    atoms = {id(atom): atom for net in nets for atom in net}
+    atom_number = {key: i for i, key in enumerate(atoms)}
+    encoded = np.array([(code[atom[0]], *itertools.chain.from_iterable(
+        (sign, labels.index(label)) for sign, label in atom[2:]), 0, 0, 0, 0)[:5]
+        for atom in atoms.values()], np.int8).reshape(-1, 5)
+    length = np.fromiter(map(len, nets), np.intp, len(nets))
+    slots = encoded[np.fromiter((atom_number[id(atom)] for net in nets for atom in net),
+                                np.intp, length.sum())]
+    count = np.fromiter((len(term.networks) for term in terms), np.intp, len(terms))
+    job = np.arange(len(terms)).repeat(count)  # each row's term
+    first = length.cumsum() - length  # each row's first slot
+    net_legs = [legs for term in terms for legs in term.legs]
+    topologies = {id(legs): legs for legs in net_legs}
+    topology_number = {key: i for i, key in enumerate(topologies)}
+    plans = [(*_compact(legs, range(n_ext), {}), legs) for legs in topologies.values()]
+    key = np.fromiter((topology_number[id(legs)] for legs in net_legs), np.intp, len(net_legs))
+    order = key.argsort(kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(job)]
+    groups = [(rows, job[rows], first[rows, None] + np.arange(len(plan[2])), plan)
+              for rows, plan in ((order[i:j], plans[key[order[i]]])
+                                 for i, j in zip(cuts, cuts[1:]) if j > i)]
+    return slots, job.repeat(length), count.cumsum() - count, count, groups
+
+
+def _coefficients(expr: AmplitudeExpression, terms: list[ContractionTerm], momenta: np.ndarray,
+                  ats: Optional[np.ndarray], model: DoubledModel) -> np.ndarray:
+    """The coefficients of terms of ``expr``, term j at row j of ``momenta``
+    (one column per word label): whole tensors, or with ``ats`` (one
+    component index per word position and term) one entry each.  Each
+    term's networks are rows (``_rows``); the rows of one topology are one
+    batched contraction, each slot gathering its leaves (``_leaf_tables``),
+    sliced at each row's ``at``, from its table.  A term sums its networks'
+    values in network order."""
+    n_ext, d = len(expr.word), model.doubled_dim
+    slots, job, start, count, groups = _rows(_labels(expr.word), n_ext, tuple(terms))
+    ks = slots[:, 1::2] * momenta[job[:, None], slots[:, 2::2]]
+    tables, index = _leaf_tables(slots[:, 0], ks, expr.word, model)
+    values = np.zeros((count.sum(), *((d,) * n_ext if ats is None else ())), dtype=complex)
+    for rows, jobs, where, (inputs, output, legs) in groups:
+        leaves, at = index[where], None if ats is None else ats[jobs].T
+        tensors = [tables[len(atom) == 2][(leaves[:, i], *(
+            () if at is None else (at[l] if l < n_ext else slice(None) for l in atom)))]
+            for i, atom in enumerate(legs)]
+        for positions, subscripts in _plan(inputs, output, d, at is not None) if legs else ():
+            tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
+        values[rows] = tensors[0] if legs else 1.0  # the empty word's unit network
+    sums = values[start] + 0.0  # 0 + the first network (IEEE addition commutes)
+    for k in range(1, count.max(initial=0)):  # then the others, in network order
+        more = count > k
+        sums[more] += values[start[more] + k]
+    return sums
 
 
 def evaluate_coefficients(
@@ -388,36 +464,22 @@ def evaluate_coefficients(
     With ``at`` (one component index per word position) only that entry is
     contracted and the result is a 0-d array.  The caller is responsible
     for supplying assignments consistent with the terms' pairings.  The
-    networks of all jobs are grouped by topology and each group is one
-    batched contraction; each term then sums its networks' values in
-    network order.  The call keeps one leaf cache over all its groups, so it
-    evaluates each distinct leaf once.
+    jobs with ``at`` are one batch and those without another (see
+    ``_coefficients``), each reading each distinct leaf once.
     """
     n_ext = len(expr.word)
-    cache: dict = {}
-    values: list[list] = []  # per job, its networks' values in network order
-    groups: dict[tuple, list] = {}
-    for term, env, at in jobs:
-        if at is not None and len(at) != n_ext:
-            raise ValueError(f"need one component index per word position ({n_ext})")
-        mine: list = []
-        values.append(mine)
-        for net, legs in zip(term.networks, term.legs):
-            if net:
-                key = (legs, at is None)
-                groups.setdefault(key, []).append((mine, len(mine), (net, env, at)))
-                mine.append(None)
-            elif n_ext:
-                raise ValueError("empty network with free legs")
-            else:
-                mine.append(1.0)
-    for members in groups.values():
-        batch = _contract(expr.word, [job for *_, job in members], model, cache)
-        for (mine, slot, _), value in zip(members, batch):
-            mine[slot] = value
-    shape = (model.doubled_dim,) * n_ext
-    return [np.asarray(sum(mine, np.zeros(() if at is not None else shape, dtype=complex)))
-            for (_, _, at), mine in zip(jobs, values)]
+    if any(at is not None and len(at) != n_ext for *_, at in jobs):
+        raise ValueError(f"need one component index per word position ({n_ext})")
+    if len({at is None for *_, at in jobs}) > 1:
+        kinds = {kind: iter(evaluate_coefficients(
+            expr, [job for job in jobs if (job[2] is None) == kind], model))
+            for kind in (False, True)}
+        return [next(kinds[at is None]) for *_, at in jobs]
+    ats = None if not jobs or jobs[0][2] is None else np.array(
+        [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
+    got = _coefficients(expr, [term for term, *_ in jobs],
+                        _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
+    return [got[j, ...] for j in range(len(jobs))]
 
 
 def evaluate_coefficient(
@@ -440,11 +502,11 @@ def physical_coefficients(
     sign * env[label]: eps = sign(p) for an annihilator a(p) and
     xi = -sign(k) for a creator ad(k), where xi = + is the first block.
     """
-    sides = [(s.sign if s.kind == "a" else -s.sign, s.label) for s in expr.word]  # eps or xi
-    got = evaluate_coefficients(expr, [
-        (term, env, tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides))
-        for term, env in jobs], model)
-    return [complex(value[()]) for value in got]
+    labels = _labels(expr.word)
+    sides = np.array([s.sign if s.kind == "a" else -s.sign for s in expr.word])  # eps or xi
+    momenta = _momenta(labels, [env for _, env in jobs])
+    ats = np.where(sides * momenta[:, [labels.index(s.label) for s in expr.word]] > 0, 0, 1)
+    return _coefficients(expr, [term for term, _ in jobs], momenta, ats, model).tolist()
 
 
 def resolve_momenta(
@@ -568,8 +630,7 @@ def _traced_four_word(
             parts: tuple[list, list] = ([], [])
             for term, sw, sq in signs:
                 env = {"p": ps, "w": sw * ps, "q": sq * ps}
-                tr = sum(_contract(expr.word, [(net, env, None)], model, cache, trace=True)
-                         for net in term.networks)
+                tr = sum(_contract(expr.word, net, env, model, cache) for net in term.networks)
                 parts[sq < 0].append((env["w"].tolist(), tr))
             got = passes[ps.tobytes()] = (tuple(parts[0]), tuple(parts[1]))
         return got

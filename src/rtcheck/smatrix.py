@@ -202,18 +202,21 @@ def sample_momenta(
     magnitudes: list[float] = []  # |v| of the accepted momenta, sorted
     rejected = 0  # rejected draws since the last accepted one
     while len(values) < n:
-        if rejected == SAMPLE_TRIES:
-            raise ValueError(
-                f"could not sample {n} momenta with exclusion radius {exclusion_radius}"
-            )
-        k = float(rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE))
-        m = abs(k)
-        i = bisect.bisect_left(magnitudes, m)
-        neighbours = magnitudes[max(i - 1, 0):i + 1]
-        if m < exclusion_radius or any(abs(m - v) < exclusion_radius for v in neighbours):
-            rejected += 1
-            continue
-        rejected = 0
-        values.append(k)
-        magnitudes.insert(i, m)
+        # n draws per call: the values and their order are those of n one-draw calls
+        for k in rng.uniform(-SAMPLE_SCALE, SAMPLE_SCALE, n).tolist():
+            if rejected == SAMPLE_TRIES:
+                raise ValueError(
+                    f"could not sample {n} momenta with exclusion radius {exclusion_radius}"
+                )
+            m = abs(k)
+            i = bisect.bisect_left(magnitudes, m)
+            neighbours = magnitudes[max(i - 1, 0):i + 1]
+            if m < exclusion_radius or any(abs(m - v) < exclusion_radius for v in neighbours):
+                rejected += 1
+                continue
+            rejected = 0
+            values.append(k)
+            magnitudes.insert(i, m)
+            if len(values) == n:
+                break
     return tuple(values)

@@ -45,7 +45,8 @@ def _cyclic(size: int):
 
     def points(momenta):
         vals = list(momenta)
-        return [tuple(vals[(i + j) % len(vals)] for j in range(size)) for i in range(len(vals))]
+        shifts = (j % max(len(vals), 1) for j in range(size))
+        return list(zip(*(vals[j:] + vals[:j] for j in shifts)))
 
     return points
 

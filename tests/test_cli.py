@@ -356,6 +356,15 @@ class TestAmplitudeEmitter:
         golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n3.json"
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_exact_four_particle_query_matches_its_byte_golden(self, capsys):
+        # identity N=1 with T = 1/2 and R = -1/2: all 384 coefficients are
+        # exactly +-0.0625, through every batched leaf read and gather of n = 4
+        config = GOLDEN_AMPLITUDE / "constant_half_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "4",
+                     "--in=-1.5,0.5,1,2", "--out=2.5,1.2,-0.5,-1"]) == 0
+        golden = GOLDEN_AMPLITUDE / "constant_half_n1_n4.json"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 

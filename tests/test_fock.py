@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtcheck import fock
@@ -451,15 +451,18 @@ def _one_point_leaf(atom, env, model, word=()):
     """An atom's tensor at one momentum assignment, read from the model one
     point at a time: the reference for the engine's array reads of its leaves."""
     d = model.doubled_dim
-    if atom[0] == "S":
-        (s1, l1), (s2, l2) = atom[2], atom[3]
-        return model.calS.eval(s1 * env[l1], s2 * env[l2]).reshape(d, d, d, d)
-    if atom[0] == "C":
-        sign, label = atom[3]
-        k = sign * env[label]
-        return np.eye(d) + model.defect.T(k) if atom[2] == "T" else model.defect.R(k)
-    symbol = word[atom[2]]  # a dress takes a momentum array
-    return np.asarray(symbol.dress(np.array([env[symbol.label]])), dtype=complex)[0]
+    flavour, _, *momenta = atom
+    ks = [sign * env[label] for sign, label in momenta]
+    if flavour == "S":
+        return model.calS.eval(*ks).reshape(d, d, d, d)
+    if flavour == "T":
+        return np.eye(d) + model.defect.T(ks[0])
+    if flavour == "R":
+        return model.defect.R(ks[0])
+    # a dressing atom names its word position; a dress takes a momentum array
+    # and gives the stack, or one matrix for every momentum
+    got = np.asarray(word[flavour].dress(np.array(ks)), dtype=complex)
+    return np.broadcast_to(got, (1, d, d))[0]
 
 
 def _reference_coefficient(expr, term, env, model):
@@ -472,7 +475,7 @@ def _reference_coefficient(expr, term, env, model):
             continue
         operands, seen = [], {}
         for atom in net:
-            tensor = _one_point_leaf(atom, env, model)
+            tensor = _one_point_leaf(atom, env, model, expr.word)
             operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
         total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
     return total
@@ -681,13 +684,13 @@ class TestShapeCachedKernels:
     def test_commutator_contracts_each_term_once_per_batch(self, monkeypatch, count):
         # 4 terms of H at p and at -p, 4 of the reflection moment at p,
         # however many momenta share the batch: each call covers them all,
-        # as rows of its jobs or as the entries of a job's momentum arrays
+        # as the entries of its network's momentum arrays
         calls = []
         original = fock._contract
 
-        def counting(word, jobs, *args, **kwargs):
-            calls.append(sum(np.size(env["p"]) for _, env, _ in jobs))
-            return original(word, jobs, *args, **kwargs)
+        def counting(word, net, env, *args, **kwargs):
+            calls.append(np.size(env["p"]))
+            return original(word, net, env, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_contract", counting)
         momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
@@ -910,6 +913,46 @@ class TestTopologyBatches:
         for i, (x, full) in enumerate(zip(mixed, batch)):
             assert np.array_equal(x, full[(0,) * 6] if i % 2 else full)
 
+    @given(
+        model_name=st.sampled_from(["delta N=1", "rational N=2"]),
+        n=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_words_and_jobs_equal_one_network_at_a_time(self, model_name, n, data):
+        """Random balanced words (orders, shared labels, signs, dresses) and
+        random subsets and orders of jobs, with and without ``at``: a sliced
+        job equals the per-network loop, and a whole tensor equals its job
+        alone, bit for bit, and (at N = 1, where it stays small) the
+        unplanned einsum within rounding."""
+        model = MODEL if model_name == "delta N=1" else _rational_model()
+        d = model.doubled_dim
+        dresses = [None, model.defect.R, lambda w: np.eye(d) + model.defect.T(w),
+                   lambda w: np.eye(d) + np.arange(d * d).reshape(d, d)]
+        kinds = data.draw(st.permutations(["a"] * n + ["ad"] * n))
+        symbols = [fock.WordSymbol(kind, data.draw(st.sampled_from("pqw")),
+                                   data.draw(st.sampled_from([1, -1])),
+                                   data.draw(st.sampled_from(dresses))) for kind in kinds]
+        expr = normal_order_vev(symbols, model)
+        assume(not expr.is_zero)
+        pool = [-2.1, -1.3, -0.7, 0.4, 0.7, 1.3]
+        picks = data.draw(st.lists(st.integers(0, len(expr.terms) - 1), min_size=1, max_size=6))
+        jobs = []
+        for i in picks:
+            env = {label: data.draw(st.sampled_from(pool)) for label in "pqw"}
+            whole = data.draw(st.booleans())
+            at = None if whole else tuple(data.draw(st.integers(0, d - 1)) for _ in symbols)
+            jobs.append((expr.terms[i], env, at))
+        got = fock.evaluate_coefficients(expr, jobs, model)
+        for value, (term, env, at) in zip(got, jobs):
+            if at is None:
+                assert value.tobytes() == evaluate_coefficient(expr, term, env, model).tobytes()
+                if d == 2:
+                    ref = _reference_coefficient(expr, term, env, model)
+                    assert np.max(np.abs(value - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+            else:
+                assert complex(value[()]) == _one_network_at_a_time(expr, term, env, at, model)
+
     def test_zero_particles_is_one_unit_term(self):
         expr, jobs = _physical_jobs(0, MODEL, 0)
         assert fock.physical_coefficients(expr, jobs, MODEL) == [1 + 0j]
@@ -930,6 +973,7 @@ class TestTopologyBatches:
             results[i] = [fock.physical_coefficients(expr, jobs, model) for expr, jobs in draws]
 
         fock._plan.cache_clear()  # make the threads race on compiling plans
+        fock._expand.cache_clear()  # and on expanding shapes and building their layouts
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -946,13 +990,13 @@ class TestTopologyBatches:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_factorization_contracts_all_sign_patterns_in_one_call(self, monkeypatch, n):
         calls = []
-        original = fock.evaluate_coefficients
+        original = fock._coefficients
 
-        def counting(expr, jobs, *args, **kwargs):
-            calls.append(len(jobs))
-            return original(expr, jobs, *args, **kwargs)
+        def counting(expr, terms, *args, **kwargs):
+            calls.append(len(terms))
+            return original(expr, terms, *args, **kwargs)
 
-        monkeypatch.setattr(fock, "evaluate_coefficients", counting)
+        monkeypatch.setattr(fock, "_coefficients", counting)
         ks = [-1.7, 0.4, 2.2][:n]
         factorization_residual(n, ks, sorted((k * 1.1 for k in ks), reverse=True), MODEL)
         assert calls == [2 ** n]

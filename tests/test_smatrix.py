@@ -312,6 +312,22 @@ class TestSampling:
                 continue
             assert sample_momenta(n, radius, seed) == want
 
+    @pytest.mark.parametrize("tries", [1, 9, 10, 11, 37])
+    @pytest.mark.parametrize("n, radius", [(10, 0.2), (12, 0.2), (3, 2.9), (10, 1e-3)])
+    def test_batched_draws_keep_the_one_draw_walk(self, monkeypatch, n, radius, tries):
+        """Draws come n at a time; the accepted momenta and the give-up
+        after SAMPLE_TRIES rejections in a row are those of one draw per
+        call, whether or not the budget ends with a batch."""
+        monkeypatch.setattr(smatrix, "SAMPLE_TRIES", tries)
+        for seed in range(6):
+            try:
+                want = reference_sample(n, radius, seed)
+            except ValueError:
+                with pytest.raises(ValueError, match="could not sample"):
+                    sample_momenta(n, radius, seed)
+                continue
+            assert sample_momenta(n, radius, seed) == want
+
     def test_single_momentum_respects_radius(self):
         s = sample_momenta(1, exclusion_radius=0.2, seed=0)
         assert abs(s[0]) >= 0.2

@@ -71,6 +71,17 @@ class TestReportSerialization:
 
 
 class TestSuite:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_cyclic_points_equal_the_index_walk(self, size):
+        """Each momentum with the size - 1 that follow it, cyclically, also
+        when there are fewer momenta than the size."""
+        for count in range(1, 8):
+            vals = [float(k) for k in np.linspace(-2.5, 2.9, count)]
+            want = [tuple(vals[(i + j) % count] for j in range(size)) for i in range(count)]
+            got = suite._cyclic(size)(tuple(vals))
+            assert got == want
+            assert all(x is y for p, q in zip(got, want) for x, y in zip(p, q))
+
     def test_delta_full_default_suite_passes(self):
         model = build_model(parse_config(DELTA_CFG))
         report = run_suite(model)
