@@ -2,6 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
 or domain error; a reader that closes early (`| head`) changes none of them.
+Every `main` call in a process parses with one shared parser.
 """
 
 from __future__ import annotations
@@ -145,7 +146,11 @@ def _cmd_catalog(_args):
     return 0, [json.dumps(out, sort_keys=True, indent=2) + "\n"]
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every call: do not
+    mutate it.  Each parse still starts from its defaults, and help is laid
+    out at the terminal width of the moment."""
     parser = argparse.ArgumentParser(
         prog="rtcheck",
         description="Verify impurity scattering identities and query amplitudes.",
@@ -172,8 +177,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         code, chunks = args.fn(args)
         for chunk in chunks:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtcheck
-from rtcheck.cli import amplitude_json, main
+from rtcheck.cli import amplitude_json, main, make_parser
 from rtcheck.grammar import ExpressionError, parse_expression
 
 
@@ -392,6 +392,56 @@ class TestClosedReader:
             proc.stdout.close()  # before the command writes its first byte
             assert proc.stderr.read() == ""
             assert proc.wait(timeout=60) == code
+
+
+class TestSharedParser:
+    """Every main call in a process parses with one parser; no call leaves
+    an option, a default or a help width behind for the next one."""
+
+    def test_one_parser_per_process(self):
+        assert make_parser() is make_parser()
+
+    def test_a_seed_override_does_not_carry_over(self, capsys):
+        config = str(GOLDEN_CONFIGS / "delta_n1.json")
+        golden = (Path(__file__).parent / "golden" / "delta_n1.json").read_text()
+        assert main(["verify", "--config", config, "--format", "json", "--seed", "7"]) == 0
+        assert capsys.readouterr().out != golden
+        assert main(["verify", "--config", config, "--format", "json"]) == 0
+        assert capsys.readouterr().out == golden
+
+    def test_a_usage_error_leaves_the_next_query_as_it_was(self, capsys):
+        config = str(GOLDEN_AMPLITUDE / "pure_reflection_n1.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["amplitude", "--config", config, "--n", "0", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert main(["amplitude", "--config", config, "--n", "3",
+                     "--in=-1.5,0.5,2", "--out=2.5,1,-0.5"]) == 0
+        golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n3.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_allow_nonphysical_does_not_carry_over(self, delta_config, capsys):
+        query = ["amplitude", "--config", delta_config, "--n", "2",
+                 "--in=2.1,-1.3", "--out=2.1,-1.3"]
+        assert main(query + ["--allow-nonphysical"]) == 0
+        assert json.loads(capsys.readouterr().out)["nonphysical_ordering"] is True
+        assert main(query) == 2
+        assert "--allow-nonphysical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["amplitude", "--help"]])
+    def test_help_is_laid_out_at_the_width_of_each_call(self, argv, monkeypatch, capsys):
+        def help_text(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        texts = []
+        for columns in ("200", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.append(help_text(main))
+            assert texts[-1] == help_text(make_parser.__wrapped__().parse_args)
+        assert texts[0] != texts[1]
 
 
 class TestCatalog:
