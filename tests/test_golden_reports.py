@@ -31,6 +31,7 @@ EXIT_CODES = {
     "doubled_rows": 0,
     "permutation3_reflection": 0,
     "grouped_rows": 1,  # TST(doubled) fails on the delta impurity
+    "hierarchy_rows": 0,
 }
 RESIDUAL_ATOL = 1e-12
 
