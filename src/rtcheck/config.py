@@ -113,8 +113,8 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     bulk = _expand_shorthand(raw.get("bulk", {"name": "identity", "dim": 1}))
     defect = _expand_shorthand(raw.get("defect", {"name": "delta", "eta": 1.0}))
-    _build("bulk", bulk)  # validates names and parameters eagerly
-    _build("defect", defect)
+    for section, entry in (("bulk", bulk), ("defect", defect)):  # validated eagerly
+        _PARSED[section] = (repr(entry), _build(section, entry))
     return ModelConfig(
         bulk=bulk,
         defect=defect,
@@ -199,6 +199,9 @@ DEFECT_CATALOG = {
 }
 
 
+_PARSED: dict = {}  # section -> (repr of the entry parse_config last built, its model)
+
+
 def _build(section: str, entry):
     """Build a catalog entry once its name and parameter keys are checked; a
     value its builder rejects (c = 0, eta < 0) is a ConfigError."""
@@ -236,9 +239,16 @@ def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
     return DefectPair(N, rho, tau, batched=pair.batched)
 
 
+def _parsed(section: str, entry: dict):
+    """The model parse_config last built, if from an equal entry, so that a
+    query builds each entry once; else a new one."""
+    text, built = _PARSED.get(section, (None, None))
+    return built if text == repr(entry) else _build(section, entry)
+
+
 def build_model(cfg: ModelConfig) -> "AssembledModel":
-    bulk = _build("bulk", cfg.bulk)
-    half = _build("defect", cfg.defect)
+    bulk = _parsed("bulk", cfg.bulk)
+    half = _parsed("defect", cfg.defect)
     if half.dim == 1 and bulk.leg_dim > 1:
         half = scalar_times_identity(half, bulk.leg_dim)
     doubled = None

@@ -257,6 +257,29 @@ class TestBuildModel:
             assert np.array_equal(R[N:, N:], half.R(-k))
             assert not R[:N, N:].any() and not R[N:, :N].any()
 
+    def test_each_catalog_entry_is_built_once_per_query(self, monkeypatch, tmp_path):
+        """parse_config builds each section to validate it and build_model
+        takes those models: a query, the CLI's --seed override included,
+        builds each catalog entry once.  An entry parsed before another is
+        built anew."""
+        from rtcheck import config
+        from rtcheck.cli import main
+
+        built = []
+        for catalog, name in ((config.BULK_CATALOG, "rational"), (config.DEFECT_CATALOG, "delta")):
+            params, build = catalog[name]
+            monkeypatch.setitem(catalog, name, (params, lambda entry, build=build, name=name: (
+                built.append(name) or build(entry))))
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps({"bulk": "rational:N=2", "checks": ["rr1"]}))
+        assert main(["verify", "--config", str(path), "--seed", "3"]) == 0
+        assert built == ["rational", "delta"]
+        built.clear()
+        first = parse_config(json.dumps({"bulk": "rational:N=2"}))
+        parse_config(json.dumps({"bulk": "rational:N=3"}))
+        assert build_model(first).bulk.leg_dim == 2
+        assert built == ["rational", "delta", "rational", "delta", "rational"]
+
     def test_undoubled_model(self):
         cfg = parse_config(json.dumps({"doubled": False}))
         model = build_model(cfg)
