@@ -24,28 +24,30 @@ to 15 legs at n = 6, about 4^15 multiply-adds per network at N = 2.  A plan
 depends only on the network's topology (the compacted leg lists, the word
 positions and the leg dimension 2N), so it is compiled once per topology
 and cached.  Each step runs once over a leading batch axis.
-``evaluate_coefficients`` puts every network of a query that has the same
-leg lists, and so the same topology, on that axis, each with its own
-momenta: the n! 2^n networks of an n-particle amplitude fall into n!
-topologies of 2^n networks each (24 of 16 at n = 4, 720 of 64 at n = 6),
+``_coefficients`` puts every network of a call that has the same leg
+lists, and so the same topology, on that axis, each at its own momenta,
+with at most ``SLICE`` matrix entries per operand: the n! 2^n networks of
+an n-particle amplitude fall into n! topologies of 2^n networks each (24 of 16 at n = 4, 720 of 64 at n = 6),
 since the T/R choices change only leaves.  A caller that reads one
 component of a coefficient passes ``at=`` with one index per word
 position: every leaf tensor is then sliced on its external legs before
 contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
 never built.
 
-Networks at one point each (amplitudes, factorization) are contracted in
-whole arrays.  Every atom records at expansion the datum it reads (S, T, R or
-a dressed word position) and the (sign, label) of each momentum it reads it
-at.  A query's rows, one per network of its terms, are encoded once per
-selection of terms (``_rows``): each slot's flavour code, signs and label
-columns, and the rows of each topology.  A query then makes one (job, label)
-array of its momenta, forms every slot's momenta from it in one expression,
-reads each distinct (flavour, momenta) leaf once, each flavour with one call
-on the array of its momenta (``calS.eval``, ``I + calT``, ``calR`` or a
-dress), and gives each slot of a topology its leaves, sliced at each row's
-``at``, with one gather.  Its model calls do not grow with its rows, and its
-Python steps grow only with its jobs and topologies.
+Every coefficient is contracted on one path, ``_coefficients``: amplitudes,
+factorization and the hierarchy kernels.  Its jobs are terms, each of its
+own word and at P momentum points (an amplitude term at one).  Every atom
+records at expansion the datum it reads (S, T, R or a dressed word
+position) and the (sign, label) of each momentum it reads it at.  A call's
+rows, one per network of its terms, are encoded once per selection of terms
+(``_rows``): each slot's flavour code, signs and label columns, and the
+(row, point) entries of each topology.  A call forms every slot's momenta
+from its (job, point, label) array in one expression, reads each distinct
+leaf once, each flavour with one call on the array of its momenta
+(``calS.eval``, ``I + calT``, ``calR`` or a dress, numbered in the call by
+its function), and gives each slot of a topology its leaves, sliced at each
+entry's ``at``, with one gather.  Its model calls do not grow with its rows
+or points, and its Python steps grow only with its topologies.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and whether it is dressed.  It never depends on the
@@ -57,17 +59,11 @@ one shape share an expansion but keep their own dressings.
 
 The one-particle kernels of the Hamiltonian hierarchy come from the
 four-symbol word <a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q
-as +p or -p.  Those signs are read once per kernel.  Its networks have 2-4
-atoms, contraction and dressing leaves but no S leaf, each at +-p on every
-row.  A residual takes all its momenta in one pass, with no per-row keys:
-each network is one contraction whose momenta are arrays, so each leaf is
-read with one call on its signed momentum array and kept in the residual's
-cache under its flavour and the array's bytes, where the passes at p and
-at -p and the reflection moment find it.  The plan also takes the trace
-over the two middle legs.
-``hierarchy_commutator_residuals`` traces the Hamiltonian word and the
-reflection-moment word once for all its (m, n) pairs, and takes H^(m), H^(n)
-and the reflection moment of order m + n as moments of those two passes.
+as +p or -p.  Its networks have no S leaf, and their plans keep legs 0 and
+3 and trace legs 1 and 2.  A hierarchy residual makes one call for all the
+(word, momentum array) passes it reads: the Hamiltonian word at p and -p
+and the reflection-moment word at p for every commutator, or the seven
+words of the relation.
 
 Coefficients are taken against the bare delta: no layer multiplies by
 2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
@@ -88,6 +84,7 @@ import numpy as np
 
 from .defect import DefectPair, ZeroMomentumError
 from .doubling import DoubledModel, build_doubled_model
+from .smatrix import SLICE
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,14 +284,17 @@ def _read(flavour, ks, model: DoubledModel) -> np.ndarray:
     return np.broadcast_to(got, (np.size(ks[0]), d, d))
 
 
-def _leaf_tables(codes: np.ndarray, ks: np.ndarray, word: tuple[WordSymbol, ...],
+def _leaf_tables(codes: np.ndarray, ks: np.ndarray, readers: tuple,
                  model: DoubledModel) -> tuple[list, np.ndarray]:
     """Every distinct leaf of a query read once: per flavour, one ``_read``
-    on the array of its distinct momenta, at floats if it has one.  Numbers
-    the distinct (code, momenta) of the slots (``codes`` and ``ks``) in
-    sorted order and gives the braid and the matrix table (T, R and dress
-    leaves), each indexed by that number, and each slot's number."""
-    order = np.lexsort((ks[:, 1], ks[:, 0], codes))  # by flavour, then momenta
+    by its reader (``readers[code]``) on the array of its distinct momenta,
+    at floats if it has one.  A slot's leaf is its (code, momenta at P
+    points), from ``codes`` and ``ks`` (slot, two momenta per point); slots
+    sorted by code and first point whose momenta are all equal share one.
+    Gives the braid and the matrix table (T, R and dress leaves), each with
+    P rows per leaf in sorted order, and each slot's rows, point by point."""
+    P = ks.shape[1] // 2
+    order = np.lexsort((*ks[:, 1::-1].T, codes))  # by flavour, then the first point
     codes, points = codes[order], ks[order]
     first = np.ones(len(codes), dtype=bool)  # the first slot of each distinct leaf
     first[1:] = (codes[1:] != codes[:-1]) | (points[1:] != points[:-1]).any(axis=1)
@@ -305,11 +305,12 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray, word: tuple[WordSymbol, ...]
     tables: tuple[list, list] = ([], [])  # braid tensors, matrices
     for i, j in zip([0, *cuts], [*cuts, len(codes)]) if codes else ():
         code = codes[i]  # one point is read at floats: no array set-up, an array's bits
-        pair = points[i:j].T if j - i > 1 else points[i].tolist()
-        reader = FLAVOURS[code] if code < 3 else word[code - 3].dress
+        pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
-            tables[1].append(np.zeros((i, model.doubled_dim, model.doubled_dim)))
-        tables[code > 0].append(_read(reader, pair[:1 if code else 2], model))
+            tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
+        tables[code > 0].append(_read(readers[code], pair[:1 if code else 2], model))
+    if P != 1:  # each slot's leaf rows, point by point
+        index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
 
 
@@ -356,27 +357,6 @@ def _letters(legs: tuple[int, ...]) -> str:
     return "Z" + "".join(string.ascii_letters[l] for l in legs)
 
 
-def _contract(
-    word: tuple[WordSymbol, ...], net: tuple, env: dict, model: DoubledModel, cache: dict
-) -> np.ndarray:
-    """Contract one network whose momenta ``env`` are equal-length arrays,
-    one row per entry, traced over word legs 1 and 2: the result keeps legs
-    0 and 3.  Each leaf is read on its whole momentum array, from ``cache``
-    under its reader (a dress by its function) and the arrays' bytes."""
-    inputs, output = _compact([atom[1] for atom in net], (0, 3), {2: 1})
-    tensors = []
-    for flavour, _, *momenta in net:
-        reader = word[flavour].dress if isinstance(flavour, int) else flavour
-        ks = [sign * env[label] for sign, label in momenta]
-        key = (reader, *(k.tobytes() for k in ks))
-        if key not in cache:
-            cache[key] = _read(reader, ks, model)
-        tensors.append(cache[key])
-    for positions, subscripts in _plan(inputs, output, model.doubled_dim, False):
-        tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
-    return tensors[0]
-
-
 def _labels(word: tuple[WordSymbol, ...]) -> tuple[str, ...]:
     """A word's labels, the columns of its momentum assignments."""
     return tuple(dict.fromkeys(s.label for s in word))
@@ -389,16 +369,21 @@ def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...]) -> tuple:
-    """The structure of a query of ``terms`` (of one expansion, with
-    ``labels`` and ``n_ext`` word positions), which depends on the terms
-    only, so a repeated query reuses it.  Each network is a row, term by
-    term in network order, and each atom a slot, row by row.  Gives each
-    slot's (flavour code, sign, label column, sign, label column), sign 0 for
-    a momentum it lacks, and term; each term's first row and network count;
-    and per topology its rows, their terms, their slots and its plan inputs.
-    An atom that networks share is one object (a branch extends its
-    parent's), as are a topology's leg lists, so each is encoded once."""
+def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...],
+          points: int, traced: bool, batch: int) -> tuple:
+    """The structure of a query of ``terms`` (of expansions with ``labels``
+    and ``n_ext`` word positions) at ``points`` momenta each; it depends on
+    the terms only, so a repeated query reuses it.  A network is a row,
+    term by term, and an atom a slot, row by row; a (row, point) is a batch
+    entry and a (slot, point) a leaf.  Gives each slot's flavour code, the
+    signs of its two momenta at each point (0 for one it lacks) and the
+    (momenta row, label column) index that reads them; its term if any slot
+    is a dress; the entry of each (term, point)'s first network (a slice if
+    no term has another) and its network count; and per topology, ``batch``
+    entries at a time, the entries, their terms and leaves and its plan
+    inputs: every word position kept or, ``traced``, legs 0 and 3 with leg 2
+    as leg 1.  An atom that networks share is one object (a branch extends
+    its parent's), as are a topology's leg lists, so each is encoded once."""
     code = {**{f: i for i, f in enumerate(FLAVOURS)}, **{p: 3 + p for p in range(n_ext)}}
     nets = [net for term in terms for net in term.networks]
     atoms = {id(atom): atom for net in nets for atom in net}
@@ -411,46 +396,73 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
                                 np.intp, length.sum())]
     count = np.fromiter((len(term.networks) for term in terms), np.intp, len(terms))
     job = np.arange(len(terms)).repeat(count)  # each row's term
-    first = length.cumsum() - length  # each row's first slot
+    first = (length.cumsum() - length) * points  # each row's first leaf
+    step = np.arange(points)
     net_legs = [legs for term in terms for legs in term.legs]
-    topologies = {id(legs): legs for legs in net_legs}
-    topology_number = {key: i for i, key in enumerate(topologies)}
-    plans = [(*_compact(legs, range(n_ext), {}), legs) for legs in topologies.values()]
+    distinct: dict[tuple, int] = {}  # equal leg lists of two expansions are one topology
+    topology_number = {id(legs): distinct.setdefault(legs, len(distinct))
+                       for legs in {id(legs): legs for legs in net_legs}.values()}
+    kept, same = ((0, 3), {2: 1}) if traced else (range(n_ext), {})
+    plans = [(*_compact(legs, kept, same), legs) for legs in distinct]
     key = np.fromiter((topology_number[id(legs)] for legs in net_legs), np.intp, len(net_legs))
     order = key.argsort(kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(job)]
-    groups = [(rows, job[rows], first[rows, None] + np.arange(len(plan[2])), plan)
-              for rows, plan in ((order[i:j], plans[key[order[i]]])
-                                 for i, j in zip(cuts, cuts[1:]) if j > i)]
-    return slots, job.repeat(length), count.cumsum() - count, count, groups
+    groups = []
+    for rows, plan in ((order[i:j], plans[key[order[i]]])
+                       for i, j in zip(cuts, cuts[1:]) if j > i):
+        entries = (rows[:, None] * points + step).ravel()
+        leaves = first[rows, None, None] + step[:, None] + points * np.arange(len(plan[2]))
+        groups += [(entries[cut:cut + batch], job[entries[cut:cut + batch] // points],
+                    leaves.reshape(len(entries), len(plan[2]))[cut:cut + batch], plan)
+                   for cut in range(0, len(entries), batch)]
+    slot_jobs = job.repeat(length)
+    reads = ((slot_jobs[:, None] * points + step).repeat(2, axis=1), np.tile(slots[:, 2::2], points))
+    start = slice(0, len(terms) * points) if count.max(initial=0) < 2 else (
+        (count.cumsum() - count)[:, None] * points + step).ravel()
+    return (slots[:, 0], np.tile(slots[:, 1::2], points), reads,
+            slot_jobs if (slots[:, 0] > 2).any() else None, start, count.repeat(points), groups)
 
 
-def _coefficients(expr: AmplitudeExpression, terms: list[ContractionTerm], momenta: np.ndarray,
-                  ats: Optional[np.ndarray], model: DoubledModel) -> np.ndarray:
-    """The coefficients of terms of ``expr``, term j at row j of ``momenta``
-    (one column per word label): whole tensors, or with ``ats`` (one
-    component index per word position and term) one entry each.  Each
-    term's networks are rows (``_rows``); the rows of one topology are one
-    batched contraction, each slot gathering its leaves (``_leaf_tables``),
-    sliced at each row's ``at``, from its table.  A term sums its networks'
-    values in network order."""
-    n_ext, d = len(expr.word), model.doubled_dim
-    slots, job, start, count, groups = _rows(_labels(expr.word), n_ext, tuple(terms))
-    ks = slots[:, 1::2] * momenta[job[:, None], slots[:, 2::2]]
-    tables, index = _leaf_tables(slots[:, 0], ks, expr.word, model)
-    values = np.zeros((count.sum(), *((d,) * n_ext if ats is None else ())), dtype=complex)
-    for rows, jobs, where, (inputs, output, legs) in groups:
+def _coefficients(words: list[tuple[WordSymbol, ...]], terms: list[ContractionTerm],
+                  momenta: np.ndarray, ats: Optional[np.ndarray], model: DoubledModel,
+                  points: int = 1, traced: bool = False) -> np.ndarray:
+    """The coefficients of ``terms``, term j of word ``words[j]`` (all of one
+    length and labels) at rows j*points to (j+1)*points - 1 of ``momenta``
+    (one column per label), one per (term, point) in that order: whole
+    tensors, traced ones (legs 0 and 3, traced over legs 1 and 2), or with
+    ``ats`` (one component index per word position and term) one entry
+    each.  Each term's networks are rows (``_rows``); the rows of one
+    topology are one batched contraction, each slot gathering its leaves
+    (``_leaf_tables``), sliced at each entry's ``at``, from its table.  A
+    dress leaf's code is numbered in this call by its function, so words
+    of one shape keep their own dresses and a function shared by two words
+    is read once.  A term sums its networks' values in network order."""
+    word, d = next(iter(words), ()), model.doubled_dim
+    codes, signs, reads, dressed, start, count, groups = _rows(
+        _labels(word), len(word), tuple(terms), points, traced, max(1, SLICE // d ** 2))
+    ks, readers = signs * momenta[reads], FLAVOURS
+    if dressed is not None:  # each dress slot's code from its term's word
+        number: dict = {}  # dress function -> its code less 3
+        table = {id(w): [0, 1, 2, *(3 + number.setdefault(s.dress, len(number)) if s.dress
+                                    else 0 for s in w)] for w in {id(w): w for w in words}.values()}
+        codes = np.array([table[id(w)] for w in words])[dressed, codes]
+        readers = (*FLAVOURS, *number)
+    tables, index = _leaf_tables(codes, ks, readers, model)
+    shape = (d, d) if traced else () if ats is not None else (d,) * len(word)
+    values = np.zeros((count.sum(), *shape), dtype=complex)
+    for entries, jobs, where, (inputs, output, legs) in groups:
         leaves, at = index[where], None if ats is None else ats[jobs].T
         tensors = [tables[len(atom) == 2][(leaves[:, i], *(
-            () if at is None else (at[l] if l < n_ext else slice(None) for l in atom)))]
+            () if at is None else (at[l] if l < len(word) else slice(None) for l in atom)))]
             for i, atom in enumerate(legs)]
         for positions, subscripts in _plan(inputs, output, d, at is not None) if legs else ():
             tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
-        values[rows] = tensors[0] if legs else 1.0  # the empty word's unit network
-    sums = values[start] + 0.0  # 0 + the first network (IEEE addition commutes)
+        values[entries] = tensors[0] if legs else 1.0  # the empty word's unit network
+    sums = values[start]  # each term's first network: a view if it has no other
+    sums += 0.0  # 0 + the first network (IEEE addition commutes)
     for k in range(1, count.max(initial=0)):  # then the others, in network order
         more = count > k
-        sums[more] += values[start[more] + k]
+        sums[more] += values[start[more] + k * points]
     return sums
 
 
@@ -477,7 +489,7 @@ def evaluate_coefficients(
         return [next(kinds[at is None]) for *_, at in jobs]
     ats = None if not jobs or jobs[0][2] is None else np.array(
         [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
-    got = _coefficients(expr, [term for term, *_ in jobs],
+    got = _coefficients([expr.word] * len(jobs), [term for term, *_ in jobs],
                         _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
     return [got[j, ...] for j in range(len(jobs))]
 
@@ -506,7 +518,8 @@ def physical_coefficients(
     sides = np.array([s.sign if s.kind == "a" else -s.sign for s in expr.word])  # eps or xi
     momenta = _momenta(labels, [env for _, env in jobs])
     ats = np.where(sides * momenta[:, [labels.index(s.label) for s in expr.word]] > 0, 0, 1)
-    return _coefficients(expr, [term for term, _ in jobs], momenta, ats, model).tolist()
+    return _coefficients([expr.word] * len(jobs), [term for term, _ in jobs], momenta, ats,
+                         model).tolist()
 
 
 def resolve_momenta(
@@ -603,71 +616,54 @@ def one_particle_amplitude(
 HAMILTONIAN_PREFACTOR = 0.5  # the 1/2 in front of the Hamiltonian integral
 
 
-def _traced_four_word(
-    model: DoubledModel, mid_creator: WordSymbol, mid_annihilator: WordSymbol, cache: dict
-) -> Callable[[np.ndarray], tuple[tuple, tuple]]:
-    """Traced coefficients of <a(p) M†(w) M(w) ad(q)> over an array of momenta.
-
-    The middle symbols share the integration label; their component legs are
-    traced.  Each surviving term fixes w = +-p and q = +-p through its
-    pairing; the signs are read once, by resolving the pairing at p = 1.  The
-    returned function maps a 1-d array of momenta p_1..p_P to two tuples of
-    (w per momentum, (P, 2N, 2N) traced coeff) in term order: the terms with
-    q = p (the delta(p - k) part) and those with q = -p (the delta(p + k)
-    part).  Each network of a term is one contraction over the whole array,
-    with its leaves from ``cache``, kept for the function's lifetime.
-    """
-    expr = normal_order_vev([a("p"), mid_creator, mid_annihilator, ad("q")], model)
-    signs = []
-    for term in expr.terms:  # every term resolves w and q (see resolve_momenta)
-        env = resolve_momenta(term, expr.word, {"p": 1.0})
-        signs.append((term, env["w"], env["q"]))
-    passes: dict[bytes, tuple[tuple, tuple]] = {}
-
-    def traced(ps: np.ndarray) -> tuple[tuple, tuple]:
-        got = passes.get(ps.tobytes())
-        if got is None:
-            parts: tuple[list, list] = ([], [])
-            for term, sw, sq in signs:
-                env = {"p": ps, "w": sw * ps, "q": sq * ps}
-                tr = sum(_contract(expr.word, net, env, model, cache) for net in term.networks)
-                parts[sq < 0].append((env["w"].tolist(), tr))
-            got = passes[ps.tobytes()] = (tuple(parts[0]), tuple(parts[1]))
-        return got
-
-    return traced
+def _traced_passes(model: DoubledModel, passes: list[tuple]) -> list[tuple[list, list]]:
+    """Words <a(p) M†(w) M(w) ad(q)>, one per pass (M†, M, momentum array),
+    traced over their middle legs in one ``_coefficients`` call, each term a
+    job on its pass's array.  A term fixes w = +-p and q = +-p, read once per
+    word by resolving its pairing at p = 1.  Per pass two lists of (w per
+    momentum, (P, 2N, 2N) traced coefficient) in term order: the terms with
+    q = p (the delta(p - k) part) and those with q = -p."""
+    jobs, words = [], {}  # (M†, M) -> per term its word, term and momenta at p = 1
+    for i, (creator, annihilator, ps) in enumerate(passes):
+        if (creator, annihilator) not in words:
+            expr = normal_order_vev([a("p"), creator, annihilator, ad("q")], model)
+            words[creator, annihilator] = [(expr.word, term, resolve_momenta(
+                term, expr.word, {"p": 1.0})) for term in expr.terms]
+        jobs += [(i, word, term, env["w"], env["q"], ps)
+                 for word, term, env in words[creator, annihilator]]
+    points, d = len(passes[0][2]), model.doubled_dim
+    momenta = np.concatenate([np.stack([ps, sw * ps, sq * ps], axis=1) for *_, sw, sq, ps in jobs])
+    got = _coefficients([job[1] for job in jobs], [job[2] for job in jobs], momenta, None, model,
+                        points, traced=True)
+    out: list[tuple[list, list]] = [([], []) for _ in passes]
+    for (i, _, _, sw, sq, ps), coeff in zip(jobs, got.reshape(len(jobs), points, d, d)):
+        out[i][sq < 0].append(((sw * ps).tolist(), coeff))
+    return out
 
 
 def _moment_kernel(
     traced: Callable[[np.ndarray], tuple[tuple, tuple]], power: int, prefactor: float, dim: int
 ) -> OneParticleKernel:
-    """The w^power moment of traced four-word coefficients, as a kernel: the
-    delta calculus reduces the integral over w to the substitution.  Its A
-    and B take one momentum, or an array of momenta with one result each."""
+    """The w^power moment of traced four-word coefficients (``traced`` maps a
+    momentum array to its pass), as a kernel: the delta calculus reduces the
+    integral over w to the substitution.  Its A and B take one momentum, or
+    an array of momenta with one result each, and keep each value."""
     zero = np.zeros((dim, dim), dtype=complex)
+    kept: dict = {}
 
     def moment(part: int, p: float | np.ndarray) -> np.ndarray:
-        total = zero
-        for ws, tr in traced(np.atleast_1d(np.asarray(p, dtype=float)))[part]:
-            # Python's power: numpy's differs in the last bit at some points
-            total = total + np.array([w ** power for w in ws])[:, None, None] * tr
-        total = prefactor * total
-        return total if np.ndim(p) else total[0]
+        ps = np.atleast_1d(np.asarray(p, dtype=float))
+        key = (part, np.ndim(p), ps.tobytes())
+        if key not in kept:
+            total = zero
+            for ws, tr in traced(ps)[part]:
+                # Python's power: numpy's differs in the last bit at some points
+                total = total + np.array([w ** power for w in ws])[:, None, None] * tr
+            total = prefactor * total
+            kept[key] = total if np.ndim(p) else total[0]
+        return kept[key]
 
     return OneParticleKernel(dim, functools.partial(moment, 0), functools.partial(moment, 1))
-
-
-def _kernel_from_four_word(
-    model: DoubledModel,
-    power: int,
-    mid_creator: WordSymbol,
-    mid_annihilator: WordSymbol,
-    prefactor: float,
-    cache: Optional[dict] = None,
-) -> OneParticleKernel:
-    """Kernel of <a(p) [integral dw w^power M†(w) M(w)] ad(q)> via the engine."""
-    traced = _traced_four_word(model, mid_creator, mid_annihilator, {} if cache is None else cache)
-    return _moment_kernel(traced, power, prefactor, model.doubled_dim)
 
 
 def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
@@ -675,13 +671,15 @@ def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
     computed through the normal-ordering engine."""
     if n < 0:
         raise ValueError("hierarchy index must be >= 0")
-    return _kernel_from_four_word(model, n, ad("w"), a("w"), HAMILTONIAN_PREFACTOR)
+    return _moment_kernel(lambda ps: _traced_passes(model, [(ad("w"), a("w"), ps)])[0], n,
+                          HAMILTONIAN_PREFACTOR, model.doubled_dim)
 
 
 def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
     mid = a("w", sign=-1, dress=model.defect.R)
-    return _kernel_from_four_word(model, power, ad("w"), mid, HAMILTONIAN_PREFACTOR)
+    return _moment_kernel(lambda ps: _traced_passes(model, [(ad("w"), mid, ps)])[0], power,
+                          HAMILTONIAN_PREFACTOR, model.doubled_dim)
 
 
 def hierarchy_commutator_residuals(
@@ -690,27 +688,26 @@ def hierarchy_commutator_residuals(
     """Residuals of the hierarchy commutator identity at one-particle level:
     one list per (m, n) of ``pairs``, one residual per momentum.
 
-    [H^(m), H^(n)] must equal [(-1)^m - (-1)^n] times the reflection-moment
-    kernel of order m + n; both sides are built independently (the
-    commutator of the Hamiltonian moments by compose versus the engine
-    expansion of the dressed reflection-moment word), and each is evaluated
-    at all momenta in one batched pass per term.
+    [H^(m), H^(n)] (by compose) must equal [(-1)^m - (-1)^n] times the
+    engine's reflection-moment kernel of order m + n.  Every H^(m) is a
+    moment of the Hamiltonian word at p and -p, every right side one of
+    the reflection-moment word at p: one call traces the three passes.
     """
     if any(m < 0 or n < 0 for m, n in pairs):
         raise ValueError("hierarchy index must be >= 0")
-    # every H^(m) is a moment of one word and every right-hand side one of
-    # the reflection-moment word: each word is traced once for all pairs
-    cache: dict = {}
-    hamiltonian = _traced_four_word(model, ad("w"), a("w"), cache)
-    reflection = _traced_four_word(model, ad("w"), a("w", sign=-1, dress=model.defect.R), cache)
+    ps, d = np.array(momenta, dtype=float), model.doubled_dim
+    mid = a("w", sign=-1, dress=model.defect.R)
+    at_p, at_minus_p, moments = _traced_passes(
+        model, [(ad("w"), a("w"), ps), (ad("w"), a("w"), -ps), (ad("w"), mid, ps)])
+    passes = {ps.tobytes(): at_p, (-ps).tobytes(): at_minus_p}
+    H = {power: _moment_kernel(lambda x: passes[x.tobytes()], power, HAMILTONIAN_PREFACTOR, d)
+         for pair in pairs for power in pair}
     out = []
     for m, n in pairs:
-        Km = _moment_kernel(hamiltonian, m, HAMILTONIAN_PREFACTOR, model.doubled_dim)
-        Kn = _moment_kernel(hamiltonian, n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
-        lhs = add(compose(Km, Kn), scale(compose(Kn, Km), -1.0))
-        Kr = _moment_kernel(reflection, m + n, HAMILTONIAN_PREFACTOR, model.doubled_dim)
+        lhs = add(compose(H[m], H[n]), scale(compose(H[n], H[m]), -1.0))
+        Kr = _moment_kernel(lambda x: moments, m + n, HAMILTONIAN_PREFACTOR, d)
         rhs = scale(Kr, (-1.0) ** m - (-1.0) ** n)
-        out.append(kernel_distance(lhs, rhs, np.array(momenta, dtype=float)).tolist())
+        out.append(kernel_distance(lhs, rhs, ps).tolist())
     return out
 
 
@@ -730,7 +727,7 @@ def hierarchy_relation_residuals(
     n: int, model: DoubledModel, momenta: list[float]
 ) -> list[float]:
     """Residuals of the impurity/no-impurity hierarchy relation at kernel
-    level, one per momentum, each kernel evaluated in one batched pass.
+    level, one per momentum, its seven words traced in one call.
 
     Verified in the central specialization, where the composite generators
     are A(k) = [(I + calT(k)) a(k) + calR(k) a(-k)] / 2 over the plain ZF
@@ -742,32 +739,23 @@ def hierarchy_relation_residuals(
     if n % 2 != 0:
         raise ValueError("the central specialization verifies even orders only")
     zf = _zf_view(model)
-    cache: dict = {}
     eye = np.eye(model.doubled_dim, dtype=complex)
     calT, calR = model.defect.T, model.defect.R
 
-    def eye_plus_t(w):  # one dress for both sides: the leaf cache keys a dress by its object
+    def eye_plus_t(w):  # one function on both sides, so one leaf flavour, read once
         return eye + calT(w)
 
-    creators = [
-        ad("w", dress=eye_plus_t),
-        ad("w", sign=-1, dress=lambda w: calR(-w)),
-    ]
-    annihilators = [
-        a("w", dress=eye_plus_t),
-        a("w", sign=-1, dress=calR),
-    ]
-    k_rt = None
-    for cr in creators:
-        for an in annihilators:
-            piece = _kernel_from_four_word(zf, n, cr, an, 0.25, cache)
-            k_rt = piece if k_rt is None else add(k_rt, piece)
-
-    k_zf = _kernel_from_four_word(zf, n, ad("w"), a("w"), 1.0, cache)
-    imp_t = _kernel_from_four_word(zf, n, ad("w"), a("w", dress=calT), 1.0, cache)
-    imp_r = _kernel_from_four_word(zf, n, ad("w"), a("w", sign=-1, dress=calR), 1.0, cache)
+    creators = [ad("w", dress=eye_plus_t), ad("w", sign=-1, dress=lambda w: calR(-w))]
+    annihilators = [a("w", dress=eye_plus_t), a("w", sign=-1, dress=calR)]
+    mids = [(cr, an, 0.25) for cr in creators for an in annihilators] + [
+        (ad("w"), an, 1.0) for an in (a("w"), a("w", dress=calT), a("w", sign=-1, dress=calR))]
+    ps = np.array(momenta, dtype=float)
+    got = _traced_passes(zf, [(cr, an, ps) for cr, an, _ in mids])
+    K = [_moment_kernel(lambda x, parts=parts: parts, n, prefactor, zf.doubled_dim)
+         for parts, (*_, prefactor) in zip(got, mids)]
+    k_rt, (k_zf, imp_t, imp_r) = functools.reduce(add, K[:4]), K[4:]
     rhs = scale(add(k_zf, add(imp_t, imp_r)), 0.5)
-    return kernel_distance(k_rt, rhs, np.array(momenta, dtype=float)).tolist()
+    return kernel_distance(k_rt, rhs, ps).tolist()
 
 
 def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:

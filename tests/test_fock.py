@@ -665,6 +665,50 @@ class TestShapeCachedKernels:
             got.append(fock.evaluate_coefficients(expr, jobs, model))
         assert len(got[0]) == 12 and all(np.array_equal(x, y) for x, y in zip(*got))
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_batch_of_four_words_gives_each_word_alone(self, traced):
+        """One _coefficients call numbers its dresses by function: two words
+        of one shape with different dresses on one position stay apart, and
+        a dress on two words is one leaf flavour, read once.  Each word's
+        coefficients equal, bit for bit, those of a call on it alone."""
+        model = _rational_model()
+        d = model.doubled_dim
+        reads: dict[str, int] = {}
+
+        def counted(name, fn):
+            def dress(w):
+                reads[name] = reads.get(name, 0) + 1
+                return fn(w)
+            return dress
+
+        shared = counted("shared", lambda w: model.defect.R(w))
+        other = counted("other", lambda w: np.eye(d) + np.multiply.outer(
+            w, np.arange(d * d).reshape(d, d)))
+        words = [[a("p"), ad("w", dress=shared), a("w", sign=-1), ad("q")],
+                 [a("p"), ad("w", dress=other), a("w", sign=-1), ad("q")],
+                 [a("p"), ad("w"), a("w", sign=-1, dress=shared), ad("q")]]
+        exprs = [normal_order_vev(word, model) for word in words]
+        assert exprs[0].terms is exprs[1].terms  # one expansion, two dresses
+        ps = np.array([0.7, -1.3, 2.2])
+        jobs = []
+        for expr in exprs:
+            for term in expr.terms:
+                env = resolve_momenta(term, expr.word, {"p": 1.0})
+                jobs.append((expr.word, term, np.stack([ps, env["w"] * ps, env["q"] * ps], 1)))
+
+        def run(batch):
+            return fock._coefficients([word for word, *_ in batch], [t for _, t, _ in batch],
+                                      np.concatenate([m for *_, m in batch]), None, model,
+                                      len(ps), traced)
+
+        alone = [run([job]).tobytes() for job in jobs]
+        reads.clear()
+        together = run(jobs)
+        assert reads == {"shared": 1, "other": 1}
+        assert [x.tobytes() for x in np.split(together, len(jobs))] == alone
+        half = len(exprs[0].terms)
+        assert alone[:half] != alone[half:2 * half]
+
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_kernels_match_the_per_term_loop(self, model_name):
         model = MODEL if model_name == "delta N=1" else _rational_model()
@@ -682,22 +726,26 @@ class TestShapeCachedKernels:
 
     @pytest.mark.parametrize("count", [1, 50])
     def test_commutator_contracts_each_term_once_per_batch(self, monkeypatch, count):
-        # 4 terms of H at p and at -p, 4 of the reflection moment at p,
-        # however many momenta share the batch: each call covers them all,
-        # as the entries of its network's momentum arrays
+        # 4 terms of H at p and at -p and 4 of the reflection moment at p,
+        # for every pair and however many momenta: one _coefficients call
+        # whose jobs are the terms, each on the whole momentum array; the
+        # relation's 7 words of 4 terms each are one call too
         calls = []
-        original = fock._contract
+        original = fock._coefficients
 
-        def counting(word, net, env, *args, **kwargs):
-            calls.append(np.size(env["p"]))
-            return original(word, net, env, *args, **kwargs)
+        def counting(words, terms, momenta, *args, **kwargs):
+            calls.append((len(terms), len(momenta)))
+            return original(words, terms, momenta, *args, **kwargs)
 
-        monkeypatch.setattr(fock, "_contract", counting)
+        monkeypatch.setattr(fock, "_coefficients", counting)
         momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
-        (residuals,) = fock.hierarchy_commutator_residuals([(0, 1)], _rational_model(), momenta)
-        assert len(residuals) == count
-        assert 0 < len(calls) <= 12
-        assert set(calls) == {count}
+        model = _rational_model()
+        got = fock.hierarchy_commutator_residuals([(0, 1), (1, 2), (0, 2)], model, momenta)
+        assert [len(residuals) for residuals in got] == [count] * 3
+        assert calls == [(12, 12 * count)]
+        calls.clear()
+        assert len(fock.hierarchy_relation_residuals(2, model, momenta)) == count
+        assert calls == [(28, 28 * count)]
 
     @pytest.mark.parametrize("flavour", ["T", "R"])
     def test_a_leaf_read_at_the_negated_momenta_fails_the_odd_commutators(

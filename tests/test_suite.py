@@ -432,18 +432,20 @@ class TestArrayResiduals:
 
     # check -> its calls of the doubled pair's R and T, at 1 and at 50 momenta
     ENGINE_READS = {
-        # C-R, C-T and the reflection moment's dress calR, each at ps and -ps
-        "hierarchy-commutator(0,1)": {"R": 4, "T": 2},
-        # on the trivial pair C-R and C-T, and the dresses I + calT (one
-        # function on both sides), calT, calR(-w) and calR, each at ps and -ps
-        "hierarchy-relation(2)": {"R": 6, "T": 6},
+        # one call for H at ps and -ps and the reflection moment at ps: C-R
+        # and C-T, each once on all its momenta, and the dress calR
+        "hierarchy-commutator(0,1)": {"R": 2, "T": 1},
+        # one call for the 7 words: on the trivial pair C-R and C-T, and the
+        # dresses I + calT (one function on both sides), calT, calR(-w), calR
+        "hierarchy-relation(2)": {"R": 3, "T": 3},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
     def test_engine_reads_each_leaf_once_per_momentum_array(self, name, monkeypatch):
-        """A hierarchy pass reads each leaf (a flavour at a signed momentum
-        array) with one call, and its four-word networks have no S leaf: no
-        doubled S-matrix call, and exactly these pair calls at any count."""
+        """A hierarchy residual reads each leaf flavour (a contraction matrix
+        or a dress) with one call on all its momenta, and its four-word
+        networks have no S leaf: no doubled S-matrix call, and exactly these
+        pair calls at any count."""
         calls = Counter()
 
         def counted(cls, attr, doubled):
@@ -597,7 +599,7 @@ class TestSharedRows:
         calls.clear()
         run_suite(model)
         # with each row reading on its own: S 177, R 120, T 102, calS 24, blocks 12
-        assert dict(calls) == {"S": 105, "R": 62, "T": 60, "calS": 18, "blocks": 8}
+        assert dict(calls) == {"S": 105, "R": 54, "T": 54, "calS": 18, "blocks": 8}
         # the commutators' Hamiltonian and reflection-moment words, once each
         # (with each row on its own, four times each)
         assert {shape: n for (shape, on_dm), n in expanded.items() if on_dm} == {
