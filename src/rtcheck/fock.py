@@ -27,12 +27,12 @@ and cached.  Each step runs once over a leading batch axis.
 ``_coefficients`` puts every network of a call that has the same leg
 lists, and so the same topology, on that axis, each at its own momenta,
 with at most ``SLICE`` matrix entries per operand: the n! 2^n networks of
-an n-particle amplitude fall into n! topologies of 2^n networks each (24 of 16 at n = 4, 720 of 64 at n = 6),
-since the T/R choices change only leaves.  A caller that reads one
-component of a coefficient passes ``at=`` with one index per word
-position: every leaf tensor is then sliced on its external legs before
-contracting, each batch row at its own ``at``, and the (2N)^(2n) tensor is
-never built.
+an n-particle amplitude fall into n! topologies of 2^n networks each (24 of
+16 at n = 4, 720 of 64 at n = 6), since the T/R choices change only leaves.
+A caller that reads one component of a coefficient passes ``at=`` with one
+index per word position: every leaf tensor is then sliced on its external
+legs before contracting, each batch row at its own ``at``, and the
+(2N)^(2n) tensor is never built.
 
 Every coefficient is contracted on one path, ``_coefficients``: amplitudes,
 factorization and the hierarchy kernels.  Its jobs are terms, each of its
@@ -416,7 +416,8 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
                     leaves.reshape(len(entries), len(plan[2]))[cut:cut + batch], plan)
                    for cut in range(0, len(entries), batch)]
     slot_jobs = job.repeat(length)
-    reads = ((slot_jobs[:, None] * points + step).repeat(2, axis=1), np.tile(slots[:, 2::2], points))
+    reads = ((slot_jobs[:, None] * points + step).repeat(2, axis=1),
+             np.tile(slots[:, 2::2], points))
     start = slice(0, len(terms) * points) if count.max(initial=0) < 2 else (
         (count.cumsum() - count)[:, None] * points + step).ravel()
     return (slots[:, 0], np.tile(slots[:, 1::2], points), reads,
@@ -426,20 +427,20 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
 def _coefficients(words: list[tuple[WordSymbol, ...]], terms: list[ContractionTerm],
                   momenta: np.ndarray, ats: Optional[np.ndarray], model: DoubledModel,
                   points: int = 1, traced: bool = False) -> np.ndarray:
-    """The coefficients of ``terms``, term j of word ``words[j]`` (all of one
-    length and labels) at rows j*points to (j+1)*points - 1 of ``momenta``
-    (one column per label), one per (term, point) in that order: whole
-    tensors, traced ones (legs 0 and 3, traced over legs 1 and 2), or with
-    ``ats`` (one component index per word position and term) one entry
-    each.  Each term's networks are rows (``_rows``); the rows of one
-    topology are one batched contraction, each slot gathering its leaves
-    (``_leaf_tables``), sliced at each entry's ``at``, from its table.  A
-    dress leaf's code is numbered in this call by its function, so words
-    of one shape keep their own dresses and a function shared by two words
-    is read once.  A term sums its networks' values in network order."""
+    """The coefficients of ``terms``, term j of word ``words[j]`` (words of
+    one length and labels) at rows j*points to (j+1)*points - 1 of
+    ``momenta`` (one column per label), one per (term, point): whole
+    tensors, traced ones (legs 0 and 3 kept, 1 and 2 traced), or with
+    ``ats`` (one component index per position and term) one entry each.
+    The rows (``_rows``) of a topology are one batched contraction, each
+    slot gathering its leaves (``_leaf_tables``), sliced at each entry's
+    ``at``.  Dress leaves are numbered in the call by their function, so
+    words of one shape keep their own dresses and a shared one is read
+    once.  A term sums its networks' values in network order."""
     word, d = next(iter(words), ()), model.doubled_dim
+    n_ext = len(word)
     codes, signs, reads, dressed, start, count, groups = _rows(
-        _labels(word), len(word), tuple(terms), points, traced, max(1, SLICE // d ** 2))
+        _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2))
     ks, readers = signs * momenta[reads], FLAVOURS
     if dressed is not None:  # each dress slot's code from its term's word
         number: dict = {}  # dress function -> its code less 3
@@ -448,12 +449,12 @@ def _coefficients(words: list[tuple[WordSymbol, ...]], terms: list[ContractionTe
         codes = np.array([table[id(w)] for w in words])[dressed, codes]
         readers = (*FLAVOURS, *number)
     tables, index = _leaf_tables(codes, ks, readers, model)
-    shape = (d, d) if traced else () if ats is not None else (d,) * len(word)
+    shape = (d, d) if traced else () if ats is not None else (d,) * n_ext
     values = np.zeros((count.sum(), *shape), dtype=complex)
     for entries, jobs, where, (inputs, output, legs) in groups:
         leaves, at = index[where], None if ats is None else ats[jobs].T
         tensors = [tables[len(atom) == 2][(leaves[:, i], *(
-            () if at is None else (at[l] if l < len(word) else slice(None) for l in atom)))]
+            () if at is None else (at[l] if l < n_ext else slice(None) for l in atom)))]
             for i, atom in enumerate(legs)]
         for positions, subscripts in _plan(inputs, output, d, at is not None) if legs else ():
             tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
