@@ -37,25 +37,24 @@ legs before contracting, each batch row at its own ``at``, and the
 Every coefficient is contracted on one path, ``_coefficients``: amplitudes,
 factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
-records at expansion the datum it reads (S, T, R or a dressed word
-position) and the (sign, label) of each momentum it reads it at.  A call's
-rows, one per network of its terms, are encoded once per selection of terms
-(``_rows``): each slot's flavour code, signs and label columns, and the
-(row, point) entries of each topology.  A call forms every slot's momenta
-from its (job, point, label) array in one expression, reads each distinct
-leaf once, each flavour with one call on the array of its momenta
-(``calS.eval``, ``I + calT``, ``calR`` or a dress, numbered in the call by
-its function), and gives each slot of a topology its leaves, sliced at each
-entry's ``at``, with one gather.  Its model calls do not grow with its rows
-or points, and its Python steps grow only with its topologies.
+records at expansion the datum it reads (S, the contraction leaves T and R,
+or a dress: I + calT, calT or calR) and the (sign, label) of each momentum
+it reads it at.  A call's rows, one per network of its terms, are encoded
+once per selection of terms (``_rows``): each slot's flavour code, signs
+and label columns, and the (row, point) entries of each topology.  A call
+forms every slot's momenta from its (job, point, label) array in one
+expression, reads each distinct leaf once, each flavour with one call on
+the array of its momenta (``calS.eval``, ``I + calT``, ``calT`` or
+``calR``), and gives each slot of a topology its leaves, sliced at each
+entry's ``at``, with one gather.  A dress of the model's own pair has the
+flavour of the contraction leaf it equals, so the two share their reads.
+A call's model calls do not grow with its rows or points, and its Python
+steps grow only with its topologies.
 
 The expansion of a word depends only on its shape: per symbol the kind,
-label, momentum sign and whether it is dressed.  It never depends on the
-model (which only supplies the leg dimension), so ``normal_order_vev``
-expands each shape once and keeps the term list in a bounded cache.  A
-dressing atom refers to its word position, and the dress function is read
-from the caller's word when the coefficient is evaluated, so two words of
-one shape share an expansion but keep their own dressings.
+label, momentum sign and dress.  It never depends on the model (which only
+supplies the leg dimension), so ``normal_order_vev`` expands each shape
+once and keeps the term list in a bounded cache.
 
 The one-particle kernels of the Hamiltonian hierarchy come from the
 four-symbol word <a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q
@@ -63,7 +62,8 @@ as +p or -p.  Its networks have no S leaf, and their plans keep legs 0 and
 3 and trace legs 1 and 2.  A hierarchy residual makes one call for all the
 (word, momentum array) passes it reads: the Hamiltonian word at p and -p
 and the reflection-moment word at p for every commutator, or the seven
-words of the relation.
+words of the relation, which contract by the plain ZF rules and read their
+dresses from the model's pair.
 
 Coefficients are taken against the bare delta: no layer multiplies by
 2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
@@ -87,6 +87,7 @@ from .doubling import DoubledModel, build_doubled_model
 from .smatrix import SLICE
 
 TWO_PI = 2.0 * np.pi
+DRESSES = ("I+calT", "calT", "calR")  # the data a dress reads, of the doubled pair
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,24 @@ class WordSymbol:
 
     The symbol's momentum is ``sign * value(label)``; ``dress`` optionally
     attaches a matrix factor to the symbol's component leg, which is how
-    composite generators like a'(w) = (I + T(w)) a(w) enter the engine.  It
-    is read at the label's values: it takes a 1-d momentum array and returns
-    the (P, 2N, 2N) stack, as ``DefectPair.R``/``.T`` do, or one matrix for
-    every momentum.
+    composite generators like a'(w) = (I + calT(w)) a(w) enter the engine.
+    It is a pair (datum, sign): ``I + calT``, ``calT`` or ``calR`` of the
+    doubled pair, read at ``sign * value(label)``.
     """
 
     kind: str  # "a" | "ad"
     label: str
     sign: int = +1
-    dress: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dress: Optional[tuple[str, int]] = None
 
     def __post_init__(self):
         if self.kind not in ("a", "ad"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         if self.sign not in (+1, -1):
             raise ValueError("momentum sign must be +1 or -1")
+        if self.dress is not None and self.dress not in itertools.product(DRESSES, (+1, -1)):
+            raise ValueError(
+                f"a dress is (datum, sign) of {DRESSES} and +1 or -1, not {self.dress!r}")
 
 
 def a(label: str, sign: int = +1, dress=None) -> WordSymbol:
@@ -128,10 +131,9 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 # and the (sign, label) of each momentum that datum is read at.
 # ("S", (a_old, ad_new, a_new, ad_old), q_expr, p_expr)   4-leg braid tensor
 # ("T"|"R", (a_leg, ad_leg), q_expr)                      contraction matrix
-# (position, (row, col), (+1, label))                     dressing matrix
-# A dressing atom names the word position whose symbol carries the dress
-# function, so an expansion holds no model closure and can be shared by
-# every word of the same shape.
+# (datum, (row, col), (sign, label))                      dressing matrix
+# A dressing atom's datum is one of DRESSES, so an expansion holds no model
+# closure and can be shared by every word of the same shape.
 
 Expr = tuple[int, str]
 
@@ -151,7 +153,9 @@ class ContractionTerm:
     legs: tuple[tuple, ...]  # per network its atoms' leg lists: equal ones share a topology
 
 
-FLAVOURS = ("S", "T", "R")  # leaf flavour codes 0-2; code 3 + p is the dress of position p
+# leaf flavour codes 0-5: the braid, the contraction leaves (I + calT and calR of the
+# model's pair) and the dresses (of the dress pair, by default the model's own)
+FLAVOURS = ("S", "T", "R", *DRESSES)
 
 
 @dataclass(frozen=True)
@@ -169,19 +173,17 @@ def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeEx
     """Vacuum expectation value of a word as a canonicalized expression.
 
     Words with unequal creator/annihilator counts give the zero expression.
-    The term list depends only on the word's shape, not on the model or on
-    the dress functions, so it is expanded once per shape (see ``_expand``);
-    the returned expression holds the caller's word, whose dressings the
-    dressing atoms reference by position.
+    The term list depends only on the word's shape, not on the model, so it
+    is expanded once per shape (see ``_expand``).
     """
     word = tuple(word)
-    shape = tuple((s.kind, s.label, s.sign, s.dress is not None) for s in word)
+    shape = tuple((s.kind, s.label, s.sign, s.dress) for s in word)
     return AmplitudeExpression(word, model.doubled_dim, _expand(shape))
 
 
 @functools.lru_cache(maxsize=64)
-def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionTerm, ...]:
-    """Terms of a word given as (kind, label, sign, dressed) per symbol."""
+def _expand(shape: tuple[tuple, ...]) -> tuple[ContractionTerm, ...]:
+    """Terms of a word given as (kind, label, sign, dress) per symbol."""
     n_a = sum(1 for kind, *_ in shape if kind == "a")
     if 2 * n_a != len(shape):
         return ()
@@ -190,22 +192,20 @@ def _expand(shape: tuple[tuple[str, str, int, bool], ...]) -> tuple[ContractionT
     init_atoms: list[tuple] = []
     init_word = []
     free = len(shape)  # the next fresh internal leg id
-    for pos, (kind, label, sign, dressed) in enumerate(shape):
+    for pos, (kind, label, sign, dress) in enumerate(shape):
         leg = pos
-        if dressed:
+        if dress is not None:
             inner, free = free, free + 1
-            if kind == "ad":
-                # [ad^b X]^ext: X rows contract the creator component
-                init_atoms.append((pos, (inner, pos), (1, label)))
-            else:
-                # [X a]_ext: X columns contract the annihilator component
-                init_atoms.append((pos, (pos, inner), (1, label)))
+            # [ad^b X]^ext: X rows contract the creator component, and
+            # [X a]_ext: X columns contract the annihilator component
+            legs = (inner, pos) if kind == "ad" else (pos, inner)
+            init_atoms.append((dress[0], legs, (dress[1], label)))
             leg = inner
         init_word.append((pos, kind, (sign, label), leg))
 
     # Each branch numbers its fresh legs on from its parent's, so networks of
     # one braid structure (they differ in T/R choices only) have equal leg
-    # lists, which evaluate_coefficients groups by.
+    # lists, which _rows groups by.
     done: list[tuple[tuple, tuple]] = []  # (pairing, atoms)
     stack = [(tuple(init_atoms), (), tuple(init_word), free)]
     while stack:
@@ -268,31 +268,30 @@ def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
     return inputs, output
 
 
-def _read(flavour, ks, model: DoubledModel) -> np.ndarray:
+def _read(code: int, ks, model: DoubledModel, dresses: DefectPair) -> np.ndarray:
     """The stack of a leaf flavour's tensors at its momenta ``ks`` (one
-    float, or one 1-d array, per momentum slot), by one reader call:
-    ``calS.eval``, ``I + calT``, ``calR`` or the dress function."""
-    d = model.doubled_dim
+    float, or one 1-d array, per momentum slot), by one model call:
+    ``calS.eval``, or I + calT, calT or calR of the model's pair (codes 1
+    and 2, the contraction leaves) or of ``dresses`` (the dresses)."""
+    d, flavour = model.doubled_dim, FLAVOURS[code]
     if flavour == "S":
         return model.calS.eval(*ks).reshape(-1, d, d, d, d)
-    if flavour == "T":
-        return (np.eye(d) + model.defect.T(ks[0])).reshape(-1, d, d)
-    if flavour == "R":
-        return model.defect.R(ks[0]).reshape(-1, d, d)
-    # a dress takes an array; a constant one gives one matrix
-    got = np.asarray(flavour(np.atleast_1d(ks[0])), dtype=complex)
-    return np.broadcast_to(got, (np.size(ks[0]), d, d))
+    pair = model.defect if code < 3 else dresses
+    if flavour in ("R", "calR"):
+        return pair.R(ks[0]).reshape(-1, d, d)
+    got = pair.T(ks[0])
+    return (got if flavour == "calT" else np.eye(d) + got).reshape(-1, d, d)
 
 
-def _leaf_tables(codes: np.ndarray, ks: np.ndarray, readers: tuple,
-                 model: DoubledModel) -> tuple[list, np.ndarray]:
-    """Every distinct leaf of a query read once: per flavour, one ``_read``
-    by its reader (``readers[code]``) on the array of its distinct momenta,
-    at floats if it has one.  A slot's leaf is its (code, momenta at P
-    points), from ``codes`` and ``ks`` (slot, two momenta per point); slots
-    sorted by code and first point whose momenta are all equal share one.
-    Gives the braid and the matrix table (T, R and dress leaves), each with
-    P rows per leaf in sorted order, and each slot's rows, point by point."""
+def _leaf_tables(codes: np.ndarray, ks: np.ndarray, model: DoubledModel,
+                 dresses: DefectPair) -> tuple[list, np.ndarray]:
+    """Every distinct leaf of a query read once: per flavour code, one
+    ``_read`` on the array of its distinct momenta, at floats if it has
+    one.  A slot's leaf is its (code, momenta at P points), from ``codes``
+    and ``ks`` (slot, two momenta per point); slots sorted by code and first
+    point whose momenta are all equal share one.  Gives the braid and the
+    matrix table (contraction and dress leaves), each with P rows per leaf
+    in sorted order, and each slot's rows, point by point."""
     P = ks.shape[1] // 2
     order = np.lexsort((*ks[:, 1::-1].T, codes))  # by flavour, then the first point
     codes, points = codes[order], ks[order]
@@ -308,7 +307,7 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray, readers: tuple,
         pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
             tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
-        tables[code > 0].append(_read(readers[code], pair[:1 if code else 2], model))
+        tables[code > 0].append(_read(code, pair[:1 if code else 2], model, dresses))
     if P != 1:  # each slot's leaf rows, point by point
         index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
@@ -370,21 +369,23 @@ def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...],
-          points: int, traced: bool, batch: int) -> tuple:
+          points: int, traced: bool, batch: int, own: bool) -> tuple:
     """The structure of a query of ``terms`` (of expansions with ``labels``
     and ``n_ext`` word positions) at ``points`` momenta each; it depends on
     the terms only, so a repeated query reuses it.  A network is a row,
     term by term, and an atom a slot, row by row; a (row, point) is a batch
     entry and a (slot, point) a leaf.  Gives each slot's flavour code, the
     signs of its two momenta at each point (0 for one it lacks) and the
-    (momenta row, label column) index that reads them; its term if any slot
-    is a dress; the entry of each (term, point)'s first network (a slice if
-    no term has another) and its network count; and per topology, ``batch``
-    entries at a time, the entries, their terms and leaves and its plan
-    inputs: every word position kept or, ``traced``, legs 0 and 3 with leg 2
-    as leg 1.  An atom that networks share is one object (a branch extends
-    its parent's), as are a topology's leg lists, so each is encoded once."""
-    code = {**{f: i for i, f in enumerate(FLAVOURS)}, **{p: 3 + p for p in range(n_ext)}}
+    (momenta row, label column) index that reads them; the entry of each
+    (term, point)'s first network (a slice if no term has another) and its
+    network count; and per topology, ``batch`` entries at a time, the
+    entries, their terms and leaves and its plan inputs: every word position
+    kept or, ``traced``, legs 0 and 3 with leg 2 as leg 1.  An atom that
+    networks share is one object (a branch extends its parent's), as are a
+    topology's leg lists, so each is encoded once."""
+    code = {f: i for i, f in enumerate(FLAVOURS)}
+    if own:  # the dresses are of the model's pair: I + calT and calR are contraction leaves
+        code.update({"I+calT": code["T"], "calR": code["R"]})
     nets = [net for term in terms for net in term.networks]
     atoms = {id(atom): atom for net in nets for atom in net}
     atom_number = {key: i for i, key in enumerate(atoms)}
@@ -415,40 +416,34 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
         groups += [(entries[cut:cut + batch], job[entries[cut:cut + batch] // points],
                     leaves.reshape(len(entries), len(plan[2]))[cut:cut + batch], plan)
                    for cut in range(0, len(entries), batch)]
-    slot_jobs = job.repeat(length)
-    reads = ((slot_jobs[:, None] * points + step).repeat(2, axis=1),
+    reads = ((job.repeat(length)[:, None] * points + step).repeat(2, axis=1),
              np.tile(slots[:, 2::2], points))
     start = slice(0, len(terms) * points) if count.max(initial=0) < 2 else (
         (count.cumsum() - count)[:, None] * points + step).ravel()
-    return (slots[:, 0], np.tile(slots[:, 1::2], points), reads,
-            slot_jobs if (slots[:, 0] > 2).any() else None, start, count.repeat(points), groups)
+    return (slots[:, 0], np.tile(slots[:, 1::2], points), reads, start, count.repeat(points),
+            groups)
 
 
-def _coefficients(words: list[tuple[WordSymbol, ...]], terms: list[ContractionTerm],
+def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
                   momenta: np.ndarray, ats: Optional[np.ndarray], model: DoubledModel,
-                  points: int = 1, traced: bool = False) -> np.ndarray:
-    """The coefficients of ``terms``, term j of word ``words[j]`` (words of
-    one length and labels) at rows j*points to (j+1)*points - 1 of
-    ``momenta`` (one column per label), one per (term, point): whole
-    tensors, traced ones (legs 0 and 3 kept, 1 and 2 traced), or with
-    ``ats`` (one component index per position and term) one entry each.
-    The rows (``_rows``) of a topology are one batched contraction, each
-    slot gathering its leaves (``_leaf_tables``), sliced at each entry's
-    ``at``.  Dress leaves are numbered in the call by their function, so
-    words of one shape keep their own dresses and a shared one is read
-    once.  A term sums its networks' values in network order."""
-    word, d = next(iter(words), ()), model.doubled_dim
-    n_ext = len(word)
-    codes, signs, reads, dressed, start, count, groups = _rows(
-        _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2))
-    ks, readers = signs * momenta[reads], FLAVOURS
-    if dressed is not None:  # each dress slot's code from its term's word
-        number: dict = {}  # dress function -> its code less 3
-        table = {id(w): [0, 1, 2, *(3 + number.setdefault(s.dress, len(number)) if s.dress
-                                    else 0 for s in w)] for w in {id(w): w for w in words}.values()}
-        codes = np.array([table[id(w)] for w in words])[dressed, codes]
-        readers = (*FLAVOURS, *number)
-    tables, index = _leaf_tables(codes, ks, readers, model)
+                  points: int = 1, traced: bool = False,
+                  dresses: Optional[DefectPair] = None) -> np.ndarray:
+    """The coefficients of ``terms`` (of words of the length and labels of
+    ``word``), term j at rows j*points to (j+1)*points - 1 of ``momenta``
+    (one column per label), one per (term, point): whole tensors, traced
+    ones (legs 0 and 3 kept, 1 and 2 traced), or with ``ats`` (one
+    component index per position and term) one entry each.  The rows
+    (``_rows``) of a topology are one batched contraction, each slot
+    gathering its leaves (``_leaf_tables``), sliced at each entry's ``at``.
+    The dresses are read from the pair ``dresses``, by default the model's
+    own, whose I + calT and calR dresses are read with the contraction
+    leaves.  A term sums its networks' values in network order."""
+    d, n_ext = model.doubled_dim, len(word)
+    dresses = model.defect if dresses is None else dresses
+    codes, signs, reads, start, count, groups = _rows(
+        _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2),
+        dresses is model.defect)
+    tables, index = _leaf_tables(codes, signs * momenta[reads], model, dresses)
     shape = (d, d) if traced else () if ats is not None else (d,) * n_ext
     values = np.zeros((count.sum(), *shape), dtype=complex)
     for entries, jobs, where, (inputs, output, legs) in groups:
@@ -490,7 +485,7 @@ def evaluate_coefficients(
         return [next(kinds[at is None]) for *_, at in jobs]
     ats = None if not jobs or jobs[0][2] is None else np.array(
         [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
-    got = _coefficients([expr.word] * len(jobs), [term for term, *_ in jobs],
+    got = _coefficients(expr.word, [term for term, *_ in jobs],
                         _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
     return [got[j, ...] for j in range(len(jobs))]
 
@@ -519,8 +514,7 @@ def physical_coefficients(
     sides = np.array([s.sign if s.kind == "a" else -s.sign for s in expr.word])  # eps or xi
     momenta = _momenta(labels, [env for _, env in jobs])
     ats = np.where(sides * momenta[:, [labels.index(s.label) for s in expr.word]] > 0, 0, 1)
-    return _coefficients([expr.word] * len(jobs), [term for term, _ in jobs], momenta, ats,
-                         model).tolist()
+    return _coefficients(expr.word, [term for term, _ in jobs], momenta, ats, model).tolist()
 
 
 def resolve_momenta(
@@ -617,27 +611,29 @@ def one_particle_amplitude(
 HAMILTONIAN_PREFACTOR = 0.5  # the 1/2 in front of the Hamiltonian integral
 
 
-def _traced_passes(model: DoubledModel, passes: list[tuple]) -> list[tuple[list, list]]:
+def _traced_passes(model: DoubledModel, passes: list[tuple],
+                   dresses: Optional[DefectPair] = None) -> list[tuple[list, list]]:
     """Words <a(p) M†(w) M(w) ad(q)>, one per pass (M†, M, momentum array),
-    traced over their middle legs in one ``_coefficients`` call, each term a
-    job on its pass's array.  A term fixes w = +-p and q = +-p, read once per
-    word by resolving its pairing at p = 1.  Per pass two lists of (w per
-    momentum, (P, 2N, 2N) traced coefficient) in term order: the terms with
-    q = p (the delta(p - k) part) and those with q = -p."""
-    jobs, words = [], {}  # (M†, M) -> per term its word, term and momenta at p = 1
+    traced over their middle legs in one ``_coefficients`` call (dressed from
+    ``dresses``, by default the model's pair), each term a job on its pass's
+    array.  A term fixes w = +-p and q = +-p, read once per word by
+    resolving its pairing at p = 1.  Per pass two lists of (w per momentum,
+    (P, 2N, 2N) traced coefficient) in term order: the terms with q = p (the
+    delta(p - k) part) and those with q = -p."""
+    jobs, words = [], {}  # (M†, M) -> its word's terms, each with its momenta at p = 1
     for i, (creator, annihilator, ps) in enumerate(passes):
         if (creator, annihilator) not in words:
             expr = normal_order_vev([a("p"), creator, annihilator, ad("q")], model)
-            words[creator, annihilator] = [(expr.word, term, resolve_momenta(
-                term, expr.word, {"p": 1.0})) for term in expr.terms]
-        jobs += [(i, word, term, env["w"], env["q"], ps)
-                 for word, term, env in words[creator, annihilator]]
+            words[creator, annihilator] = [
+                (term, resolve_momenta(term, expr.word, {"p": 1.0})) for term in expr.terms]
+        jobs += [(i, term, env["w"], env["q"], ps) for term, env in words[creator, annihilator]]
     points, d = len(passes[0][2]), model.doubled_dim
     momenta = np.concatenate([np.stack([ps, sw * ps, sq * ps], axis=1) for *_, sw, sq, ps in jobs])
-    got = _coefficients([job[1] for job in jobs], [job[2] for job in jobs], momenta, None, model,
-                        points, traced=True)
+    # every pass's word has the length and labels of the last one expanded
+    got = _coefficients(expr.word, [job[1] for job in jobs], momenta, None, model, points,
+                        traced=True, dresses=dresses)
     out: list[tuple[list, list]] = [([], []) for _ in passes]
-    for (i, _, _, sw, sq, ps), coeff in zip(jobs, got.reshape(len(jobs), points, d, d)):
+    for (i, _, sw, sq, ps), coeff in zip(jobs, got.reshape(len(jobs), points, d, d)):
         out[i][sq < 0].append(((sw * ps).tolist(), coeff))
     return out
 
@@ -678,7 +674,9 @@ def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
 
 def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
     """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
-    mid = a("w", sign=-1, dress=model.defect.R)
+    if power < 0:
+        raise ValueError("hierarchy index must be >= 0")
+    mid = a("w", sign=-1, dress=("calR", +1))
     return _moment_kernel(lambda ps: _traced_passes(model, [(ad("w"), mid, ps)])[0], power,
                           HAMILTONIAN_PREFACTOR, model.doubled_dim)
 
@@ -697,7 +695,7 @@ def hierarchy_commutator_residuals(
     if any(m < 0 or n < 0 for m, n in pairs):
         raise ValueError("hierarchy index must be >= 0")
     ps, d = np.array(momenta, dtype=float), model.doubled_dim
-    mid = a("w", sign=-1, dress=model.defect.R)
+    mid = a("w", sign=-1, dress=("calR", +1))
     at_p, at_minus_p, moments = _traced_passes(
         model, [(ad("w"), a("w"), ps), (ad("w"), a("w"), -ps), (ad("w"), mid, ps)])
     passes = {ps.tobytes(): at_p, (-ps).tobytes(): at_minus_p}
@@ -737,21 +735,18 @@ def hierarchy_relation_residuals(
 
         K_RT = ( K_ZF + K_impurity ) / 2 .
     """
+    if n < 0:
+        raise ValueError("hierarchy index must be >= 0")
     if n % 2 != 0:
         raise ValueError("the central specialization verifies even orders only")
     zf = _zf_view(model)
-    eye = np.eye(model.doubled_dim, dtype=complex)
-    calT, calR = model.defect.T, model.defect.R
-
-    def eye_plus_t(w):  # one function on both sides, so one leaf flavour, read once
-        return eye + calT(w)
-
-    creators = [ad("w", dress=eye_plus_t), ad("w", sign=-1, dress=lambda w: calR(-w))]
-    annihilators = [a("w", dress=eye_plus_t), a("w", sign=-1, dress=calR)]
+    creators = [ad("w", dress=("I+calT", +1)), ad("w", sign=-1, dress=("calR", -1))]
+    annihilators = [a("w", dress=("I+calT", +1)), a("w", sign=-1, dress=("calR", +1))]
     mids = [(cr, an, 0.25) for cr in creators for an in annihilators] + [
-        (ad("w"), an, 1.0) for an in (a("w"), a("w", dress=calT), a("w", sign=-1, dress=calR))]
+        (ad("w"), an, 1.0)
+        for an in (a("w"), a("w", dress=("calT", +1)), a("w", sign=-1, dress=("calR", +1)))]
     ps = np.array(momenta, dtype=float)
-    got = _traced_passes(zf, [(cr, an, ps) for cr, an, _ in mids])
+    got = _traced_passes(zf, [(cr, an, ps) for cr, an, _ in mids], dresses=model.defect)
     K = [_moment_kernel(lambda x, parts=parts: parts, n, prefactor, zf.doubled_dim)
          for parts, (*_, prefactor) in zip(got, mids)]
     k_rt, (k_zf, imp_t, imp_r) = functools.reduce(add, K[:4]), K[4:]

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -95,6 +96,15 @@ class TestNormalOrdering:
         # two matchings times two signs per pair
         expr = normal_order_vev([a("q2"), a("q1"), ad("k1"), ad("k2")], MODEL)
         assert len(expr.terms) == 8
+
+    @pytest.mark.parametrize("dress", [
+        ("R", +1), ("I + calT", +1), ("calR", 2), ("calR", 0), ("calT",), ["calT", 1], "calT",
+        MODEL.defect.R, lambda w: np.eye(2)])
+    def test_a_malformed_dress_is_rejected_at_construction(self, dress):
+        """A dress is (datum, sign): a callable, the old form, fails at once."""
+        for kind in ("a", "ad"):
+            with pytest.raises(ValueError, match="a dress is"):
+                fock.WordSymbol(kind, "w", -1, dress)
 
     def test_resolve_momenta_propagates(self):
         expr = normal_order_vev([a("q"), ad("p")], MODEL)
@@ -398,9 +408,10 @@ class TestHamiltonianKernels:
         assert np.allclose(K.A(p), expA, atol=1e-13)
         assert np.allclose(K.B(p), expB, atol=1e-13)
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian_kernel(-1, MODEL)
+    @pytest.mark.parametrize("kernel", [hamiltonian_kernel, reflection_moment_kernel])
+    def test_negative_order_rejected(self, kernel):
+        with pytest.raises(ValueError, match="hierarchy index must be >= 0"):
+            kernel(-1, MODEL)
 
 
 class TestHierarchy:
@@ -442,27 +453,32 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             hierarchy_relation_residual(1, MODEL, 0.7)
 
+    def test_relation_rejects_negative_orders(self):
+        # -2 is even, and the central specialization would give it residuals
+        with pytest.raises(ValueError, match="hierarchy index must be >= 0"):
+            fock.hierarchy_relation_residuals(-2, MODEL, [0.7, -1.3])
+
     def test_zero_momentum_rejected(self):
         with pytest.raises(ValueError):
             hierarchy_commutator_residual(0, 1, MODEL, 0.0)
 
 
-def _one_point_leaf(atom, env, model, word=()):
+def _one_point_leaf(atom, env, model):
     """An atom's tensor at one momentum assignment, read from the model one
-    point at a time: the reference for the engine's array reads of its leaves."""
+    point at a time: the reference for the engine's array reads of its leaves.
+    A contraction leaf (T, R) and a dress (I + calT, calT, calR) read the
+    model's pair."""
     d = model.doubled_dim
     flavour, _, *momenta = atom
     ks = [sign * env[label] for sign, label in momenta]
     if flavour == "S":
         return model.calS.eval(*ks).reshape(d, d, d, d)
-    if flavour == "T":
+    if flavour in ("T", "I+calT"):
         return np.eye(d) + model.defect.T(ks[0])
-    if flavour == "R":
-        return model.defect.R(ks[0])
-    # a dressing atom names its word position; a dress takes a momentum array
-    # and gives the stack, or one matrix for every momentum
-    got = np.asarray(word[flavour].dress(np.array(ks)), dtype=complex)
-    return np.broadcast_to(got, (1, d, d))[0]
+    if flavour == "calT":
+        return model.defect.T(ks[0])
+    assert flavour in ("R", "calR")
+    return model.defect.R(ks[0])
 
 
 def _reference_coefficient(expr, term, env, model):
@@ -475,7 +491,7 @@ def _reference_coefficient(expr, term, env, model):
             continue
         operands, seen = [], {}
         for atom in net:
-            tensor = _one_point_leaf(atom, env, model, expr.word)
+            tensor = _one_point_leaf(atom, env, model)
             operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
         total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
     return total
@@ -619,12 +635,15 @@ def _old_four_word_part(word, model, power, p, want_flip):
 class TestShapeCachedKernels:
     @pytest.mark.parametrize("dressed_pos", [1, 2])
     def test_same_shape_words_use_their_own_dress(self, dressed_pos):
+        """Two dress data on one position: each word's coefficients are the
+        pair's matrix at the dress's signed momentum contracted with the bare
+        word's coefficient."""
         model = _rational_model()
         d = model.doubled_dim
-        dresses = [
-            lambda w: np.asarray(model.defect.R(w)),
-            lambda w: np.eye(d) + np.multiply.outer(w, np.arange(d * d).reshape(d, d)),
-        ]
+        dresses = {
+            ("calR", +1): lambda w: model.defect.R(w),
+            ("I+calT", -1): lambda w: np.eye(d) + model.defect.T(-w),
+        }
 
         def word(dress):
             syms = [a("p"), ad("w"), a("w", sign=-1), ad("q")]
@@ -633,10 +652,10 @@ class TestShapeCachedKernels:
 
         bare = normal_order_vev(word(None), model)
         bare_terms = {t.pairing: t for t in bare.terms}
-        exprs = [normal_order_vev(word(f), model) for f in dresses]
-        assert exprs[0].terms is exprs[1].terms  # one cached expansion
+        exprs = [normal_order_vev(word(dress), model) for dress in dresses]
+        assert [t.pairing for t in exprs[0].terms] == [t.pairing for t in exprs[1].terms]
         got = []
-        for expr, f in zip(exprs, dresses):
+        for expr, f in zip(exprs, dresses.values()):
             for term in expr.terms:
                 env = resolve_momenta(term, expr.word, {"p": 0.7})
                 coeff = evaluate_coefficient(expr, term, env, model)
@@ -651,44 +670,27 @@ class TestShapeCachedKernels:
         half = len(got) // 2
         assert any(np.max(np.abs(x - y)) > 1e-3 for x, y in zip(got[:half], got[half:]))
 
-    def test_a_constant_dress_is_read_for_every_momentum(self):
-        """A dress takes a momentum array; one that returns one matrix for
-        all of them gives the coefficients of one that returns the stack."""
-        model = _rational_model()
-        d = model.doubled_dim
-        m = np.eye(d) + np.arange(d * d).reshape(d, d)
-        got = []
-        for dress in (lambda w: m, lambda w: np.broadcast_to(m, (len(w), d, d))):
-            expr = normal_order_vev([a("p"), ad("w"), a("w", sign=-1, dress=dress), ad("q")], model)
-            jobs = [(term, resolve_momenta(term, expr.word, {"p": p}), None)
-                    for term in expr.terms for p in (0.7, 0.7, -1.3)]
-            got.append(fock.evaluate_coefficients(expr, jobs, model))
-        assert len(got[0]) == 12 and all(np.array_equal(x, y) for x, y in zip(*got))
-
     @pytest.mark.parametrize("traced", [False, True])
-    def test_a_batch_of_four_words_gives_each_word_alone(self, traced):
-        """One _coefficients call numbers its dresses by function: two words
-        of one shape with different dresses on one position stay apart, and
-        a dress on two words is one leaf flavour, read once.  Each word's
-        coefficients equal, bit for bit, those of a call on it alone."""
+    def test_a_batch_of_four_words_gives_each_word_alone(self, traced, monkeypatch):
+        """Four-words with different dresses on one position stay apart in
+        one _coefficients call, and a calR dress and the calR contraction
+        leaves are one leaf flavour, read once.  Each word's coefficients
+        equal, bit for bit, those of a call on it alone."""
         model = _rational_model()
-        d = model.doubled_dim
         reads: dict[str, int] = {}
+        for attr in ("R", "T"):
+            read = getattr(DefectPair, attr)
 
-        def counted(name, fn):
-            def dress(w):
-                reads[name] = reads.get(name, 0) + 1
-                return fn(w)
-            return dress
+            def counted(pair, k, attr=attr, read=read):
+                if pair is model.defect:
+                    reads[attr] = reads.get(attr, 0) + 1
+                return read(pair, k)
 
-        shared = counted("shared", lambda w: model.defect.R(w))
-        other = counted("other", lambda w: np.eye(d) + np.multiply.outer(
-            w, np.arange(d * d).reshape(d, d)))
-        words = [[a("p"), ad("w", dress=shared), a("w", sign=-1), ad("q")],
-                 [a("p"), ad("w", dress=other), a("w", sign=-1), ad("q")],
-                 [a("p"), ad("w"), a("w", sign=-1, dress=shared), ad("q")]]
+            monkeypatch.setattr(DefectPair, attr, counted)
+        words = [[a("p"), ad("w", dress=("calR", +1)), a("w", sign=-1), ad("q")],
+                 [a("p"), ad("w", dress=("calT", -1)), a("w", sign=-1), ad("q")],
+                 [a("p"), ad("w"), a("w", sign=-1, dress=("calR", +1)), ad("q")]]
         exprs = [normal_order_vev(word, model) for word in words]
-        assert exprs[0].terms is exprs[1].terms  # one expansion, two dresses
         ps = np.array([0.7, -1.3, 2.2])
         jobs = []
         for expr in exprs:
@@ -697,14 +699,15 @@ class TestShapeCachedKernels:
                 jobs.append((expr.word, term, np.stack([ps, env["w"] * ps, env["q"] * ps], 1)))
 
         def run(batch):
-            return fock._coefficients([word for word, *_ in batch], [t for _, t, _ in batch],
+            return fock._coefficients(batch[0][0], [t for _, t, _ in batch],
                                       np.concatenate([m for *_, m in batch]), None, model,
                                       len(ps), traced)
 
         alone = [run([job]).tobytes() for job in jobs]
         reads.clear()
         together = run(jobs)
-        assert reads == {"shared": 1, "other": 1}
+        # R: the contraction leaves and both calR dresses; T: I + calT and calT
+        assert reads == {"R": 1, "T": 2}
         assert [x.tobytes() for x in np.split(together, len(jobs))] == alone
         half = len(exprs[0].terms)
         assert alone[:half] != alone[half:2 * half]
@@ -712,7 +715,7 @@ class TestShapeCachedKernels:
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_kernels_match_the_per_term_loop(self, model_name):
         model = MODEL if model_name == "delta N=1" else _rational_model()
-        mid_r = a("w", sign=-1, dress=lambda w: model.defect.R(w))
+        mid_r = a("w", sign=-1, dress=("calR", +1))
         for power in range(5):
             cases = [
                 (hamiltonian_kernel(power, model), [a("p"), ad("w"), a("w"), ad("q")]),
@@ -733,9 +736,9 @@ class TestShapeCachedKernels:
         calls = []
         original = fock._coefficients
 
-        def counting(words, terms, momenta, *args, **kwargs):
+        def counting(word, terms, momenta, *args, **kwargs):
             calls.append((len(terms), len(momenta)))
-            return original(words, terms, momenta, *args, **kwargs)
+            return original(word, terms, momenta, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_coefficients", counting)
         momenta = list(np.linspace(0.1, 2.9, count) * (-1) ** np.arange(count))
@@ -758,8 +761,8 @@ class TestShapeCachedKernels:
         rounding level under this mutation, because both of their sides read
         the same leaves."""
         read = fock._read
-        monkeypatch.setattr(fock, "_read", lambda kind, ks, model: read(
-            kind, tuple(-k for k in ks) if kind == flavour else ks, model))
+        monkeypatch.setattr(fock, "_read", lambda code, ks, model, dresses: read(
+            code, tuple(-k for k in ks) if fock.FLAVOURS[code] == flavour else ks, model, dresses))
         model = _rational_model()
         momenta = [0.7, -1.3, 2.2, -0.4]
         for m, n in ((0, 1), (1, 2)):
@@ -880,7 +883,7 @@ def _one_network_at_a_time(expr, term, env, at, model):
             total = total + 1.0
             continue
         tensors = [
-            _one_point_leaf(atom, env, model, expr.word)[None][
+            _one_point_leaf(atom, env, model)[None][
                 (slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
             for atom in net]
         seen: dict = {}
@@ -975,8 +978,7 @@ class TestTopologyBatches:
         unplanned einsum within rounding."""
         model = MODEL if model_name == "delta N=1" else _rational_model()
         d = model.doubled_dim
-        dresses = [None, model.defect.R, lambda w: np.eye(d) + model.defect.T(w),
-                   lambda w: np.eye(d) + np.arange(d * d).reshape(d, d)]
+        dresses = [None, *itertools.product(fock.DRESSES, (+1, -1))]
         kinds = data.draw(st.permutations(["a"] * n + ["ad"] * n))
         symbols = [fock.WordSymbol(kind, data.draw(st.sampled_from("pqw")),
                                    data.draw(st.sampled_from([1, -1])),
@@ -1040,9 +1042,9 @@ class TestTopologyBatches:
         calls = []
         original = fock._coefficients
 
-        def counting(expr, terms, *args, **kwargs):
+        def counting(word, terms, *args, **kwargs):
             calls.append(len(terms))
-            return original(expr, terms, *args, **kwargs)
+            return original(word, terms, *args, **kwargs)
 
         monkeypatch.setattr(fock, "_coefficients", counting)
         ks = [-1.7, 0.4, 2.2][:n]

@@ -433,11 +433,11 @@ class TestArrayResiduals:
     # check -> its calls of the doubled pair's R and T, at 1 and at 50 momenta
     ENGINE_READS = {
         # one call for H at ps and -ps and the reflection moment at ps: C-R
-        # and C-T, each once on all its momenta, and the dress calR
-        "hierarchy-commutator(0,1)": {"R": 2, "T": 1},
-        # one call for the 7 words: on the trivial pair C-R and C-T, and the
-        # dresses I + calT (one function on both sides), calT, calR(-w), calR
-        "hierarchy-relation(2)": {"R": 3, "T": 3},
+        # and C-T, each once on all its momenta, the dress calR read with C-R
+        "hierarchy-commutator(0,1)": {"R": 1, "T": 1},
+        # one call for the 7 words: on the trivial pair C-R and C-T, and on
+        # the model's pair the dresses I + calT, calT and calR (at w and -w)
+        "hierarchy-relation(2)": {"R": 2, "T": 3},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
@@ -598,8 +598,9 @@ class TestSharedRows:
             [(tuple(s.dress is not None for s in word), m is dm)]) or normal_order(word, m))
         calls.clear()
         run_suite(model)
-        # with each row reading on its own: S 177, R 120, T 102, calS 24, blocks 12
-        assert dict(calls) == {"S": 105, "R": 54, "T": 54, "calS": 18, "blocks": 8}
+        # with each row reading on its own: S 177, R 120, T 102, calS 24, blocks 12;
+        # the hierarchy's calR dresses are read with its calR contraction leaves
+        assert dict(calls) == {"S": 105, "R": 50, "T": 54, "calS": 18, "blocks": 8}
         # the commutators' Hamiltonian and reflection-moment words, once each
         # (with each row on its own, four times each)
         assert {shape: n for (shape, on_dm), n in expanded.items() if on_dm} == {
