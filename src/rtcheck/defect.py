@@ -301,6 +301,8 @@ def relation_residual(S: BulkSMatrix, D: DefectPair, k1: float, k2: float, varia
     where r*t = 0: a nonconstant bulk allows reflection or transmission, not
     both (Delfino, Mussardo & Simonetti, Phys. Lett. B 328 (1994) 123).
     """
+    if variant not in RELATIONS:
+        raise ValueError(f"unknown relation variant {variant!r}")
     if np.ndim(k1) or np.ndim(k2):
         raise ValueError(f"a relation residual takes one momentum k1 and one k2, "
                          f"got shapes {np.shape(k1)} and {np.shape(k2)}")

@@ -37,19 +37,19 @@ legs before contracting, each batch row at its own ``at``, and the
 Every coefficient is contracted on one path, ``_coefficients``: amplitudes,
 factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
-records at expansion the datum it reads (S, the contraction leaves T and R,
-or a dress: I + calT, calT or calR) and the (sign, label) of each momentum
-it reads it at.  A call's rows, one per network of its terms, are encoded
-once per selection of terms (``_rows``): each slot's flavour code, signs
-and label columns, and the (row, point) entries of each topology.  A call
-forms every slot's momenta from its (job, point, label) array in one
-expression, reads each distinct leaf once, each flavour with one call on
-the array of its momenta (``calS.eval``, ``I + calT``, ``calT`` or
-``calR``), and gives each slot of a topology its leaves, sliced at each
-entry's ``at``, with one gather.  A dress of the model's own pair has the
-flavour of the contraction leaf it equals, so the two share their reads.
-A call's model calls do not grow with its rows or points, and its Python
-steps grow only with its topologies.
+records at expansion what it reads (S, a contraction leaf T or R, or a
+dress: I + calT, calT or calR) and the (sign, label) of each momentum it
+reads it at.  A call's rows, one per network of its terms, are encoded
+once per selection of terms (``_rows``, the one holder of the contraction
+rule): each slot's flavour code, signs and label columns, and the (row,
+point) entries of each topology.  A call forms every slot's momenta from
+its (job, point, label) array in one expression, reads each distinct leaf
+once, each flavour with one call on the array of its momenta (``calS.eval``,
+``I + calT``, ``calR`` or ``calT``; the ZF constants I and 0 with none), and
+gives each slot of a topology its leaves, sliced at each entry's ``at``,
+with one gather.  A contraction leaf and a dress of one datum share their
+reads.  A call's model calls do not grow with its rows or points, and its
+Python steps grow only with its topologies.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and dress.  It never depends on the model (which only
@@ -62,8 +62,8 @@ as +p or -p.  Its networks have no S leaf, and their plans keep legs 0 and
 3 and trace legs 1 and 2.  A hierarchy residual makes one call for all the
 (word, momentum array) passes it reads: the Hamiltonian word at p and -p
 and the reflection-moment word at p for every commutator, or the seven
-words of the relation, which contract by the plain ZF rules and read their
-dresses from the model's pair.
+words of the relation on the model itself, which contract by the plain ZF
+rules and read their dresses from the model's pair.
 
 Coefficients are taken against the bare delta: no layer multiplies by
 2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
@@ -83,7 +83,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defect import DefectPair, ZeroMomentumError
-from .doubling import DoubledModel, build_doubled_model
+from .doubling import DoubledModel
 from .smatrix import SLICE
 
 TWO_PI = 2.0 * np.pi
@@ -130,7 +130,7 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 # An atom is (flavour, legs, *momenta): the model datum it reads, its leg list
 # and the (sign, label) of each momentum that datum is read at.
 # ("S", (a_old, ad_new, a_new, ad_old), q_expr, p_expr)   4-leg braid tensor
-# ("T"|"R", (a_leg, ad_leg), q_expr)                      contraction matrix
+# ("T"|"R", (a_leg, ad_leg), q_expr)                      contraction matrix (see _rows)
 # (datum, (row, col), (sign, label))                      dressing matrix
 # A dressing atom's datum is one of DRESSES, so an expansion holds no model
 # closure and can be shared by every word of the same shape.
@@ -153,9 +153,9 @@ class ContractionTerm:
     legs: tuple[tuple, ...]  # per network its atoms' leg lists: equal ones share a topology
 
 
-# leaf flavour codes 0-5: the braid, the contraction leaves (I + calT and calR of the
-# model's pair) and the dresses (of the dress pair, by default the model's own)
-FLAVOURS = ("S", "T", "R", *DRESSES)
+# leaf flavour codes 0-5, one datum each: the braid, the model pair's contraction leaves
+# and dresses I + calT and calR, the dress calT, and the plain ZF leaves I and 0
+FLAVOURS = ("S", "I+calT", "calR", "calT", "I", "0")
 
 
 @dataclass(frozen=True)
@@ -268,23 +268,24 @@ def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
     return inputs, output
 
 
-def _read(code: int, ks, model: DoubledModel, dresses: DefectPair) -> np.ndarray:
+def _read(code: int, ks, model: DoubledModel) -> np.ndarray:
     """The stack of a leaf flavour's tensors at its momenta ``ks`` (one
-    float, or one 1-d array, per momentum slot), by one model call:
-    ``calS.eval``, or I + calT, calT or calR of the model's pair (codes 1
-    and 2, the contraction leaves) or of ``dresses`` (the dresses)."""
+    float, or one 1-d array, per momentum slot): by one model call
+    ``calS.eval``, or I + calT, calR or calT of the model's pair, and by
+    none the constants I and 0, the plain ZF contraction leaves."""
     d, flavour = model.doubled_dim, FLAVOURS[code]
     if flavour == "S":
         return model.calS.eval(*ks).reshape(-1, d, d, d, d)
-    pair = model.defect if code < 3 else dresses
-    if flavour in ("R", "calR"):
-        return pair.R(ks[0]).reshape(-1, d, d)
-    got = pair.T(ks[0])
+    if flavour in ("I", "0"):
+        return np.broadcast_to(np.eye(d, dtype=complex) * (flavour == "I"), (np.size(ks[0]), d, d))
+    if flavour == "calR":
+        return model.defect.R(ks[0]).reshape(-1, d, d)
+    got = model.defect.T(ks[0])
     return (got if flavour == "calT" else np.eye(d) + got).reshape(-1, d, d)
 
 
-def _leaf_tables(codes: np.ndarray, ks: np.ndarray, model: DoubledModel,
-                 dresses: DefectPair) -> tuple[list, np.ndarray]:
+def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
+                 model: DoubledModel) -> tuple[list, np.ndarray]:
     """Every distinct leaf of a query read once: per flavour code, one
     ``_read`` on the array of its distinct momenta, at floats if it has
     one.  A slot's leaf is its (code, momenta at P points), from ``codes``
@@ -307,7 +308,7 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray, model: DoubledModel,
         pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
             tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
-        tables[code > 0].append(_read(code, pair[:1 if code else 2], model, dresses))
+        tables[code > 0].append(_read(code, pair[:1 if code else 2], model))
     if P != 1:  # each slot's leaf rows, point by point
         index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
@@ -369,23 +370,23 @@ def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...],
-          points: int, traced: bool, batch: int, own: bool) -> tuple:
-    """The structure of a query of ``terms`` (of expansions with ``labels``
-    and ``n_ext`` word positions) at ``points`` momenta each; it depends on
-    the terms only, so a repeated query reuses it.  A network is a row,
-    term by term, and an atom a slot, row by row; a (row, point) is a batch
-    entry and a (slot, point) a leaf.  Gives each slot's flavour code, the
-    signs of its two momenta at each point (0 for one it lacks) and the
-    (momenta row, label column) index that reads them; the entry of each
-    (term, point)'s first network (a slice if no term has another) and its
-    network count; and per topology, ``batch`` entries at a time, the
-    entries, their terms and leaves and its plan inputs: every word position
-    kept or, ``traced``, legs 0 and 3 with leg 2 as leg 1.  An atom that
-    networks share is one object (a branch extends its parent's), as are a
+          points: int, traced: bool, batch: int, zf: bool) -> tuple:
+    """The structure of a query of ``terms`` (of expansions with ``labels`` and
+    ``n_ext`` word positions) at ``points`` momenta each; it depends on the
+    terms only, so a repeated query reuses it.  A network is a row, term by
+    term, and an atom a slot, row by row; a (row, point) is a batch entry and a
+    (slot, point) a leaf.  The contraction rule reads a T atom as I + calT and
+    an R atom as calR, or, ``zf``, as the plain ZF constants I and 0.  Gives
+    each slot's flavour code, the signs of its two momenta at each point (0 for
+    one it lacks) and the (momenta row, label column) index that reads them;
+    the entry of each (term, point)'s first network (a slice if no term has
+    another) and its network count; and per topology, ``batch`` entries at a
+    time, the entries, their terms and leaves and its plan inputs: every word
+    position kept or, ``traced``, legs 0 and 3 with leg 2 as leg 1.  An atom
+    that networks share is one object (a branch extends its parent's), as are a
     topology's leg lists, so each is encoded once."""
     code = {f: i for i, f in enumerate(FLAVOURS)}
-    if own:  # the dresses are of the model's pair: I + calT and calR are contraction leaves
-        code.update({"I+calT": code["T"], "calR": code["R"]})
+    code.update(T=code["I" if zf else "I+calT"], R=code["0" if zf else "calR"])
     nets = [net for term in terms for net in term.networks]
     atoms = {id(atom): atom for net in nets for atom in net}
     atom_number = {key: i for i, key in enumerate(atoms)}
@@ -426,8 +427,7 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
 
 def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
                   momenta: np.ndarray, ats: Optional[np.ndarray], model: DoubledModel,
-                  points: int = 1, traced: bool = False,
-                  dresses: Optional[DefectPair] = None) -> np.ndarray:
+                  points: int = 1, traced: bool = False, zf: bool = False) -> np.ndarray:
     """The coefficients of ``terms`` (of words of the length and labels of
     ``word``), term j at rows j*points to (j+1)*points - 1 of ``momenta``
     (one column per label), one per (term, point): whole tensors, traced
@@ -435,15 +435,13 @@ def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
     component index per position and term) one entry each.  The rows
     (``_rows``) of a topology are one batched contraction, each slot
     gathering its leaves (``_leaf_tables``), sliced at each entry's ``at``.
-    The dresses are read from the pair ``dresses``, by default the model's
-    own, whose I + calT and calR dresses are read with the contraction
-    leaves.  A term sums its networks' values in network order."""
+    The contraction leaves are the model's (I + calT and calR) or, ``zf``,
+    the plain ZF constants I and 0; the dresses are always the model's.  A
+    term sums its networks' values in network order."""
     d, n_ext = model.doubled_dim, len(word)
-    dresses = model.defect if dresses is None else dresses
     codes, signs, reads, start, count, groups = _rows(
-        _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2),
-        dresses is model.defect)
-    tables, index = _leaf_tables(codes, signs * momenta[reads], model, dresses)
+        _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2), zf)
+    tables, index = _leaf_tables(codes, signs * momenta[reads], model)
     shape = (d, d) if traced else () if ats is not None else (d,) * n_ext
     values = np.zeros((count.sum(), *shape), dtype=complex)
     for entries, jobs, where, (inputs, output, legs) in groups:
@@ -612,13 +610,13 @@ HAMILTONIAN_PREFACTOR = 0.5  # the 1/2 in front of the Hamiltonian integral
 
 
 def _traced_passes(model: DoubledModel, passes: list[tuple],
-                   dresses: Optional[DefectPair] = None) -> list[tuple[list, list]]:
+                   zf: bool = False) -> list[tuple[list, list]]:
     """Words <a(p) M†(w) M(w) ad(q)>, one per pass (M†, M, momentum array),
-    traced over their middle legs in one ``_coefficients`` call (dressed from
-    ``dresses``, by default the model's pair), each term a job on its pass's
-    array.  A term fixes w = +-p and q = +-p, read once per word by
-    resolving its pairing at p = 1.  Per pass two lists of (w per momentum,
-    (P, 2N, 2N) traced coefficient) in term order: the terms with q = p (the
+    traced over their middle legs in one ``_coefficients`` call (contracted
+    by the plain ZF rules if ``zf``), each term a job on its pass's array.
+    A term fixes w = +-p and q = +-p, read once per word by resolving its
+    pairing at p = 1.  Per pass two lists of (w per momentum, (P, 2N, 2N)
+    traced coefficient) in term order: the terms with q = p (the
     delta(p - k) part) and those with q = -p."""
     jobs, words = [], {}  # (M†, M) -> its word's terms, each with its momenta at p = 1
     for i, (creator, annihilator, ps) in enumerate(passes):
@@ -631,7 +629,7 @@ def _traced_passes(model: DoubledModel, passes: list[tuple],
     momenta = np.concatenate([np.stack([ps, sw * ps, sq * ps], axis=1) for *_, sw, sq, ps in jobs])
     # every pass's word has the length and labels of the last one expanded
     got = _coefficients(expr.word, [job[1] for job in jobs], momenta, None, model, points,
-                        traced=True, dresses=dresses)
+                        traced=True, zf=zf)
     out: list[tuple[list, list]] = [([], []) for _ in passes]
     for (i, _, sw, sq, ps), coeff in zip(jobs, got.reshape(len(jobs), points, d, d)):
         out[i][sq < 0].append(((sw * ps).tolist(), coeff))
@@ -715,13 +713,6 @@ def hierarchy_commutator_residual(m: int, n: int, model: DoubledModel, p: float)
     return hierarchy_commutator_residuals([(m, n)], model, [p])[0][0]
 
 
-def _zf_view(model: DoubledModel) -> DoubledModel:
-    """Same exchange matrix, trivial defect: the plain ZF contraction rules."""
-    zero = np.zeros((model.bulk_dim, model.bulk_dim), dtype=complex)
-    trivial = DefectPair(model.bulk_dim, lambda k: zero, lambda k: zero, batched=True)
-    return build_doubled_model(model.bulk, trivial)
-
-
 def hierarchy_relation_residuals(
     n: int, model: DoubledModel, momenta: list[float]
 ) -> list[float]:
@@ -739,15 +730,14 @@ def hierarchy_relation_residuals(
         raise ValueError("hierarchy index must be >= 0")
     if n % 2 != 0:
         raise ValueError("the central specialization verifies even orders only")
-    zf = _zf_view(model)
     creators = [ad("w", dress=("I+calT", +1)), ad("w", sign=-1, dress=("calR", -1))]
     annihilators = [a("w", dress=("I+calT", +1)), a("w", sign=-1, dress=("calR", +1))]
     mids = [(cr, an, 0.25) for cr in creators for an in annihilators] + [
         (ad("w"), an, 1.0)
         for an in (a("w"), a("w", dress=("calT", +1)), a("w", sign=-1, dress=("calR", +1)))]
     ps = np.array(momenta, dtype=float)
-    got = _traced_passes(zf, [(cr, an, ps) for cr, an, _ in mids], dresses=model.defect)
-    K = [_moment_kernel(lambda x, parts=parts: parts, n, prefactor, zf.doubled_dim)
+    got = _traced_passes(model, [(cr, an, ps) for cr, an, _ in mids], zf=True)
+    K = [_moment_kernel(lambda x, parts=parts: parts, n, prefactor, model.doubled_dim)
          for parts, (*_, prefactor) in zip(got, mids)]
     k_rt, (k_zf, imp_t, imp_r) = functools.reduce(add, K[:4]), K[4:]
     rhs = scale(add(k_zf, add(imp_t, imp_r)), 0.5)

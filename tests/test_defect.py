@@ -239,9 +239,10 @@ class TestMixedRelations:
                 r2 = max(mixed_relation_residual(S, D, a, b, second) for a, b in PAIRS)
                 assert (r1 <= tol) == (r2 <= tol)
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            mixed_relation_residual(identity_S(1), delta_defect(1.0), 1.0, 2.0, "nope")
+    @pytest.mark.parametrize("residual", [mixed_relation_residual, relation_residual])
+    def test_unknown_variant(self, residual):
+        with pytest.raises(ValueError, match="relation variant 'nope'"):
+            residual(identity_S(1), delta_defect(1.0), 1.0, 2.0, "nope")
 
 
 class TestConsistencyRelations:

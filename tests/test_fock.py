@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rtcheck import fock
+from rtcheck import doubling, fock
 from rtcheck.config import build_model, parse_config
 from rtcheck.defect import (
     DefectPair,
@@ -750,19 +750,21 @@ class TestShapeCachedKernels:
         assert len(fock.hierarchy_relation_residuals(2, model, momenta)) == count
         assert calls == [(28, 28 * count)]
 
-    @pytest.mark.parametrize("flavour", ["T", "R"])
+    @pytest.mark.parametrize("flavour", ["I+calT", "calR"])
     def test_a_leaf_read_at_the_negated_momenta_fails_the_odd_commutators(
             self, monkeypatch, flavour):
         """Mutation check of the hierarchy pass's leaf reads: read every
-        contraction leaf of one flavour (I + calT, or calR) at the negated
-        momentum array.  The mixed-parity commutators (0,1) and (1,2), whose
-        right side is the engine's reflection moment, then fail by O(1).
-        hierarchy-relation(0) and (2) and the same-parity commutators stay at
-        rounding level under this mutation, because both of their sides read
-        the same leaves."""
+        leaf of one flavour (I + calT, or calR) at the negated momentum
+        array.  The mixed-parity commutators (0,1) and (1,2), whose right
+        side is the engine's reflection moment, then fail by O(1), while
+        the same-parity commutators stay at rounding level, because both of
+        their sides read the same leaves.  hierarchy-relation(0) and (2)
+        fail too: their contraction leaves are the plain ZF constants, so
+        the mutation reaches only their dresses, which the two sides of the
+        relation do not read alike."""
         read = fock._read
-        monkeypatch.setattr(fock, "_read", lambda code, ks, model, dresses: read(
-            code, tuple(-k for k in ks) if fock.FLAVOURS[code] == flavour else ks, model, dresses))
+        monkeypatch.setattr(fock, "_read", lambda code, ks, model: read(
+            code, tuple(-k for k in ks) if fock.FLAVOURS[code] == flavour else ks, model))
         model = _rational_model()
         momenta = [0.7, -1.3, 2.2, -0.4]
         for m, n in ((0, 1), (1, 2)):
@@ -772,7 +774,39 @@ class TestShapeCachedKernels:
             (residuals,) = fock.hierarchy_commutator_residuals([(m, n)], model, momenta)
             assert max(residuals) < 1e-12
         for n in (0, 2):
-            assert max(fock.hierarchy_relation_residuals(n, model, momenta)) < 1e-12
+            assert max(fock.hierarchy_relation_residuals(n, model, momenta)) > 1e-3
+
+    @pytest.mark.parametrize("bulk", [identity_S(1), rational_S(2, 1.0)], ids=["N=1", "N=2"])
+    def test_the_zf_constants_are_the_leaves_of_a_zero_pair(self, bulk):
+        """The plain ZF contraction leaves I and 0, read by no model call,
+        are I + calT and calR of a zero pair: on a model doubled from a zero
+        half-line pair, the relation's seven words give the same bytes under
+        either contraction rule."""
+        zero = np.zeros((bulk.leg_dim, bulk.leg_dim), dtype=complex)
+        model = build_doubled_model(bulk, DefectPair(bulk.leg_dim, lambda k: zero, lambda k: zero))
+        ps = np.array([0.7, -1.3, 2.2, -0.4])
+        creators = [ad("w", dress=("I+calT", +1)), ad("w", sign=-1, dress=("calR", -1))]
+        annihilators = [a("w", dress=("I+calT", +1)), a("w", sign=-1, dress=("calR", +1))]
+        passes = [(cr, an, ps) for cr in creators for an in annihilators] + [
+            (ad("w"), an, ps)
+            for an in (a("w"), a("w", dress=("calT", +1)), a("w", sign=-1, dress=("calR", +1)))]
+
+        def parts(zf):
+            got = fock._traced_passes(model, passes, zf=zf)
+            return [(ws, coeff.tobytes()) for part in got for half in part for ws, coeff in half]
+
+        assert parts(True) == parts(False)
+
+    def test_the_relation_builds_no_doubled_model(self, monkeypatch):
+        """The relation contracts its words on the model it is given: it
+        builds no zero-defect copy of the model, doubled S-matrix included."""
+        model = _rational_model()
+        built = []
+        double = doubling.double_S_bulk
+        monkeypatch.setattr(doubling, "double_S_bulk", lambda s: built.append(s) or double(s))
+        for n in (0, 2):
+            assert max(fock.hierarchy_relation_residuals(n, model, [0.7, -1.3])) < 1e-12
+        assert built == []
 
     @pytest.mark.parametrize("model_name", ["delta N=1", "rational N=2"])
     def test_batch_equals_one_momentum_at_a_time(self, model_name):

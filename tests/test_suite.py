@@ -435,9 +435,10 @@ class TestArrayResiduals:
         # one call for H at ps and -ps and the reflection moment at ps: C-R
         # and C-T, each once on all its momenta, the dress calR read with C-R
         "hierarchy-commutator(0,1)": {"R": 1, "T": 1},
-        # one call for the 7 words: on the trivial pair C-R and C-T, and on
-        # the model's pair the dresses I + calT, calT and calR (at w and -w)
-        "hierarchy-relation(2)": {"R": 2, "T": 3},
+        # one call for the 7 words: the contraction leaves are the plain ZF
+        # constants, read by no call, and the dresses I + calT, calT and calR
+        # (at w and -w) are the model's, one call each
+        "hierarchy-relation(2)": {"R": 1, "T": 2},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
@@ -602,6 +603,9 @@ class TestSharedRows:
         # the hierarchy's calR dresses are read with its calR contraction leaves
         assert dict(calls) == {"S": 105, "R": 50, "T": 54, "calS": 18, "blocks": 8}
         # the commutators' Hamiltonian and reflection-moment words, once each
-        # (with each row on its own, four times each)
+        # (with each row on its own, four times each), and the relation's
+        # seven words on the run's model: four with both middle symbols
+        # dressed, the ZF word and its calT and calR impurity words
         assert {shape: n for (shape, on_dm), n in expanded.items() if on_dm} == {
-            (False, False, False, False): 1, (False, False, True, False): 1}
+            (False, False, False, False): 2, (False, False, True, False): 3,
+            (False, True, True, False): 4}
