@@ -38,6 +38,9 @@ TOLERANCE_ENV_VAR = "RTCHECK_TOLERANCE"
 # Bound on the leg dimensions dim and N: the doubled checks' work grows as N^6 to
 # N^8; verify with rational N = 6 takes about 2 s and 66 MB (2-core x86-64).
 MAX_LEG_DIM = 6
+# Bound on samples, as memory grows about 34 MB per 1,000: verify with rational N = 3,
+# 10,000 samples and exclusion_radius 1e-4 takes about 6.5 s and 374 MB (2-core x86-64).
+MAX_SAMPLES = 10_000
 
 
 class ConfigError(ValueError):
@@ -67,6 +70,8 @@ class ModelConfig:
             raise ConfigError("tolerance must be > 0")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples must be <= {MAX_SAMPLES}")
         if self.exclusion_radius <= 0:
             raise ConfigError("exclusion_radius must be > 0")
         if self.seed < 0:
@@ -104,7 +109,7 @@ def _expand_shorthand(entry) -> dict:
 def parse_config(text: str) -> ModelConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -113,8 +118,6 @@ def parse_config(text: str) -> ModelConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     bulk = _expand_shorthand(raw.get("bulk", {"name": "identity", "dim": 1}))
     defect = _expand_shorthand(raw.get("defect", {"name": "delta", "eta": 1.0}))
-    for section, entry in (("bulk", bulk), ("defect", defect)):  # validated eagerly
-        _PARSED[section] = (repr(entry), _build(section, entry))
     return ModelConfig(
         bulk=bulk,
         defect=defect,
@@ -199,16 +202,13 @@ DEFECT_CATALOG = {
 }
 
 
-_PARSED: dict = {}  # section -> (repr of the entry parse_config last built, its model)
-
-
 def _build(section: str, entry):
     """Build a catalog entry once its name and parameter keys are checked; a
     value its builder rejects (c = 0, eta < 0) is a ConfigError."""
     catalog = BULK_CATALOG if section == "bulk" else DEFECT_CATALOG
     if not isinstance(entry, dict) or "name" not in entry:
         raise ConfigError(f"{section} section must be an object with a 'name'")
-    if entry["name"] not in catalog:
+    if not isinstance(entry["name"], str) or entry["name"] not in catalog:
         raise ConfigError(
             f"unknown {section} catalog entry {entry['name']!r}; available: {list(catalog)}"
         )
@@ -239,16 +239,9 @@ def scalar_times_identity(pair: DefectPair, N: int) -> DefectPair:
     return DefectPair(N, rho, tau, batched=pair.batched)
 
 
-def _parsed(section: str, entry: dict):
-    """The model parse_config last built, if from an equal entry, so that a
-    query builds each entry once; else a new one."""
-    text, built = _PARSED.get(section, (None, None))
-    return built if text == repr(entry) else _build(section, entry)
-
-
 def build_model(cfg: ModelConfig) -> "AssembledModel":
-    bulk = _parsed("bulk", cfg.bulk)
-    half = _parsed("defect", cfg.defect)
+    bulk = _build("bulk", cfg.bulk)
+    half = _build("defect", cfg.defect)
     if half.dim == 1 and bulk.leg_dim > 1:
         half = scalar_times_identity(half, bulk.leg_dim)
     doubled = None

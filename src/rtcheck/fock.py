@@ -135,8 +135,6 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 # A dressing atom's datum is one of DRESSES, so an expansion holds no model
 # closure and can be shared by every word of the same shape.
 
-Expr = tuple[int, str]
-
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: queries cache per selection of terms
 class ContractionTerm:

@@ -1,10 +1,12 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from rtcheck.cli import main
 from rtcheck.config import (
+    MAX_SAMPLES,
     ConfigError,
     ModelConfig,
     build_model,
@@ -90,11 +92,40 @@ class TestParseConfig:
 
     def test_unknown_catalog_named(self):
         with pytest.raises(ConfigError, match="nosuch"):
-            parse_config(json.dumps({"bulk": {"name": "nosuch"}}))
+            build_model(parse_config(json.dumps({"bulk": {"name": "nosuch"}})))
 
     def test_bad_json(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"bulk": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["top", "bulk"])
+    def test_a_config_nested_too_deeply_is_a_configuration_error(self, text, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            parse_config(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("rtcheck: error: config is not valid JSON")
+
+    @pytest.mark.parametrize("name", [{}, ["rational"], None])
+    def test_a_catalog_name_that_is_no_string_is_unknown(self, name):
+        with pytest.raises(ConfigError, match="unknown bulk catalog entry"):
+            build_model(parse_config(json.dumps({"bulk": {"name": name}})))
+
+    def test_parse_config_leaves_the_catalog_entries_to_build_model(self):
+        """A catalog error shows only when build_model builds the entry, so a
+        config value error in the same config is reported first."""
+        cfg = parse_config(json.dumps({"bulk": "rational:c=0", "defect": "nosuch"}))
+        assert cfg.bulk == {"name": "rational", "c": 0}
+        with pytest.raises(ConfigError, match="rational_S requires c != 0"):
+            build_model(cfg)
+        with pytest.raises(ConfigError, match="samples must be >= 1"):
+            parse_config(json.dumps({"bulk": "rational:c=0", "samples": 0}))
 
     def test_invalid_tolerance(self):
         with pytest.raises(ConfigError):
@@ -112,6 +143,26 @@ class TestParseConfig:
         monkeypatch.setenv("RTCHECK_TOLERANCE", value)
         with pytest.raises(ConfigError, match="RTCHECK_TOLERANCE must be finite"):
             parse_config(json.dumps({}))
+
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**15])
+    def test_samples_are_bounded(self, samples, monkeypatch, tmp_path, capsys):
+        """Rejected when the config is made, so no momentum array is."""
+        from rtcheck import smatrix
+
+        sampled = []
+        monkeypatch.setattr(smatrix, "sample_momenta", lambda *a: sampled.append(a))
+        message = f"samples must be <= {MAX_SAMPLES}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(json.dumps({"samples": samples}))
+        with pytest.raises(ConfigError, match=message):
+            replace(parse_config(json.dumps({})), samples=samples)
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"samples": samples}))
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"rtcheck: error: {message}\n")
+        assert sampled == []
+        assert parse_config(json.dumps({"samples": MAX_SAMPLES})).samples == MAX_SAMPLES
 
     def test_negative_seed_rejected(self):
         for seed in (-1, -(2**70)):
@@ -134,17 +185,17 @@ class TestParseConfig:
 
     def test_custom_defect_missing_entry(self):
         with pytest.raises(ConfigError, match="reflection"):
-            parse_config(
+            build_model(parse_config(
                 json.dumps({"defect": {"name": "custom", "transmission": "k"}})
-            )
+            ))
 
     def test_custom_defect_malformed_expression(self):
         with pytest.raises(ConfigError, match="expression"):
-            parse_config(
+            build_model(parse_config(
                 json.dumps({
                     "defect": {"name": "custom", "transmission": "k+", "reflection": "0"}
                 })
-            )
+            ))
 
     def test_catalog_string_shorthand(self):
         cfg = parse_config(
@@ -258,12 +309,10 @@ class TestBuildModel:
             assert not R[:N, N:].any() and not R[N:, :N].any()
 
     def test_each_catalog_entry_is_built_once_per_query(self, monkeypatch, tmp_path):
-        """parse_config builds each section to validate it and build_model
-        takes those models: a query, the CLI's --seed override included,
-        builds each catalog entry once.  An entry parsed before another is
-        built anew."""
+        """parse_config builds nothing and build_model builds each section:
+        a query, the CLI's --seed override included, builds each catalog
+        entry once."""
         from rtcheck import config
-        from rtcheck.cli import main
 
         built = []
         for catalog, name in ((config.BULK_CATALOG, "rational"), (config.DEFECT_CATALOG, "delta")):
@@ -277,8 +326,9 @@ class TestBuildModel:
         built.clear()
         first = parse_config(json.dumps({"bulk": "rational:N=2"}))
         parse_config(json.dumps({"bulk": "rational:N=3"}))
+        assert built == []
         assert build_model(first).bulk.leg_dim == 2
-        assert built == ["rational", "delta", "rational", "delta", "rational"]
+        assert built == ["rational", "delta"]
 
     def test_undoubled_model(self):
         cfg = parse_config(json.dumps({"doubled": False}))
