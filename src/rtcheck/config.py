@@ -92,7 +92,7 @@ def _expand_shorthand(entry) -> dict:
     if not isinstance(entry, str):
         raise ConfigError(f"catalog entry must be an object or string, got {entry!r}")
     name, _, params = entry.partition(":")
-    out: dict = {"name": name.strip()}
+    pairs = [("name", name.strip())]
     if params:
         for item in params.split(","):
             key, sep, value = item.partition("=")
@@ -100,15 +100,26 @@ def _expand_shorthand(entry) -> dict:
                 raise ConfigError(f"bad catalog parameter {item!r} in {entry!r}")
             text = value.strip()
             try:  # the number it spells, as JSON reads it: digits are an int
-                out[key.strip()] = int(text) if text.lstrip("-").isdigit() else float(text)
+                pairs.append((key.strip(),
+                              int(text) if text.lstrip("-").isdigit() else float(text)))
             except ValueError as exc:
                 raise ConfigError(f"bad catalog parameter {item!r}: {exc}") from exc
+    return _unique(pairs)
+
+
+def _unique(pairs: list[tuple]) -> dict:
+    """A JSON object's or a shorthand's pairs as a dict: a repeated key is an error."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"repeated config key {key!r}")
+        out[key] = value
     return out
 
 
 def parse_config(text: str) -> ModelConfig:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -3,7 +3,7 @@
 Scattering eigenfunctions and the matching condition at the origin: the
 analytic cross-check for the algebraic machinery.  Only eta >= 0 is supported
 (no bound state).  Each eigenfunction formula reads T and R once, via _branch.
-Its transition amplitudes are fock.one_particle_amplitude on the model's pair.
+Its transition amplitude at p is fock.one_particle_amplitude(model.pair, p).
 """
 
 from __future__ import annotations

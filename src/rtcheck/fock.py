@@ -56,14 +56,16 @@ label, momentum sign and dress.  It never depends on the model (which only
 supplies the leg dimension), so ``normal_order_vev`` expands each shape
 once and keeps the term list in a bounded cache.
 
-The one-particle kernels of the Hamiltonian hierarchy come from the
-four-symbol word <a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q
-as +p or -p.  Its networks have no S leaf, and their plans keep legs 0 and
-3 and trace legs 1 and 2.  A hierarchy residual makes one call for all the
-(word, momentum array) passes it reads: the Hamiltonian word at p and -p
-and the reflection-moment word at p for every commutator, or the seven
-words of the relation on the model itself, which contract by the plain ZF
-rules and read their dresses from the model's pair.
+A one-particle kernel is values: A and B at one momentum or at each of an
+array, so ``compose`` takes its right factor at p and at -p.  The kernels
+of the Hamiltonian hierarchy come from the four-symbol word
+<a(p) M†(w) M(w) ad(q)>, each of whose terms fixes w and q as +p or -p.
+Its networks have no S leaf, and their plans keep legs 0 and 3 and trace
+legs 1 and 2.  A hierarchy residual makes one call for all the (word,
+momentum array) passes it reads: the Hamiltonian word at p and -p and the
+reflection-moment word at p for every commutator, or the seven words of
+the relation on the model itself, which contract by the plain ZF rules and
+read their dresses from the model's pair.
 
 Coefficients are taken against the bare delta: no layer multiplies by
 2*pi per contraction, and `rtcheck amplitude` writes ``two_pi_power`` 0 for
@@ -78,7 +80,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -535,71 +537,55 @@ def resolve_momenta(
 
 @dataclass(frozen=True)
 class OneParticleKernel:
-    """Distributional kernel A(p) delta(p - k) + B(p) delta(p + k)."""
+    """Distributional kernel A(p) delta(p - k) + B(p) delta(p + k) as its values:
+    (d, d) matrices at one momentum p, or (P, d, d) stacks at a 1-d array."""
 
-    dim: int
-    A: Callable[[float], np.ndarray]
-    B: Callable[[float], np.ndarray]
+    A: np.ndarray
+    B: np.ndarray
 
 
 def identity_kernel(dim: int) -> OneParticleKernel:
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    return OneParticleKernel(dim, lambda p: eye, lambda p: zero)
+    return OneParticleKernel(np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex))
 
 
-def compose(K1: OneParticleKernel, K2: OneParticleKernel) -> OneParticleKernel:
-    """Kernel of the operator product: the delta calculus closure.
+def compose(K1: OneParticleKernel, K2: OneParticleKernel,
+            K2_reflected: OneParticleKernel) -> OneParticleKernel:
+    """Kernel of the operator product at p, from K1 and K2 at p and K2 at -p:
+    the delta calculus closure.
 
     A(p) = A1(p) A2(p) + B1(p) B2(-p);  B(p) = A1(p) B2(p) + B1(p) A2(-p).
     """
-    if K1.dim != K2.dim:
-        raise ValueError("kernel dimensions differ")
-    return OneParticleKernel(
-        K1.dim,
-        lambda p: K1.A(p) @ K2.A(p) + K1.B(p) @ K2.B(-p),
-        lambda p: K1.A(p) @ K2.B(p) + K1.B(p) @ K2.A(-p),
-    )
+    return OneParticleKernel(K1.A @ K2.A + K1.B @ K2_reflected.B,
+                             K1.A @ K2.B + K1.B @ K2_reflected.A)
 
 
 def add(K1: OneParticleKernel, K2: OneParticleKernel) -> OneParticleKernel:
-    if K1.dim != K2.dim:
-        raise ValueError("kernel dimensions differ")
-    return OneParticleKernel(
-        K1.dim, lambda p: K1.A(p) + K2.A(p), lambda p: K1.B(p) + K2.B(p)
-    )
+    return OneParticleKernel(K1.A + K2.A, K1.B + K2.B)
 
 
 def scale(K: OneParticleKernel, c: complex) -> OneParticleKernel:
-    return OneParticleKernel(K.dim, lambda p: c * K.A(p), lambda p: c * K.B(p))
+    return OneParticleKernel(c * K.A, c * K.B)
 
 
-def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel, p) -> float | np.ndarray:
-    """max |A1 - A2| + max |B1 - B2| at p.  An array p gives one distance per
-    momentum for kernels whose evaluators take arrays: the hierarchy kernels,
-    and those built on defect data (involution_kernel, one_particle_amplitude),
-    whose DefectPair.R/.T take arrays."""
-    return (np.abs(K1.A(p) - K2.A(p)).max(axis=(-2, -1))
-            + np.abs(K1.B(p) - K2.B(p)).max(axis=(-2, -1)))
+def kernel_distance(K1: OneParticleKernel, K2: OneParticleKernel) -> float | np.ndarray:
+    """max |A1 - A2| + max |B1 - B2|: one distance, or one per momentum of
+    kernels held at a momentum array."""
+    return np.abs(K1.A - K2.A).max(axis=(-2, -1)) + np.abs(K1.B - K2.B).max(axis=(-2, -1))
 
 
-def involution_kernel(model: DoubledModel) -> OneParticleKernel:
-    """J with A(k) = calT(k), B(k) = calR(k); J o J = id iff defect unitarity."""
-    return OneParticleKernel(model.doubled_dim, model.defect.T, model.defect.R)
+def involution_kernel(model: DoubledModel, p) -> OneParticleKernel:
+    """J at p, with A(p) = calT(p), B(p) = calR(p); J o J = id iff defect unitarity."""
+    return OneParticleKernel(model.defect.T(p), model.defect.R(p))
 
 
-def one_particle_amplitude(
-    half_line: DefectPair, delta_2pi: bool = False
-) -> OneParticleKernel:
-    """The transition-amplitude kernel assembled from Heaviside projections.
+def one_particle_amplitude(half_line: DefectPair, p, delta_2pi: bool = False) -> OneParticleKernel:
+    """The transition-amplitude kernel at p, assembled from Heaviside projections.
 
     A(p) = theta(p) T(p) + theta(-p) T(-p) = T(|p|), B likewise with R,
     optionally times 2*pi per delta; p = 0 is a domain error.
     """
     c = TWO_PI if delta_2pi else 1.0
-    return OneParticleKernel(
-        half_line.dim, lambda p: c * half_line.T(abs(p)), lambda p: c * half_line.R(abs(p))
-    )
+    return OneParticleKernel(c * half_line.T(abs(p)), c * half_line.R(abs(p)))
 
 
 # --- engine-derived kernels -------------------------------------------------
@@ -634,47 +620,40 @@ def _traced_passes(model: DoubledModel, passes: list[tuple],
     return out
 
 
-def _moment_kernel(
-    traced: Callable[[np.ndarray], tuple[tuple, tuple]], power: int, prefactor: float, dim: int
-) -> OneParticleKernel:
-    """The w^power moment of traced four-word coefficients (``traced`` maps a
-    momentum array to its pass), as a kernel: the delta calculus reduces the
-    integral over w to the substitution.  Its A and B take one momentum, or
-    an array of momenta with one result each, and keep each value."""
-    zero = np.zeros((dim, dim), dtype=complex)
-    kept: dict = {}
+def _moment_kernel(traced: tuple[list, list], power: int,
+                   prefactor: float = HAMILTONIAN_PREFACTOR) -> OneParticleKernel:
+    """The w^power moment of one traced pass (``_traced_passes``), times
+    ``prefactor``, as a kernel at the pass's momenta: the delta calculus
+    reduces the integral over w to the substitution."""
 
-    def moment(part: int, p: float | np.ndarray) -> np.ndarray:
-        ps = np.atleast_1d(np.asarray(p, dtype=float))
-        key = (part, np.ndim(p), ps.tobytes())
-        if key not in kept:
-            total = zero
-            for ws, tr in traced(ps)[part]:
-                # Python's power: numpy's differs in the last bit at some points
-                total = total + np.array([w ** power for w in ws])[:, None, None] * tr
-            total = prefactor * total
-            kept[key] = total if np.ndim(p) else total[0]
-        return kept[key]
+    def moment(part: list) -> np.ndarray:
+        total = 0.0
+        for ws, tr in part:
+            # Python's power: numpy's differs in the last bit at some points
+            total = total + np.array([w ** power for w in ws])[:, None, None] * tr
+        return prefactor * total
 
-    return OneParticleKernel(dim, functools.partial(moment, 0), functools.partial(moment, 1))
+    return OneParticleKernel(moment(traced[0]), moment(traced[1]))
 
 
-def hamiltonian_kernel(n: int, model: DoubledModel) -> OneParticleKernel:
-    """One-particle kernel of H^(n) = 1/2 integral dk k^n ad(k) a(k),
-    computed through the normal-ordering engine."""
-    if n < 0:
-        raise ValueError("hierarchy index must be >= 0")
-    return _moment_kernel(lambda ps: _traced_passes(model, [(ad("w"), a("w"), ps)])[0], n,
-                          HAMILTONIAN_PREFACTOR, model.doubled_dim)
-
-
-def reflection_moment_kernel(power: int, model: DoubledModel) -> OneParticleKernel:
-    """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) via the engine."""
+def _engine_kernel(mid: WordSymbol, power: int, model: DoubledModel, p) -> OneParticleKernel:
+    """The w^power moment kernel of <a(p) ad(w) mid(w) ad(q)> at p, or at each p of an array."""
     if power < 0:
         raise ValueError("hierarchy index must be >= 0")
-    mid = a("w", sign=-1, dress=("calR", +1))
-    return _moment_kernel(lambda ps: _traced_passes(model, [(ad("w"), mid, ps)])[0], power,
-                          HAMILTONIAN_PREFACTOR, model.doubled_dim)
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    K = _moment_kernel(_traced_passes(model, [(ad("w"), mid, ps)])[0], power)
+    return K if np.ndim(p) else OneParticleKernel(K.A[0], K.B[0])
+
+
+def hamiltonian_kernel(n: int, model: DoubledModel, p) -> OneParticleKernel:
+    """One-particle kernel of H^(n) = 1/2 integral dk k^n ad(k) a(k) at p,
+    computed through the normal-ordering engine."""
+    return _engine_kernel(a("w"), n, model, p)
+
+
+def reflection_moment_kernel(power: int, model: DoubledModel, p) -> OneParticleKernel:
+    """Kernel of 1/2 integral dk k^power ad(k) calR(k) a(-k) at p via the engine."""
+    return _engine_kernel(a("w", sign=-1, dress=("calR", +1)), power, model, p)
 
 
 def hierarchy_commutator_residuals(
@@ -690,19 +669,19 @@ def hierarchy_commutator_residuals(
     """
     if any(m < 0 or n < 0 for m, n in pairs):
         raise ValueError("hierarchy index must be >= 0")
-    ps, d = np.array(momenta, dtype=float), model.doubled_dim
+    ps = np.array(momenta, dtype=float)
     mid = a("w", sign=-1, dress=("calR", +1))
     at_p, at_minus_p, moments = _traced_passes(
         model, [(ad("w"), a("w"), ps), (ad("w"), a("w"), -ps), (ad("w"), mid, ps)])
-    passes = {ps.tobytes(): at_p, (-ps).tobytes(): at_minus_p}
-    H = {power: _moment_kernel(lambda x: passes[x.tobytes()], power, HAMILTONIAN_PREFACTOR, d)
-         for pair in pairs for power in pair}
+    # one moment per (pass, distinct power): H^(m) at p and at -p, and the right sides
+    H = {power: [_moment_kernel(at, power) for at in (at_p, at_minus_p)]
+         for power in {power for pair in pairs for power in pair}}
+    Kr = {power: _moment_kernel(moments, power) for power in {m + n for m, n in pairs}}
     out = []
     for m, n in pairs:
-        lhs = add(compose(H[m], H[n]), scale(compose(H[n], H[m]), -1.0))
-        Kr = _moment_kernel(lambda x: moments, m + n, HAMILTONIAN_PREFACTOR, d)
-        rhs = scale(Kr, (-1.0) ** m - (-1.0) ** n)
-        out.append(kernel_distance(lhs, rhs, ps).tolist())
+        lhs = add(compose(H[m][0], *H[n]), scale(compose(H[n][0], *H[m]), -1.0))
+        rhs = scale(Kr[m + n], (-1.0) ** m - (-1.0) ** n)
+        out.append(kernel_distance(lhs, rhs).tolist())
     return out
 
 
@@ -735,11 +714,10 @@ def hierarchy_relation_residuals(
         for an in (a("w"), a("w", dress=("calT", +1)), a("w", sign=-1, dress=("calR", +1)))]
     ps = np.array(momenta, dtype=float)
     got = _traced_passes(model, [(cr, an, ps) for cr, an, _ in mids], zf=True)
-    K = [_moment_kernel(lambda x, parts=parts: parts, n, prefactor, model.doubled_dim)
-         for parts, (*_, prefactor) in zip(got, mids)]
+    K = [_moment_kernel(parts, n, prefactor) for parts, (*_, prefactor) in zip(got, mids)]
     k_rt, (k_zf, imp_t, imp_r) = functools.reduce(add, K[:4]), K[4:]
     rhs = scale(add(k_zf, add(imp_t, imp_r)), 0.5)
-    return kernel_distance(k_rt, rhs, ps).tolist()
+    return kernel_distance(k_rt, rhs).tolist()
 
 
 def hierarchy_relation_residual(n: int, model: DoubledModel, p: float) -> float:
@@ -793,9 +771,8 @@ def _product_gaps(model: DoubledModel, cases: list[tuple[list, tuple]]) -> list[
              for sigma in {sigma for _, sigma in cases}}
     sigmas = np.array([sigma for _, sigma in cases])
     ps = sigmas * np.array([ks for ks, _ in cases], dtype=float)
-    opta = one_particle_amplitude(model.half_line, delta_2pi=False)
-    flat = ps.ravel()
-    brackets = np.where(sigmas.ravel() > 0, opta.A(flat)[:, 0, 0], opta.B(flat)[:, 0, 0])
+    opta = one_particle_amplitude(model.half_line, ps.ravel())
+    brackets = np.where(sigmas.ravel() > 0, opta.A[:, 0, 0], opta.B[:, 0, 0])
     # Python complex products in factor order (numpy's may differ in the last bit)
     products = [math.prod(row, start=1.0 + 0.0j) for row in brackets.reshape(ps.shape).tolist()]
     jobs = [(terms[sigma], dict(zip(labels, [*ks, *p_case])))

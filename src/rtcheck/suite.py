@@ -126,6 +126,12 @@ def _commutators(t, pairs, k):
     return fock.hierarchy_commutator_residuals(pairs, t.dm, k)
 
 
+def _j_squared(t, k):
+    J = fock.involution_kernel(t.dm, k)
+    return fock.kernel_distance(fock.compose(J, J, fock.involution_kernel(t.dm, -k)),
+                                fock.identity_kernel(t.dm.doubled_dim))
+
+
 def _hierarchy_relation(n, t, k):
     return fock.hierarchy_relation_residuals(n, t.dm, k)
 
@@ -164,9 +170,7 @@ CHECKS: dict[str, CheckSpec] = {spec.name: spec for spec in (
     CheckSpec("symmetrized-unitarity", _SINGLES,
               lambda t, k: dbl.symmetrized_unitarity_residual(t.dm.half_line, k), doubled=True,
               default_for=_invariant),
-    CheckSpec("J-squared", _SINGLES, lambda t, k: fock.kernel_distance(
-        fock.compose(fock.involution_kernel(t.dm), fock.involution_kernel(t.dm)),
-        fock.identity_kernel(t.dm.doubled_dim), k), doubled=True),
+    CheckSpec("J-squared", _SINGLES, _j_squared, doubled=True),
     CheckSpec("involution-U-squared", _SINGLES, lambda t, k: norm_inf(
         np.linalg.matrix_power(dbl.involution_matrix(t.pair, k), 2) - np.eye(2 * t.pair.dim)),
               doubled=True),

@@ -273,10 +273,10 @@ def test_criterion_5_engine_reproduces_factorized_amplitudes():
     # the 2 pi convention at n = 1: engine coefficient times 2 pi equals the
     # transition amplitude bracket
     half = model.half_line
-    K = fock.one_particle_amplitude(half, delta_2pi=True)
+    K = fock.one_particle_amplitude(half, 2.0, delta_2pi=True)
     m = DeltaModel(1.0)
-    conv = abs(K.A(2.0)[0, 0] - fock.TWO_PI * m.T(2.0))
-    conv = max(conv, abs(K.B(2.0)[0, 0] - fock.TWO_PI * m.R(2.0)))
+    conv = abs(K.A[0, 0] - fock.TWO_PI * m.T(2.0))
+    conv = max(conv, abs(K.B[0, 0] - fock.TWO_PI * m.R(2.0)))
     ok = worst <= 1e-11 and conv <= 1e-12
     report("5 engine factorization n=1..4 + 2pi convention", ok,
            f"max={worst:.2e} conv={conv:.2e}")
@@ -292,11 +292,11 @@ def test_criterion_6_involution(momenta):
     }
     worst = 0.0
     for model in models.values():
-        J = fock.involution_kernel(model)
-        JJ = fock.compose(J, J)
         ident = fock.identity_kernel(model.doubled_dim)
         for p in momenta[:20]:
-            worst = max(worst, fock.kernel_distance(JJ, ident, p))
+            J = fock.involution_kernel(model, p)
+            JJ = fock.compose(J, J, fock.involution_kernel(model, -p))
+            worst = max(worst, fock.kernel_distance(JJ, ident))
     report("6 involution J∘J = id", worst <= 1e-12, f"max={worst:.2e}")
     assert worst <= 1e-12
 

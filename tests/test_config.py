@@ -112,6 +112,22 @@ class TestParseConfig:
         assert out == ""
         assert err.startswith("rtcheck: error: config is not valid JSON")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"samples": 3, "samples": 4}', "samples"),
+        ('{"bulk": {"name": "rational", "N": 2, "N": 3}}', "N"),
+        ('{"bulk": "identity:dim=1,dim=2"}', "dim"),
+    ], ids=["top", "bulk", "shorthand"])
+    def test_a_repeated_key_is_a_configuration_error(self, text, key, tmp_path, capsys):
+        """JSON readers keep a repeated key's last value; a config rejects it."""
+        with pytest.raises(ConfigError, match=f"repeated config key '{key}'"):
+            parse_config(text)
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"rtcheck: error: repeated config key '{key}'\n"
+
     @pytest.mark.parametrize("name", [{}, ["rational"], None])
     def test_a_catalog_name_that_is_no_string_is_unknown(self, name):
         with pytest.raises(ConfigError, match="unknown bulk catalog entry"):

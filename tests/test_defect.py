@@ -536,9 +536,9 @@ ZERO_MOMENTUM_READERS = {
     "relation_residual(k1=0)": lambda m: relation_residual(m.bulk, m.half_line, 0.0, 0.7, "rr1"),
     "relation_residual(k2=0)": lambda m: relation_residual(m.bulk, m.half_line, 0.7, 0.0, "rr1"),
     "involution_matrix": lambda m: involution_matrix(m.half_line, 0.0),
-    "involution_kernel.A": lambda m: fock.involution_kernel(m.doubled).A(0.0),
-    "involution_kernel.B": lambda m: fock.involution_kernel(m.doubled).B(0.0),
-    "hamiltonian_kernel.A": lambda m: fock.hamiltonian_kernel(1, m.doubled).A(0.0),
+    "involution_kernel": lambda m: fock.involution_kernel(m.doubled, 0.0),
+    "involution_kernel(array)": lambda m: fock.involution_kernel(m.doubled, np.array([0.7, 0.0])),
+    "hamiltonian_kernel": lambda m: fock.hamiltonian_kernel(1, m.doubled, 0.0),
     "hierarchy_commutator_residuals":
         lambda m: fock.hierarchy_commutator_residuals([(0, 1)], m.doubled, [0.7, 0.0]),
     "hierarchy_relation_residuals":
@@ -547,7 +547,7 @@ ZERO_MOMENTUM_READERS = {
     "physical_coefficients": lambda m: _physical_at_zero(m.doubled),
     "DeltaModel.T": lambda m: DeltaModel(1.0).T(0.0),
     "DeltaModel.R": lambda m: DeltaModel(1.0).R(0.0),
-    "one_particle_amplitude.A": lambda m: fock.one_particle_amplitude(m.half_line).A(0.0),
+    "one_particle_amplitude": lambda m: fock.one_particle_amplitude(m.half_line, 0.0),
 }
 
 

@@ -160,22 +160,22 @@ class TestOverlap:
     projected-amplitude kernel on its pair: T(|p|) and R(|p|), times 2 pi."""
 
     def test_transmission_coefficient(self):
-        diag = one_particle_amplitude(MODEL.pair, delta_2pi=True).A(2.0)[0, 0]
+        diag = one_particle_amplitude(MODEL.pair, 2.0, delta_2pi=True).A[0, 0]
         assert abs(diag - TWO_PI * MODEL.T(2.0)) < 1e-13
 
     def test_reflection_coefficient(self):
-        K = one_particle_amplitude(MODEL.pair, delta_2pi=True)
-        assert abs(K.B(2.0)[0, 0] - TWO_PI * MODEL.R(2.0)) < 1e-13
-        assert abs(K.B(-2.0)[0, 0] - TWO_PI * MODEL.R(2.0)) < 1e-13
+        for p in (2.0, -2.0):
+            K = one_particle_amplitude(MODEL.pair, p, delta_2pi=True)
+            assert abs(K.B[0, 0] - TWO_PI * MODEL.R(2.0)) < 1e-13
 
     def test_free_is_pure_transmission(self):
-        K = one_particle_amplitude(FREE.pair, delta_2pi=True)
-        assert abs(K.A(1.1)[0, 0] - TWO_PI) < 1e-15
-        assert K.B(1.1)[0, 0] == 0.0
+        K = one_particle_amplitude(FREE.pair, 1.1, delta_2pi=True)
+        assert abs(K.A[0, 0] - TWO_PI) < 1e-15
+        assert K.B[0, 0] == 0.0
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(ValueError):
-            one_particle_amplitude(MODEL.pair).A(0.0)
+            one_particle_amplitude(MODEL.pair, 0.0)
 
 
 class TestCrossRepresentation:

@@ -165,27 +165,26 @@ def _fixed_point_momenta(term, word, seeds):
 class TestOneParticleAmplitude:
     def test_frozen_values_eta1(self):
         half = MODEL.half_line
-        K = one_particle_amplitude(half, delta_2pi=True)
-        assert abs(K.A(2.0)[0, 0] - TWO_PI * (4 - 2j) / 5) < 1e-12
-        assert abs(K.B(2.0)[0, 0] - TWO_PI * (-1 - 2j) / 5) < 1e-12
+        K = one_particle_amplitude(half, 2.0, delta_2pi=True)
+        assert abs(K.A[0, 0] - TWO_PI * (4 - 2j) / 5) < 1e-12
+        assert abs(K.B[0, 0] - TWO_PI * (-1 - 2j) / 5) < 1e-12
 
     def test_free_case(self):
         half = FREE.half_line
-        K = one_particle_amplitude(half, delta_2pi=True)
-        assert abs(K.A(1.3)[0, 0] - TWO_PI) < 1e-15
-        assert abs(K.B(1.3)[0, 0]) == 0.0
+        K = one_particle_amplitude(half, 1.3, delta_2pi=True)
+        assert abs(K.A[0, 0] - TWO_PI) < 1e-15
+        assert abs(K.B[0, 0]) == 0.0
 
     def test_negative_momentum_uses_reflected_argument(self):
         half = MODEL.half_line
-        K = one_particle_amplitude(half, delta_2pi=False)
         p = -1.7
-        assert abs(K.A(p)[0, 0] - DELTA.T(-p)) < 1e-15
-        assert abs(K.B(p)[0, 0] - DELTA.R(-p)) < 1e-15
+        K = one_particle_amplitude(half, p, delta_2pi=False)
+        assert abs(K.A[0, 0] - DELTA.T(-p)) < 1e-15
+        assert abs(K.B[0, 0] - DELTA.R(-p)) < 1e-15
 
     def test_zero_momentum_rejected(self):
-        K = one_particle_amplitude(MODEL.half_line)
         with pytest.raises(ValueError):
-            K.A(0.0)
+            one_particle_amplitude(MODEL.half_line, 0.0)
 
     def test_engine_agrees_with_projected_amplitudes(self):
         for p in (2.0, -1.3, 0.4, -0.05):
@@ -299,30 +298,33 @@ class TestBraidWiring:
 
 class TestKernels:
     def test_compose_with_identity(self):
-        J = involution_kernel(MODEL)
         for p in (0.7, -1.9):
-            assert kernel_distance(compose(identity_kernel(2), J), J, p) == 0.0
+            J = involution_kernel(MODEL, p)
+            assert kernel_distance(
+                compose(identity_kernel(2), J, involution_kernel(MODEL, -p)), J) == 0.0
 
     def test_double_flip_is_diagonal(self):
         eye = np.eye(2, dtype=complex)
         zero = np.zeros((2, 2), dtype=complex)
-        flip = OneParticleKernel(2, lambda p: zero, lambda p: eye)
-        K = compose(flip, flip)
-        assert np.allclose(K.A(0.9), eye)
-        assert np.allclose(K.B(0.9), zero)
+        flip = OneParticleKernel(zero, eye)  # the same at p and -p
+        K = compose(flip, flip, flip)
+        assert np.allclose(K.A, eye)
+        assert np.allclose(K.B, zero)
 
     def test_involution_squares_to_identity(self):
-        J = involution_kernel(MODEL)
-        assert kernel_distance(compose(J, J), identity_kernel(2), 0.7) <= 1e-13
+        J = involution_kernel(MODEL, 0.7)
+        JJ = compose(J, J, involution_kernel(MODEL, -0.7))
+        assert kernel_distance(JJ, identity_kernel(2)) <= 1e-13
 
     @pytest.mark.parametrize(
         "pair_fn", [pure_transmission_defect, pure_reflection_defect]
     )
     def test_involution_for_pure_defects(self, pair_fn):
         model = doubled_from_defect(pair_fn())
-        J = involution_kernel(model)
         for p in (0.7, -2.3):
-            assert kernel_distance(compose(J, J), identity_kernel(2), p) <= 1e-14
+            J = involution_kernel(model, p)
+            JJ = compose(J, J, involution_kernel(model, -p))
+            assert kernel_distance(JJ, identity_kernel(2)) <= 1e-14
 
     @pytest.mark.parametrize("defect", [
         {"name": "delta", "eta": 1.0},
@@ -335,83 +337,97 @@ class TestKernels:
         # checked DefectPair.R/.T, so k = 0 is a domain error for every defect
         model = build_model(parse_config(json.dumps(
             {"bulk": "identity:dim=1", "defect": defect}))).doubled
-        J = involution_kernel(model)
-        for read in (J.A, J.B):
+        for p in (0.0, np.array([0.7, 0.0])):
             with pytest.raises(ZeroMomentumError):
-                read(0.0)
+                involution_kernel(model, p)
         expr = normal_order_vev([a("p"), ad("k")], model)
         for term in expr.terms:
             with pytest.raises(ZeroMomentumError):
                 fock.physical_coefficients(expr, [(term, {"p": 0.0, "k": 0.0})], model)
 
     def test_composition_associativity(self):
+        """(K1 K2) K3 = K1 (K2 K3) at p, where K2 K3 at -p composes K2 and K3
+        at -p with K3 at p, for kernels whose values at p and -p differ."""
         rng = np.random.default_rng(5)
 
         def bounded_kernel():
-            ms = {s: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                  for s in (+1, -1)}
-            return OneParticleKernel(
-                2,
-                lambda p: ms[+1] / (1 + p * p),
-                lambda p: ms[-1] / (2 + p * p),
-            )
+            m = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4)]
+            return lambda p: OneParticleKernel((m[0] + p * m[1]) / (1 + p * p),
+                                               (m[2] + p * m[3]) / (2 + p * p))
 
         for _ in range(5):
             k1, k2, k3 = bounded_kernel(), bounded_kernel(), bounded_kernel()
-            left = compose(compose(k1, k2), k3)
-            right = compose(k1, compose(k2, k3))
             for p in (0.7, -1.2):
-                assert kernel_distance(left, right, p) <= 1e-12
+                assert kernel_distance(k2(p), k2(-p)) > 0.1
+                left = compose(compose(k1(p), k2(p), k2(-p)), k3(p), k3(-p))
+                k23_reflected = compose(k2(-p), k3(-p), k3(p))
+                right = compose(k1(p), compose(k2(p), k3(p), k3(-p)), k23_reflected)
+                assert kernel_distance(left, right) <= 1e-12
+
+    def test_the_reflected_factor_must_be_read_at_minus_p(self):
+        """Mutation check of compose's third argument: on delta N=1 data, J
+        at p passed as its own reflection makes J o J miss the identity."""
+        for p in (0.7, -1.3, 2.1):
+            J = involution_kernel(MODEL, p)
+            assert kernel_distance(compose(J, J, involution_kernel(MODEL, -p)),
+                                   identity_kernel(2)) <= 1e-13
+            assert kernel_distance(compose(J, J, J), identity_kernel(2)) > 1e-3
 
     def test_add_scale(self):
-        J = involution_kernel(MODEL)
+        J = involution_kernel(MODEL, 0.7)
         twice = add(J, J)
-        assert kernel_distance(twice, scale(J, 2.0), 0.7) == 0.0
+        assert kernel_distance(twice, scale(J, 2.0)) == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            compose(identity_kernel(2), identity_kernel(4))
+            compose(identity_kernel(2), identity_kernel(4), identity_kernel(4))
 
     def test_array_momentum_gives_one_distance_per_momentum(self):
         p = np.array([0.7, -1.3])
-        H = hamiltonian_kernel(2, MODEL)
-        got = kernel_distance(H, scale(H, 2.0), p)
-        assert got == pytest.approx([kernel_distance(H, scale(H, 2.0), q) for q in p], rel=1e-15)
+        H = hamiltonian_kernel(2, MODEL, p)
+        got = kernel_distance(H, scale(H, 2.0))
+        want = [kernel_distance(hamiltonian_kernel(2, MODEL, q),
+                                scale(hamiltonian_kernel(2, MODEL, q), 2.0)) for q in p]
+        assert got == pytest.approx(want, rel=1e-15)
         # kernels on defect data read it through DefectPair.R/.T, which take arrays
-        J = involution_kernel(MODEL)
-        for K in (compose(J, J), one_particle_amplitude(MODEL.half_line)):
-            got = kernel_distance(K, identity_kernel(K.dim), p)
-            assert list(got) == [kernel_distance(K, identity_kernel(K.dim), q) for q in p]
+
+        def j_squared(q):
+            J = involution_kernel(MODEL, q)
+            return compose(J, J, involution_kernel(MODEL, -q))
+
+        for K in (j_squared, lambda q: one_particle_amplitude(MODEL.half_line, q)):
+            got = kernel_distance(K(p), identity_kernel(2))
+            assert list(got) == [kernel_distance(K(q), identity_kernel(2)) for q in p]
 
 
 class TestHamiltonianKernels:
     def test_free_model_order_zero(self):
-        K = hamiltonian_kernel(0, FREE)
+        K = hamiltonian_kernel(0, FREE, 1.1)
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(K.A(1.1), np.eye(2) + flip)
-        assert np.allclose(K.B(1.1), 0.0)
+        assert np.allclose(K.A, np.eye(2) + flip)
+        assert np.allclose(K.B, 0.0)
 
     def test_delta_model_order_two(self):
-        K = hamiltonian_kernel(2, MODEL)
         p = 1.5
+        K = hamiltonian_kernel(2, MODEL, p)
         expA = p**2 * (np.eye(2) + MODEL.defect.T(p))
         expB = p**2 * MODEL.defect.R(p)
-        assert np.allclose(K.A(p), expA, atol=1e-13)
-        assert np.allclose(K.B(p), expB, atol=1e-13)
+        assert np.allclose(K.A, expA, atol=1e-13)
+        assert np.allclose(K.B, expB, atol=1e-13)
 
     def test_odd_orders_through_engine(self):
-        K = hamiltonian_kernel(1, MODEL)
         p = -0.8
+        K = hamiltonian_kernel(1, MODEL, p)
         calT = np.asarray(MODEL.defect.T(p))
         expA = p * calT @ (np.eye(2) + calT)
         expB = p * calT @ np.asarray(MODEL.defect.R(p))
-        assert np.allclose(K.A(p), expA, atol=1e-13)
-        assert np.allclose(K.B(p), expB, atol=1e-13)
+        assert np.allclose(K.A, expA, atol=1e-13)
+        assert np.allclose(K.B, expB, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", [hamiltonian_kernel, reflection_moment_kernel])
     def test_negative_order_rejected(self, kernel):
         with pytest.raises(ValueError, match="hierarchy index must be >= 0"):
-            kernel(-1, MODEL)
+            kernel(-1, MODEL, 0.7)
 
 
 class TestHierarchy:
@@ -433,10 +449,10 @@ class TestHierarchy:
     def test_reflection_moment_kernel_vanishes_for_unitary_defect(self):
         # consequence of defect unitarity at the one-particle level: the
         # commutator identity is satisfied with both sides essentially zero
-        K = reflection_moment_kernel(1, MODEL)
         for p in (0.7, -1.9):
-            assert abs(K.A(p)).max() <= 1e-13
-            assert abs(K.B(p)).max() <= 1e-13
+            K = reflection_moment_kernel(1, MODEL, p)
+            assert abs(K.A).max() <= 1e-13
+            assert abs(K.B).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_relation_kernel_identity(self, n):
@@ -718,14 +734,15 @@ class TestShapeCachedKernels:
         mid_r = a("w", sign=-1, dress=("calR", +1))
         for power in range(5):
             cases = [
-                (hamiltonian_kernel(power, model), [a("p"), ad("w"), a("w"), ad("q")]),
-                (reflection_moment_kernel(power, model), [a("p"), ad("w"), mid_r, ad("q")]),
+                (hamiltonian_kernel, [a("p"), ad("w"), a("w"), ad("q")]),
+                (reflection_moment_kernel, [a("p"), ad("w"), mid_r, ad("q")]),
             ]
-            for K, word in cases:
+            for kernel, word in cases:
                 for p in (0.7, -0.7, 1.9, -1.9):
+                    K = kernel(power, model, p)
                     for part, flip in ((K.A, False), (K.B, True)):
                         ref = _old_four_word_part(word, model, power, p, flip)
-                        assert np.max(np.abs(part(p) - ref)) <= 1e-14
+                        assert np.max(np.abs(part - ref)) <= 1e-14
 
     @pytest.mark.parametrize("count", [1, 50])
     def test_commutator_contracts_each_term_once_per_batch(self, monkeypatch, count):

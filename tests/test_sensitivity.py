@@ -20,11 +20,17 @@ from rtcheck.suite import run_suite
 
 EPS = 1e-3
 
-# The same-parity commutators (0,2) and (1,3) are left out: both sides
-# vanish for any defect data, since H^(m) and H^(n) are two moments of one
-# kernel whose parts have the same parity under p -> -p, and the reflection
-# moment enters with the factor (-1)^m - (-1)^n = 0.  Under this
-# perturbation they stay at rounding level (<= 1.6e-14).
+# The same-parity commutators (0,2) and (1,3) are left out: no defect data
+# built through public constructors can fail them.  Each part of H^(n) at p
+# sums the traced word's terms times w^n, with w = p or w = -p, so
+# H^(n)(p) = p^n U(p), one kernel U for each parity of n.  For m and n of one
+# parity the products' A parts A_m(p) A_n(p) + B_m(p) B_n(-p) and
+# A_n(p) A_m(p) + B_n(p) B_m(-p) are both p^(m+n) U_A U_A + (-1)^n p^(m+n)
+# U_B(p) U_B(-p), as (-1)^m = (-1)^n, and the B parts agree likewise, so
+# [H^(m), H^(n)] vanishes up to rounding; the reflection moment enters with
+# the factor (-1)^m - (-1)^n = 0.  Under this perturbation they stay at
+# rounding level (<= 1.6e-14); only an engine-side break, such as a dress on
+# the wrong leg, could fail them.
 HIERARCHY_CHECKS = [
     "hierarchy-commutator(0,1)",
     "hierarchy-commutator(1,2)",
