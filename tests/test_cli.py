@@ -356,6 +356,15 @@ class TestAmplitudeEmitter:
         golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n3.json"
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_reflection_zero_prints_as_positive_zero(self, capsys):
+        # the reflection term's imaginary part is contracted as -0.0 and must
+        # print as 0.0, as a sum that starts from 0 would give it
+        config = GOLDEN_AMPLITUDE / "pure_reflection_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "1",
+                     "--in=-1.3", "--out=1.3"]) == 0
+        golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n1.json"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_exact_four_particle_query_matches_its_byte_golden(self, capsys):
         # identity N=1 with T = 1/2 and R = -1/2: all 384 coefficients are
         # exactly +-0.0625, through every batched leaf read and gather of n = 4
