@@ -2,6 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 configuration
 or domain error; a reader that closes early (`| head`) changes none of them.
+A command that runs out of memory exits 2 too, with one line on stderr.
 Every `main` call in a process parses with one shared parser.
 """
 
@@ -187,6 +188,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ConfigError, OSError, ValueError) as exc:
         sys.stderr.write(f"rtcheck: error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        sys.stderr.write(f"rtcheck: error: out of memory: {exc}\n")
         return 2
     return code
 

@@ -39,7 +39,7 @@ factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
 records at expansion what it reads (S, a contraction leaf T or R, or a
 dress: I + calT, calT or calR) and the (sign, label) of each momentum it
-reads it at.  A call's rows, one per network of its terms, are encoded
+reads it at.  A call's rows, one per term, are encoded
 once per selection of terms (``_rows``, the one holder of the contraction
 rule): each slot's flavour code, signs and label columns, and the (row,
 point) entries of each topology.  A call forms every slot's momenta from
@@ -140,17 +140,27 @@ def ad(label: str, sign: int = +1, dress=None) -> WordSymbol:
 
 @dataclass(frozen=True, eq=False)  # hashed by identity: queries cache per selection of terms
 class ContractionTerm:
-    """One decorated matching: pairing plus a sum of coefficient networks.
+    """One decorated matching: pairing plus its coefficient network.
 
     pairing entries are (a_position, ad_position, rel) with the momentum
     constraint value[a_label] = rel * value[ad_label]; rel = +1 comes from a
     transmission-type delta(q - p) contraction, rel = -1 from a
     reflection-type delta(q + p) one (for unsigned symbols).
+
+    A pairing fixes its expansion path, so a term has one network: the
+    rightmost annihilator braids past every creator up to its partner, then
+    contracts by T (rel = sa*sc) or by R (rel = -sa*sc), and the annihilators
+    are taken right to left, so two paths never end in the same pairing.
     """
 
     pairing: tuple[tuple[int, int, int], ...]
-    networks: tuple[tuple, ...]
-    legs: tuple[tuple, ...]  # per network its atoms' leg lists: equal ones share a topology
+    network: tuple[tuple, ...]  # the atoms
+    legs: tuple[tuple, ...]  # their leg lists, one object per distinct lists (a topology)
+
+    @property
+    def networks(self) -> tuple[tuple, ...]:
+        # for bench/tracing.py alone: it counts fock.networks, fock.atoms, fock.naive_flops here
+        return (self.network,)
 
 
 # leaf flavour codes 0-5, one datum each: the braid, the model pair's contraction leaves
@@ -206,13 +216,15 @@ def _expand(shape: tuple[tuple, ...]) -> tuple[ContractionTerm, ...]:
     # Each branch numbers its fresh legs on from its parent's, so networks of
     # one braid structure (they differ in T/R choices only) have equal leg
     # lists, which _rows groups by.
-    done: list[tuple[tuple, tuple]] = []  # (pairing, atoms)
+    done: list[ContractionTerm] = []
+    shared: dict[tuple, tuple] = {}  # one object per distinct leg lists
     stack = [(tuple(init_atoms), (), tuple(init_word), free)]
     while stack:
         atoms, pairs, live, free = stack.pop()
         idx = max((i for i, e in enumerate(live) if e[1] == "a"), default=None)
         if idx is None:  # every annihilator paired, and so every creator
-            done.append((pairs, atoms))
+            key = tuple(atom[1] for atom in atoms)
+            done.append(ContractionTerm(tuple(sorted(pairs)), atoms, shared.setdefault(key, key)))
             continue
         if idx == len(live) - 1:
             continue  # annihilator meets the vacuum ket
@@ -238,20 +250,7 @@ def _expand(shape: tuple[tuple, ...]) -> tuple[ContractionTerm, ...]:
             + live[idx + 2 :]
         )
         stack.append((atoms_s, pairs, swapped, free + 2))
-
-    merged: dict[tuple, list[tuple]] = {}
-    for pairs, atoms in done:
-        merged.setdefault(tuple(sorted(pairs)), []).append(atoms)
-    shared: dict[tuple, tuple] = {}  # one object per distinct leg lists
-
-    def legs(net: tuple) -> tuple:
-        key = tuple(atom[1] for atom in net)
-        return shared.setdefault(key, key)
-
-    return tuple(
-        ContractionTerm(pairing, tuple(nets), tuple(map(legs, nets)))
-        for pairing, nets in sorted(merged.items())
-    )
+    return tuple(sorted(done, key=operator.attrgetter("pairing")))
 
 
 def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
@@ -260,12 +259,8 @@ def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
     seen: dict[int, int] = {}  # leg id -> compacted id
     inputs = tuple(tuple(seen.setdefault(same.get(l, l), len(seen)) for l in atom)
                    for atom in legs)
-    # positions never touched by any atom keep an implicit identity;
-    # that cannot happen for vacuum-surviving terms of balanced words
-    output = tuple(seen.get(l, -1) for l in kept)
-    if -1 in output:
-        raise ValueError("network does not cover all word positions")
-    return inputs, output
+    # each kept leg is on an atom: its position's dress, or first braid or contraction
+    return inputs, tuple(seen[l] for l in kept)
 
 
 def _read(code: int, ks, model: DoubledModel) -> np.ndarray:
@@ -373,21 +368,20 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
           points: int, traced: bool, batch: int, zf: bool) -> tuple:
     """The structure of a query of ``terms`` (of expansions with ``labels`` and
     ``n_ext`` word positions) at ``points`` momenta each; it depends on the
-    terms only, so a repeated query reuses it.  A network is a row, term by
-    term, and an atom a slot, row by row; a (row, point) is a batch entry and a
-    (slot, point) a leaf.  The contraction rule reads a T atom as I + calT and
-    an R atom as calR, or, ``zf``, as the plain ZF constants I and 0.  Gives
-    each slot's flavour code, the signs of its two momenta at each point (0 for
-    one it lacks) and the (momenta row, label column) index that reads them;
-    the entry of each (term, point)'s first network (a slice if no term has
-    another) and its network count; and per topology, ``batch`` entries at a
-    time, the entries, their terms and leaves and its plan inputs: every word
-    position kept or, ``traced``, legs 0 and 3 with leg 2 as leg 1.  An atom
-    that networks share is one object (a branch extends its parent's), as are a
-    topology's leg lists, so each is encoded once."""
+    terms only, so a repeated query reuses it.  A term is a row and an atom a
+    slot, row by row; a (row, point) is a batch entry and a (slot, point) a
+    leaf.  The contraction rule reads a T atom as I + calT and an R atom as
+    calR, or, ``zf``, as the plain ZF constants I and 0.  Gives each slot's
+    flavour code, the signs of its two momenta at each point (0 for one it
+    lacks) and the (momenta row, label column) index that reads them; and per
+    topology, ``batch`` entries at a time, the entries, their leaves and its
+    plan inputs: every word position kept or, ``traced``, legs 0 and 3 with
+    leg 2 as leg 1.  An atom that networks share is one object (a branch
+    extends its parent's), as are a topology's leg lists, so each is encoded
+    once."""
     code = {f: i for i, f in enumerate(FLAVOURS)}
     code.update(T=code["I" if zf else "I+calT"], R=code["0" if zf else "calR"])
-    nets = [net for term in terms for net in term.networks]
+    nets = [term.network for term in terms]
     atoms = {id(atom): atom for net in nets for atom in net}
     atom_number = {key: i for i, key in enumerate(atoms)}
     encoded = np.array([(code[atom[0]], *itertools.chain.from_iterable(
@@ -396,33 +390,27 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
     length = np.fromiter(map(len, nets), np.intp, len(nets))
     slots = encoded[np.fromiter((atom_number[id(atom)] for net in nets for atom in net),
                                 np.intp, length.sum())]
-    count = np.fromiter((len(term.networks) for term in terms), np.intp, len(terms))
-    job = np.arange(len(terms)).repeat(count)  # each row's term
     first = (length.cumsum() - length) * points  # each row's first leaf
     step = np.arange(points)
-    net_legs = [legs for term in terms for legs in term.legs]
     distinct: dict[tuple, int] = {}  # equal leg lists of two expansions are one topology
     topology_number = {id(legs): distinct.setdefault(legs, len(distinct))
-                       for legs in {id(legs): legs for legs in net_legs}.values()}
+                       for legs in {id(term.legs): term.legs for term in terms}.values()}
     kept, same = ((0, 3), {2: 1}) if traced else (range(n_ext), {})
     plans = [(*_compact(legs, kept, same), legs) for legs in distinct]
-    key = np.fromiter((topology_number[id(legs)] for legs in net_legs), np.intp, len(net_legs))
+    key = np.fromiter((topology_number[id(term.legs)] for term in terms), np.intp, len(terms))
     order = key.argsort(kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(job)]
+    cuts = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(terms)]
     groups = []
     for rows, plan in ((order[i:j], plans[key[order[i]]])
                        for i, j in zip(cuts, cuts[1:]) if j > i):
         entries = (rows[:, None] * points + step).ravel()
         leaves = first[rows, None, None] + step[:, None] + points * np.arange(len(plan[2]))
-        groups += [(entries[cut:cut + batch], job[entries[cut:cut + batch] // points],
+        groups += [(entries[cut:cut + batch],
                     leaves.reshape(len(entries), len(plan[2]))[cut:cut + batch], plan)
                    for cut in range(0, len(entries), batch)]
-    reads = ((job.repeat(length)[:, None] * points + step).repeat(2, axis=1),
+    reads = ((np.arange(len(terms)).repeat(length)[:, None] * points + step).repeat(2, axis=1),
              np.tile(slots[:, 2::2], points))
-    start = slice(0, len(terms) * points) if count.max(initial=0) < 2 else (
-        (count.cumsum() - count)[:, None] * points + step).ravel()
-    return (slots[:, 0], np.tile(slots[:, 1::2], points), reads, start, count.repeat(points),
-            groups)
+    return slots[:, 0], np.tile(slots[:, 1::2], points), reads, groups
 
 
 def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
@@ -436,28 +424,23 @@ def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
     (``_rows``) of a topology are one batched contraction, each slot
     gathering its leaves (``_leaf_tables``), sliced at each entry's ``at``.
     The contraction leaves are the model's (I + calT and calR) or, ``zf``,
-    the plain ZF constants I and 0; the dresses are always the model's.  A
-    term sums its networks' values in network order."""
+    the plain ZF constants I and 0; the dresses are always the model's."""
     d, n_ext = model.doubled_dim, len(word)
-    codes, signs, reads, start, count, groups = _rows(
+    codes, signs, reads, groups = _rows(
         _labels(word), n_ext, tuple(terms), points, traced, max(1, SLICE // d ** 2), zf)
     tables, index = _leaf_tables(codes, signs * momenta[reads], model)
     shape = (d, d) if traced else () if ats is not None else (d,) * n_ext
-    values = np.zeros((count.sum(), *shape), dtype=complex)
-    for entries, jobs, where, (inputs, output, legs) in groups:
-        leaves, at = index[where], None if ats is None else ats[jobs].T
+    values = np.zeros((len(terms) * points, *shape), dtype=complex)
+    for entries, where, (inputs, output, legs) in groups:
+        leaves, at = index[where], None if ats is None else ats[entries // points].T
         tensors = [tables[len(atom) == 2][(leaves[:, i], *(
             () if at is None else (at[l] if l < n_ext else slice(None) for l in atom)))]
             for i, atom in enumerate(legs)]
         for positions, subscripts in _plan(inputs, output, d, at is not None) if legs else ():
             tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
         values[entries] = tensors[0] if legs else 1.0  # the empty word's unit network
-    sums = values[start]  # each term's first network: a view if it has no other
-    sums += 0.0  # 0 + the first network (IEEE addition commutes)
-    for k in range(1, count.max(initial=0)):  # then the others, in network order
-        more = count > k
-        sums[more] += values[start[more] + k * points]
-    return sums
+    values += 0.0  # -0.0 entries as 0.0, as a sum that starts from 0 gives them
+    return values
 
 
 def evaluate_coefficients(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rtcheck
+from rtcheck import cli, fock
 from rtcheck.cli import amplitude_json, main, make_parser
 from rtcheck.grammar import ExpressionError, parse_expression
 
@@ -480,6 +481,30 @@ expression_texts = st.one_of(
     st.lists(st.sampled_from(["k", "1", "2.5", "1e3", "3i", "1j", "0", "(", ")", "+", "-",
                               "*", "/", " ", "\t", "\n", "x"]), max_size=10).map("".join),
 )
+
+
+class TestOutOfMemory:
+    """Running out of memory is no traceback: a one-line error, exit 2 and
+    nothing on stdout.  The allocation fails by a patch, never for real."""
+
+    @staticmethod
+    def _no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.49 GiB for an array")
+
+    def test_amplitude_exits_two(self, delta_config, monkeypatch, capsys):
+        monkeypatch.setattr(fock, "_coefficients", self._no_memory)
+        assert main(["amplitude", "--config", delta_config, "--n", "2",
+                     "--in=-1.5,0.5", "--out=2.5,-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "rtcheck: error: out of memory: Unable to allocate 2.49 GiB for an array\n"
+
+    def test_verify_exits_two(self, delta_config, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", self._no_memory)
+        assert main(["verify", "--config", delta_config, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("rtcheck: error: out of memory: ") and err.count("\n") == 1
 
 
 class TestNoTraceback:

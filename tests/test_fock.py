@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,6 +143,38 @@ class TestNormalOrdering:
                     env = resolve_momenta(term, expr.word, {"p": p})
                     assert env == _fixed_point_momenta(term, expr.word, {"p": p})
                     assert set(env) == {"p", "w", "q"}
+
+
+@st.composite
+def balanced_words(draw, max_n=4):
+    """n annihilators and n creators in any order, n <= max_n, each with a
+    label p, q or w, a sign and any dress or none."""
+    n = draw(st.integers(0, max_n))
+    kinds = draw(st.permutations(["a"] * n + ["ad"] * n))
+    signs = st.sampled_from((+1, -1))
+    dresses = st.none() | st.tuples(st.sampled_from(fock.DRESSES), signs)
+    return [fock.WordSymbol(kind, draw(st.sampled_from("pqw")), draw(signs), draw(dresses))
+            for kind in kinds]
+
+
+class TestOneNetworkPerTerm:
+    """A pairing fixes its expansion path: the rightmost annihilator braids
+    past every creator up to its partner and contracts by T or R, which the
+    pairing's sign tells apart, so no two paths end in one pairing and each
+    term holds one network."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(balanced_words())
+    def test_pairings_are_distinct_and_sorted(self, word):
+        pairings = [term.pairing for term in normal_order_vev(word, MODEL).terms]
+        assert pairings == sorted(set(pairings))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_n_particle_words_have_one_term_per_pairing(self, n):
+        labels = [f"k{i}" for i in range(n)], [f"p{i}" for i in range(n)]
+        terms = fock.n_particle_expression(n, *labels, MODEL).terms
+        assert len(terms) == math.factorial(n) * 2 ** n
+        assert len({term.pairing for term in terms}) == len(terms)
 
 
 def _fixed_point_momenta(term, word, seeds):
@@ -498,19 +531,16 @@ def _one_point_leaf(atom, env, model):
 
 
 def _reference_coefficient(expr, term, env, model):
-    """The coefficient by one unplanned np.einsum per network."""
+    """The coefficient by one unplanned np.einsum over the term's network."""
     n_ext = len(expr.word)
     total = np.zeros((model.doubled_dim,) * n_ext, dtype=complex)
-    for net in term.networks:
-        if not net:  # the empty word's unit network
-            total = total + 1.0
-            continue
-        operands, seen = [], {}
-        for atom in net:
-            tensor = _one_point_leaf(atom, env, model)
-            operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
-        total = total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
-    return total
+    if not term.network:  # the empty word's unit network
+        return total + 1.0
+    operands, seen = [], {}
+    for atom in term.network:
+        tensor = _one_point_leaf(atom, env, model)
+        operands += [tensor, [seen.setdefault(l, len(seen)) for l in atom[1]]]
+    return total + np.einsum(*operands, [seen[l] for l in range(n_ext)])
 
 
 def _rational_model():
@@ -587,7 +617,7 @@ class TestPlannedContraction:
         labels = [f"k{i}" for i in range(n)], [f"p{i}" for i in range(n)]
         expr = fock.n_particle_expression(n, *labels, _golden_model(2))
         wide = []
-        for legs in {legs for term in expr.terms for legs in term.legs}:
+        for legs in {term.legs for term in expr.terms}:
             seen: dict = {}
             inputs = tuple(tuple(seen.setdefault(l, len(seen)) for l in atom) for atom in legs)
             output = tuple(seen[l] for l in range(2 * n))
@@ -924,26 +954,23 @@ class TestShapeCachedKernels:
 
 
 def _one_network_at_a_time(expr, term, env, at, model):
-    """One term's sliced coefficient by the per-network loop: each network a
-    batch of one with its leaves sliced by basic indexing, added in network
-    order.  The reference for the topology batches, which must equal it."""
+    """One term's sliced coefficient with its network a batch of one, its
+    leaves sliced by basic indexing, added to 0.  The reference for the
+    topology batches, which must equal it."""
     n_ext = len(expr.word)
-    total = np.zeros((), dtype=complex)
-    for net in term.networks:
-        if not net:  # the empty word's unit network
-            total = total + 1.0
-            continue
-        tensors = [
-            _one_point_leaf(atom, env, model)[None][
-                (slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
-            for atom in net]
-        seen: dict = {}
-        inputs = tuple(tuple(seen.setdefault(l, len(seen)) for l in atom[1]) for atom in net)
-        output = tuple(seen[l] for l in range(n_ext))
-        for positions, subscripts in fock._plan(inputs, output, model.doubled_dim, True):
-            tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
-        total = total + tensors[0][0]
-    return complex(total[()])
+    total, net = np.zeros((), dtype=complex), term.network
+    if not net:  # the empty word's unit network
+        return complex(total + 1.0)
+    tensors = [
+        _one_point_leaf(atom, env, model)[None][
+            (slice(None), *(at[l] if l < n_ext else slice(None) for l in atom[1]))]
+        for atom in net]
+    seen: dict = {}
+    inputs = tuple(tuple(seen.setdefault(l, len(seen)) for l in atom[1]) for atom in net)
+    output = tuple(seen[l] for l in range(n_ext))
+    for positions, subscripts in fock._plan(inputs, output, model.doubled_dim, True):
+        tensors.append(np.einsum(subscripts, *[tensors.pop(p) for p in positions]))
+    return complex((total + tensors[0][0])[()])
 
 
 BATCH_CONFIGS = {1: "delta_n1", 2: "rational_n2", 3: "rational_n3"}
@@ -988,7 +1015,7 @@ class TestTopologyBatches:
         expr, jobs = _physical_jobs(3, model, 1)
         by_topology: dict = {}
         for term, env in jobs:
-            by_topology.setdefault(term.legs[0], []).append((term, env))
+            by_topology.setdefault(term.legs, []).append((term, env))
         group = max(by_topology.values(), key=len)
         assert len(group) == 8  # 2^n T/R choices share one braid structure
         # the physical assignment already differs across the group; random
