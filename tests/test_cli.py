@@ -375,6 +375,24 @@ class TestAmplitudeEmitter:
         golden = GOLDEN_AMPLITUDE / "constant_half_n1_n4.json"
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_nonphysical_query_matches_its_byte_golden(self, capsys):
+        # in-momenta out of order: the components follow each momentum's sign,
+        # and every coefficient is exactly 1.0 or 0.0
+        config = GOLDEN_AMPLITUDE / "pure_reflection_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "2",
+                     "--in=0.5,-1.5", "--out=2.5,1", "--allow-nonphysical"]) == 0
+        golden = GOLDEN_AMPLITUDE / "pure_reflection_n1_n2_nonphysical.json"
+        assert capsys.readouterr().out == golden.read_text()
+
+    def test_nonfinite_coefficients_match_their_byte_golden(self, capsys):
+        # T = inf * k makes the transmission term inf + nan i, written as
+        # json.dumps writes them: Infinity and NaN
+        config = GOLDEN_AMPLITUDE / "nonfinite_n1.json"
+        assert main(["amplitude", "--config", str(config), "--n", "1",
+                     "--in=0.5", "--out=0.5"]) == 0
+        golden = GOLDEN_AMPLITUDE / "nonfinite_n1_n1.json"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "configs"
 
