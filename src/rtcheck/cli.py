@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import fock
 from .config import (
     BULK_CATALOG,
@@ -77,15 +79,16 @@ def _cmd_amplitude(args):
                 raise ConfigError(f"{exc} (pass --allow-nonphysical to override)")
             nonphysical = True
 
-    in_labels = [f"k{i+1}" for i in range(n)]
-    out_labels = [f"p{i+1}" for i in range(n)]
+    in_labels, out_labels = ([f"{side}{i+1}" for i in range(n)] for side in "kp")
     expr = fock.n_particle_expression(n, in_labels, out_labels, dm)
-    seeds = dict(zip(in_labels, ks))
-    values = fock.physical_coefficients(
-        expr, [(term, fock.resolve_momenta(term, expr.word, seeds)) for term in expr.terms], dm)
-    pairings = ([(expr.word[a_pos].label, expr.word[c_pos].label, rel)
-                 for a_pos, c_pos, rel in term.pairing] for term in expr.terms)
-    return 0, amplitude_json(n, ks, ps, nonphysical, zip(pairings, values))
+    momenta, _ = fock.resolved_momenta(expr.word, expr.terms, dict(zip(in_labels, ks)))
+    values = fock.physical_coefficients(expr, expr.terms, momenta, dm)
+    # a pair (a position, ad position, rel) is entry 2 (n a + ad - n) + (rel < 0) of the table
+    pairs = [(expr.word[i].label, expr.word[j].label, rel)
+             for i in range(n) for j in range(n, 2 * n) for rel in (1, -1)]
+    a_pos, c_pos, rel = fock.pairing_array(expr.terms).transpose(2, 0, 1)
+    pairings = 2 * (n * a_pos + c_pos - n) + (rel < 0)
+    return 0, amplitude_json(n, ks, ps, nonphysical, pairs, pairings, values)
 
 
 def _number(x: float) -> str:
@@ -121,21 +124,27 @@ def _pair(out: str, in_: str, sign: int) -> str:
         }""" % (json.dumps(in_), json.dumps(out), sign)
 
 
-def amplitude_json(n: int, ks: list[float], ps: list[float], nonphysical: bool, terms):
+def amplitude_json(n: int, ks: list[float], ps: list[float], nonphysical: bool,
+                   pairs: list[tuple], pairings: np.ndarray, values: np.ndarray):
     """The amplitude document, chunk by chunk, exactly as
-    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes it.  ``terms``
-    yields (pairing, coefficient) with the pairing a list of (out label, in
-    label, sign); one chunk holds one term record."""
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes it.  Term j
+    has coefficient ``values[j]`` and the pairs ``pairings[j]``, indices
+    into ``pairs``, each an (out label, in label, sign); every term has as
+    many pairs.  One chunk holds one term record, written by one ``%`` from
+    the query's table of pair records."""
     yield ('{\n  "in_momenta": %s,\n  "n": %d,\n  "nonphysical_ordering": %s,\n'
            '  "out_momenta": %s,\n  "terms": ' % (
                _array([_number(k) for k in ks], "  "), n, json.dumps(nonphysical),
                _array([_number(p) for p in ps], "  ")))
-    sep = "[\n    "  # before the first record, then ",\n    "
-    for pairing, value in terms:
-        pairs = _array([_pair(*p) for p in pairing], "      ")
-        yield sep + _TERM % (_number(value.imag), _number(value.real), pairs)
-        sep = ",\n    "
-    yield "[]\n}\n" if sep[0] == "[" else "\n  ]\n}\n"
+    number = float.__repr__ if np.isfinite(values).all() else _number
+    table = np.array([_pair(*pair) for pair in pairs], dtype=object)
+    record = _TERM % ("%s", "%s", _array(["%s"] * pairings.shape[1], "      "))
+    template = "[\n    " + record  # the first record, then ",\n    " before each
+    for im, re, row in zip(map(number, values.imag.tolist()), map(number, values.real.tolist()),
+                           table[pairings].tolist()):
+        yield template % (im, re, *row)
+        template = ",\n    " + record
+    yield "[]\n}\n" if template[0] == "[" else "\n  ]\n}\n"
 
 
 def _cmd_catalog(_args):

@@ -39,17 +39,17 @@ factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
 records at expansion what it reads (S, a contraction leaf T or R, or a
 dress: I + calT, calT or calR) and the (sign, label) of each momentum it
-reads it at.  A call's rows, one per term, are encoded
-once per selection of terms (``_rows``, the one holder of the contraction
-rule): each slot's flavour code, signs and label columns, and the (row,
-point) entries of each topology.  A call forms every slot's momenta from
-its (job, point, label) array in one expression, reads each distinct leaf
-once, each flavour with one call on the array of its momenta (``calS.eval``,
-``I + calT``, ``calR`` or ``calT``; the ZF constants I and 0 with none), and
-gives each slot of a topology its leaves, sliced at each entry's ``at``,
-with one gather.  A contraction leaf and a dress of one datum share their
-reads.  A call's model calls do not grow with its rows or points, and its
-Python steps grow only with its topologies.
+reads it at.  ``_rows``, the one holder of the contraction rule, encodes a
+call's rows, one per term, once per selection of terms.  A call forms every
+slot's momenta in one expression, reads each distinct leaf once, each datum
+with one call on the array of its momenta (``calS.eval``, calT for I + calT
+and calT, or calR; the ZF constants I and 0 with none), and gives each slot
+of a topology its leaves, sliced at each entry's ``at``, with one gather.
+Its model calls do not grow with its rows or points, and its Python steps
+grow only with its topologies.  The momenta themselves are resolved once
+per expansion as arrays: ``_resolver`` walks the pairings of all its terms
+at once and keeps each (term, label) as a seed column and a sign, so a
+query's momenta are one gather (``resolved_momenta``).
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and dress.  It never depends on the model (which only
@@ -163,9 +163,9 @@ class ContractionTerm:
         return (self.network,)
 
 
-# leaf flavour codes 0-5, one datum each: the braid, the model pair's contraction leaves
-# and dresses I + calT and calR, the dress calT, and the plain ZF leaves I and 0
-FLAVOURS = ("S", "I+calT", "calR", "calT", "I", "0")
+# leaf flavour codes 0-5: the braid, the model pair's contraction leaves and dresses
+# I + calT, the dress calT (both read from calT), calR, and the plain ZF leaves I and 0
+FLAVOURS = ("S", "I+calT", "calT", "calR", "I", "0")
 
 
 @dataclass(frozen=True)
@@ -263,27 +263,24 @@ def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
     return inputs, tuple(seen[l] for l in kept)
 
 
-def _read(code: int, ks, model: DoubledModel) -> np.ndarray:
-    """The stack of a leaf flavour's tensors at its momenta ``ks`` (one
-    float, or one 1-d array, per momentum slot): by one model call
-    ``calS.eval``, or I + calT, calR or calT of the model's pair, and by
-    none the constants I and 0, the plain ZF contraction leaves."""
-    d, flavour = model.doubled_dim, FLAVOURS[code]
-    if flavour == "S":
+def _read(datum: str, ks, model: DoubledModel) -> np.ndarray:
+    """The stack of a datum's tensors at its momenta ``ks`` (one float, or
+    one 1-d array, per momentum slot): by one model call ``calS.eval``, or
+    calR or calT of the model's pair, and by none the constants I and 0, the
+    plain ZF contraction leaves."""
+    d = model.doubled_dim
+    if datum == "S":
         return model.calS.eval(*ks).reshape(-1, d, d, d, d)
-    if flavour in ("I", "0"):
-        return np.broadcast_to(np.eye(d, dtype=complex) * (flavour == "I"), (np.size(ks[0]), d, d))
-    if flavour == "calR":
-        return model.defect.R(ks[0]).reshape(-1, d, d)
-    got = model.defect.T(ks[0])
-    return (got if flavour == "calT" else np.eye(d) + got).reshape(-1, d, d)
+    if datum in ("I", "0"):
+        return np.broadcast_to(np.eye(d, dtype=complex) * (datum == "I"), (np.size(ks[0]), d, d))
+    return (model.defect.R if datum == "calR" else model.defect.T)(ks[0]).reshape(-1, d, d)
 
 
 def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
                  model: DoubledModel) -> tuple[list, np.ndarray]:
-    """Every distinct leaf of a query read once: per flavour code, one
-    ``_read`` on the array of its distinct momenta, at floats if it has
-    one.  A slot's leaf is its (code, momenta at P points), from ``codes``
+    """Every distinct leaf of a query read once: per datum (calT for I + calT
+    too), one ``_read`` on the array of its distinct momenta, at floats if it
+    has one.  A slot's leaf is its (code, momenta at P points), from ``codes``
     and ``ks`` (slot, two momenta per point); slots sorted by code and first
     point whose momenta are all equal share one.  Gives the braid and the
     matrix table (contraction and dress leaves), each with P rows per leaf
@@ -296,14 +293,19 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
     index = np.empty(len(codes), dtype=np.intp)
     index[order] = first.cumsum() - 1
     codes, points = codes[first].tolist(), points[first]
-    cuts = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1]]
+    data = [FLAVOURS[code].removeprefix("I+") for code in codes]
+    cuts = [i for i in range(1, len(codes)) if data[i] != data[i - 1]]
     tables: tuple[list, list] = ([], [])  # braid tensors, matrices
     for i, j in zip([0, *cuts], [*cuts, len(codes)]) if codes else ():
         code = codes[i]  # one point is read at floats: no array set-up, an array's bits
         pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
             tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
-        tables[code > 0].append(_read(code, pair[:1 if code else 2], model))
+        got = _read(data[i], pair[:1 if code else 2], model)
+        plus = codes[i:j].count(1) * P  # the rows of I + calT (code 1), before calT's
+        if plus:
+            tables[1].append(np.eye(model.doubled_dim) + got[:plus])
+        tables[code > 0].append(got[plus:])
     if P != 1:  # each slot's leaf rows, point by point
         index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
@@ -355,12 +357,6 @@ def _letters(legs: tuple[int, ...]) -> str:
 def _labels(word: tuple[WordSymbol, ...]) -> tuple[str, ...]:
     """A word's labels, the columns of its momentum assignments."""
     return tuple(dict.fromkeys(s.label for s in word))
-
-
-def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
-    """The momentum assignments as one (assignment, label) array."""
-    columns = [list(map(operator.itemgetter(label), envs)) for label in labels]
-    return np.array(columns, dtype=float).reshape(len(labels), len(envs)).T
 
 
 @functools.lru_cache(maxsize=64)
@@ -443,9 +439,8 @@ def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
     return values
 
 
-def evaluate_coefficients(
-    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel
-) -> list[np.ndarray]:
+def evaluate_coefficients(expr: AmplitudeExpression, jobs: list[tuple],
+                          model: DoubledModel) -> list[np.ndarray]:
     """Coefficient tensors of terms of one expression, one per job (term,
     momentum assignment, at).
 
@@ -466,53 +461,77 @@ def evaluate_coefficients(
         return [next(kinds[at is None]) for *_, at in jobs]
     ats = None if not jobs or jobs[0][2] is None else np.array(
         [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
-    got = _coefficients(expr.word, [term for term, *_ in jobs],
-                        _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
+    labels = _labels(expr.word)
+    momenta = np.array([[env[label] for label in labels] for _, env, _ in jobs],
+                       dtype=float).reshape(len(jobs), len(labels))
+    got = _coefficients(expr.word, [term for term, *_ in jobs], momenta, ats, model)
     return [got[j, ...] for j in range(len(jobs))]
 
 
-def evaluate_coefficient(
-    expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-    model: DoubledModel, at: Optional[tuple[int, ...]] = None,
-) -> np.ndarray:
+def evaluate_coefficient(expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
+                         model: DoubledModel, at: Optional[tuple[int, ...]] = None) -> np.ndarray:
     """One term's coefficient tensor at a momentum assignment (see
     ``evaluate_coefficients``)."""
     return evaluate_coefficients(expr, [(term, env, at)], model)[0]
 
 
-def physical_coefficients(
-    expr: AmplitudeExpression, jobs: list[tuple[ContractionTerm, dict[str, float]]],
-    model: DoubledModel,
-) -> list[complex]:
-    """Coefficients of terms (term, momentum assignment) at the physical
-    component assignment, evaluated as one batch.
-
-    A word position's component follows its symbol's momentum
-    sign * env[label]: eps = sign(p) for an annihilator a(p) and
-    xi = -sign(k) for a creator ad(k), where xi = + is the first block.
-    """
+def physical_coefficients(expr: AmplitudeExpression, terms, momenta: np.ndarray,
+                          model: DoubledModel) -> np.ndarray:
+    """Coefficients of ``terms`` at the physical component assignment, term j
+    at row j of ``momenta`` (``resolved_momenta``), evaluated as one batch.
+    A word position's component follows its symbol's momentum sign *
+    value(label): eps = sign(p) for an annihilator a(p) and xi = -sign(k)
+    for a creator ad(k), where xi = + is the first block."""
     labels = _labels(expr.word)
     sides = np.array([s.sign if s.kind == "a" else -s.sign for s in expr.word])  # eps or xi
-    momenta = _momenta(labels, [env for _, env in jobs])
     ats = np.where(sides * momenta[:, [labels.index(s.label) for s in expr.word]] > 0, 0, 1)
-    return _coefficients(expr.word, [term for term, _ in jobs], momenta, ats, model).tolist()
+    return _coefficients(expr.word, terms, momenta, ats, model)
 
 
-def resolve_momenta(
-    term: ContractionTerm, word: tuple[WordSymbol, ...], seeds: dict[str, float]
-) -> dict[str, float]:
-    """Propagate pairing constraints value[a] = rel * value[ad] from seeds in
-    one pass, in ``term.pairing`` order (by annihilator position), where each
-    pair meets a known label: an n-particle word seeded at its creators, and
-    <a(p) M†(w) M(w) ad(q)> seeded at p, whose terms pair (0, 1), (2, 3)."""
-    env = dict(seeds)
-    for a_pos, c_pos, rel in term.pairing:
-        la, lc = word[a_pos].label, word[c_pos].label
-        if la in env and lc not in env:
-            env[lc] = env[la] / rel
-        elif lc in env and la not in env:
-            env[la] = rel * env[lc]
-    return env
+@functools.lru_cache(maxsize=64)
+def pairing_array(terms: tuple[ContractionTerm, ...]) -> np.ndarray:
+    """The pairings of ``terms`` as one (term, pair, (a_pos, ad_pos, rel)) array."""
+    pairs = len(terms[0].pairing) if terms else 0
+    return np.array([t.pairing for t in terms], np.intp).reshape(len(terms), pairs, 3)
+
+
+@functools.lru_cache(maxsize=64)
+def _resolver(word: tuple[WordSymbol, ...], terms: tuple[ContractionTerm, ...],
+              seeded: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each (term, label)'s momentum as the label column of its seed and a
+    sign (0 if no pair reaches it), for seeds at ``seeded``: value[a] = rel *
+    value[ad] fixes a pair's unknown label, pair by pair in annihilator order,
+    each over all terms at once.  Each step multiplies by rel = +-1, so
+    ``sign * seeds[column]`` has the bits of a Python walk of one term."""
+    labels = _labels(word)
+    column = np.tile(np.arange(len(labels)), (len(terms), 1))
+    sign = np.tile(np.array([label in seeded for label in labels], np.int8), (len(terms), 1))
+    position = np.array([labels.index(s.label) for s in word], np.intp)  # -> label column
+    rows = np.arange(len(terms))
+    for a_pos, c_pos, rel in pairing_array(terms).transpose(1, 2, 0):
+        a_col, c_col = position[a_pos], position[c_pos]
+        a_known, c_known = sign[rows, a_col] != 0, sign[rows, c_col] != 0
+        for src, dst, fix in ((a_col, c_col, a_known & ~c_known),
+                              (c_col, a_col, c_known & ~a_known)):
+            sign[rows[fix], dst[fix]] = rel[fix] * sign[rows[fix], src[fix]]
+            column[rows[fix], dst[fix]] = column[rows[fix], src[fix]]
+    return column, sign
+
+
+def resolved_momenta(word: tuple[WordSymbol, ...], terms,
+                     seeds: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The (term, label) momenta resolved from ``seeds`` in one gather, and
+    their signs, 0 for a label no pair reaches (its momentum reads 0)."""
+    labels = _labels(word)
+    column, sign = _resolver(word, tuple(terms), tuple(l for l in labels if l in seeds))
+    return sign * np.array([seeds.get(label, 0.0) for label in labels], dtype=float)[column], sign
+
+
+def resolve_momenta(term: ContractionTerm, word: tuple[WordSymbol, ...],
+                    seeds: dict[str, float]) -> dict[str, float]:
+    """One term's ``resolved_momenta``: ``seeds`` and every label they reach."""
+    (got,), (sign,) = resolved_momenta(word, [term], seeds)
+    return {**{label: v for label, v, s in zip(_labels(word), got.tolist(), sign) if s}, **seeds}
 
 
 # --- one-particle kernels ---------------------------------------------------
@@ -581,17 +600,17 @@ def _traced_passes(model: DoubledModel, passes: list[tuple],
     """Words <a(p) M†(w) M(w) ad(q)>, one per pass (M†, M, momentum array),
     traced over their middle legs in one ``_coefficients`` call (contracted
     by the plain ZF rules if ``zf``), each term a job on its pass's array.
-    A term fixes w = +-p and q = +-p, read once per word by resolving its
-    pairing at p = 1.  Per pass two lists of (w per momentum, (P, 2N, 2N)
+    A term fixes w = +-p and q = +-p, read once per word as the signs that
+    resolve it from p.  Per pass two lists of (w per momentum, (P, 2N, 2N)
     traced coefficient) in term order: the terms with q = p (the
     delta(p - k) part) and those with q = -p."""
-    jobs, words = [], {}  # (M†, M) -> its word's terms, each with its momenta at p = 1
+    jobs, words = [], {}  # (M†, M) -> its word's terms, each with its signs of w and q
     for i, (creator, annihilator, ps) in enumerate(passes):
         if (creator, annihilator) not in words:
             expr = normal_order_vev([a("p"), creator, annihilator, ad("q")], model)
-            words[creator, annihilator] = [
-                (term, resolve_momenta(term, expr.word, {"p": 1.0})) for term in expr.terms]
-        jobs += [(i, term, env["w"], env["q"], ps) for term, env in words[creator, annihilator]]
+            signs = _resolver(expr.word, expr.terms, ("p",))[1]  # labels p, w, q
+            words[creator, annihilator] = list(zip(expr.terms, *signs[:, 1:].T.tolist()))
+        jobs += [(i, term, sw, sq, ps) for term, sw, sq in words[creator, annihilator]]
     points, d = len(passes[0][2]), model.doubled_dim
     momenta = np.concatenate([np.stack([ps, sw * ps, sq * ps], axis=1) for *_, sw, sq, ps in jobs])
     # every pass's word has the length and labels of the last one expanded
@@ -740,30 +759,27 @@ def _product_gaps(model: DoubledModel, cases: list[tuple[list, tuple]]) -> list[
 
     The product pairs out-slot i with in-slot i at p_i = sigma_i k_i: a product
     of projected transmission (sigma_i = +1) or reflection brackets, read on
-    the array of all p_i.  The engine coefficient of that pairing, at the
-    physical component assignment, is 0 if the expansion lacks the pairing;
-    every case's coefficient is contracted in one batch.
+    the array of all p_i.  The engine coefficient of that pairing is taken
+    at the physical component assignment; the expansion has every pairing
+    with every sign (n! 2^n distinct terms), and all cases are one batch.
     """
     n = len(cases[0][1]) if cases else 0
-    labels = [f"k{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
-    expr = n_particle_expression(n, labels[:n], labels[n:], model)
+    expr = n_particle_expression(n, *([f"{side}{i+1}" for i in range(n)] for side in "kp"), model)
     by_pairing = {t.pairing: t for t in expr.terms}
     # out slot i is word position n - 1 - i, in slot i is position n + i
-    terms = {sigma: by_pairing.get(tuple(sorted((n - 1 - i, n + i, s)
-                                                for i, s in enumerate(sigma))))
+    terms = {sigma: by_pairing[tuple(sorted((n - 1 - i, n + i, s) for i, s in enumerate(sigma)))]
              for sigma in {sigma for _, sigma in cases}}
-    sigmas = np.array([sigma for _, sigma in cases])
-    ps = sigmas * np.array([ks for ks, _ in cases], dtype=float)
+    sigmas = np.array([sigma for _, sigma in cases]).reshape(len(cases), n)
+    ks = np.array([k for k, _ in cases], dtype=float).reshape(len(cases), n)
+    ps = sigmas * ks
     opta = one_particle_amplitude(model.half_line, ps.ravel())
     brackets = np.where(sigmas.ravel() > 0, opta.A[:, 0, 0], opta.B[:, 0, 0])
     # Python complex products in factor order (numpy's may differ in the last bit)
     products = [math.prod(row, start=1.0 + 0.0j) for row in brackets.reshape(ps.shape).tolist()]
-    jobs = [(terms[sigma], dict(zip(labels, [*ks, *p_case])))
-            for (ks, sigma), p_case in zip(cases, ps.tolist()) if terms[sigma] is not None]
-    engine = iter(physical_coefficients(expr, jobs, model))
+    momenta = np.concatenate([ps[:, ::-1], ks], axis=1)  # the word's labels p_n..p_1, k_1..k_n
+    engine = physical_coefficients(expr, [terms[sigma] for _, sigma in cases], momenta, model)
     # Python's abs: np.abs can differ in the last bit
-    return [abs((next(engine) if terms[sigma] is not None else 0j) - prod)
-            for (_, sigma), prod in zip(cases, products)]
+    return [abs(value - prod) for value, prod in zip(engine.tolist(), products)]
 
 
 def factorization_residual(

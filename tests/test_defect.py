@@ -521,8 +521,7 @@ ZERO_MOMENTUM_DEFECTS = {
 
 def _physical_at_zero(model):
     expr = fock.normal_order_vev([fock.a("p"), fock.ad("k")], model)
-    return fock.physical_coefficients(
-        expr, [(term, {"p": 0.0, "k": 0.0}) for term in expr.terms], model)
+    return fock.physical_coefficients(expr, expr.terms, np.zeros((len(expr.terms), 2)), model)
 
 
 # Every public entry point that reads defect data at a momentum, made to read

@@ -177,6 +177,71 @@ class TestOneNetworkPerTerm:
         assert len({term.pairing for term in terms}) == len(terms)
 
 
+def _walked_momenta(term, word, seeds):
+    """The reference for the array resolver: one Python walk of a term's
+    pairing, in pairing order, where each pair meets a known label."""
+    env = dict(seeds)
+    for a_pos, c_pos, rel in term.pairing:
+        la, lc = word[a_pos].label, word[c_pos].label
+        if la in env and lc not in env:
+            env[lc] = env[la] / rel
+        elif lc in env and la not in env:
+            env[la] = rel * env[lc]
+    return env
+
+
+def _bits(env):
+    return {label: np.float64(value).tobytes() for label, value in env.items()}
+
+
+HIERARCHY_MIDS = [
+    (creator, annihilator)
+    for creator in (ad("w"), ad("w", dress=("I+calT", +1)), ad("w", sign=-1, dress=("calR", -1)))
+    for annihilator in (a("w"), a("w", dress=("I+calT", +1)), a("w", dress=("calT", +1)),
+                        a("w", sign=-1, dress=("calR", +1)))]
+
+
+class TestArrayResolver:
+    """``resolved_momenta`` resolves every term of an expansion in one walk
+    of the pairings over all terms and one gather, with the bits of one
+    Python walk per term; ``resolve_momenta`` is its one-term view."""
+
+    @staticmethod
+    def _check(expr, seeds):
+        labels = fock._labels(expr.word)
+        momenta, sign = fock.resolved_momenta(expr.word, expr.terms, seeds)
+        assert momenta.shape == sign.shape == (len(expr.terms), len(labels))
+        for term, row, signs in zip(expr.terms, momenta, sign):
+            want = _walked_momenta(term, expr.word, seeds)
+            reached = [label for label in labels if label in want]
+            assert [label for label, s in zip(labels, signs) if s] == reached
+            assert row[signs != 0].tobytes() == np.array(
+                [want[label] for label in reached], dtype=float).tobytes()
+            assert _bits(resolve_momenta(term, expr.word, seeds)) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(balanced_words(), st.data())
+    def test_words_seeded_at_their_creators(self, word, data):
+        values = st.sampled_from([-2.2, -0.9, -0.0, 0.0, 1.3]) | st.floats(allow_nan=False)
+        seeds = {s.label: data.draw(values) for s in word if s.kind == "ad"}
+        self._check(normal_order_vev(word, MODEL), seeds)
+
+    @pytest.mark.parametrize("creator, annihilator", HIERARCHY_MIDS)
+    def test_hierarchy_words_seeded_at_p(self, creator, annihilator):
+        expr = normal_order_vev([a("p"), creator, annihilator, ad("q")], MODEL)
+        for p in (1.0, -0.7, 0.0, -0.0):
+            self._check(expr, {"p": p})
+        # the traced pass reads each term's w and q as the signs of the walk at p = 1
+        ps = np.array([0.7, -1.3, 2.2])
+        got = fock._traced_passes(MODEL, [(creator, annihilator, ps)])[0]
+        want: tuple[list, list] = ([], [])
+        for term in expr.terms:
+            env = _walked_momenta(term, expr.word, {"p": 1.0})
+            want[env["q"] < 0].append((env["w"] * ps).tolist())
+        assert [[ws for ws, _ in part] for part in got] == list(want)
+        assert all(part for part in want)
+
+
 def _fixed_point_momenta(term, word, seeds):
     """The reference for resolve_momenta: sweep the pairing until a sweep
     sets no label."""
@@ -376,7 +441,7 @@ class TestKernels:
         expr = normal_order_vev([a("p"), ad("k")], model)
         for term in expr.terms:
             with pytest.raises(ZeroMomentumError):
-                fock.physical_coefficients(expr, [(term, {"p": 0.0, "k": 0.0})], model)
+                fock.physical_coefficients(expr, [term], np.zeros((1, 2)), model)
 
     def test_composition_associativity(self):
         """(K1 K2) K3 = K1 (K2 K3) at p, where K2 K3 at -p composes K2 and K3
@@ -752,8 +817,8 @@ class TestShapeCachedKernels:
         alone = [run([job]).tobytes() for job in jobs]
         reads.clear()
         together = run(jobs)
-        # R: the contraction leaves and both calR dresses; T: I + calT and calT
-        assert reads == {"R": 1, "T": 2}
+        # R: the contraction leaves and both calR dresses; T: I + calT and calT together
+        assert reads == {"R": 1, "T": 1}
         assert [x.tobytes() for x in np.split(together, len(jobs))] == alone
         half = len(exprs[0].terms)
         assert alone[:half] != alone[half:2 * half]
@@ -797,12 +862,12 @@ class TestShapeCachedKernels:
         assert len(fock.hierarchy_relation_residuals(2, model, momenta)) == count
         assert calls == [(28, 28 * count)]
 
-    @pytest.mark.parametrize("flavour", ["I+calT", "calR"])
+    @pytest.mark.parametrize("datum", ["calT", "calR"])
     def test_a_leaf_read_at_the_negated_momenta_fails_the_odd_commutators(
-            self, monkeypatch, flavour):
+            self, monkeypatch, datum):
         """Mutation check of the hierarchy pass's leaf reads: read every
-        leaf of one flavour (I + calT, or calR) at the negated momentum
-        array.  The mixed-parity commutators (0,1) and (1,2), whose right
+        leaf of one datum (calT, so I + calT and calT, or calR) at the
+        negated momentum array.  The mixed-parity commutators (0,1) and (1,2), whose right
         side is the engine's reflection moment, then fail by O(1), while
         the same-parity commutators stay at rounding level, because both of
         their sides read the same leaves.  hierarchy-relation(0) and (2)
@@ -810,8 +875,8 @@ class TestShapeCachedKernels:
         the mutation reaches only their dresses, which the two sides of the
         relation do not read alike."""
         read = fock._read
-        monkeypatch.setattr(fock, "_read", lambda code, ks, model: read(
-            code, tuple(-k for k in ks) if fock.FLAVOURS[code] == flavour else ks, model))
+        monkeypatch.setattr(fock, "_read", lambda name, ks, model: read(
+            name, tuple(-k for k in ks) if name == datum else ks, model))
         model = _rational_model()
         momenta = [0.7, -1.3, 2.2, -0.4]
         for m, n in ((0, 1), (1, 2)):
@@ -993,13 +1058,21 @@ def _physical_jobs(n, model, seed):
     return expr, [(t, resolve_momenta(t, expr.word, seeds)) for t in expr.terms]
 
 
+def _physical(expr, jobs, model):
+    """``physical_coefficients`` of (term, momentum assignment) jobs, as a list."""
+    labels = fock._labels(expr.word)
+    momenta = np.array([[env[label] for label in labels] for _, env in jobs],
+                       dtype=float).reshape(len(jobs), len(labels))
+    return fock.physical_coefficients(expr, [term for term, _ in jobs], momenta, model).tolist()
+
+
 class TestTopologyBatches:
     @pytest.mark.parametrize("N,n", [(N, n) for N in (1, 2, 3) for n in range(5)])
     def test_batched_equals_the_per_network_loop(self, N, n):
         model = _golden_model(N)
         for seed in range(3 if N * n < 12 else 1):
             expr, jobs = _physical_jobs(n, model, seed)
-            got = fock.physical_coefficients(expr, jobs, model)
+            got = _physical(expr, jobs, model)
             sides = [(s.sign if s.kind == "a" else -s.sign, s.label) for s in expr.word]
             want = [
                 _one_network_at_a_time(
@@ -1007,7 +1080,7 @@ class TestTopologyBatches:
                     tuple(0 if sign * env[label] > 0 else 1 for sign, label in sides), model)
                 for term, env in jobs]
             assert got == want
-            assert got == [fock.physical_coefficients(expr, [job], model)[0] for job in jobs]
+            assert got == [_physical(expr, [job], model)[0] for job in jobs]
 
     def test_one_topology_group_holds_different_ats(self):
         model = _golden_model(2)
@@ -1083,8 +1156,8 @@ class TestTopologyBatches:
 
     def test_zero_particles_is_one_unit_term(self):
         expr, jobs = _physical_jobs(0, MODEL, 0)
-        assert fock.physical_coefficients(expr, jobs, MODEL) == [1 + 0j]
-        assert fock.physical_coefficients(expr, [], MODEL) == []
+        assert _physical(expr, jobs, MODEL) == [1 + 0j]
+        assert _physical(expr, [], MODEL) == []
 
     def test_threads_get_the_serial_results(self):
         import sys
@@ -1092,13 +1165,13 @@ class TestTopologyBatches:
 
         model = _golden_model(2)
         draws = [_physical_jobs(3, model, seed) for seed in range(2)]
-        serial = [fock.physical_coefficients(expr, jobs, model) for expr, jobs in draws]
+        serial = [_physical(expr, jobs, model) for expr, jobs in draws]
         results: dict[int, list] = {}
         start = threading.Barrier(4)
 
         def work(i):
             start.wait(timeout=60)
-            results[i] = [fock.physical_coefficients(expr, jobs, model) for expr, jobs in draws]
+            results[i] = [_physical(expr, jobs, model) for expr, jobs in draws]
 
         fock._plan.cache_clear()  # make the threads race on compiling plans
         fock._expand.cache_clear()  # and on expanding shapes and building their layouts

@@ -275,10 +275,11 @@ def _one_point_j_squared(dm, k):
 def _one_point_opta(dm, p):
     expr = fock.normal_order_vev([fock.a("p"), fock.ad("k")], dm)
     opta = fock.one_particle_amplitude(dm.half_line, p)
-    jobs = [(next(t for t in expr.terms if t.pairing[0][2] == rel), {"p": p, "k": p / rel})
-            for rel in (+1, -1)]
+    terms = [next(t for t in expr.terms if t.pairing[0][2] == rel) for rel in (+1, -1)]
+    momenta = np.array([[p, p / rel] for rel in (+1, -1)])  # the word's labels p, k
     worst = 0.0
-    for coeff, ref in zip(fock.physical_coefficients(expr, jobs, dm), (opta.A, opta.B)):
+    for coeff, ref in zip(fock.physical_coefficients(expr, terms, momenta, dm).tolist(),
+                          (opta.A, opta.B)):
         worst = max(worst, abs(coeff - complex(ref[0, 0])))
     return worst
 
@@ -375,8 +376,8 @@ class TestArrayResiduals:
         batches = []
         physical = fock.physical_coefficients
         monkeypatch.setattr(fock, "physical_coefficients",
-                            lambda expr, jobs, dm: batches.append(len(jobs)) or physical(
-                                expr, jobs, dm))
+                            lambda expr, terms, momenta, dm: batches.append(len(terms)) or physical(
+                                expr, terms, momenta, dm))
         model = build_model(parse_config(json.dumps(
             {"bulk": bulk, "defect": "delta", "doubled": True, "samples": 40})))
         momenta = sample_momenta(40, seed=2)
@@ -438,8 +439,8 @@ class TestArrayResiduals:
         "hierarchy-commutator(0,1)": {"R": 1, "T": 1},
         # one call for the 7 words: the contraction leaves are the plain ZF
         # constants, read by no call, and the dresses I + calT, calT and calR
-        # (at w and -w) are the model's, one call each
-        "hierarchy-relation(2)": {"R": 1, "T": 2},
+        # (at w and -w) are the model's, I + calT and calT in one T call
+        "hierarchy-relation(2)": {"R": 1, "T": 1},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
@@ -600,9 +601,10 @@ class TestSharedRows:
             [(tuple(s.dress is not None for s in word), m is dm)]) or normal_order(word, m))
         calls.clear()
         run_suite(model)
-        # with each row reading on its own: S 177, R 116, T 98, calS 24, blocks 12;
-        # the hierarchy's calR dresses are read with its calR contraction leaves
-        assert dict(calls) == {"S": 105, "R": 46, "T": 50, "calS": 18, "blocks": 8}
+        # with one run per row (_row_by_row): S 177, R 86, T 84, calS 24, blocks 12;
+        # the hierarchy's calR dresses are read with its calR contraction leaves,
+        # and its calT dresses with its I + calT dresses
+        assert dict(calls) == {"S": 105, "R": 46, "T": 48, "calS": 18, "blocks": 8}
         # the commutators' Hamiltonian and reflection-moment words, once each
         # (with each row on its own, four times each), and the relation's
         # seven words on the run's model: four with both middle symbols
