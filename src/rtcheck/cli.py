@@ -79,15 +79,15 @@ def _cmd_amplitude(args):
                 raise ConfigError(f"{exc} (pass --allow-nonphysical to override)")
             nonphysical = True
 
-    in_labels, out_labels = ([f"{side}{i+1}" for i in range(n)] for side in "kp")
+    in_labels = [f"k{i+1}" for i in range(n)]
+    out_labels = [f"p{i+1}" for i in range(n)]
     expr = fock.n_particle_expression(n, in_labels, out_labels, dm)
     momenta, _ = fock.resolved_momenta(expr.word, expr.terms, dict(zip(in_labels, ks)))
     values = fock.physical_coefficients(expr, expr.terms, momenta, dm)
-    # a pair (a position, ad position, rel) is entry 2 (n a + ad - n) + (rel < 0) of the table
-    pairs = [(expr.word[i].label, expr.word[j].label, rel)
-             for i in range(n) for j in range(n, 2 * n) for rel in (1, -1)]
+    # a pair (a position, ad position, rel) is entry 2 (len(word) a + ad) + (rel < 0) of the table
+    pairs = [(a.label, ad.label, rel) for a in expr.word for ad in expr.word for rel in (1, -1)]
     a_pos, c_pos, rel = fock.pairing_array(expr.terms).transpose(2, 0, 1)
-    pairings = 2 * (n * a_pos + c_pos - n) + (rel < 0)
+    pairings = 2 * (len(expr.word) * a_pos + c_pos) + (rel < 0)
     return 0, amplitude_json(n, ks, ps, nonphysical, pairs, pairings, values)
 
 
@@ -136,11 +136,10 @@ def amplitude_json(n: int, ks: list[float], ps: list[float], nonphysical: bool,
            '  "out_momenta": %s,\n  "terms": ' % (
                _array([_number(k) for k in ks], "  "), n, json.dumps(nonphysical),
                _array([_number(p) for p in ps], "  ")))
-    number = float.__repr__ if np.isfinite(values).all() else _number
     table = np.array([_pair(*pair) for pair in pairs], dtype=object)
     record = _TERM % ("%s", "%s", _array(["%s"] * pairings.shape[1], "      "))
     template = "[\n    " + record  # the first record, then ",\n    " before each
-    for im, re, row in zip(map(number, values.imag.tolist()), map(number, values.real.tolist()),
+    for im, re, row in zip(map(_number, values.imag.tolist()), map(_number, values.real.tolist()),
                            table[pairings].tolist()):
         yield template % (im, re, *row)
         template = ",\n    " + record

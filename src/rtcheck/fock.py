@@ -39,17 +39,20 @@ factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
 records at expansion what it reads (S, a contraction leaf T or R, or a
 dress: I + calT, calT or calR) and the (sign, label) of each momentum it
-reads it at.  ``_rows``, the one holder of the contraction rule, encodes a
-call's rows, one per term, once per selection of terms.  A call forms every
-slot's momenta in one expression, reads each distinct leaf once, each datum
-with one call on the array of its momenta (``calS.eval``, calT for I + calT
-and calT, or calR; the ZF constants I and 0 with none), and gives each slot
-of a topology its leaves, sliced at each entry's ``at``, with one gather.
-Its model calls do not grow with its rows or points, and its Python steps
-grow only with its topologies.  The momenta themselves are resolved once
-per expansion as arrays: ``_resolver`` walks the pairings of all its terms
-at once and keeps each (term, label) as a seed column and a sign, so a
-query's momenta are one gather (``resolved_momenta``).
+reads it at.  A call's rows, one per term, are encoded
+once per selection of terms (``_rows``, the one holder of the contraction
+rule): each slot's flavour code, signs and label columns, and the (row,
+point) entries of each topology.  A call forms every slot's momenta from
+its (job, point, label) array in one expression, reads each distinct leaf
+once, each flavour with one call on the array of its momenta (``calS.eval``,
+``I + calT``, ``calR`` or ``calT``; the ZF constants I and 0 with none), and
+gives each slot of a topology its leaves, sliced at each entry's ``at``,
+with one gather.  A contraction leaf and a dress of one datum share their
+reads.  A call's model calls do not grow with its rows or points, and its
+Python steps grow only with its topologies.  Momenta are resolved once per
+expansion as arrays: ``_resolver`` walks the pairings of all its terms at
+once and keeps each (term, label) as a seed column and a sign, so a query's
+momenta are one gather (``resolved_momenta``).
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and dress.  It never depends on the model (which only
@@ -163,9 +166,9 @@ class ContractionTerm:
         return (self.network,)
 
 
-# leaf flavour codes 0-5: the braid, the model pair's contraction leaves and dresses
-# I + calT, the dress calT (both read from calT), calR, and the plain ZF leaves I and 0
-FLAVOURS = ("S", "I+calT", "calT", "calR", "I", "0")
+# leaf flavour codes 0-5, one datum each: the braid, the model pair's contraction leaves
+# and dresses I + calT and calR, the dress calT, and the plain ZF leaves I and 0
+FLAVOURS = ("S", "I+calT", "calR", "calT", "I", "0")
 
 
 @dataclass(frozen=True)
@@ -263,24 +266,27 @@ def _compact(legs: tuple, kept, same: dict) -> tuple[tuple, tuple]:
     return inputs, tuple(seen[l] for l in kept)
 
 
-def _read(datum: str, ks, model: DoubledModel) -> np.ndarray:
-    """The stack of a datum's tensors at its momenta ``ks`` (one float, or
-    one 1-d array, per momentum slot): by one model call ``calS.eval``, or
-    calR or calT of the model's pair, and by none the constants I and 0, the
-    plain ZF contraction leaves."""
-    d = model.doubled_dim
-    if datum == "S":
+def _read(code: int, ks, model: DoubledModel) -> np.ndarray:
+    """The stack of a leaf flavour's tensors at its momenta ``ks`` (one
+    float, or one 1-d array, per momentum slot): by one model call
+    ``calS.eval``, or I + calT, calR or calT of the model's pair, and by
+    none the constants I and 0, the plain ZF contraction leaves."""
+    d, flavour = model.doubled_dim, FLAVOURS[code]
+    if flavour == "S":
         return model.calS.eval(*ks).reshape(-1, d, d, d, d)
-    if datum in ("I", "0"):
-        return np.broadcast_to(np.eye(d, dtype=complex) * (datum == "I"), (np.size(ks[0]), d, d))
-    return (model.defect.R if datum == "calR" else model.defect.T)(ks[0]).reshape(-1, d, d)
+    if flavour in ("I", "0"):
+        return np.broadcast_to(np.eye(d, dtype=complex) * (flavour == "I"), (np.size(ks[0]), d, d))
+    if flavour == "calR":
+        return model.defect.R(ks[0]).reshape(-1, d, d)
+    got = model.defect.T(ks[0])
+    return (got if flavour == "calT" else np.eye(d) + got).reshape(-1, d, d)
 
 
 def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
                  model: DoubledModel) -> tuple[list, np.ndarray]:
-    """Every distinct leaf of a query read once: per datum (calT for I + calT
-    too), one ``_read`` on the array of its distinct momenta, at floats if it
-    has one.  A slot's leaf is its (code, momenta at P points), from ``codes``
+    """Every distinct leaf of a query read once: per flavour code, one
+    ``_read`` on the array of its distinct momenta, at floats if it has
+    one.  A slot's leaf is its (code, momenta at P points), from ``codes``
     and ``ks`` (slot, two momenta per point); slots sorted by code and first
     point whose momenta are all equal share one.  Gives the braid and the
     matrix table (contraction and dress leaves), each with P rows per leaf
@@ -293,19 +299,14 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
     index = np.empty(len(codes), dtype=np.intp)
     index[order] = first.cumsum() - 1
     codes, points = codes[first].tolist(), points[first]
-    data = [FLAVOURS[code].removeprefix("I+") for code in codes]
-    cuts = [i for i in range(1, len(codes)) if data[i] != data[i - 1]]
+    cuts = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1]]
     tables: tuple[list, list] = ([], [])  # braid tensors, matrices
     for i, j in zip([0, *cuts], [*cuts, len(codes)]) if codes else ():
         code = codes[i]  # one point is read at floats: no array set-up, an array's bits
         pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
             tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
-        got = _read(data[i], pair[:1 if code else 2], model)
-        plus = codes[i:j].count(1) * P  # the rows of I + calT (code 1), before calT's
-        if plus:
-            tables[1].append(np.eye(model.doubled_dim) + got[:plus])
-        tables[code > 0].append(got[plus:])
+        tables[code > 0].append(_read(code, pair[:1 if code else 2], model))
     if P != 1:  # each slot's leaf rows, point by point
         index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
@@ -357,6 +358,12 @@ def _letters(legs: tuple[int, ...]) -> str:
 def _labels(word: tuple[WordSymbol, ...]) -> tuple[str, ...]:
     """A word's labels, the columns of its momentum assignments."""
     return tuple(dict.fromkeys(s.label for s in word))
+
+
+def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
+    """The momentum assignments as one (assignment, label) array."""
+    columns = [list(map(operator.itemgetter(label), envs)) for label in labels]
+    return np.array(columns, dtype=float).reshape(len(labels), len(envs)).T
 
 
 @functools.lru_cache(maxsize=64)
@@ -439,8 +446,9 @@ def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
     return values
 
 
-def evaluate_coefficients(expr: AmplitudeExpression, jobs: list[tuple],
-                          model: DoubledModel) -> list[np.ndarray]:
+def evaluate_coefficients(
+    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel
+) -> list[np.ndarray]:
     """Coefficient tensors of terms of one expression, one per job (term,
     momentum assignment, at).
 
@@ -461,27 +469,31 @@ def evaluate_coefficients(expr: AmplitudeExpression, jobs: list[tuple],
         return [next(kinds[at is None]) for *_, at in jobs]
     ats = None if not jobs or jobs[0][2] is None else np.array(
         [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
-    labels = _labels(expr.word)
-    momenta = np.array([[env[label] for label in labels] for _, env, _ in jobs],
-                       dtype=float).reshape(len(jobs), len(labels))
-    got = _coefficients(expr.word, [term for term, *_ in jobs], momenta, ats, model)
+    got = _coefficients(expr.word, [term for term, *_ in jobs],
+                        _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
     return [got[j, ...] for j in range(len(jobs))]
 
 
-def evaluate_coefficient(expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
-                         model: DoubledModel, at: Optional[tuple[int, ...]] = None) -> np.ndarray:
+def evaluate_coefficient(
+    expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
+    model: DoubledModel, at: Optional[tuple[int, ...]] = None,
+) -> np.ndarray:
     """One term's coefficient tensor at a momentum assignment (see
     ``evaluate_coefficients``)."""
     return evaluate_coefficients(expr, [(term, env, at)], model)[0]
 
 
-def physical_coefficients(expr: AmplitudeExpression, terms, momenta: np.ndarray,
-                          model: DoubledModel) -> np.ndarray:
-    """Coefficients of ``terms`` at the physical component assignment, term j
-    at row j of ``momenta`` (``resolved_momenta``), evaluated as one batch.
-    A word position's component follows its symbol's momentum sign *
-    value(label): eps = sign(p) for an annihilator a(p) and xi = -sign(k)
-    for a creator ad(k), where xi = + is the first block."""
+def physical_coefficients(
+    expr: AmplitudeExpression, terms, momenta: np.ndarray, model: DoubledModel
+) -> np.ndarray:
+    """Coefficients of ``terms`` at the physical component assignment, term
+    j at row j of the (term, label) array ``momenta`` (``resolved_momenta``),
+    evaluated as one batch.
+
+    A word position's component follows its symbol's momentum
+    sign * value[label]: eps = sign(p) for an annihilator a(p) and
+    xi = -sign(k) for a creator ad(k), where xi = + is the first block.
+    """
     labels = _labels(expr.word)
     sides = np.array([s.sign if s.kind == "a" else -s.sign for s in expr.word])  # eps or xi
     ats = np.where(sides * momenta[:, [labels.index(s.label) for s in expr.word]] > 0, 0, 1)
@@ -527,8 +539,9 @@ def resolved_momenta(word: tuple[WordSymbol, ...], terms,
     return sign * np.array([seeds.get(label, 0.0) for label in labels], dtype=float)[column], sign
 
 
-def resolve_momenta(term: ContractionTerm, word: tuple[WordSymbol, ...],
-                    seeds: dict[str, float]) -> dict[str, float]:
+def resolve_momenta(
+    term: ContractionTerm, word: tuple[WordSymbol, ...], seeds: dict[str, float]
+) -> dict[str, float]:
     """One term's ``resolved_momenta``: ``seeds`` and every label they reach."""
     (got,), (sign,) = resolved_momenta(word, [term], seeds)
     return {**{label: v for label, v, s in zip(_labels(word), got.tolist(), sign) if s}, **seeds}
@@ -764,7 +777,8 @@ def _product_gaps(model: DoubledModel, cases: list[tuple[list, tuple]]) -> list[
     with every sign (n! 2^n distinct terms), and all cases are one batch.
     """
     n = len(cases[0][1]) if cases else 0
-    expr = n_particle_expression(n, *([f"{side}{i+1}" for i in range(n)] for side in "kp"), model)
+    labels = [f"k{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+    expr = n_particle_expression(n, labels[:n], labels[n:], model)
     by_pairing = {t.pairing: t for t in expr.terms}
     # out slot i is word position n - 1 - i, in slot i is position n + i
     terms = {sigma: by_pairing[tuple(sorted((n - 1 - i, n + i, s) for i, s in enumerate(sigma)))]
@@ -776,7 +790,8 @@ def _product_gaps(model: DoubledModel, cases: list[tuple[list, tuple]]) -> list[
     brackets = np.where(sigmas.ravel() > 0, opta.A[:, 0, 0], opta.B[:, 0, 0])
     # Python complex products in factor order (numpy's may differ in the last bit)
     products = [math.prod(row, start=1.0 + 0.0j) for row in brackets.reshape(ps.shape).tolist()]
-    momenta = np.concatenate([ps[:, ::-1], ks], axis=1)  # the word's labels p_n..p_1, k_1..k_n
+    columns = [labels.index(label) for label in _labels(expr.word)]
+    momenta = np.concatenate([ks, ps], axis=1)[:, columns]  # in the word's label order
     engine = physical_coefficients(expr, [terms[sigma] for _, sigma in cases], momenta, model)
     # Python's abs: np.abs can differ in the last bit
     return [abs(value - prod) for value, prod in zip(engine.tolist(), products)]

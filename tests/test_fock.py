@@ -817,8 +817,8 @@ class TestShapeCachedKernels:
         alone = [run([job]).tobytes() for job in jobs]
         reads.clear()
         together = run(jobs)
-        # R: the contraction leaves and both calR dresses; T: I + calT and calT together
-        assert reads == {"R": 1, "T": 1}
+        # R: the contraction leaves and both calR dresses; T: I + calT and calT
+        assert reads == {"R": 1, "T": 2}
         assert [x.tobytes() for x in np.split(together, len(jobs))] == alone
         half = len(exprs[0].terms)
         assert alone[:half] != alone[half:2 * half]
@@ -862,12 +862,12 @@ class TestShapeCachedKernels:
         assert len(fock.hierarchy_relation_residuals(2, model, momenta)) == count
         assert calls == [(28, 28 * count)]
 
-    @pytest.mark.parametrize("datum", ["calT", "calR"])
+    @pytest.mark.parametrize("flavour", ["I+calT", "calR"])
     def test_a_leaf_read_at_the_negated_momenta_fails_the_odd_commutators(
-            self, monkeypatch, datum):
+            self, monkeypatch, flavour):
         """Mutation check of the hierarchy pass's leaf reads: read every
-        leaf of one datum (calT, so I + calT and calT, or calR) at the
-        negated momentum array.  The mixed-parity commutators (0,1) and (1,2), whose right
+        leaf of one flavour (I + calT, or calR) at the negated momentum
+        array.  The mixed-parity commutators (0,1) and (1,2), whose right
         side is the engine's reflection moment, then fail by O(1), while
         the same-parity commutators stay at rounding level, because both of
         their sides read the same leaves.  hierarchy-relation(0) and (2)
@@ -875,8 +875,8 @@ class TestShapeCachedKernels:
         the mutation reaches only their dresses, which the two sides of the
         relation do not read alike."""
         read = fock._read
-        monkeypatch.setattr(fock, "_read", lambda name, ks, model: read(
-            name, tuple(-k for k in ks) if name == datum else ks, model))
+        monkeypatch.setattr(fock, "_read", lambda code, ks, model: read(
+            code, tuple(-k for k in ks) if fock.FLAVOURS[code] == flavour else ks, model))
         model = _rational_model()
         momenta = [0.7, -1.3, 2.2, -0.4]
         for m, n in ((0, 1), (1, 2)):

@@ -439,8 +439,8 @@ class TestArrayResiduals:
         "hierarchy-commutator(0,1)": {"R": 1, "T": 1},
         # one call for the 7 words: the contraction leaves are the plain ZF
         # constants, read by no call, and the dresses I + calT, calT and calR
-        # (at w and -w) are the model's, I + calT and calT in one T call
-        "hierarchy-relation(2)": {"R": 1, "T": 1},
+        # (at w and -w) are the model's, one call each
+        "hierarchy-relation(2)": {"R": 1, "T": 2},
     }
 
     @pytest.mark.parametrize("name", sorted(ENGINE_READS))
@@ -601,10 +601,9 @@ class TestSharedRows:
             [(tuple(s.dress is not None for s in word), m is dm)]) or normal_order(word, m))
         calls.clear()
         run_suite(model)
-        # with one run per row (_row_by_row): S 177, R 86, T 84, calS 24, blocks 12;
-        # the hierarchy's calR dresses are read with its calR contraction leaves,
-        # and its calT dresses with its I + calT dresses
-        assert dict(calls) == {"S": 105, "R": 46, "T": 48, "calS": 18, "blocks": 8}
+        # with one run per row (_row_by_row): S 177, R 86, T 86, calS 24, blocks 12;
+        # the hierarchy's calR dresses are read with its calR contraction leaves
+        assert dict(calls) == {"S": 105, "R": 46, "T": 50, "calS": 18, "blocks": 8}
         # the commutators' Hamiltonian and reflection-moment words, once each
         # (with each row on its own, four times each), and the relation's
         # seven words on the run's model: four with both middle symbols
