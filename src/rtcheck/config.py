@@ -120,7 +120,9 @@ def _unique(pairs: list[tuple]) -> dict:
 def parse_config(text: str) -> ModelConfig:
     try:
         raw = json.loads(text, object_pairs_hook=_unique)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except ConfigError:  # a repeated key
+        raise
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep a nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -52,7 +52,8 @@ reads.  A call's model calls do not grow with its rows or points, and its
 Python steps grow only with its topologies.  Momenta are resolved once per
 expansion as arrays: ``_resolver`` walks the pairings of all its terms at
 once and keeps each (term, label) as a seed column and a sign, so a query's
-momenta are one gather (``resolved_momenta``).
+momenta are one gather (``resolved_momenta``).  ``evaluate_coefficient`` is
+the one-row view of ``_coefficients``: one term at one momentum assignment.
 
 The expansion of a word depends only on its shape: per symbol the kind,
 label, momentum sign and dress.  It never depends on the model (which only
@@ -176,10 +177,6 @@ class AmplitudeExpression:
     word: tuple[WordSymbol, ...]
     dim: int
     terms: tuple[ContractionTerm, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def normal_order_vev(word: list[WordSymbol], model: DoubledModel) -> AmplitudeExpression:
@@ -360,12 +357,6 @@ def _labels(word: tuple[WordSymbol, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(s.label for s in word))
 
 
-def _momenta(labels: tuple[str, ...], envs: list[dict]) -> np.ndarray:
-    """The momentum assignments as one (assignment, label) array."""
-    columns = [list(map(operator.itemgetter(label), envs)) for label in labels]
-    return np.array(columns, dtype=float).reshape(len(labels), len(envs)).T
-
-
 @functools.lru_cache(maxsize=64)
 def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...],
           points: int, traced: bool, batch: int, zf: bool) -> tuple:
@@ -446,41 +437,18 @@ def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],
     return values
 
 
-def evaluate_coefficients(
-    expr: AmplitudeExpression, jobs: list[tuple], model: DoubledModel
-) -> list[np.ndarray]:
-    """Coefficient tensors of terms of one expression, one per job (term,
-    momentum assignment, at).
-
-    A result has one axis of size 2N per word position, in word order.
-    With ``at`` (one component index per word position) only that entry is
-    contracted and the result is a 0-d array.  The caller is responsible
-    for supplying assignments consistent with the terms' pairings.  The
-    jobs with ``at`` are one batch and those without another (see
-    ``_coefficients``), each reading each distinct leaf once.
-    """
-    n_ext = len(expr.word)
-    if any(at is not None and len(at) != n_ext for *_, at in jobs):
-        raise ValueError(f"need one component index per word position ({n_ext})")
-    if len({at is None for *_, at in jobs}) > 1:
-        kinds = {kind: iter(evaluate_coefficients(
-            expr, [job for job in jobs if (job[2] is None) == kind], model))
-            for kind in (False, True)}
-        return [next(kinds[at is None]) for *_, at in jobs]
-    ats = None if not jobs or jobs[0][2] is None else np.array(
-        [at for *_, at in jobs], dtype=np.intp).reshape(len(jobs), n_ext)
-    got = _coefficients(expr.word, [term for term, *_ in jobs],
-                        _momenta(_labels(expr.word), [env for _, env, _ in jobs]), ats, model)
-    return [got[j, ...] for j in range(len(jobs))]
-
-
 def evaluate_coefficient(
     expr: AmplitudeExpression, term: ContractionTerm, env: dict[str, float],
     model: DoubledModel, at: Optional[tuple[int, ...]] = None,
 ) -> np.ndarray:
-    """One term's coefficient tensor at a momentum assignment (see
-    ``evaluate_coefficients``)."""
-    return evaluate_coefficients(expr, [(term, env, at)], model)[0]
+    """One term's coefficient at an assignment ``env`` consistent with its
+    pairing, one row of ``_coefficients``: one axis of size 2N per word
+    position, or with ``at`` (an index per position) that entry, 0-d."""
+    if at is not None and len(at) != len(expr.word):
+        raise ValueError(f"need one component index per word position ({len(expr.word)})")
+    momenta = np.array([[env[label] for label in _labels(expr.word)]], dtype=float)
+    ats = None if at is None else np.array([at], dtype=np.intp)
+    return _coefficients(expr.word, [term], momenta, ats, model)[0, ...]
 
 
 def physical_coefficients(

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -179,6 +180,22 @@ class TestParseConfig:
         assert (out, err) == ("", f"rtcheck: error: {message}\n")
         assert sampled == []
         assert parse_config(json.dumps({"samples": MAX_SAMPLES})).samples == MAX_SAMPLES
+
+    def test_an_integer_too_long_to_read_is_a_configuration_error(self, tmp_path, capsys):
+        """Past the interpreter's limit on int-string digits the JSON reader
+        raises a bare ValueError; without a limit the value is over MAX_SAMPLES."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        text = '{"samples": %s}' % ("1" * ((limit or len(str(MAX_SAMPLES))) + 1))
+        message = "config is not valid JSON" if limit else f"samples must be <= {MAX_SAMPLES}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"rtcheck: error: {message}")
+        assert "Traceback" not in err
 
     def test_negative_seed_rejected(self):
         for seed in (-1, -(2**70)):

@@ -76,12 +76,12 @@ class TestNormalOrdering:
         [[a("q")], [ad("p")], [a("q1"), a("q2"), ad("p")], [ad("p1"), ad("p2")]],
     )
     def test_unbalanced_words_are_zero(self, word):
-        assert normal_order_vev(word, MODEL).is_zero
+        assert not normal_order_vev(word, MODEL).terms
 
     def test_wrong_side_vacuum_kills_terms(self):
         # creator first, annihilator last: every term dies
         expr = normal_order_vev([ad("p"), a("q")], MODEL)
-        assert expr.is_zero
+        assert not expr.terms
 
     @given(st.lists(st.sampled_from(["a", "ad"]), min_size=0, max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -91,7 +91,7 @@ class TestNormalOrdering:
         ]
         expr = normal_order_vev(word, MODEL)
         if kinds.count("a") != kinds.count("ad"):
-            assert expr.is_zero
+            assert not expr.terms
 
     def test_two_particle_term_count(self):
         # two matchings times two signs per pair
@@ -627,6 +627,13 @@ def _expression_terms(n, model):
     return [(expr, t, resolve_momenta(t, expr.word, seeds)) for t in expr.terms]
 
 
+def _momentum_rows(expr, envs):
+    """The momenta ``_coefficients`` reads: one row per assignment, one column per label."""
+    labels = fock._labels(expr.word)
+    return np.array([[env[label] for label in labels] for env in envs],
+                    dtype=float).reshape(len(envs), len(labels))
+
+
 class TestPlannedContraction:
     @pytest.mark.parametrize("model_name", ["N=1", "N=2"])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -651,7 +658,7 @@ class TestPlannedContraction:
                 assert got.shape == ()
                 assert abs(got[()] - full[idx]) <= 1e-12
 
-    def test_one_cache_evaluates_each_leaf_once_per_query(self):
+    def test_one_call_reads_each_leaf_once(self):
         model = _rational_model()
         calls = []
 
@@ -668,8 +675,9 @@ class TestPlannedContraction:
         alone = [evaluate_coefficient(e, t, env, counting) for e, t, env in jobs]
         assert len(calls) > len(set(calls))  # each call evaluates its own leaves
         calls.clear()
-        together = fock.evaluate_coefficients(
-            jobs[0][0], [(t, env, None) for _, t, env in jobs], counting)
+        expr = jobs[0][0]
+        momenta = _momentum_rows(expr, [env for *_, env in jobs])
+        together = fock._coefficients(expr.word, [t for _, t, _ in jobs], momenta, None, counting)
         assert len(calls) == len(set(calls))
         assert all(np.array_equal(x, y) for x, y in zip(alone, together))
 
@@ -1060,10 +1068,17 @@ def _physical_jobs(n, model, seed):
 
 def _physical(expr, jobs, model):
     """``physical_coefficients`` of (term, momentum assignment) jobs, as a list."""
-    labels = fock._labels(expr.word)
-    momenta = np.array([[env[label] for label in labels] for _, env in jobs],
-                       dtype=float).reshape(len(jobs), len(labels))
+    momenta = _momentum_rows(expr, [env for _, env in jobs])
     return fock.physical_coefficients(expr, [term for term, _ in jobs], momenta, model).tolist()
+
+
+def _batch(expr, jobs, model):
+    """One ``_coefficients`` call on (term, env, at) jobs, all whole or all sliced."""
+    if not jobs:
+        return []
+    ats = None if jobs[0][2] is None else np.array([at for *_, at in jobs], dtype=np.intp)
+    return fock._coefficients(expr.word, [term for term, *_ in jobs],
+                              _momentum_rows(expr, [env for _, env, _ in jobs]), ats, model)
 
 
 class TestTopologyBatches:
@@ -1095,25 +1110,23 @@ class TestTopologyBatches:
         # components on top of it cover every leg
         ats = [tuple(int(i) for i in rng.integers(model.doubled_dim, size=6)) for _ in group]
         assert len(set(ats)) > 1
-        batch = fock.evaluate_coefficients(
-            expr, [(t, env, at) for (t, env), at in zip(group, ats)], model)
+        batch = fock._coefficients(expr.word, [t for t, _ in group],
+                                   _momentum_rows(expr, [env for _, env in group]),
+                                   np.array(ats, dtype=np.intp), model)
         want = [_one_network_at_a_time(expr, t, env, at, model)
                 for (t, env), at in zip(group, ats)]
-        assert [complex(v[()]) for v in batch] == want
+        assert batch.shape == (len(group),)
+        assert batch.tolist() == want
 
     def test_full_tensors_batch_like_one_at_a_time(self):
         model = _rational_model()
         jobs = _expression_terms(3, model)
         expr = jobs[0][0]
-        batch = fock.evaluate_coefficients(expr, [(t, env, None) for _, t, env in jobs], model)
+        batch = fock._coefficients(expr.word, [t for _, t, _ in jobs],
+                                   _momentum_rows(expr, [env for *_, env in jobs]), None, model)
+        assert batch.shape == (len(jobs),) + (model.doubled_dim,) * 6
         assert all(np.array_equal(x, evaluate_coefficient(e, t, env, model))
                    for x, (e, t, env) in zip(batch, jobs))
-        # sliced and full jobs in one call keep apart
-        mixed = fock.evaluate_coefficients(
-            expr, [(t, env, (0,) * 6 if i % 2 else None) for i, (_, t, env) in enumerate(jobs)],
-            model)
-        for i, (x, full) in enumerate(zip(mixed, batch)):
-            assert np.array_equal(x, full[(0,) * 6] if i % 2 else full)
 
     @given(
         model_name=st.sampled_from(["delta N=1", "rational N=2"]),
@@ -1135,7 +1148,7 @@ class TestTopologyBatches:
                                    data.draw(st.sampled_from([1, -1])),
                                    data.draw(st.sampled_from(dresses))) for kind in kinds]
         expr = normal_order_vev(symbols, model)
-        assume(not expr.is_zero)
+        assume(expr.terms)
         pool = [-2.1, -1.3, -0.7, 0.4, 0.7, 1.3]
         picks = data.draw(st.lists(st.integers(0, len(expr.terms) - 1), min_size=1, max_size=6))
         jobs = []
@@ -1144,8 +1157,11 @@ class TestTopologyBatches:
             whole = data.draw(st.booleans())
             at = None if whole else tuple(data.draw(st.integers(0, d - 1)) for _ in symbols)
             jobs.append((expr.terms[i], env, at))
-        got = fock.evaluate_coefficients(expr, jobs, model)
-        for value, (term, env, at) in zip(got, jobs):
+        # the whole jobs in one call, the sliced ones in another
+        kinds = [[job for job in jobs if (job[2] is None) == kind] for kind in (True, False)]
+        got = [pair for kind in kinds for pair in zip(_batch(expr, kind, model), kind)]
+        assert len(got) == len(jobs)
+        for value, (term, env, at) in got:
             if at is None:
                 assert value.tobytes() == evaluate_coefficient(expr, term, env, model).tobytes()
                 if d == 2:

@@ -150,14 +150,17 @@ def test_shift_invariance_fails_on_a_bulk_that_is_not_of_difference_form():
     assert failed["shift-invariance"] > 1e-4
 
 
-def test_engine_checks_fail_when_the_half_line_pair_is_not_the_doubled_one():
+@pytest.mark.parametrize("checks, failing", [
+    ([], ["factorization(1)", "factorization(2)", "factorization(3)", "opta-agreement"]),
+    (["factorization(4)"], ["factorization(4)"]),  # opt-in: a config must ask for it
+], ids=["default", "factorization(4)"])
+def test_engine_checks_fail_when_the_half_line_pair_is_not_the_doubled_one(checks, failing):
     """opta-agreement and factorization compare the engine, which reads the
     doubled pair, with products of the half-line amplitudes: a half line
     delta(1 + EPS) under the doubled pair of delta(1) fails exactly those.
     Every other check reads one of the two pairs only, and each is unitary."""
-    model = _delta_model("identity:dim=1", [], samples=5)
+    model = _delta_model("identity:dim=1", checks, samples=5)
     doubled = dataclasses.replace(model.doubled, half_line=delta_defect(1 + EPS))
     failed = _new_failures(model, dataclasses.replace(model, doubled=doubled))
-    assert sorted(failed) == [
-        "factorization(1)", "factorization(2)", "factorization(3)", "opta-agreement"]
+    assert sorted(failed) == failing
     assert min(failed.values()) > 1e-4
