@@ -1,20 +1,19 @@
 """Normal-ordering engine for vacuum expectation values in the doubled Fock
 representation, plus the one-particle distributional-kernel algebra.
 
-The engine repeatedly moves the rightmost annihilator to the right: crossing
-a creator emits a braided continuation term (an S-matrix tensor joining the
-four component legs involved) and two contraction terms, one of
-transmission type
+The engine takes the annihilators right to left: each braids past the
+creators to its right, an S-matrix tensor joining the four component legs
+of each crossing, until it contracts with one, by transmission
 
     delta(q - p) [I + calT(q)]
 
-and one of reflection type  delta(q + p) calR(q).  An annihilator that
-reaches the vacuum kills its term; once every annihilator is paired, so is
-every creator, since the word is balanced.  A surviving term is a perfect
-matching between annihilators and creators ("pairing"), decorated with a lazy
-tensor network ("coefficient") whose leaves are S/T/R matrices evaluated at
-label-dependent momenta.  Coefficients are only evaluated after a
-substitution consistent with the pairing.
+or by reflection  delta(q + p) calR(q).  A term chooses for each annihilator
+a partner and T or R; once every annihilator is paired, so is every
+creator, since the word is balanced.  A term is a perfect matching between
+annihilators and creators ("pairing"), decorated with a lazy tensor network
+("coefficient") whose leaves are S/T/R matrices evaluated at label-dependent
+momenta.  Coefficients are only evaluated after a substitution consistent
+with the pairing.
 
 A network is contracted by a plan: pairwise ``np.einsum`` steps whose order
 comes from numpy's greedy path search (the opt_einsum strategy), run with no
@@ -39,11 +38,11 @@ factorization and the hierarchy kernels.  Its jobs are terms, each of its
 own word and at P momentum points (an amplitude term at one).  Every atom
 records at expansion what it reads (S, a contraction leaf T or R, or a
 dress: I + calT, calT or calR) and the (sign, label) of each momentum it
-reads it at.  A call's rows, one per term, are encoded
-once per selection of terms (``_rows``, the one holder of the contraction
-rule): each slot's flavour code, signs and label columns, and the (row,
-point) entries of each topology.  A call forms every slot's momenta from
-its (job, point, label) array in one expression, reads each distinct leaf
+reads it at.  A call's rows, one per term, are encoded once per selection
+of terms (``_rows``, the one holder of the contraction rule): each (slot,
+point) leaf's flavour code, signs and label columns, and the (row, point)
+entries of each topology.  A call forms every leaf's momenta from its (job,
+point, label) array in one expression, reads each distinct leaf
 once, each flavour with one call on the array of its momenta (``calS.eval``,
 ``I + calT``, ``calR`` or ``calT``; the ZF constants I and 0 with none), and
 gives each slot of a topology its leaves, sliced at each entry's ``at``,
@@ -213,9 +212,10 @@ def _expand(shape: tuple[tuple, ...]) -> tuple[ContractionTerm, ...]:
             leg = inner
         init_word.append((pos, kind, (sign, label), leg))
 
-    # Each branch numbers its fresh legs on from its parent's, so networks of
-    # one braid structure (they differ in T/R choices only) have equal leg
-    # lists, which _rows groups by.
+    # The rightmost annihilator braids past the creators to its right in turn,
+    # contracting with each by T or R first.  Each branch numbers its fresh
+    # legs on from its parent's, so networks of one braid structure (they
+    # differ in T/R choices only) have equal leg lists, which _rows groups by.
     done: list[ContractionTerm] = []
     shared: dict[tuple, tuple] = {}  # one object per distinct leg lists
     stack = [(tuple(init_atoms), (), tuple(init_word), free)]
@@ -226,30 +226,17 @@ def _expand(shape: tuple[tuple, ...]) -> tuple[ContractionTerm, ...]:
             key = tuple(atom[1] for atom in atoms)
             done.append(ContractionTerm(tuple(sorted(pairs)), atoms, shared.setdefault(key, key)))
             continue
-        if idx == len(live) - 1:
-            continue  # annihilator meets the vacuum ket
         a_pos, _, a_expr, a_leg = live[idx]
-        c_pos, c_kind, c_expr, c_leg = live[idx + 1]
-        assert c_kind == "ad"
-        sa, la = a_expr
-        sc, lc = c_expr
-        # transmission contraction: delta(q - p) (I + calT(q))
-        pair_t = pairs + (((a_pos, c_pos, sa * sc)),)
-        atoms_t = atoms + (("T", (a_leg, c_leg), a_expr),)
-        stack.append((atoms_t, pair_t, live[:idx] + live[idx + 2 :], free))
-        # reflection contraction: delta(q + p) calR(q)
-        pair_r = pairs + (((a_pos, c_pos, -sa * sc)),)
-        atoms_r = atoms + (("R", (a_leg, c_leg), a_expr),)
-        stack.append((atoms_r, pair_r, live[:idx] + live[idx + 2 :], free))
-        # braided continuation: ad(p) S12(q, p) a(q)
-        new_c, new_a = free, free + 1
-        atoms_s = atoms + (("S", (a_leg, new_c, new_a, c_leg), a_expr, c_expr),)
-        swapped = (
-            live[:idx]
-            + ((c_pos, c_kind, c_expr, new_c), (a_pos, "a", a_expr, new_a))
-            + live[idx + 2 :]
-        )
-        stack.append((atoms_s, pairs, swapped, free + 2))
+        passed = live[:idx]  # the creators braided past so far join the word left of a
+        for j, (c_pos, _, c_expr, c_leg) in enumerate(live[idx + 1:], idx + 1):
+            # delta(q - p) (I + calT(q)) by T and delta(q + p) calR(q) by R
+            for flavour, rel in (("T", a_expr[0] * c_expr[0]), ("R", -a_expr[0] * c_expr[0])):
+                stack.append((atoms + ((flavour, (a_leg, c_leg), a_expr),),
+                               pairs + ((a_pos, c_pos, rel),), passed + live[j + 1:], free))
+            # braided on: ad(p) S12(q, p) a(q), two fresh legs
+            atoms += (("S", (a_leg, free, free + 1, c_leg), a_expr, c_expr),)
+            passed += ((c_pos, "ad", c_expr, free),)
+            a_leg, free = free + 1, free + 2
     return tuple(sorted(done, key=operator.attrgetter("pairing")))
 
 
@@ -283,29 +270,26 @@ def _leaf_tables(codes: np.ndarray, ks: np.ndarray,
                  model: DoubledModel) -> tuple[list, np.ndarray]:
     """Every distinct leaf of a query read once: per flavour code, one
     ``_read`` on the array of its distinct momenta, at floats if it has
-    one.  A slot's leaf is its (code, momenta at P points), from ``codes``
-    and ``ks`` (slot, two momenta per point); slots sorted by code and first
-    point whose momenta are all equal share one.  Gives the braid and the
-    matrix table (contraction and dress leaves), each with P rows per leaf
-    in sorted order, and each slot's rows, point by point."""
-    P = ks.shape[1] // 2
-    order = np.lexsort((*ks[:, 1::-1].T, codes))  # by flavour, then the first point
-    codes, points = codes[order], ks[order]
-    first = np.ones(len(codes), dtype=bool)  # the first slot of each distinct leaf
-    first[1:] = (codes[1:] != codes[:-1]) | (points[1:] != points[:-1]).any(axis=1)
+    one.  A leaf is one (slot, point): its code, from ``codes``, and its two
+    momenta, a row of ``ks``; sorted by code and momenta, equal ones are
+    one.  Gives the braid and the matrix table (contraction and dress
+    leaves), one row per distinct leaf in sorted order, and each leaf's
+    row."""
+    order = np.lexsort((*ks[:, ::-1].T, codes))  # by flavour, then momenta
+    codes, ks = codes[order], ks[order]
+    first = np.ones(len(codes), dtype=bool)  # the first of each distinct leaf
+    first[1:] = (codes[1:] != codes[:-1]) | (ks[1:] != ks[:-1]).any(axis=1)
     index = np.empty(len(codes), dtype=np.intp)
     index[order] = first.cumsum() - 1
-    codes, points = codes[first].tolist(), points[first]
+    codes, ks = codes[first].tolist(), ks[first]
     cuts = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1]]
     tables: tuple[list, list] = ([], [])  # braid tensors, matrices
     for i, j in zip([0, *cuts], [*cuts, len(codes)]) if codes else ():
-        code = codes[i]  # one point is read at floats: no array set-up, an array's bits
-        pair = points[i:j].reshape(-1, 2).T if (j - i) * P != 1 else points[i].tolist()
+        code = codes[i]  # one leaf is read at floats: no array set-up, an array's bits
+        pair = ks[i:j].T if j - i != 1 else ks[i].tolist()
         if code and not tables[1]:  # S sorts first: rows for the braids, never read
-            tables[1].append(np.zeros((i * P, model.doubled_dim, model.doubled_dim)))
+            tables[1].append(np.zeros((i, model.doubled_dim, model.doubled_dim)))
         tables[code > 0].append(_read(code, pair[:1 if code else 2], model))
-    if P != 1:  # each slot's leaf rows, point by point
-        index = (index[:, None] * P + np.arange(P)).ravel()
     return [np.concatenate(part) if part else None for part in tables], index
 
 
@@ -365,14 +349,14 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
     terms only, so a repeated query reuses it.  A term is a row and an atom a
     slot, row by row; a (row, point) is a batch entry and a (slot, point) a
     leaf.  The contraction rule reads a T atom as I + calT and an R atom as
-    calR, or, ``zf``, as the plain ZF constants I and 0.  Gives each slot's
-    flavour code, the signs of its two momenta at each point (0 for one it
-    lacks) and the (momenta row, label column) index that reads them; and per
-    topology, ``batch`` entries at a time, the entries, their leaves and its
-    plan inputs: every word position kept or, ``traced``, legs 0 and 3 with
-    leg 2 as leg 1.  An atom that networks share is one object (a branch
-    extends its parent's), as are a topology's leg lists, so each is encoded
-    once."""
+    calR, or, ``zf``, as the plain ZF constants I and 0.  Gives per leaf, slot
+    by slot and point by point, its flavour code, the signs of its two
+    momenta (0 for one it lacks) and the (momenta row, label column) index
+    that reads them; and per topology, ``batch`` entries at a time, the
+    entries, their leaves and its plan inputs: every word position kept or,
+    ``traced``, legs 0 and 3 with leg 2 as leg 1.  An atom that networks
+    share is one object (a branch extends its parent's), as are a topology's
+    leg lists, so each is encoded once."""
     code = {f: i for i, f in enumerate(FLAVOURS)}
     code.update(T=code["I" if zf else "I+calT"], R=code["0" if zf else "calR"])
     nets = [term.network for term in terms]
@@ -402,9 +386,9 @@ def _rows(labels: tuple[str, ...], n_ext: int, terms: tuple[ContractionTerm, ...
         groups += [(entries[cut:cut + batch],
                     leaves.reshape(len(entries), len(plan[2]))[cut:cut + batch], plan)
                    for cut in range(0, len(entries), batch)]
-    reads = ((np.arange(len(terms)).repeat(length)[:, None] * points + step).repeat(2, axis=1),
-             np.tile(slots[:, 2::2], points))
-    return slots[:, 0], np.tile(slots[:, 1::2], points), reads, groups
+    reads = ((np.arange(len(terms)).repeat(length)[:, None] * points + step).reshape(-1, 1),
+             slots[:, 2::2].repeat(points, axis=0))
+    return slots[:, 0].repeat(points), slots[:, 1::2].repeat(points, axis=0), reads, groups
 
 
 def _coefficients(word: tuple[WordSymbol, ...], terms: list[ContractionTerm],

@@ -157,6 +157,64 @@ def balanced_words(draw, max_n=4):
             for kind in kinds]
 
 
+@st.composite
+def unbalanced_words(draw):
+    """Up to seven symbols, annihilators and creators in unequal numbers."""
+    kinds = draw(st.lists(st.sampled_from(["a", "ad"]), max_size=7)
+                 .filter(lambda kinds: 2 * kinds.count("a") != len(kinds)))
+    return [fock.WordSymbol(kind, draw(st.sampled_from("pqw"))) for kind in kinds]
+
+
+@st.composite
+def annihilator_last_words(draw):
+    """A balanced word with one of its annihilators moved to the right end,
+    where it meets the vacuum ket."""
+    word = draw(balanced_words().filter(bool))
+    i = draw(st.sampled_from([i for i, s in enumerate(word) if s.kind == "a"]))
+    return word[:i] + word[i + 1:] + [word[i]]
+
+
+def _braid_rewriting_expand(shape):
+    """The reference for ``fock._expand``: the word rewritten one creator at
+    a time.  The rightmost annihilator contracts with the creator on its
+    right, by T or by R, or braids past it; one that reaches the vacuum ends
+    its state.  Gives (pairing, network, legs) per term, in pairing order."""
+    if 2 * sum(1 for kind, *_ in shape if kind == "a") != len(shape):
+        return []
+    init_atoms, init_word = [], []
+    free = len(shape)
+    for pos, (kind, label, sign, dress) in enumerate(shape):
+        leg = pos
+        if dress is not None:
+            inner, free = free, free + 1
+            legs = (inner, pos) if kind == "ad" else (pos, inner)
+            init_atoms.append((dress[0], legs, (dress[1], label)))
+            leg = inner
+        init_word.append((pos, kind, (sign, label), leg))
+    done = []
+    stack = [(tuple(init_atoms), (), tuple(init_word), free)]
+    while stack:
+        atoms, pairs, live, free = stack.pop()
+        idx = max((i for i, e in enumerate(live) if e[1] == "a"), default=None)
+        if idx is None:
+            done.append((tuple(sorted(pairs)), atoms, tuple(atom[1] for atom in atoms)))
+            continue
+        if idx == len(live) - 1:
+            continue
+        a_pos, _, a_expr, a_leg = live[idx]
+        c_pos, c_kind, c_expr, c_leg = live[idx + 1]
+        rest = live[:idx] + live[idx + 2:]
+        stack.append((atoms + (("T", (a_leg, c_leg), a_expr),),
+                      pairs + ((a_pos, c_pos, a_expr[0] * c_expr[0]),), rest, free))
+        stack.append((atoms + (("R", (a_leg, c_leg), a_expr),),
+                      pairs + ((a_pos, c_pos, -a_expr[0] * c_expr[0]),), rest, free))
+        swapped = live[:idx] + ((c_pos, c_kind, c_expr, free),
+                                (a_pos, "a", a_expr, free + 1)) + live[idx + 2:]
+        stack.append((atoms + (("S", (a_leg, free, free + 1, c_leg), a_expr, c_expr),),
+                      pairs, swapped, free + 2))
+    return sorted(done, key=lambda term: term[0])
+
+
 class TestOneNetworkPerTerm:
     """A pairing fixes its expansion path: the rightmost annihilator braids
     past every creator up to its partner and contracts by T or R, which the
@@ -169,12 +227,28 @@ class TestOneNetworkPerTerm:
         pairings = [term.pairing for term in normal_order_vev(word, MODEL).terms]
         assert pairings == sorted(set(pairings))
 
-    @pytest.mark.parametrize("n", range(6))
+    @settings(max_examples=300, deadline=None)
+    @given(balanced_words() | unbalanced_words() | annihilator_last_words())
+    def test_terms_equal_the_braid_rewriting_expansion(self, word):
+        """Expanding by partner choice gives the terms of rewriting the word
+        one creator at a time: pairing, network, leg lists and order, each
+        distinct leg lists one object."""
+        terms = normal_order_vev(word, MODEL).terms
+        shape = tuple((s.kind, s.label, s.sign, s.dress) for s in word)
+        assert [(t.pairing, t.network, t.legs) for t in terms] == _braid_rewriting_expand(shape)
+        assert len({id(t.legs) for t in terms}) == len({t.legs for t in terms})
+
+    @pytest.mark.parametrize("n", range(7))
     def test_n_particle_words_have_one_term_per_pairing(self, n):
         labels = [f"k{i}" for i in range(n)], [f"p{i}" for i in range(n)]
-        terms = fock.n_particle_expression(n, *labels, MODEL).terms
+        expr = fock.n_particle_expression(n, *labels, MODEL)
+        terms = expr.terms
         assert len(terms) == math.factorial(n) * 2 ** n
         assert len({term.pairing for term in terms}) == len(terms)
+        # n! topologies, and the reference's terms in its order
+        assert len({id(t.legs) for t in terms}) == len({t.legs for t in terms}) == math.factorial(n)
+        shape = tuple((s.kind, s.label, s.sign, s.dress) for s in expr.word)
+        assert [(t.pairing, t.network, t.legs) for t in terms] == _braid_rewriting_expand(shape)
 
 
 def _walked_momenta(term, word, seeds):
@@ -1220,3 +1294,76 @@ class TestTopologyBatches:
         calls.clear()
         opta_agreement_residual(MODEL, 0.7)
         assert calls == [2]
+
+
+N1_MODELS = {
+    "delta N=1": {"bulk": "identity:dim=1"},
+    "rational:N=1": {"bulk": "rational:N=1"},
+    "permutation:dim=1": {"bulk": "permutation:dim=1"},
+    "custom defect": json.loads(
+        (Path(__file__).parent / "golden" / "configs" / "custom_defect.json").read_text()),
+}
+
+
+def _pair_products(expr, jobs, model):
+    """Per (term, env) job, the product over the term's pairs of the
+    one-particle amplitude at rel * k, k the pair's in-momentum: its A for a
+    transmission pair (rel = +1), its B for a reflection pair."""
+    out = []
+    for term, env in jobs:
+        product = 1.0 + 0.0j
+        for _, c_pos, rel in term.pairing:
+            K = one_particle_amplitude(model.half_line, rel * env[expr.word[c_pos].label])
+            product *= (K.A if rel > 0 else K.B)[0, 0]
+        out.append(product)
+    return out
+
+
+class TestEveryTermFactorizes:
+    """At N = 1 every term's physical coefficient, crossed terms included,
+    is the product of one-particle amplitudes over its pairs; the
+    factorization check reads only the uncrossed terms."""
+
+    @pytest.mark.parametrize("name", N1_MODELS)
+    def test_every_term_is_its_pairs_product(self, name):
+        model = build_model(parse_config(json.dumps(N1_MODELS[name]))).doubled
+        count = 0
+        for n, seed in itertools.product(range(1, 5), range(5)):
+            expr, jobs = _physical_jobs(n, model, seed)
+            gaps = np.abs(np.subtract(_physical(expr, jobs, model),
+                                      _pair_products(expr, jobs, model)))
+            assert gaps.max() <= 1e-14
+            count += len(jobs)
+        assert count == 5 * (2 + 8 + 48 + 384)
+
+    @pytest.mark.parametrize("name", N1_MODELS)
+    def test_a_crossed_term_read_with_r_for_t_fails(self, name):
+        """Mutation check: at n = 2, read the T leaves of each crossed term
+        (a pairing other than out slot i with in slot i) as R leaves."""
+        model = build_model(parse_config(json.dumps(N1_MODELS[name]))).doubled
+        for seed in range(5):
+            expr, jobs = _physical_jobs(2, model, seed)
+            mutated = [(fock.ContractionTerm(term.pairing, tuple(
+                ("R", *atom[1:]) if atom[0] == "T" else atom for atom in term.network),
+                term.legs), env)
+                for term, env in jobs if any(a_pos + c_pos != 3 for a_pos, c_pos, _ in term.pairing)]
+            assert len(mutated) == 4
+            gaps = np.abs(np.subtract(_physical(expr, mutated, model),
+                                      _pair_products(expr, mutated, model)))
+            assert gaps.max() > 0.1
+
+
+class TestLeafReads:
+    @pytest.mark.parametrize("config", ["delta_n1", "rational_n2", "rational_n3", "custom_defect"])
+    @pytest.mark.parametrize("code", range(len(fock.FLAVOURS)))
+    def test_a_float_read_has_the_bits_of_an_array_read(self, config, code):
+        """A flavour with one distinct leaf in a query is read at floats: it
+        must give the shape and bits of a read at one-element arrays."""
+        path = Path(__file__).parent / "golden" / "configs" / f"{config}.json"
+        model = build_model(parse_config(path.read_text())).doubled
+        count = 1 if code else 2  # momenta read
+        for ks in ((0.7, -1.3), (-2.2, 0.4), (1.9, 1.1)):
+            at_floats = fock._read(code, list(ks[:count]), model)
+            at_arrays = fock._read(code, [np.array([k]) for k in ks[:count]], model)
+            assert at_floats.shape == at_arrays.shape
+            assert at_floats.tobytes() == at_arrays.tobytes()
