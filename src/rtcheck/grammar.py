@@ -10,12 +10,13 @@ Grammar (precedence low to high):
 NUMBER is a decimal literal with an optional imaginary suffix 'i' or 'j'.
 The single free variable is the momentum k; evaluation is complex.
 
-The parser compiles an expression to a postfix program that a stack machine
-evaluates, so long operator chains need no recursion.  Parentheses and
-unary minus do recurse while parsing; they may nest at most ``MAX_NESTING``
-deep, and deeper input is an ``ExpressionError`` like any other malformed
-expression.  Division by zero during evaluation is an ``ExpressionError``
-too, naming the expression and k.
+An expression compiles in one shunting-yard pass to a postfix program that
+a stack machine evaluates; neither step recurses, so no input depth can
+reach the interpreter's stack.  Parentheses and unary minus may still nest
+at most ``MAX_NESTING`` deep: a limit on input, and deeper input is an
+``ExpressionError`` like any other malformed expression.  Division by zero
+during evaluation is an ``ExpressionError`` too, naming the expression and
+k.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import operator
 import re
 from typing import Callable
 
-MAX_NESTING = 100  # parentheses plus unary minus; keeps parsing well inside the stack
+MAX_NESTING = 100  # open parentheses plus pending unary minus; a bound on input
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[ij]?)"
     r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<op>[()+\-*/])|$)"
+    r"|(?P<op>[()+\-*/])|(?P<bad>.)|$)"
 )
+_PREC = {")": 0, "+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}  # ")" pops down to its "("
 
 
 class ExpressionError(ValueError):
@@ -39,82 +41,59 @@ class ExpressionError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ExpressionError(f"bad character at {text[pos:]!r}")
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExpressionError(f"bad character at {text[m.start():]!r}")
         if m.lastgroup:
             tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens
 
 
-class _Parser:
-    """Recursive descent that appends postfix instructions to ``program``."""
-
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.i = 0
-        self.nesting = 0
-        self.program: list[tuple] = []
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def nested(self, rule):
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            raise ExpressionError(
-                f"expression nests deeper than {MAX_NESTING} parentheses or signs"
-            )
-        rule()
-        self.nesting -= 1
-
-    def expr(self):
-        self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.take()
-            self.term()
-            self.program.append((op,))
-
-    def term(self):
-        self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            _, op = self.take()
-            self.unary()
-            self.program.append((op,))
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            self.nested(self.unary)
-            self.program.append(("neg",))
-        else:
-            self.atom()
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "num":
+def _compile(tokens: list[tuple[str, str]]) -> list[tuple]:
+    """One shunting-yard pass from tokens to the postfix program ``_run``
+    executes.  Operands go straight to the program; binary operators, unary
+    minus ("neg") and '(' wait on the stack until an operator that binds no
+    tighter, a ')' or the end of input arrives."""
+    program: list[tuple] = []
+    stack: list[str] = []
+    operand = True  # the next token must begin an operand
+    for kind, value in tokens + [(None, None)]:
+        if operand and kind == "num":
             if value[-1] in "ij":
-                self.program.append(("const", complex(0.0, float(value[:-1]))))
+                program.append(("const", complex(0.0, float(value[:-1]))))
             else:
-                self.program.append(("const", complex(float(value))))
-        elif kind == "name":
+                program.append(("const", complex(float(value))))
+            operand = False
+        elif operand and kind == "name":
             if value != "k":
                 raise ExpressionError(f"unknown name {value!r}; only 'k' is allowed")
-            self.program.append(("var",))
-        elif (kind, value) == ("op", "("):
-            self.nested(self.expr)
-            if self.take() != ("op", ")"):
-                raise ExpressionError("unbalanced parentheses")
-        else:
+            program.append(("var",))
+            operand = False
+        elif operand and kind == "op" and value in ("(", "-"):
+            stack.append("(" if value == "(" else "neg")
+            if stack.count("(") + stack.count("neg") > MAX_NESTING:
+                raise ExpressionError(
+                    f"expression nests deeper than {MAX_NESTING} parentheses or signs"
+                )
+        elif operand and kind is None:
+            raise ExpressionError("unexpected end of expression")
+        elif operand:
             raise ExpressionError(f"unexpected token {value!r}")
+        elif kind == "op" and value != "(":  # a binary operator or ')'
+            while stack and stack[-1] != "(" and _PREC[stack[-1]] >= _PREC[value]:
+                program.append((stack.pop(),))
+            if value != ")":
+                stack.append(value)
+                operand = True
+            elif stack:
+                stack.pop()
+            else:
+                raise ExpressionError("trailing input near ')'")
+        elif "(" in stack:
+            raise ExpressionError("unbalanced parentheses")
+        elif kind:
+            raise ExpressionError(f"trailing input near {value!r}")
+    return program + [(op,) for op in reversed(stack)]
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -138,11 +117,7 @@ def _run(program: list[tuple], k: complex) -> complex:
 
 def parse_expression(text: str) -> Callable[[float], complex]:
     """Compile a closed-form expression in k into an evaluator."""
-    parser = _Parser(_tokenize(text))
-    parser.expr()
-    if parser.peek() != (None, None):
-        raise ExpressionError(f"trailing input near {parser.peek()[1]!r}")
-    program = parser.program
+    program = _compile(_tokenize(text))
 
     def fn(k: float) -> complex:
         try:

@@ -1,10 +1,16 @@
+import inspect
 import json
+import re
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli import expression_texts
 
+from rtcheck import grammar
 from rtcheck.cli import main
 from rtcheck.config import (
     MAX_SAMPLES,
@@ -64,8 +70,171 @@ class TestGrammar:
         "bad", ["k +", "q + 1", "((k)", "k $ 2", "1..2", "", "k  x", "k $"]
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises((ExpressionError, IndexError, ValueError)):
+        with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[ij]?)"
+    r"|(?P<name>[A-Za-z_]\w*)"
+    r"|(?P<op>[()+\-*/])|$)"
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str]]:
+    """The reference for ``grammar._tokenize``: one match per step, a bad
+    character where no token or trailing blank matches."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise ExpressionError(f"bad character at {text[pos:]!r}")
+        pos = m.end()
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    return tokens
+
+
+class _ReferenceParser:
+    """The reference for ``grammar._compile``: recursive descent that appends
+    postfix instructions to ``program``, one method per grammar rule."""
+
+    def __init__(self, tokens: list[tuple[str, str]]):
+        self.tokens = tokens
+        self.i = 0
+        self.nesting = 0
+        self.program: list[tuple] = []
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def nested(self, rule):
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_NESTING} parentheses or signs"
+            )
+        rule()
+        self.nesting -= 1
+
+    def expr(self):
+        self.term()
+        while self.peek() in (("op", "+"), ("op", "-")):
+            _, op = self.take()
+            self.term()
+            self.program.append((op,))
+
+    def term(self):
+        self.unary()
+        while self.peek() in (("op", "*"), ("op", "/")):
+            _, op = self.take()
+            self.unary()
+            self.program.append((op,))
+
+    def unary(self):
+        if self.peek() == ("op", "-"):
+            self.take()
+            self.nested(self.unary)
+            self.program.append(("neg",))
+        else:
+            self.atom()
+
+    def atom(self):
+        kind, value = self.take()
+        if kind == "num":
+            if value[-1] in "ij":
+                self.program.append(("const", complex(0.0, float(value[:-1]))))
+            else:
+                self.program.append(("const", complex(float(value))))
+        elif kind == "name":
+            if value != "k":
+                raise ExpressionError(f"unknown name {value!r}; only 'k' is allowed")
+            self.program.append(("var",))
+        elif (kind, value) == ("op", "("):
+            self.nested(self.expr)
+            if self.take() != ("op", ")"):
+                raise ExpressionError("unbalanced parentheses")
+        else:
+            raise ExpressionError(f"unexpected token {value!r}")
+
+
+def _reference_program(text: str) -> list[tuple]:
+    parser = _ReferenceParser(_reference_tokenize(text))
+    parser.expr()
+    if parser.peek() != (None, None):
+        raise ExpressionError(f"trailing input near {parser.peek()[1]!r}")
+    return parser.program
+
+
+def _program_or_message(compile_text, text: str):
+    try:
+        return compile_text(text)
+    except ExpressionError as exc:
+        return str(exc)
+
+
+# texts with the names the grammar rejects, a stray '$', '**' and '.', and
+# nestings of '(' and '-' up to half again as deep as the grammar allows
+EXPRESSION_TOKENS = ["k", "1", "2.5", "1e3", "3i", "1j", ".5", "1.", "0", "(", ")", "+", "-",
+                     "*", "/", " ", "\n", "neg", "x", "i", "$", "**", "."]
+token_texts = st.lists(st.sampled_from(EXPRESSION_TOKENS), max_size=40).map("".join)
+nested_texts = st.builds(
+    lambda opens, body, closes: "".join(opens) + body + ")" * closes,
+    st.integers(0, 150).flatmap(
+        lambda depth: st.lists(st.sampled_from(["(", "-"]), min_size=depth, max_size=depth)),
+    expression_texts | token_texts,
+    st.integers(0, 150),
+)
+
+
+class TestCompiler:
+    """``grammar._compile`` is one shunting-yard pass that gives the
+    recursive-descent program, or its error message; only input that ends
+    where an operand must begin reads "unexpected end of expression" where
+    the recursive descent read "unexpected token None"."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(expression_texts | token_texts | nested_texts)
+    def test_compiles_the_recursive_descent_program(self, text):
+        expected = _program_or_message(_reference_program, text)
+        if expected == "unexpected token None":
+            expected = "unexpected end of expression"
+        compiled = _program_or_message(lambda t: grammar._compile(grammar._tokenize(t)), text)
+        assert compiled == expected
+
+    def test_compiling_uses_no_recursion(self):
+        """The deepest input the bound admits compiles and runs within 40
+        frames of the caller's depth."""
+        half = MAX_NESTING // 2
+        deep = ["(" * MAX_NESTING + "k" + ")" * MAX_NESTING, "-" * MAX_NESTING + "k",
+                "(-" * half + "k" + ")" * half]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            values = [parse_expression(text)(2.0) for text in deep]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert values == [2, 2, 2]
+
+    @pytest.mark.parametrize("text", ["", " \n", "k+", "2*(", "-", "(k*-"])
+    def test_input_cut_short_is_an_unexpected_end(self, text, tmp_path, capsys):
+        with pytest.raises(ExpressionError, match=re.escape("unexpected end of expression")):
+            parse_expression(text)
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({
+            "bulk": {"name": "identity", "dim": 1},
+            "defect": {"name": "custom", "transmission": text, "reflection": "0"},
+        }))
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "rtcheck: error: bad custom defect expression: unexpected end of expression\n"
 
 
 class TestParseConfig:

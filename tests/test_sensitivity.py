@@ -20,17 +20,19 @@ from rtcheck.suite import run_suite
 
 EPS = 1e-3
 
-# The same-parity commutators (0,2) and (1,3) are left out: no defect data
-# built through public constructors can fail them.  Each part of H^(n) at p
-# sums the traced word's terms times w^n, with w = p or w = -p, so
-# H^(n)(p) = p^n U(p), one kernel U for each parity of n.  For m and n of one
-# parity the products' A parts A_m(p) A_n(p) + B_m(p) B_n(-p) and
-# A_n(p) A_m(p) + B_n(p) B_m(-p) are both p^(m+n) U_A U_A + (-1)^n p^(m+n)
-# U_B(p) U_B(-p), as (-1)^m = (-1)^n, and the B parts agree likewise, so
-# [H^(m), H^(n)] vanishes up to rounding; the reflection moment enters with
-# the factor (-1)^m - (-1)^n = 0.  Under this perturbation they stay at
-# rounding level (<= 1.6e-14); only an engine-side break, such as a dress on
-# the wrong leg, could fail them.
+# The same-parity commutators (0,2), (1,3) and the opt-in (2,4) are left
+# out: no defect data built through public constructors can fail them.  Each
+# part of H^(n) at p sums the traced word's terms times w^n, with w = p or
+# w = -p, so H^(n)(p) = p^n U(p), one kernel U for each parity of n.  For m
+# and n of one parity the products' A parts A_m(p) A_n(p) + B_m(p) B_n(-p)
+# and A_n(p) A_m(p) + B_n(p) B_m(-p) are both p^(m+n) U_A U_A + (-1)^n
+# p^(m+n) U_B(p) U_B(-p), as (-1)^m = (-1)^n, and the B parts agree
+# likewise, so [H^(m), H^(n)] vanishes up to rounding; the reflection moment
+# enters with the factor (-1)^m - (-1)^n = 0.  Under this perturbation (0,2)
+# and (1,3) stay at rounding level (<= 1.6e-14), and (2,4) at 2.6e-13 or
+# below under the scalar, phase and diag(1, 1 + EPS k) breaks of this file;
+# only an engine-side break, such as a dress on the wrong leg, could fail
+# them.
 HIERARCHY_CHECKS = [
     "hierarchy-commutator(0,1)",
     "hierarchy-commutator(1,2)",
@@ -41,13 +43,15 @@ HIERARCHY_CHECKS = [
 
 def _broken(model, factor: str, by=1 + EPS):
     """The model with its half-line transmission or reflection times ``by``,
-    a scalar or the diagonal of a matrix (T(k) * by is T(k) @ diag(by))."""
+    a scalar or the diagonal of a matrix (T(k) * by is T(k) @ diag(by)), or
+    a function of k that gives one."""
     half = model.half_line
     R, T = half.R, half.T
+    scale = by if callable(by) else lambda k: by
     if factor == "T":
-        broken = DefectPair(half.dim, R, lambda k: T(k) * by)
+        broken = DefectPair(half.dim, R, lambda k: T(k) * scale(k))
     else:
-        broken = DefectPair(half.dim, lambda k: R(k) * by, T)
+        broken = DefectPair(half.dim, lambda k: R(k) * scale(k), T)
     return dataclasses.replace(
         model, half_line=broken, doubled=build_doubled_model(model.bulk, broken))
 
@@ -112,6 +116,33 @@ def test_exchange_checks_fail_on_non_scalar_data(factor, failing):
     failed = _failures(model, factor, np.array([1.0, 1.0 + EPS]))
     assert sorted(failed) == sorted(failing)
     assert min(failed.values()) > 1e-7
+
+
+def _momentum_diagonal(k):
+    """diag(1, 1 + EPS k), as the row that scales columns, at one momentum
+    or at each of a 1-d array."""
+    return np.stack(np.broadcast_arrays(1.0, 1 + EPS * np.asarray(k)), -1)[..., None, :]
+
+
+PROJECTED_ROWS = ["SRSR+", "SRSR-", "TST", "STT-", "STT+"]
+
+
+@pytest.mark.parametrize("factor, failing", [
+    ("T", ["TST", "STT-", "STT+"]),
+    ("R", ["SRSR+", "SRSR-"]),
+])
+def test_projected_rows_fail_on_momentum_dependent_data(factor, failing):
+    """The pure projected rows on the rational bulk (N = 2) hold for delta
+    data, whose T and R are scalars.  With D(k) = diag(1, 1 + EPS k) on T
+    or R, D(k1) (x) D(k2) commutes with the identity but not with the swap
+    P, as D(k1) != D(k2), so not with the rational S either, and the rows
+    that carry the broken factor fail.  The constant diag(1, 1 + EPS) of
+    test_exchange_checks_fail_on_non_scalar_data cannot break STT+-:
+    D (x) D commutes with P and so with the rational S."""
+    model = _delta_model("rational:N=2,c=1", PROJECTED_ROWS, samples=5)
+    failed = _failures(model, factor, _momentum_diagonal)
+    assert sorted(failed) == sorted(failing)
+    assert min(failed.values()) > 1e-4
 
 
 def _with_bulk(model, bulk: BulkSMatrix):
