@@ -5,11 +5,11 @@ pure transmission, mixed, vacuum-matrix (rr1/tt1/tr1) and reduced relations
 are rows of one table, RELATIONS, and one evaluator, chain_residuals, computes
 the literal left-minus-right infinity norm of any rows at a list of points,
 with no algebraic simplification, so a defective input (or a defective
-equation) shows up as a reproducible residual.  It reads each distinct
-factor of its rows once per CHUNK points, with one model call on the
-momentum arrays, and walks both sides of each row sector by sector; on the
-doubled data that works on (P, N*N, N*N) blocks instead of dense
-(P, 4N*N, 4N*N) stacks.
+equation) shows up as a reproducible residual.  It takes the points CHUNK
+at a time, a short tail joined to the chunk before it, reads every factor
+of its rows with one model call per kind (S, R, T) on the chunk, and walks
+both sides of each row sector by sector; on the doubled data that works on
+(P, N*N, N*N) blocks instead of dense (P, 4N*N, 4N*N) stacks.
 relation_residual is its one-point view of any row, and each family name is
 that view on one variant tuple.  Heaviside projections are exact:
 theta(xi*k) is 0 or 1 for the whole matrix, data is read only where it is 1,
@@ -19,7 +19,7 @@ and k = 0 is a domain error rather than a convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -89,19 +89,13 @@ class ProjectedDefect:
     def T(self, k) -> np.ndarray:
         return self._masked(self.pair.T, k)
 
-    def blocks(self, kind: str, k: np.ndarray) -> np.ndarray:
-        return self._masked(partial(self.pair.blocks, kind), k)
-
     def _masked(self, read: Callable, k) -> np.ndarray:
         """read(k) where theta(xi k) = 1, zero elsewhere; read only where
         theta is 1, so that a pole at a masked momentum stays out."""
-        ks = _momentum_array(k)
-        one = ks is None
-        ks = np.array([k], dtype=float) if one else ks
-        on = self.xi * ks > 0
-        part = read(ks[on])
-        out = np.zeros((*part.shape[:-3], len(ks), *part.shape[-2:]), dtype=complex)
-        out[..., on, :, :] = part
+        one = _momentum_array(k) is None
+        ks = np.atleast_1d(np.asarray(k, dtype=float))
+        out = np.zeros((len(ks), self.pair.dim, self.pair.dim), dtype=complex)
+        out[self.xi * ks > 0] = read(ks[self.xi * ks > 0])
         return out[0] if one else out
 
 
@@ -239,45 +233,50 @@ def chain_residuals(
     column sector to one row sector through one block: on doubled data (S
     and D hand out blocks) a leg has m = 2 sectors, S keeps the sector
     (x1, x2), R on leg j keeps x_j and T on leg j flips it; other data is the
-    one-sector case.  Each distinct factor of the words is built once per
-    chunk and shared by every word that has it.  Each side is the product of
-    its block maps, taken strictly left to right.  Where both sides end in
-    one row sector the residual takes |lhs - rhs| there, else
-    max(|lhs|, |rhs|): the dense one-point chain's value, up to the order in
-    which it sums zero terms.
+    one-sector case.  Per CHUNK points (a last chunk of fewer than CHUNK // 2
+    joins the one before it), all the factors of the words are read with one
+    model call per kind: S at the (a, b) of every S and S21 factor, R and T
+    at the k of each of theirs where theta(xi k) = 1, zero elsewhere.  Each
+    side is the product of its block maps, taken strictly left to right.
+    Where both sides end in one row sector the residual takes |lhs - rhs|
+    there, else max(|lhs|, |rhs|): the dense one-point chain's value, up to
+    the order in which it sums zero terms.
     """
     if D.dim != S.leg_dim:
         raise ValueError(f"defect dim {D.dim} does not match S leg dim {S.leg_dim}")
     m = 2 if S.blocks is not None and D.blocks is not None else 1
     eye = np.eye(D.dim // m, dtype=complex)
     sectors = np.arange(m * m)  # sector (x1, x2) of the two legs is x1 * m + x2
+    mirror = sectors.reshape(m, m).T.ravel()  # P S P on (x1, x2) is S on (x2, x1), legs swapped
+    factors = list(dict.fromkeys(f for word in words for side in word for f in side))
+    kinds = {kind: group for kind in "SRT" if (group := [f for f in factors if f[0][0] == kind])}
+    stops = [*range(CHUNK, len(k1) - CHUNK // 2 + 1, CHUNK), len(k1)]  # a short tail joins
     out: list[list[float]] = [[] for _ in words]
-    for start in range(0, len(k1), CHUNK):
-        at = _momenta(k1[start:start + CHUNK], k2[start:start + CHUNK])
-        built: dict[tuple, tuple] = {}
-
-        def build(factor: tuple) -> tuple:
-            """The factor's block map, from one reader call on the chunk."""
-            if factor not in built:
-                kind = factor[0]
-                if kind in ("S", "S21"):
-                    a, b = at[factor[1]], at[factor[2]]
-                    blocks = S.blocks(a, b) if m == 2 else S.eval(a, b)[None]
-                    if kind == "S21":  # P S P on sector (x1, x2) is S on (x2, x1), legs swapped
-                        blocks = swap_legs(blocks[sectors.reshape(m, m).T.ravel()])
-                    built[factor] = sectors, blocks
-                else:
-                    _, xi, leg, k = factor
-                    data = D if xi is None else project(D, xi)
-                    read = data.blocks(kind, at[k]) if m == 2 else getattr(data, kind)(at[k])[None]
-                    x = sectors // m if leg == 1 else sectors % m  # the sector of its leg
-                    y = m - 1 - x if kind == "T" else x
-                    stack = kron(read[y], eye) if leg == 1 else kron(eye, read[y])
-                    built[factor] = sectors + (y - x) * (m if leg == 1 else 1), stack
-            return built[factor]
-
+    for start, stop in zip([0, *stops], stops):
+        at, P = _momenta(k1[start:stop], k2[start:stop]), stop - start
+        built = {}  # factor -> its block map on the chunk
+        for kind, group in kinds.items():  # S and S21 factors are one S read
+            if kind == "S":
+                a, b = (np.concatenate([at[f[i]] for f in group]) for i in (1, 2))
+                got = S.blocks(a, b) if m == 2 else S.eval(a, b)[None]
+            else:  # each array is checked for k = 0 whole, then read only where theta(xi k) = 1
+                on = np.concatenate([np.ones(P, bool) if xi is None
+                                     else xi * _momentum_array(at[k]) > 0 for _, xi, _, k in group])
+                ks = np.concatenate([at[f[3]] for f in group])[on]
+                got = np.zeros((m, len(on), *eye.shape), dtype=complex)
+                got[:, on] = D.blocks(kind, ks) if m == 2 else getattr(D, kind)(ks)[None]
+            for i, f in enumerate(group):
+                data = got[:, i * P:(i + 1) * P]  # sectors first
+                if kind == "S":
+                    built[f] = sectors, data if f[0] == "S" else swap_legs(data[mirror])
+                    continue
+                leg = f[2]
+                x = sectors // m if leg == 1 else sectors % m  # the sector of its leg
+                y = m - 1 - x if kind == "T" else x
+                stack = kron(data[y], eye) if leg == 1 else kron(eye, data[y])
+                built[f] = sectors + (y - x) * (m if leg == 1 else 1), stack
         for word, residuals in zip(words, out):
-            (row_l, left), (row_r, right) = (reduce(_times, map(build, side)) for side in word)
+            (row_l, left), (row_r, right) = (reduce(_times, map(built.get, side)) for side in word)
             gap = np.abs(left - right)
             apart = row_l != row_r  # the dense difference holds lhs and -rhs in two row sectors
             gap[apart] = np.maximum(np.abs(left[apart]), np.abs(right[apart]))

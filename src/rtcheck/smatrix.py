@@ -32,9 +32,10 @@ from .tensor import identity_two_leg, leg_dim, norm_inf, permutation_operator, s
 DEFAULT_EXCLUSION_RADIUS = 1e-3
 SAMPLE_SCALE = 3.0  # momenta are drawn uniformly from [-SAMPLE_SCALE, SAMPLE_SCALE]
 SAMPLE_TRIES = 10_000  # rejected draws in a row before an unsatisfiable exclusion gives up
-# Points per reader call of the relation words and Yang-Baxter.  On the relations benchmark
-# (rational N = 3, 200 points per check, 2-core x86-64) 24 to 64 were about equally fast for
-# the words, 16 about 10% and 8 35% slower; peak RSS rose by under 1% at 24, 7.5% at 64.
+# Points per reader call of the relation words and Yang-Baxter; the words join a last chunk of
+# under CHUNK // 2 points to the one before it (so at most 35).  Relations benchmark (rational
+# N = 3, 200 points per check, 2-core x86-64): 24 to 64 equally fast, 16 10% and 8 35% slower;
+# peak RSS +<1% at 24, +7.5% at 64, and +1.5% (40.9 -> 41.5 MB) from one read per kind.
 CHUNK = 24
 # Entries per product slice (128 KiB of complex): doubled N = 3 Yang-Baxter took 7 ms
 # for 50 triples in slices of one triple (5,832 entries), 11 ms in slices of two.

@@ -598,13 +598,17 @@ STACK_ARRAYS = np.array(STACK_POINTS).T  # (k1, k2)
 
 
 class TestStackedChains:
-    """chain_residuals takes its points CHUNK at a time; each point's residual
+    """chain_residuals takes its points CHUNK at a time, a last chunk of
+    fewer than CHUNK // 2 joined to the one before it; each point's residual
     is the one-point loop's, bit for bit, whatever the chunking."""
 
-    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    # one chunk of 1, 24, 25 and (the largest) 35 points; 24 + 12, 24 + 25, 24 + 26
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1, CHUNK + CHUNK // 2 - 1,
+                                   CHUNK + CHUNK // 2, 2 * CHUNK + 1, 50])
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_any_point_count_gives_the_one_point_values(self, variant, n):
-        points = STACK_POINTS[:n]
+        points = (STACK_POINTS + SIGN_PATTERNS)[:n]
+        assert len(points) == n
         word = RELATIONS[variant]
         (got,) = chain_residuals([word], GENERIC_S, GENERIC_PAIR, *np.array(points).T)
         assert got == [loop_residual(word, GENERIC_S, GENERIC_PAIR, a, b) for a, b in points]
@@ -642,6 +646,43 @@ class TestStackedChains:
             (clean,) = chain_residuals([RELATIONS[variant]], GENERIC_S, GENERIC_PAIR, *STACK_ARRAYS)
             for i, (g, c) in enumerate(zip(got, clean)):
                 assert not math.isfinite(g) if i in touched else g == c
+
+    def test_nonfinite_bulk_value_shows_at_its_point_only(self):
+        """A batched S that is not finite at one (a, b) spoils only the point
+        that reads it there, though all the S and S21 factors of a row, at
+        every point of the chunk, are one call."""
+        bad = CHUNK + 3  # in the second chunk; its k1 and k2 appear nowhere else as (a, b)
+        a, b = STACK_POINTS[bad]
+
+        def fn(k1, k2):
+            return GENERIC_S.fn(k1, k2) + np.where((k1 == a) & (k2 == b), np.inf, 0.0)
+
+        clean = dataclasses.replace(GENERIC_S, batched=True)
+        broken = dataclasses.replace(GENERIC_S, fn=fn, batched=True)
+        for variant in CONSISTENCY_VARIANTS:  # S(k1,k2) and three other S or S21 factors
+            word = RELATIONS[variant]
+            with np.errstate(all="ignore"):
+                (got,) = chain_residuals([word], broken, GENERIC_PAIR, *STACK_ARRAYS)
+            (want,) = chain_residuals([word], clean, GENERIC_PAIR, *STACK_ARRAYS)
+            assert [i for i, g in enumerate(got) if not math.isfinite(g)] == [bad]
+            assert got[:bad] + got[bad + 1:] == want[:bad] + want[bad + 1:]
+
+    def test_a_pole_at_a_masked_momentum_is_not_read(self):
+        """T = 1/(k+0.5) has its pole where T+ is masked: rows that read T
+        only as T+ give the one-point values around it, with -0.5 in either
+        slot and in a chunk of points that read T, while tt1 reads it."""
+        model = _catalog_data("identity:dim=1", {
+            "name": "custom", "transmission": "1/(k+0.5)", "reflection": "0"})
+        points = [list(p) for p in STACK_POINTS[:CHUNK + 2]]
+        points[3][0] = points[CHUNK][1] = -0.5
+        k1, k2 = np.array(points).T
+        for variant in ("STT+", "SRST+", "RST+"):
+            word = RELATIONS[variant]
+            (got,) = chain_residuals([word], model.bulk, model.half_line, k1, k2)
+            assert got == [loop_residual(word, model.bulk, model.half_line, a, b)
+                           for a, b in points]
+        with pytest.raises(ExpressionError, match=re.escape("at k = -0.5")):
+            chain_residuals([RELATIONS["tt1"]], model.bulk, model.half_line, k1, k2)
 
 
 # A factor's replacements: its matrix (S <-> S21, R <-> T), its leg, its
@@ -756,10 +797,12 @@ def _counted(fn, calls, name):
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_one_reader_call_per_distinct_factor_and_chunk(variant):
-    """Half-line data: one bulk call per S factor, one defect call per R or T
-    factor.  Doubled data: one block read per factor, which reads the bulk
-    at the four sectors and the half-line data at k and -k."""
+def test_one_reader_call_per_kind_and_chunk(variant):
+    """Half-line data: one bulk call for all the S and S21 factors, one
+    defect call for all the R and one for all the T factors, per chunk.
+    Doubled data: one calS block read and one block read per defect kind,
+    which read the bulk at the four sectors and the half-line data at k and
+    -k.  49 points make two chunks: the 1-point tail joins the second."""
     calls = Counter()
     bulk = rational_S(3, 1.0)
     half = CATALOG_DEFECTS["delta lifted to N=3"]
@@ -770,24 +813,24 @@ def test_one_reader_call_per_distinct_factor_and_chunk(variant):
     calS = dataclasses.replace(dm.calS, blocks=_counted(dm.calS.blocks, calls, "calS"))
     pair = dataclasses.replace(dm.defect, blocks=_counted(dm.defect.blocks, calls, "blocks"))
     word = RELATIONS[variant]
-    factors = Counter("S" if f[0] == "S21" else f[0] for f in set(word[0] + word[1]))
-    chunks = math.ceil(len(STACK_POINTS) / CHUNK)
-    assert chunks == 3
+    kinds = {"S" if f[0] == "S21" else f[0] for f in word[0] + word[1]}
+    assert "S" in kinds and kinds & {"R", "T"}
+    assert len(STACK_POINTS) == 2 * CHUNK + 1
+    chunks = 2
     chain_residuals([word], bulk, half, *STACK_ARRAYS)
-    assert calls == {kind: chunks * n for kind, n in factors.items()}
+    assert calls == {kind: chunks for kind in kinds}
     calls.clear()
     chain_residuals([word], calS, pair, *STACK_ARRAYS)
     assert calls == {
-        "calS": chunks * factors["S"], "S": 4 * chunks * factors["S"],
-        "blocks": chunks * (factors["R"] + factors["T"]),
-        **{kind: 2 * chunks * factors[kind] for kind in "RT" if factors[kind]},
+        "calS": chunks, "S": 4 * chunks, "blocks": chunks * len(kinds - {"S"}),
+        **{kind: 2 * chunks for kind in kinds - {"S"}},
     }
 
 
 def test_words_in_one_call_share_their_factors_and_keep_their_bits():
     """Words taken together, a repeat included, give each word's residuals
-    alone, bit for bit, and read each factor that any of them has once per
-    chunk: one bulk call per S, one defect call per R or T factor."""
+    alone, bit for bit, and read all the factors of all of them with one
+    bulk call, one R call and one T call per chunk."""
     calls = Counter()
     bulk = rational_S(3, 1.0)
     half = CATALOG_DEFECTS["delta lifted to N=3"]
@@ -797,9 +840,7 @@ def test_words_in_one_call_share_their_factors_and_keep_their_bits():
         transmission=_counted(half.transmission, calls, "T"))
     words = [RELATIONS[v] for v in ALL_VARIANTS + ("tt1",)]
     got = chain_residuals(words, counted_bulk, counted_half, *STACK_ARRAYS)
-    distinct = {f for word in words for f in word[0] + word[1]}
-    factors = Counter("S" if f[0] == "S21" else f[0] for f in distinct)
-    assert calls == {kind: 3 * n for kind, n in factors.items()}
+    assert calls == {"S": 2, "R": 2, "T": 2}  # two chunks of 24 and 25 points
     assert got == [chain_residuals([word], bulk, half, *STACK_ARRAYS)[0] for word in words]
 
 
